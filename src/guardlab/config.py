@@ -263,11 +263,16 @@ def resolve_lr(
         return float(lr)
     if lr not in LR_PRESETS:
         raise ConfigError(f"unknown lr preset: {lr!r} (expected one of {LR_PRESETS})")
+    # Every input of the probe runs. The optimizer's base lr is not one: the
+    # ladder replaces it on each rung.
     cache_key = (
         task.kind,
         tuple(sorted(task.dims.items())),
         tuple(seeds),
         steps,
+        batch_size,
+        replace(opt, lr=1.0),
+        schedule_kind,
         injection,
     )
     if cache is not None and cache_key in cache:

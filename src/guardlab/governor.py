@@ -185,17 +185,19 @@ def sense(
     """Read-only probe: attaches grad_rms only on probe-cadence steps.
 
     A non-finite loss passes through untouched; a non-finite gradient on a
-    probe step yields grad_rms=None (the probe is unusable, skip semantics
-    are decided downstream).
+    probe step, or a finite one whose mean square overflows, yields
+    grad_rms=None (the probe is unusable, skip semantics are decided
+    downstream).
     """
     if step < 0:
         raise ValueError("step must be non-negative")
     grad_rms: Optional[float] = None
     if grad_groups is not None and step % cfg.stats_freq == 0:
         try:
-            grad_rms = gradient_rms(grad_groups, cfg.use_max_rms)
+            rms = gradient_rms(grad_groups, cfg.use_max_rms)
         except NonFiniteGradientError:
-            grad_rms = None
+            rms = math.inf
+        grad_rms = rms if math.isfinite(rms) else None
     return TelemetrySample(step=step, loss=float(loss), grad_rms=grad_rms, lr=float(lr))
 
 

@@ -14,7 +14,7 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -22,8 +22,10 @@ from .governor import Governor, GuardConfig, StepLog, TelemetrySummary
 from .optim import (
     ClipConfig,
     OptimizerConfig,
+    OptimizerState,
     ScheduleConfig,
     ScheduleKind,
+    adamw_step,
     guarded_step,
     init_optimizer_state,
     schedule_lr,
@@ -36,8 +38,10 @@ __all__ = [
     "InjectionSpec",
     "RunConfig",
     "RunResult",
+    "ProbeResult",
     "ComparisonRow",
     "run_training",
+    "run_probe_ladder",
     "calibrate_divergence_lr",
     "inject_outliers",
     "run_suite",
@@ -143,6 +147,17 @@ class RunResult:
 
 
 @dataclass
+class ProbeResult:
+    """One rung of a probe ladder: the fields the degradation verdict reads."""
+
+    lr: float
+    initial_loss: float
+    final_loss: float
+    eval_trace: List[Tuple[int, float, float]]
+    params: np.ndarray
+
+
+@dataclass
 class ComparisonRow:
     scenario: str
     seed: int
@@ -189,6 +204,22 @@ def inject_outliers(
     return batch, advance(rng_state)
 
 
+def _next_batch(
+    task: Task, cfg: RunConfig, step: int, batch_state: StreamState, inject_state: StreamState
+) -> Tuple[Batch, float, StreamState, StreamState]:
+    """The step's batch (injected if scheduled) and its post-clip gradient scale.
+
+    Both depend only on (seed, step), never on params or lr.
+    """
+    batch, batch_state = sample_batch(task, batch_state, cfg.batch_size)
+    burst = 1.0
+    if cfg.injection is not None:
+        batch, inject_state = inject_outliers(batch, cfg.injection, step, inject_state)
+        if cfg.injection.mode == "gradient_burst" and batch.outlier_flag:
+            burst = cfg.injection.magnitude
+    return batch, burst, batch_state, inject_state
+
+
 def run_training(cfg: RunConfig, out_dir: Optional[Path] = None) -> RunResult:
     """Execute one run: sample -> inject? -> forward/backward -> guarded step."""
     task = cfg.task.build(cfg.seed)
@@ -204,17 +235,10 @@ def run_training(cfg: RunConfig, out_dir: Optional[Path] = None) -> RunResult:
     t0 = time.perf_counter()
     for step in range(cfg.steps):
         lr_t = schedule_lr(step, sched)
-        batch, batch_state = sample_batch(task, batch_state, cfg.batch_size)
-        if cfg.injection is not None:
-            batch, inject_state = inject_outliers(batch, cfg.injection, step, inject_state)
+        batch, burst, batch_state, inject_state = _next_batch(
+            task, cfg, step, batch_state, inject_state
+        )
         loss, grads = forward_backward(task, params, batch)
-        burst = 1.0
-        if (
-            cfg.injection is not None
-            and cfg.injection.mode == "gradient_burst"
-            and batch.outlier_flag
-        ):
-            burst = cfg.injection.magnitude
         params, opt_state, _ = guarded_step(
             gov, opt_state, params, grads, loss, step, lr_t, cfg.opt, cfg.clip,
             grad_scale=burst,
@@ -257,13 +281,13 @@ def write_run_artifacts(result: RunResult, out_dir: Path) -> Tuple[Path, Path]:
     return jsonl_path, summary_path
 
 
-def severe_degradation(result: RunResult) -> bool:
+def severe_degradation(result: Union[RunResult, ProbeResult]) -> bool:
     return not math.isfinite(result.final_loss) or (
         result.final_loss > DEGRADATION_FACTOR * result.initial_loss
     )
 
 
-def _probe_degraded(result: RunResult, criterion: str) -> bool:
+def _probe_degraded(result: Union[RunResult, ProbeResult], criterion: str) -> bool:
     """peak: any eval checkpoint degraded; final: only the final eval counts
     (non-finite mid-run evals count either way, the run is already dead)."""
     if any(not math.isfinite(loss) for _, loss, _ in result.eval_trace):
@@ -273,6 +297,54 @@ def _probe_degraded(result: RunResult, criterion: str) -> bool:
         if any(loss > threshold for _, loss, _ in result.eval_trace):
             return True
     return severe_degradation(result)
+
+
+def run_probe_ladder(cfg: RunConfig, lrs: Sequence[float]) -> List[ProbeResult]:
+    """Baseline runs of cfg at each of lrs, as one program over an lr axis.
+
+    Rung l is bitwise equal to run_training(cfg with opt.lr = lrs[l]) in its
+    params, eval trace and losses: the task is built and each batch drawn
+    once for every rung (neither depends on lr), params and AdamW moments
+    are stacked as (L, n) rows through the elementwise adamw_step, and each
+    rung is evaluated on its own row. The governor is left out: with the
+    guard off and no clip it is the identity on the update.
+    """
+    if cfg.guard_or_disabled().auto_enabled or cfg.clip is not None:
+        raise ValueError("a probe ladder runs baseline arms: guard disabled, no clip")
+    scheds = [replace(cfg, opt=replace(cfg.opt, lr=lr)).schedule() for lr in lrs]
+    task = cfg.task.build(cfg.seed)
+    initial = evaluate(task, task.init_params())
+    params = np.tile(task.init_params(), (len(lrs), 1))
+    opt_state = OptimizerState(m=np.zeros_like(params), v=np.zeros_like(params))
+    batch_state = StreamState(seed=cfg.seed, stream=_BATCH_STREAM)
+    inject_state = StreamState(seed=cfg.seed, stream=_INJECT_STREAM)
+    traces: List[List[Tuple[int, float, float]]] = [[] for _ in lrs]
+    for step in range(cfg.steps):
+        lr_t = np.array([[schedule_lr(step, sched)] for sched in scheds])
+        batch, burst, batch_state, inject_state = _next_batch(
+            task, cfg, step, batch_state, inject_state
+        )
+        _, grads = task.loss_and_grad_rows(params, batch)
+        if burst != 1.0:
+            grads = grads * burst
+        delta, opt_state = adamw_step(
+            opt_state, params, grads, lr_t, cfg.opt, check_finite=False
+        )
+        params = params + delta
+        if (step + 1) % cfg.eval_every == 0:
+            for trace, row in zip(traces, params):
+                ev = evaluate(task, row)
+                trace.append((step + 1, ev.eval_loss, ev.perplexity))
+    return [
+        ProbeResult(
+            lr=float(lr),
+            initial_loss=initial.eval_loss,
+            final_loss=evaluate(task, row).eval_loss,
+            eval_trace=trace,
+            params=row,
+        )
+        for lr, trace, row in zip(lrs, traces, params)
+    ]
 
 
 def calibrate_divergence_lr(
@@ -287,32 +359,33 @@ def calibrate_divergence_lr(
     criterion: str = "peak",
     injection: Optional[InjectionSpec] = None,
 ) -> float:
-    """Double the baseline lr from a safe floor until it degrades the run.
+    """The lowest rate on the doubling ladder floor * 2**k (k up to
+    max_doublings) whose baseline probe run degrades.
 
     criterion="peak" flags degradation at any eval checkpoint within the
     probe run; "final" requires the probe run to end degraded (cosine decay
     can anneal a mid-run excursion away, so "final" needs probe_steps equal
-    to the target run length to transfer).
+    to the target run length to transfer). Every rung runs at once through
+    run_probe_ladder.
     """
     if criterion not in ("peak", "final"):
         raise ValueError("criterion must be 'peak' or 'final'")
-    lr = floor
-    for _ in range(max_doublings + 1):
-        cfg = RunConfig(
-            task=task,
-            opt=replace(opt, lr=lr),
-            schedule_kind=schedule_kind,
-            baseline_marker=True,
-            steps=probe_steps,
-            batch_size=batch_size,
-            eval_every=max(1, probe_steps // 10),
-            seed=seed,
-            injection=injection,
-            label="calibrate",
-        )
-        if _probe_degraded(run_training(cfg), criterion):
-            return lr
-        lr *= 2.0
+    probe = RunConfig(
+        task=task,
+        opt=opt,
+        schedule_kind=schedule_kind,
+        baseline_marker=True,
+        steps=probe_steps,
+        batch_size=batch_size,
+        eval_every=max(1, probe_steps // 10),
+        seed=seed,
+        injection=injection,
+        label="calibrate",
+    )
+    rungs = run_probe_ladder(probe, [floor * 2.0**k for k in range(max_doublings + 1)])
+    for rung in rungs:
+        if _probe_degraded(rung, criterion):
+            return rung.lr
     raise RuntimeError("task not stressable: no degrading lr within doubling budget")
 
 
@@ -339,7 +412,8 @@ def run_suite(
     """Run (scenario, baseline_cfg, guarded_cfg) pairs and aggregate rows.
 
     Pairing integrity is asserted up front; per-run errors are recorded on
-    the row and the suite continues. Rows come back sorted by scenario id.
+    the row and the suite continues. Each distinct config runs once. Rows
+    come back sorted by scenario id.
     """
     if not pairs:
         raise ValueError("run_suite requires at least one pair")
@@ -349,12 +423,25 @@ def run_suite(
             raise ValueError(
                 f"pairing integrity violated in {scenario!r}: differs on {sorted(extra)}"
             )
+    # A config shared by several pairs (a scenario's guard arm is paired with
+    # each clip threshold) runs once. RunConfig is unhashable (TaskSpec.dims
+    # is a dict), so finished runs are found by equality.
+    finished: List[Tuple[RunConfig, RunResult]] = []
+
+    def run_once(cfg: RunConfig) -> RunResult:
+        for done_cfg, result in finished:
+            if done_cfg == cfg:
+                return result
+        result = run_training(cfg, out_dir)
+        finished.append((cfg, result))
+        return result
+
     rows: List[ComparisonRow] = []
     for scenario, base_cfg, guard_cfg in pairs:
         row = ComparisonRow(scenario=scenario, seed=base_cfg.seed, baseline=None, guarded=None)
         try:
-            row.baseline = run_training(base_cfg, out_dir)
-            row.guarded = run_training(guard_cfg, out_dir)
+            row.baseline = run_once(base_cfg)
+            row.guarded = run_once(guard_cfg)
             row.derive()
         except Exception as exc:  # noqa: BLE001 - per-row error capture
             row.error = f"{type(exc).__name__}: {exc}"

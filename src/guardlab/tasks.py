@@ -69,6 +69,17 @@ class Task:
     def loss_and_grad(self, params: np.ndarray, batch: Batch) -> Tuple[float, np.ndarray]:
         raise NotImplementedError
 
+    def loss_and_grad_rows(
+        self, param_rows: np.ndarray, batch: Batch
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """loss_and_grad for each row of an (L, n_params) stack, on one batch.
+
+        Returns (losses[L], grads[L, n_params]); row l is bitwise equal to
+        loss_and_grad(param_rows[l], batch).
+        """
+        pairs = [self.loss_and_grad(row, batch) for row in param_rows]
+        return np.array([loss for loss, _ in pairs]), np.stack([g for _, g in pairs])
+
     def eval_loss(self, params: np.ndarray) -> float:
         raise NotImplementedError
 
@@ -254,32 +265,38 @@ class BigramLmTask(Task):
     def init_params(self) -> np.ndarray:
         return np.zeros(self.n_params)
 
-    def _ce_and_grad(self, params, prev, nxt) -> Tuple[float, np.ndarray]:
+    def _ce_and_grad(self, param_rows, prev, nxt) -> Tuple[np.ndarray, np.ndarray]:
+        """Mean cross-entropy and its gradient for each row of (L, A*A) logits."""
         a = self.alphabet
-        logits = params.reshape(a, a)
-        rows = logits[prev]
-        shifted = rows - rows.max(axis=1, keepdims=True)
-        exp = np.exp(shifted)
-        probs = exp / exp.sum(axis=1, keepdims=True)
-        n = len(prev)
-        logp = shifted[np.arange(n), nxt] - np.log(exp.sum(axis=1))
-        loss = float(-np.mean(logp))
-        d_rows = probs.copy()
-        d_rows[np.arange(n), nxt] -= 1.0
-        d_rows /= n
-        grad = np.zeros((a, a))
-        np.add.at(grad, prev, d_rows)
-        return loss, grad.ravel()
+        n_rows, n = param_rows.shape[0], len(prev)
+        shifted = param_rows.reshape(n_rows, a, a)[:, prev]
+        shifted -= shifted.max(axis=2, keepdims=True)
+        probs = np.exp(shifted)
+        total = probs.sum(axis=2, keepdims=True)
+        picked = np.arange(n)
+        logp = shifted[:, picked, nxt] - np.log(total[:, :, 0])
+        # C order keeps each row's mean the pairwise sum of the 1-D case.
+        losses = -np.mean(np.ascontiguousarray(logp), axis=1)
+        probs /= total
+        probs[:, picked, nxt] -= 1.0
+        probs /= n
+        # bincount adds each bin's entries in batch order, as np.add.at does.
+        logit_rows = np.arange(n_rows)[:, None] * a + prev
+        bins = (logit_rows[:, :, None] * a + np.arange(a)).ravel()
+        grad = np.bincount(bins, weights=probs.ravel(), minlength=n_rows * a * a)
+        return losses, grad.reshape(n_rows, a * a)
 
     def loss_and_grad(self, params, batch):
-        prev = batch.inputs.astype(int)
-        nxt = batch.targets.astype(int)
-        return self._ce_and_grad(params, prev, nxt)
+        losses, grads = self.loss_and_grad_rows(params[None], batch)
+        return float(losses[0]), grads[0]
+
+    def loss_and_grad_rows(self, param_rows, batch):
+        return self._ce_and_grad(param_rows, batch.inputs.astype(int), batch.targets.astype(int))
 
     def eval_loss(self, params) -> float:
         prev, nxt = self._eval_pairs
-        loss, _ = self._ce_and_grad(params, prev, nxt)
-        return loss
+        losses, _ = self._ce_and_grad(params[None], prev, nxt)
+        return float(losses[0])
 
     def draw_batch(self, rng, batch_size):
         prev, nxt = self._train_pairs
@@ -296,11 +313,26 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
 def _markov_pairs(
     rng: np.random.Generator, probs: np.ndarray, length: int
 ) -> Tuple[np.ndarray, np.ndarray]:
+    """A Markov chain drawn token by token as ``rng.choice(a, p=probs[prev])``
+    would, without a call per token.
+
+    Generator.choice draws one uniform per call and returns the
+    right-bisection of it in the row's cumsum divided by its last entry; the
+    chain's uniforms are the same numbers drawn in one call.
+    """
     a = probs.shape[0]
-    tokens = np.empty(length + 1, dtype=np.int64)
-    tokens[0] = rng.integers(0, a)
+    cdf = probs.cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    chain = [int(rng.integers(0, a))]
+    uniforms = rng.random(length)
+    # successor[r, i]: the token after r at position i of the chain.
+    successor = np.empty((a, length), dtype=np.min_scalar_type(a))
+    for row, out in zip(cdf, successor):
+        out[:] = np.searchsorted(row, uniforms, side="right")
+    table = memoryview(successor.ravel())
     for i in range(length):
-        tokens[i + 1] = rng.choice(a, p=probs[tokens[i]])
+        chain.append(table[chain[-1] * length + i])
+    tokens = np.array(chain, dtype=np.int64)
     return tokens[:-1].copy(), tokens[1:].copy()
 
 

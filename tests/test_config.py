@@ -100,6 +100,35 @@ def test_resolve_lr_rejects_unknown_preset():
                    seeds=(7,), schedule_kind=ScheduleKind.COSINE, batch_size=8)
 
 
+def test_resolve_lr_cache_keyed_on_batch_size(monkeypatch):
+    import guardlab.config as config
+
+    calls = []
+
+    def fake_calibrate(task, opt, probe_steps, seed, schedule_kind, batch_size, **kw):
+        calls.append(batch_size)
+        return 1e-3 * batch_size
+
+    monkeypatch.setattr(config, "calibrate_divergence_lr", fake_calibrate)
+    cache = {}
+    spec = TaskSpec(kind="quadratic", dims={})
+    rates = [
+        resolve_lr("aggressive", spec, OptimizerConfig(), seeds=(7,),
+                   schedule_kind=ScheduleKind.COSINE, batch_size=b, cache=cache)
+        for b in (8, 16, 8)
+    ]
+    assert rates == [8e-3, 16e-3, 8e-3]
+    assert calls == [8, 16]
+    # The base lr is not a probe input: it shares the cached rate.
+    assert resolve_lr("aggressive", spec, OptimizerConfig(lr=0.5), seeds=(7,),
+                      schedule_kind=ScheduleKind.COSINE, batch_size=8, cache=cache) == 8e-3
+    resolve_lr("aggressive", spec, OptimizerConfig(beta2=0.99), seeds=(7,),
+               schedule_kind=ScheduleKind.COSINE, batch_size=8, cache=cache)
+    resolve_lr("aggressive", spec, OptimizerConfig(), seeds=(7,),
+               schedule_kind=ScheduleKind.CONSTANT, batch_size=8, cache=cache)
+    assert calls == [8, 16, 8, 8]
+
+
 def test_lr_presets_and_backoffs():
     assert set(LR_PRESETS) == {"aggressive", "moderate", "safe"}
     assert MODERATE_BACKOFF == 32.0

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from guardlab.harness import (
     calibrate_divergence_lr,
     config_pair_diff,
     inject_outliers,
+    run_probe_ladder,
     run_suite,
     run_training,
     seed_stats,
@@ -228,8 +230,135 @@ def test_calibrate_quadratic_exceeds_stability_bound():
 
 
 # --------------------------------------------------------------------------
+# Batched probe ladder against the scalar run loop
+# --------------------------------------------------------------------------
+
+SMALL_BIGRAM = TaskSpec(kind="bigram_lm", dims={"alphabet": 8, "corpus_len": 256, "eval_len": 64})
+NOISELESS_QUAD = TaskSpec(kind="quadratic", dims={"dim": 4, "condition": 100.0, "noise": 0.0})
+LADDER_LRS = [1e-4 * 2.0**k for k in range(21)]
+INJECTIONS = {
+    None: None,
+    "gradient_burst": InjectionSpec(magnitude=50.0, period=10, mode="gradient_burst"),
+    "outlier_batch": InjectionSpec(magnitude=20.0, period=10, mode="outlier_batch"),
+}
+
+
+def _same(a: float, b: float) -> bool:
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+# bigram_lm has integer targets, so outlier_batch does not apply to it.
+LADDER_CASES = [
+    (task, injection)
+    for task in (SMALL_BIGRAM, QUAD, MLP)
+    for injection in INJECTIONS
+    if not (task.kind == "bigram_lm" and injection == "outlier_batch")
+]
+
+
+@pytest.mark.parametrize(
+    "task,injection", LADDER_CASES, ids=[f"{t.kind}-{i}" for t, i in LADDER_CASES]
+)
+def test_probe_ladder_rows_bitwise_equal_scalar_runs(task, injection):
+    from guardlab.harness import _probe_degraded
+
+    cfg = RunConfig(
+        task=task, baseline_marker=True, steps=40, batch_size=16, eval_every=8,
+        seed=3, injection=INJECTIONS[injection], label="probe",
+    )
+    with np.errstate(all="ignore"):
+        rungs = run_probe_ladder(cfg, LADDER_LRS)
+        for rung, lr in zip(rungs, LADDER_LRS):
+            ref = run_training(replace(cfg, opt=replace(cfg.opt, lr=lr)))
+            assert rung.lr == lr
+            assert rung.params.tobytes() == ref.params.tobytes()
+            assert _same(rung.initial_loss, ref.initial_loss)
+            assert _same(rung.final_loss, ref.final_loss)
+            assert [s for s, _, _ in rung.eval_trace] == [s for s, _, _ in ref.eval_trace]
+            for (_, loss, ppl), (_, ref_loss, ref_ppl) in zip(rung.eval_trace, ref.eval_trace):
+                assert _same(loss, ref_loss) and _same(ppl, ref_ppl)
+    # The ladder spans healthy and degraded rungs.
+    assert not _probe_degraded(rungs[0], "peak") and _probe_degraded(rungs[-1], "peak")
+
+
+def test_probe_ladder_rejects_governed_arms():
+    with pytest.raises(ValueError):
+        run_probe_ladder(tiny_run(guard=GuardConfig()), [1e-3])
+    with pytest.raises(ValueError):
+        run_probe_ladder(tiny_run(baseline=True, clip=ClipConfig(g=1.0)), [1e-3])
+
+
+def _scalar_ladder(task, probe_steps, floor, criterion, injection=None, max_doublings=20):
+    """The doubling ladder run rung by rung through run_training."""
+    from guardlab.harness import _probe_degraded
+
+    lr = floor
+    for _ in range(max_doublings + 1):
+        cfg = RunConfig(
+            task=task, opt=OptimizerConfig(lr=lr), baseline_marker=True,
+            steps=probe_steps, batch_size=32, eval_every=max(1, probe_steps // 10),
+            seed=7, injection=injection, label="calibrate",
+        )
+        if _probe_degraded(run_training(cfg), criterion):
+            return lr
+        lr *= 2.0
+    return None
+
+
+@pytest.mark.parametrize("injection", [None, "gradient_burst"])
+@pytest.mark.parametrize("criterion", ["peak", "final"])
+@pytest.mark.parametrize("task", [SMALL_BIGRAM, NOISELESS_QUAD, MLP], ids=lambda t: t.kind)
+def test_calibrate_matches_scalar_reference_ladder(task, criterion, injection):
+    inj = INJECTIONS[injection]
+    with np.errstate(all="ignore"):
+        expected = _scalar_ladder(task, 60, 1e-4, criterion, inj)
+        lr = calibrate_divergence_lr(task, probe_steps=60, criterion=criterion, injection=inj)
+    assert expected is not None
+    assert lr == expected
+
+
+@pytest.mark.parametrize("criterion", ["peak", "final"])
+def test_calibrate_floor_already_degrades_matches_scalar(criterion):
+    with np.errstate(all="ignore"):
+        expected = _scalar_ladder(NOISELESS_QUAD, 50, 50.0, criterion)
+        lr = calibrate_divergence_lr(NOISELESS_QUAD, probe_steps=50, floor=50.0, criterion=criterion)
+    assert lr == expected == 50.0
+
+
+def test_calibrate_not_stressable_matches_scalar():
+    assert _scalar_ladder(NOISELESS_QUAD, 50, 1e-6, "final", max_doublings=3) is None
+    with pytest.raises(RuntimeError, match="not stressable"):
+        calibrate_divergence_lr(
+            NOISELESS_QUAD, probe_steps=50, floor=1e-6, max_doublings=3, criterion="final"
+        )
+
+
+# --------------------------------------------------------------------------
 # Suite and stats
 # --------------------------------------------------------------------------
+
+
+def test_run_suite_runs_a_shared_guard_arm_once(tmp_path, monkeypatch):
+    import guardlab.harness as harness
+
+    calls = []
+    real = harness.run_training
+
+    def counting(cfg, out_dir=None):
+        calls.append(cfg.label)
+        return real(cfg, out_dir)
+
+    monkeypatch.setattr(harness, "run_training", counting)
+    guard = tiny_run(label="burst-guard", guard=GuardConfig())
+    pairs = [
+        (f"burst/clip_g={g}", tiny_run(label=f"burst-clip{g}", baseline=True,
+                                       clip=ClipConfig(g=g)), guard)
+        for g in (1.0, 0.5)
+    ]
+    rows = run_suite(pairs, out_dir=tmp_path)
+    assert sorted(calls) == ["burst-clip0.5", "burst-clip1.0", "burst-guard"]
+    assert all(row.error is None for row in rows)
+    assert rows[0].guarded is rows[1].guarded
 
 
 def test_run_suite_self_comparison_zero_reduction(tmp_path):

@@ -283,3 +283,22 @@ def test_guarded_step_grad_scale_applies_after_clip():
     )
     # Clip to norm 1, then scale by 50: sensed RMS = 50 * sqrt(0.5).
     assert rec.grad_rms == pytest.approx(50.0 * math.sqrt(0.5), rel=1e-12)
+
+
+@pytest.mark.parametrize("auto_enabled", [False, True])
+def test_guarded_step_survives_gradient_rms_overflow(auto_enabled):
+    # Every entry of 1e200 is finite but its square overflows: the RMS probe
+    # is unusable (None), and the next probe step must not raise.
+    gov = Governor(GuardConfig(auto_enabled=auto_enabled))
+    cfg = OptimizerConfig(lr=0.1)
+    params = np.zeros(3)
+    state = init_optimizer_state(3)
+    records = []
+    with np.errstate(over="ignore"):
+        for step in range(21):
+            grads = np.full(3, 1e200 if step == 0 else 1.0)
+            params, state, rec = guarded_step(gov, state, params, grads, 1.0, step, 0.1, cfg)
+            records.append(rec)
+    assert records[0].grad_rms is None and not records[0].skipped
+    assert records[10].grad_rms == 1.0 and records[20].grad_rms == 1.0
+    assert np.all(np.isfinite(params))

@@ -183,3 +183,47 @@ def test_sample_batch_thousand_counters_distinct():
 def test_advance_requires_positive():
     with pytest.raises(ValueError):
         advance(StreamState(seed=0), 0)
+
+
+# --------------------------------------------------------------------------
+# Bigram corpus and the batched gradient entry point
+# --------------------------------------------------------------------------
+
+
+# sha256 of the train/eval pairs (int64, little endian) as the per-token
+# ``rng.choice`` loop drew them; the vectorised sampler must reproduce them.
+BIGRAM_CORPUS_SHA256 = [
+    (0, {}, "b0f930a240e237fefe0a9be6d00f3c51ec800ea4ad9216f556d026c4588e2f3d"),
+    (7, {"alphabet": 8, "corpus_len": 256, "eval_len": 64},
+     "52e93ae966ae0cb7fe960f3c795cc88219956cf404c6ee0f1ba5883996b466c5"),
+    (42, {"alphabet": 64, "concentration": 0.5},
+     "bae8940f674d2732e14fb7dfef1896d5ae5df9dfedd132ee5be308922ad01a9b"),
+    (123457, {"alphabet": 8, "concentration": 0.5},
+     "94271dbbffa25f2ccc71d5cf5db9316e9d90d4a74ace242196a386e257bca328"),
+]
+
+
+@pytest.mark.parametrize("seed,dims,digest", BIGRAM_CORPUS_SHA256)
+def test_bigram_corpus_golden(seed, dims, digest):
+    import hashlib
+
+    task = make_task("bigram_lm", dims, seed)
+    h = hashlib.sha256()
+    for arr in (*task._train_pairs, *task._eval_pairs):
+        h.update(arr.astype("<i8").tobytes())
+    assert h.hexdigest() == digest
+
+
+@pytest.mark.parametrize("kind", sorted(TASK_KINDS))
+def test_loss_and_grad_rows_bitwise_per_row(kind):
+    task = make_task(kind, seed=5)
+    batch, _ = sample_batch(task, StreamState(seed=5, stream=0), batch_size=16)
+    rng = np.random.default_rng(5)
+    scales = np.logspace(-3, 2, 7)[:, None]
+    rows = rng.normal(size=(7, task.n_params)) * scales
+    losses, grads = task.loss_and_grad_rows(rows, batch)
+    assert losses.shape == (7,) and grads.shape == (7, task.n_params)
+    for row, loss, grad in zip(rows, losses, grads):
+        ref_loss, ref_grad = task.loss_and_grad(row.copy(), batch)
+        assert float(loss) == ref_loss
+        assert grad.tobytes() == ref_grad.tobytes()
