@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Side-by-side demo: baseline AdamW vs the guarded run at an aggressive lr.
 
-Calibrates the smallest degrading learning rate on the bigram task, then runs
-both arms and prints the eval traces so the rescue is visible step by step.
+Takes the suite's "aggressive" rate for the bigram task at this run length,
+then runs both arms and prints the eval traces so the rescue is visible step
+by step.
 
 Usage:
     python scripts/demo_rescue.py [--seed 7] [--steps 1000]
@@ -10,18 +11,14 @@ Usage:
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from guardlab.config import resolve_lr  # noqa: E402
 from guardlab.governor import GuardConfig  # noqa: E402
-from guardlab.harness import (  # noqa: E402
-    OptimizerConfig,
-    RunConfig,
-    TaskSpec,
-    calibrate_divergence_lr,
-    run_training,
-)
+from guardlab.harness import RunConfig, TaskSpec, run_training  # noqa: E402
 
 
 def main() -> int:
@@ -31,24 +28,26 @@ def main() -> int:
     args = parser.parse_args()
 
     task = TaskSpec(kind="bigram_lm", dims={})
-    lr = calibrate_divergence_lr(
-        task, probe_steps=args.steps, seed=args.seed, criterion="final"
+    base = RunConfig(
+        task=task, steps=args.steps, eval_every=max(1, args.steps // 10), seed=args.seed
+    )
+    lr = resolve_lr(
+        "aggressive",
+        task,
+        base.opt,
+        (args.seed,),
+        base.schedule_kind,
+        base.batch_size,
+        steps=args.steps,
+        min_lr=base.min_lr,
     )
     print(f"calibrated degrading lr: {lr:g}")
+    base = replace(base, opt=replace(base.opt, lr=lr))
 
-    results = {}
-    for arm in ("baseline", "guard"):
-        cfg = RunConfig(
-            task=task,
-            opt=OptimizerConfig(lr=lr),
-            guard=GuardConfig() if arm == "guard" else None,
-            baseline_marker=arm == "baseline",
-            steps=args.steps,
-            eval_every=max(1, args.steps // 10),
-            seed=args.seed,
-            label=arm,
-        )
-        results[arm] = run_training(cfg)
+    results = {
+        "baseline": run_training(replace(base, baseline_marker=True, label="baseline")),
+        "guard": run_training(replace(base, guard=GuardConfig(), label="guard")),
+    }
 
     print(f"{'step':>6} {'baseline loss':>14} {'guard loss':>11}")
     for (step, base_loss, _), (_, guard_loss, _) in zip(

@@ -13,9 +13,7 @@ from .governor import (
     TelemetrySummary,
     apply_posture,
     classify_regime,
-    finalize_log,
     gradient_rms,
-    log_step,
     select_posture,
     sense,
     summarize_records,

@@ -3,21 +3,20 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
 from .config import ConfigError, SuiteConfig, emit_config, expand_scenarios, parse_config
-from .governor import GuardConfig
-from .harness import RunConfig, calibrate_divergence_lr, run_suite, run_training
+from .harness import RunConfig, run_suite, run_training
 from .optim import ClipConfig
 from .report import (
-    CSV_COLUMNS,
     read_suite_csv,
     render_report_from_csv,
     result_csv_row,
+    write_csv_rows,
     write_suite_csv,
 )
 
@@ -69,11 +68,9 @@ def _run_config_from_section(cfg: SuiteConfig, seed_override: Optional[int]) -> 
     arm = section.get("arm", "guard")
     if arm not in ("guard", "baseline"):
         raise ConfigError("run.arm must be 'guard' or 'baseline'")
-    import dataclasses
-
     opt = cfg.optimizer
     if "lr" in section:
-        opt = dataclasses.replace(opt, lr=float(section["lr"]))
+        opt = replace(opt, lr=float(section["lr"]))
     clip = None
     if section.get("clip_g") is not None:
         clip = ClipConfig(g=float(section["clip_g"]))
@@ -99,11 +96,11 @@ def cmd_run(args) -> int:
     _echo_config(cfg, out, args.quiet)
     run_cfg = _run_config_from_section(cfg, args.seed)
     result = run_training(run_cfg, out_dir=out)
-    csv_path = out / f"{run_cfg.label}_seed{result.seed}.csv"
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(CSV_COLUMNS))
-        writer.writeheader()
-        writer.writerow(result_csv_row(run_cfg.label, "guard" if run_cfg.guard else "baseline", result))
+    arm = "guard" if run_cfg.guard else "baseline"
+    write_csv_rows(
+        [result_csv_row(run_cfg.label, arm, result)],
+        out / f"{run_cfg.label}_seed{result.seed}.csv",
+    )
     if not args.quiet:
         print(
             json.dumps(
@@ -139,20 +136,12 @@ def cmd_suite(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    """Print the lr each scenario's pairs run at, keyed by suite.csv scenario id."""
     cfg = _load_config(args)
-    if not cfg.tasks:
-        raise CliError("config defines no tasks")
-    task_name = args.task or next(iter(cfg.tasks))
-    if task_name not in cfg.tasks:
-        raise CliError(f"unknown task {task_name!r}")
-    seed = args.seed if args.seed is not None else cfg.seeds[0]
-    lr = calibrate_divergence_lr(
-        cfg.tasks[task_name],
-        cfg.optimizer,
-        seed=seed,
-        schedule_kind=cfg.schedule_kind,
-    )
-    print(json.dumps({"task": task_name, "seed": seed, "degrading_lr": lr}))
+    if not cfg.scenarios:
+        raise CliError("config defines no scenarios")
+    rates = {scenario: base.opt.lr for scenario, base, _ in expand_scenarios(cfg)}
+    print(json.dumps(rates))
     return 0
 
 
@@ -180,8 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("run", help="execute the config's single-run section")
     sub.add_parser("suite", help="execute every scenario in the config")
-    cal = sub.add_parser("calibrate", help="find the smallest degrading learning rate")
-    cal.add_argument("--task", metavar="NAME", help="task name from the config")
+    sub.add_parser("calibrate", help="print the learning rate each scenario runs at")
     sub.add_parser("report", help="re-render the markdown report from an existing CSV")
     return parser
 

@@ -34,7 +34,6 @@ GUARD_KEYS = (
     "ema_decay",
     "use_max_rms",
     "c_min",
-    "c_max",
     "recovery_confirm",
 )
 OPTIMIZER_KEYS = ("lr", "beta1", "beta2", "eps", "weight_decay")
@@ -75,7 +74,6 @@ class SuiteConfig:
     schedule_kind: ScheduleKind = ScheduleKind.COSINE
     min_lr: float = 0.0
     guard: GuardConfig = GuardConfig()
-    clip: ClipConfig = ClipConfig()
     scenarios: Tuple[ScenarioSpec, ...] = ()
     run: Optional[dict] = None
 
@@ -152,7 +150,7 @@ def parse_config(source: Union[str, Path, dict]) -> SuiteConfig:
     _check_keys(
         "root",
         data,
-        ("out_dir", "seeds", "tasks", "optimizer", "schedule", "guard", "clip", "scenarios", "run"),
+        ("out_dir", "seeds", "tasks", "optimizer", "schedule", "guard", "scenarios", "run"),
     )
     tasks_raw = data.get("tasks", {})
     if not isinstance(tasks_raw, dict):
@@ -171,9 +169,6 @@ def parse_config(source: Union[str, Path, dict]) -> SuiteConfig:
     except ValueError as exc:
         raise ConfigError(f"invalid schedule.kind: {exc}") from exc
 
-    clip_raw = data.get("clip", {})
-    _check_keys("clip", clip_raw, ("g",))
-
     scenarios = tuple(
         _parse_scenario(i, s, tasks) for i, s in enumerate(data.get("scenarios", []))
     )
@@ -186,7 +181,6 @@ def parse_config(source: Union[str, Path, dict]) -> SuiteConfig:
             schedule_kind=schedule_kind,
             min_lr=float(sched_raw.get("min_lr", 0.0)),
             guard=_parse_guard(data.get("guard", {})),
-            clip=ClipConfig(**clip_raw),
             scenarios=scenarios,
             run=data.get("run"),
         )
@@ -227,7 +221,6 @@ def emit_config(cfg: SuiteConfig) -> dict:
         "optimizer": dataclasses.asdict(cfg.optimizer),
         "schedule": {"kind": cfg.schedule_kind.value, "min_lr": cfg.min_lr},
         "guard": dataclasses.asdict(cfg.guard),
-        "clip": dataclasses.asdict(cfg.clip),
         "scenarios": scenarios,
     }
     if cfg.run is not None:
@@ -252,6 +245,7 @@ def resolve_lr(
     steps: int = 1000,
     cache: Optional[dict] = None,
     injection: Optional[InjectionSpec] = None,
+    min_lr: float = 0.0,
 ) -> float:
     """Turn an lr preset into a concrete rate via divergence calibration.
 
@@ -273,6 +267,7 @@ def resolve_lr(
         batch_size,
         replace(opt, lr=1.0),
         schedule_kind,
+        min_lr,
         injection,
     )
     if cache is not None and cache_key in cache:
@@ -288,6 +283,7 @@ def resolve_lr(
                 batch_size=batch_size,
                 criterion="final",
                 injection=injection,
+                min_lr=min_lr,
             )
             for s in seeds
         )
@@ -318,6 +314,7 @@ def expand_scenarios(
             steps=scen.steps,
             cache=cache,
             injection=scen.injection,
+            min_lr=cfg.min_lr,
         )
         opt = replace(cfg.optimizer, lr=lr)
         for seed in cfg.seeds:

@@ -33,11 +33,10 @@ __all__ = [
     "select_posture",
     "apply_posture",
     "StepLog",
-    "log_step",
-    "finalize_log",
     "summarize_records",
     "Governor",
     "ACTIVE_SCALE_TOLERANCE",
+    "C_MAX",
     "SPIKE_DAMPING",
     "STRESS_DAMPING",
 ]
@@ -45,6 +44,9 @@ __all__ = [
 # A step counts as control-active when scale < 1 - tolerance; strict
 # inequality with a tolerance keeps floating noise out of the counter.
 ACTIVE_SCALE_TOLERANCE = 1e-9
+
+# Upper bound of the update scale: the governor only ever attenuates.
+C_MAX = 1.0
 
 # Multiplicative damping applied per classified step.
 SPIKE_DAMPING = 0.5
@@ -70,7 +72,8 @@ class Regime(str, Enum):
 
 @dataclass(frozen=True)
 class GuardConfig:
-    """Public controller parameters plus the bounded-scale limits."""
+    """Public controller parameters plus the lower scale bound (the upper
+    one is C_MAX)."""
 
     auto_enabled: bool = True
     stats_freq: int = 10
@@ -80,7 +83,6 @@ class GuardConfig:
     ema_decay: float = 0.98
     use_max_rms: bool = True
     c_min: float = 0.05
-    c_max: float = 1.0
     recovery_confirm: int = 3
 
     def __post_init__(self):
@@ -94,10 +96,8 @@ class GuardConfig:
             raise ValueError("recovery_fast must be >= 0")
         if not 0.0 < self.ema_decay < 1.0:
             raise ValueError("ema_decay must lie in (0, 1)")
-        if self.c_max != 1.0:
-            raise ValueError("c_max is fixed at 1.0")
-        if not 0.0 < self.c_min <= self.c_max:
-            raise ValueError("c_min must lie in (0, c_max]")
+        if not 0.0 < self.c_min <= C_MAX:
+            raise ValueError("c_min must lie in (0, C_MAX]")
         if self.recovery_confirm < 1:
             raise ValueError("recovery_confirm must be >= 1")
 
@@ -212,7 +212,7 @@ def classify_regime(
     Ratio triggers: r = loss / loss_ema (spike/stress), rho = grad_rms /
     rms_ema (stress, probe steps only). Recovery requires
     ``recovery_confirm`` consecutive improving observations (r <= 1) and
-    holds while the scale has not yet been released back to c_max; once the
+    holds while the scale has not yet been released back to C_MAX; once the
     bound is reached the regime returns to Stable. Non-finite losses are
     classified Spike and never enter the EMA.
     """
@@ -244,7 +244,7 @@ def classify_regime(
         streak = 0
     else:
         streak = state.improving_streak + 1 if r <= 1.0 else 0
-        released = current_scale >= cfg.c_max - ACTIVE_SCALE_TOLERANCE
+        released = current_scale >= C_MAX - ACTIVE_SCALE_TOLERANCE
         if not released and (streak >= cfg.recovery_confirm or state.regime is Regime.RECOVERY):
             regime = Regime.RECOVERY
         else:
@@ -282,7 +282,7 @@ def select_posture(
     elif regime is Regime.STRESS:
         scale = max(cfg.c_min, current.scale * STRESS_DAMPING)
     else:
-        scale = min(cfg.c_max, current.scale * (1.0 + cfg.recovery_fast))
+        scale = min(C_MAX, current.scale * (1.0 + cfg.recovery_fast))
     return ControlPosture(scale=scale, skip_step=not loss_finite, mode=regime)
 
 
@@ -349,15 +349,6 @@ class StepLog:
         for rec in self.records:
             fh.write(json.dumps(_record_to_json_dict(rec)))
             fh.write("\n")
-
-
-def log_step(log: StepLog, rec: StepRecord) -> StepLog:
-    log.append(rec)
-    return log
-
-
-def finalize_log(log: StepLog) -> TelemetrySummary:
-    return log.finalize()
 
 
 def summarize_records(records: Sequence[StepRecord]) -> TelemetrySummary:

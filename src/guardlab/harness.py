@@ -30,7 +30,7 @@ from .optim import (
     init_optimizer_state,
     schedule_lr,
 )
-from .rngstream import StreamState, advance, generator
+from .rngstream import StreamState
 from .tasks import Batch, Task, evaluate, forward_backward, make_task, sample_batch
 
 __all__ = [
@@ -54,7 +54,6 @@ __all__ = [
 DEGRADATION_FACTOR = 2.0
 
 _BATCH_STREAM = 0
-_INJECT_STREAM = 1
 
 
 @dataclass(frozen=True)
@@ -163,26 +162,10 @@ class ComparisonRow:
     seed: int
     baseline: Optional[RunResult]
     guarded: Optional[RunResult]
-    ppl_reduction: float = math.nan
-    e2e_speedup: float = math.nan
     error: Optional[str] = None
 
-    def derive(self) -> "ComparisonRow":
-        if self.baseline is None or self.guarded is None:
-            return self
-        b, g = self.baseline, self.guarded
-        if b.final_perplexity > 0 and math.isfinite(b.final_perplexity):
-            self.ppl_reduction = 1.0 - g.final_perplexity / b.final_perplexity
-        elif math.isinf(b.final_perplexity) and math.isfinite(g.final_perplexity):
-            self.ppl_reduction = 1.0
-        if g.wall_seconds > 0:
-            self.e2e_speedup = b.wall_seconds / g.wall_seconds
-        return self
 
-
-def inject_outliers(
-    batch: Batch, spec: InjectionSpec, step: int, rng_state: StreamState
-) -> Tuple[Batch, StreamState]:
+def inject_outliers(batch: Batch, spec: InjectionSpec, step: int) -> Batch:
     """Flag and rescale scheduled batches; off-schedule batches pass through.
 
     outlier_batch scales the targets before the forward pass; gradient_burst
@@ -190,23 +173,21 @@ def inject_outliers(
     clipping stage (a corruption magnitude clipping cannot remove).
     """
     if not spec.scheduled(step):
-        return batch, rng_state
+        return batch
     if spec.mode == "outlier_batch":
         if np.issubdtype(np.asarray(batch.targets).dtype, np.integer):
             raise ValueError("outlier_batch injection requires real-valued targets")
-        batch = Batch(
+        return Batch(
             inputs=batch.inputs,
             targets=np.asarray(batch.targets, dtype=float) * spec.magnitude,
             outlier_flag=True,
         )
-    else:
-        batch = Batch(inputs=batch.inputs, targets=batch.targets, outlier_flag=True)
-    return batch, advance(rng_state)
+    return Batch(inputs=batch.inputs, targets=batch.targets, outlier_flag=True)
 
 
 def _next_batch(
-    task: Task, cfg: RunConfig, step: int, batch_state: StreamState, inject_state: StreamState
-) -> Tuple[Batch, float, StreamState, StreamState]:
+    task: Task, cfg: RunConfig, step: int, batch_state: StreamState
+) -> Tuple[Batch, float, StreamState]:
     """The step's batch (injected if scheduled) and its post-clip gradient scale.
 
     Both depend only on (seed, step), never on params or lr.
@@ -214,10 +195,10 @@ def _next_batch(
     batch, batch_state = sample_batch(task, batch_state, cfg.batch_size)
     burst = 1.0
     if cfg.injection is not None:
-        batch, inject_state = inject_outliers(batch, cfg.injection, step, inject_state)
+        batch = inject_outliers(batch, cfg.injection, step)
         if cfg.injection.mode == "gradient_burst" and batch.outlier_flag:
             burst = cfg.injection.magnitude
-    return batch, burst, batch_state, inject_state
+    return batch, burst, batch_state
 
 
 def run_training(cfg: RunConfig, out_dir: Optional[Path] = None) -> RunResult:
@@ -228,16 +209,13 @@ def run_training(cfg: RunConfig, out_dir: Optional[Path] = None) -> RunResult:
     gov = Governor(cfg.guard_or_disabled())
     sched = cfg.schedule()
     batch_state = StreamState(seed=cfg.seed, stream=_BATCH_STREAM)
-    inject_state = StreamState(seed=cfg.seed, stream=_INJECT_STREAM)
 
     initial = evaluate(task, params)
     eval_trace: List[Tuple[int, float, float]] = []
     t0 = time.perf_counter()
     for step in range(cfg.steps):
         lr_t = schedule_lr(step, sched)
-        batch, burst, batch_state, inject_state = _next_batch(
-            task, cfg, step, batch_state, inject_state
-        )
+        batch, burst, batch_state = _next_batch(task, cfg, step, batch_state)
         loss, grads = forward_backward(task, params, batch)
         params, opt_state, _ = guarded_step(
             gov, opt_state, params, grads, loss, step, lr_t, cfg.opt, cfg.clip,
@@ -317,13 +295,10 @@ def run_probe_ladder(cfg: RunConfig, lrs: Sequence[float]) -> List[ProbeResult]:
     params = np.tile(task.init_params(), (len(lrs), 1))
     opt_state = OptimizerState(m=np.zeros_like(params), v=np.zeros_like(params))
     batch_state = StreamState(seed=cfg.seed, stream=_BATCH_STREAM)
-    inject_state = StreamState(seed=cfg.seed, stream=_INJECT_STREAM)
     traces: List[List[Tuple[int, float, float]]] = [[] for _ in lrs]
     for step in range(cfg.steps):
         lr_t = np.array([[schedule_lr(step, sched)] for sched in scheds])
-        batch, burst, batch_state, inject_state = _next_batch(
-            task, cfg, step, batch_state, inject_state
-        )
+        batch, burst, batch_state = _next_batch(task, cfg, step, batch_state)
         _, grads = task.loss_and_grad_rows(params, batch)
         if burst != 1.0:
             grads = grads * burst
@@ -358,6 +333,7 @@ def calibrate_divergence_lr(
     max_doublings: int = 20,
     criterion: str = "peak",
     injection: Optional[InjectionSpec] = None,
+    min_lr: float = 0.0,
 ) -> float:
     """The lowest rate on the doubling ladder floor * 2**k (k up to
     max_doublings) whose baseline probe run degrades.
@@ -366,7 +342,9 @@ def calibrate_divergence_lr(
     probe run; "final" requires the probe run to end degraded (cosine decay
     can anneal a mid-run excursion away, so "final" needs probe_steps equal
     to the target run length to transfer). Every rung runs at once through
-    run_probe_ladder.
+    run_probe_ladder. Probes decay to min_lr, as the runs they calibrate do;
+    rungs below min_lr are left off the ladder, since no schedule decays
+    upwards.
     """
     if criterion not in ("peak", "final"):
         raise ValueError("criterion must be 'peak' or 'final'")
@@ -374,6 +352,7 @@ def calibrate_divergence_lr(
         task=task,
         opt=opt,
         schedule_kind=schedule_kind,
+        min_lr=min_lr,
         baseline_marker=True,
         steps=probe_steps,
         batch_size=batch_size,
@@ -382,10 +361,11 @@ def calibrate_divergence_lr(
         injection=injection,
         label="calibrate",
     )
-    rungs = run_probe_ladder(probe, [floor * 2.0**k for k in range(max_doublings + 1)])
-    for rung in rungs:
-        if _probe_degraded(rung, criterion):
-            return rung.lr
+    lrs = [floor * 2.0**k for k in range(max_doublings + 1) if floor * 2.0**k >= min_lr]
+    if lrs:
+        for rung in run_probe_ladder(probe, lrs):
+            if _probe_degraded(rung, criterion):
+                return rung.lr
     raise RuntimeError("task not stressable: no degrading lr within doubling budget")
 
 
@@ -442,7 +422,6 @@ def run_suite(
         try:
             row.baseline = run_once(base_cfg)
             row.guarded = run_once(guard_cfg)
-            row.derive()
         except Exception as exc:  # noqa: BLE001 - per-row error capture
             row.error = f"{type(exc).__name__}: {exc}"
         rows.append(row)

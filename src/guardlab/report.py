@@ -18,6 +18,7 @@ from .harness import ComparisonRow, DEGRADATION_FACTOR, RunResult, seed_stats
 __all__ = [
     "CSV_COLUMNS",
     "rows_to_csv_dicts",
+    "write_csv_rows",
     "write_suite_csv",
     "read_suite_csv",
     "render_report",
@@ -87,14 +88,18 @@ def rows_to_csv_dicts(rows: Sequence[ComparisonRow]) -> List[Dict[str, object]]:
     return out
 
 
-def write_suite_csv(rows: Sequence[ComparisonRow], path: Path) -> None:
+def write_csv_rows(csv_dicts: Sequence[Dict[str, object]], path: Path) -> None:
+    """Write CSV_COLUMNS rows (as from result_csv_row) under one header."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(CSV_COLUMNS))
         writer.writeheader()
-        for d in rows_to_csv_dicts(rows):
-            writer.writerow(d)
+        writer.writerows(csv_dicts)
+
+
+def write_suite_csv(rows: Sequence[ComparisonRow], path: Path) -> None:
+    write_csv_rows(rows_to_csv_dicts(rows), path)
 
 
 def read_suite_csv(path: Path) -> List[Dict[str, object]]:

@@ -265,20 +265,25 @@ class BigramLmTask(Task):
     def init_params(self) -> np.ndarray:
         return np.zeros(self.n_params)
 
+    def _ce(self, param_rows, prev, nxt) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Mean cross-entropy for each row of (L, A*A) logits, with the
+        unnormalised softmax of the picked logit rows and its sums."""
+        a = self.alphabet
+        shifted = param_rows.reshape(param_rows.shape[0], a, a)[:, prev]
+        shifted -= shifted.max(axis=2, keepdims=True)
+        probs = np.exp(shifted)
+        total = probs.sum(axis=2, keepdims=True)
+        logp = shifted[:, np.arange(len(prev)), nxt] - np.log(total[:, :, 0])
+        # C order keeps each row's mean the pairwise sum of the 1-D case.
+        return -np.mean(np.ascontiguousarray(logp), axis=1), probs, total
+
     def _ce_and_grad(self, param_rows, prev, nxt) -> Tuple[np.ndarray, np.ndarray]:
         """Mean cross-entropy and its gradient for each row of (L, A*A) logits."""
         a = self.alphabet
         n_rows, n = param_rows.shape[0], len(prev)
-        shifted = param_rows.reshape(n_rows, a, a)[:, prev]
-        shifted -= shifted.max(axis=2, keepdims=True)
-        probs = np.exp(shifted)
-        total = probs.sum(axis=2, keepdims=True)
-        picked = np.arange(n)
-        logp = shifted[:, picked, nxt] - np.log(total[:, :, 0])
-        # C order keeps each row's mean the pairwise sum of the 1-D case.
-        losses = -np.mean(np.ascontiguousarray(logp), axis=1)
+        losses, probs, total = self._ce(param_rows, prev, nxt)
         probs /= total
-        probs[:, picked, nxt] -= 1.0
+        probs[:, np.arange(n), nxt] -= 1.0
         probs /= n
         # bincount adds each bin's entries in batch order, as np.add.at does.
         logit_rows = np.arange(n_rows)[:, None] * a + prev
@@ -295,7 +300,7 @@ class BigramLmTask(Task):
 
     def eval_loss(self, params) -> float:
         prev, nxt = self._eval_pairs
-        losses, _ = self._ce_and_grad(params[None], prev, nxt)
+        losses, _, _ = self._ce(params[None], prev, nxt)
         return float(losses[0])
 
     def draw_batch(self, rng, batch_size):

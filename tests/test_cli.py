@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 from guardlab.cli import main
+from guardlab.config import expand_scenarios, parse_config
+from guardlab.harness import TaskSpec, calibrate_divergence_lr
 
 
 def write_config(tmp_path: Path, extra: dict = None) -> Path:
@@ -89,7 +91,24 @@ def test_unknown_run_key_errors(tmp_path, capsys):
 
 def test_calibrate_outputs_json(tmp_path, capsys):
     cfg = write_config(tmp_path)
-    assert main(["--config", str(cfg), "calibrate", "--task", "toy"]) == 0
-    payload = json.loads(capsys.readouterr().out.strip())
-    assert payload["task"] == "toy"
-    assert payload["degrading_lr"] > 0
+    assert main(["--config", str(cfg), "calibrate"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"stress": 0.05}
+
+
+def test_calibrate_prints_the_rate_the_suite_runs_at(tmp_path, capsys):
+    steps = 40
+    bigram = {"kind": "bigram_lm", "dims": {"alphabet": 8, "corpus_len": 256, "eval_len": 64}}
+    cfg = write_config(tmp_path, extra={
+        "seeds": [7, 42],
+        "tasks": {"toy": bigram},
+        "scenarios": [{"name": "hot", "kind": "lr_stress", "task": "toy",
+                       "steps": steps, "lr": "aggressive", "eval_every": 10}],
+    })
+    assert main(["--config", str(cfg), "calibrate"]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    suite = parse_config(cfg)
+    assert {base.opt.lr for _, base, _ in expand_scenarios(suite)} == {printed["hot"]}
+    assert printed == {"hot": max(
+        calibrate_divergence_lr(TaskSpec(**bigram), probe_steps=steps, seed=s, criterion="final")
+        for s in suite.seeds
+    )}

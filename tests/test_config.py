@@ -55,7 +55,7 @@ def test_unknown_guard_key_named_in_error():
 
 
 def test_guard_keys_are_exact():
-    assert len(GUARD_KEYS) == 10
+    assert len(GUARD_KEYS) == 9
     assert set(GUARD_KEYS) == set(GuardConfig().__dataclass_fields__)
 
 
@@ -127,6 +127,37 @@ def test_resolve_lr_cache_keyed_on_batch_size(monkeypatch):
     resolve_lr("aggressive", spec, OptimizerConfig(), seeds=(7,),
                schedule_kind=ScheduleKind.CONSTANT, batch_size=8, cache=cache)
     assert calls == [8, 16, 8, 8]
+
+
+def test_probes_decay_to_the_suite_min_lr(monkeypatch):
+    import guardlab.harness as harness
+
+    probes = []
+
+    def fake_ladder(cfg, lrs):
+        probes.append((cfg.min_lr, list(lrs)))
+        # The first rung ends degraded: final loss 3x the initial one.
+        return [harness.ProbeResult(lr=lr, initial_loss=1.0, final_loss=3.0 if i == 0 else 0.5,
+                                    eval_trace=[], params=None)
+                for i, lr in enumerate(lrs)]
+
+    monkeypatch.setattr(harness, "run_probe_ladder", fake_ladder)
+    doc = {**MINIMAL, "seeds": [7], "schedule": {"min_lr": 1e-3},
+           "scenarios": [{"name": "hot", "kind": "lr_stress", "task": "toy",
+                          "steps": 20, "lr": "aggressive", "eval_every": 10}]}
+    (_, base, _), = expand_scenarios(parse_config(doc))
+    assert probes[0][0] == base.min_lr == 1e-3
+    # Rungs below min_lr are left off the ladder.
+    assert min(probes[0][1]) >= 1e-3
+    assert base.opt.lr == probes[0][1][0]
+
+    cache = {}
+    spec = TaskSpec(kind="quadratic", dims={})
+    for min_lr in (0.0, 1e-3, 0.0):
+        resolve_lr("aggressive", spec, OptimizerConfig(), seeds=(7,),
+                   schedule_kind=ScheduleKind.COSINE, batch_size=8, cache=cache, min_lr=min_lr)
+    assert [m for m, _ in probes[1:]] == [0.0, 1e-3]
+    assert probes[1][1][0] == 1e-4
 
 
 def test_lr_presets_and_backoffs():

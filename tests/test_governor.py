@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from guardlab.governor import (
     ACTIVE_SCALE_TOLERANCE,
+    C_MAX,
     AnalyzerState,
     ControlPosture,
     Governor,
@@ -22,9 +23,7 @@ from guardlab.governor import (
     TelemetrySample,
     apply_posture,
     classify_regime,
-    finalize_log,
     gradient_rms,
-    log_step,
     make_step_record,
     record_from_json_dict,
     select_posture,
@@ -197,7 +196,7 @@ def test_classify_streak_resets_on_spike_and_stress():
 
 def test_classify_recovery_after_confirmed_improvement():
     # After a spike, recovery_confirm consecutive improving observations
-    # enter Recovery while the scale is still below c_max.
+    # enter Recovery while the scale is still below C_MAX.
     cfg = GuardConfig(recovery_confirm=3)
     state = _initialized_state(1.0, regime=Regime.SPIKE)
     regimes = []
@@ -305,7 +304,7 @@ def test_posture_auto_disabled_is_identity():
 )
 def test_posture_always_within_bounds(regime, scale, loss_finite):
     posture = select_posture(regime, ControlPosture(scale=scale), CFG, loss_finite)
-    assert CFG.c_min <= posture.scale <= CFG.c_max
+    assert CFG.c_min <= posture.scale <= C_MAX
 
 
 def test_monotone_damping_and_release():
@@ -319,12 +318,12 @@ def test_monotone_damping_and_release():
         scales.append(posture.scale)
     assert all(b <= a for a, b in zip(scales, scales[1:]))
     s0 = posture.scale
-    bound = math.ceil(math.log(cfg.c_max / s0) / math.log(1.0 + cfg.recovery_fast))
+    bound = math.ceil(math.log(C_MAX / s0) / math.log(1.0 + cfg.recovery_fast))
     for i in range(bound):
         prev = posture.scale
         posture = select_posture(Regime.STABLE, posture, cfg, True)
         assert posture.scale >= prev
-    assert posture.scale == cfg.c_max
+    assert posture.scale == C_MAX
 
 
 # --------------------------------------------------------------------------
@@ -377,15 +376,15 @@ def _rec(step, scale=1.0, skipped=False, regime=Regime.STABLE, loss=1.0):
 
 def test_log_append_and_monotonicity():
     log = StepLog()
-    log_step(log, _rec(0))
-    log_step(log, _rec(1))
+    log.append(_rec(0))
+    log.append(_rec(1))
     assert len(log.records) == 2
     with pytest.raises(ValueError):
-        log_step(log, _rec(1))
+        log.append(_rec(1))
 
 
 def test_finalize_empty_log():
-    summary = finalize_log(StepLog())
+    summary = StepLog().finalize()
     assert summary.total_steps == 0
     assert summary.control_active_steps == 0
     assert summary.regime_switches == 0
@@ -476,7 +475,7 @@ def test_jsonl_round_trip():
         {"spike_threshold": 1.2, "stress_threshold": 1.5},
         {"recovery_fast": -0.1},
         {"ema_decay": 1.0},
-        {"c_max": 1.5},
+        {"c_min": 1.5},
         {"c_min": 0.0},
         {"recovery_confirm": 0},
     ],

@@ -25,7 +25,6 @@ from guardlab.harness import (
     severe_degradation,
     write_run_artifacts,
 )
-from guardlab.rngstream import StreamState
 from guardlab.tasks import Batch
 
 
@@ -56,7 +55,7 @@ def tiny_run(label="run", seed=7, guard=None, baseline=False, **kw):
 def test_inject_outliers_unscheduled_passthrough():
     spec = InjectionSpec(magnitude=50.0, period=100)
     batch = Batch(inputs=np.ones((4, 2)), targets=np.ones((4, 1)))
-    out, _ = inject_outliers(batch, spec, step=37, rng_state=StreamState(seed=0, stream=1))
+    out = inject_outliers(batch, spec, step=37)
     np.testing.assert_array_equal(out.targets, batch.targets)
     assert not out.outlier_flag
 
@@ -64,7 +63,7 @@ def test_inject_outliers_unscheduled_passthrough():
 def test_inject_outliers_scales_targets_and_flags():
     spec = InjectionSpec(magnitude=50.0, period=100, mode="outlier_batch")
     batch = Batch(inputs=np.ones((4, 2)), targets=np.full((4, 1), 2.0))
-    out, _ = inject_outliers(batch, spec, step=100, rng_state=StreamState(seed=0, stream=1))
+    out = inject_outliers(batch, spec, step=100)
     assert out.outlier_flag
     np.testing.assert_array_equal(out.targets, np.full((4, 1), 100.0))
 
@@ -72,7 +71,7 @@ def test_inject_outliers_scales_targets_and_flags():
 def test_inject_outliers_magnitude_one_flags_without_change():
     spec = InjectionSpec(magnitude=1.0, period=10)
     batch = Batch(inputs=np.ones((2, 2)), targets=np.full((2, 1), 3.0))
-    out, _ = inject_outliers(batch, spec, step=10, rng_state=StreamState(seed=0, stream=1))
+    out = inject_outliers(batch, spec, step=10)
     assert out.outlier_flag
     np.testing.assert_array_equal(out.targets, batch.targets)
 
@@ -369,7 +368,7 @@ def test_run_suite_self_comparison_zero_reduction(tmp_path):
     row = rows[0]
     assert row.error is None
     # Identical trajectories under the off switch: perplexities match exactly.
-    assert row.ppl_reduction == pytest.approx(0.0, abs=1e-12)
+    assert row.guarded.final_perplexity == row.baseline.final_perplexity
 
 
 def test_run_suite_captures_errors_as_rows():

@@ -36,7 +36,7 @@ def suite_rows():
                                        guard=GuardConfig(), steps=30, batch_size=8,
                                        eval_every=10, seed=seed, label="guard"))
         rows.append(ComparisonRow(scenario="demo", seed=seed,
-                                  baseline=base, guarded=guard).derive())
+                                  baseline=base, guarded=guard))
     return rows
 
 
