@@ -58,10 +58,6 @@ def _run_config_from_section(cfg: SuiteConfig, seed_override: Optional[int]) -> 
     section = cfg.run
     if not section:
         raise CliError("config has no 'run' section for the run subcommand")
-    allowed = ("task", "arm", "lr", "steps", "batch_size", "eval_every", "clip_g", "label")
-    for key in section:
-        if key not in allowed:
-            raise ConfigError(f"unknown key {key!r} in section 'run'")
     task_name = section.get("task")
     if task_name not in cfg.tasks:
         raise ConfigError(f"run.task references unknown task {task_name!r}")

@@ -36,6 +36,8 @@ GUARD_KEYS = (
     "c_min",
     "recovery_confirm",
 )
+# The single-run section read by `guardlab run`.
+RUN_KEYS = ("task", "arm", "lr", "steps", "batch_size", "eval_every", "clip_g", "label")
 OPTIMIZER_KEYS = ("lr", "beta1", "beta2", "eps", "weight_decay")
 SCHEDULE_KEYS = ("kind", "min_lr")
 SCENARIO_KINDS = ("lr_stress", "clip_baseline", "injection", "long_budget", "seed_sweep")
@@ -172,6 +174,11 @@ def parse_config(source: Union[str, Path, dict]) -> SuiteConfig:
     scenarios = tuple(
         _parse_scenario(i, s, tasks) for i, s in enumerate(data.get("scenarios", []))
     )
+    run = data.get("run")
+    if run is not None:
+        if not isinstance(run, dict):
+            raise ConfigError("run must be an object")
+        _check_keys("run", run, RUN_KEYS)
     try:
         return SuiteConfig(
             out_dir=str(data.get("out_dir", "results")),
@@ -182,7 +189,7 @@ def parse_config(source: Union[str, Path, dict]) -> SuiteConfig:
             min_lr=float(sched_raw.get("min_lr", 0.0)),
             guard=_parse_guard(data.get("guard", {})),
             scenarios=scenarios,
-            run=data.get("run"),
+            run=run,
         )
     except ConfigError:
         raise
@@ -316,6 +323,11 @@ def expand_scenarios(
             injection=scen.injection,
             min_lr=cfg.min_lr,
         )
+        if lr < cfg.min_lr:
+            raise ConfigError(
+                f"scenario {scen.name!r} resolves lr {scen.lr!r} to {lr:g}, below "
+                f"schedule.min_lr {cfg.min_lr:g}; no schedule decays upwards"
+            )
         opt = replace(cfg.optimizer, lr=lr)
         for seed in cfg.seeds:
             common = dict(

@@ -169,7 +169,7 @@ def gradient_rms(grad_groups: Sequence[np.ndarray], use_max_rms: bool) -> float:
         arr = np.asarray(g, dtype=float)
         if arr.size == 0:
             raise ValueError("gradient_rms requires nonempty groups")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NonFiniteGradientError("non-finite gradient")
         per_group.append(float(np.sqrt(np.mean(arr * arr))))
     return max(per_group) if use_max_rms else float(np.mean(per_group))
@@ -295,7 +295,7 @@ def apply_posture(
     delta = np.asarray(update_delta, dtype=float)
     if posture.skip_step:
         return np.zeros_like(delta)
-    if check_finite and not np.all(np.isfinite(delta)):
+    if check_finite and not np.isfinite(delta).all():
         raise TelemetryError("actuation on non-finite update")
     return posture.scale * delta
 

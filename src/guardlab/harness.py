@@ -30,8 +30,8 @@ from .optim import (
     init_optimizer_state,
     schedule_lr,
 )
-from .rngstream import StreamState
-from .tasks import Batch, Task, evaluate, forward_backward, make_task, sample_batch
+from .rngstream import CounterStream
+from .tasks import Batch, Task, evaluate, forward_backward, make_task
 
 __all__ = [
     "TaskSpec",
@@ -107,6 +107,8 @@ class RunConfig:
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
         if self.eval_every < 1 or self.eval_every > self.steps:
             raise ValueError("eval_every must lie in [1, steps]")
         if self.baseline_marker and self.guard is not None and self.guard.auto_enabled:
@@ -186,19 +188,21 @@ def inject_outliers(batch: Batch, spec: InjectionSpec, step: int) -> Batch:
 
 
 def _next_batch(
-    task: Task, cfg: RunConfig, step: int, batch_state: StreamState
-) -> Tuple[Batch, float, StreamState]:
+    task: Task, cfg: RunConfig, step: int, stream: CounterStream
+) -> Tuple[Batch, float]:
     """The step's batch (injected if scheduled) and its post-clip gradient scale.
 
-    Both depend only on (seed, step), never on params or lr.
+    Both depend only on (seed, step), never on params or lr: the batch is
+    drawn at counter step of the run's batch stream, as
+    sample_batch(task, StreamState(seed, _BATCH_STREAM, step), ...) would.
     """
-    batch, batch_state = sample_batch(task, batch_state, cfg.batch_size)
+    batch = task.draw_batch(stream.at(step), cfg.batch_size)
     burst = 1.0
     if cfg.injection is not None:
         batch = inject_outliers(batch, cfg.injection, step)
         if cfg.injection.mode == "gradient_burst" and batch.outlier_flag:
             burst = cfg.injection.magnitude
-    return batch, burst, batch_state
+    return batch, burst
 
 
 def run_training(cfg: RunConfig, out_dir: Optional[Path] = None) -> RunResult:
@@ -208,14 +212,14 @@ def run_training(cfg: RunConfig, out_dir: Optional[Path] = None) -> RunResult:
     opt_state = init_optimizer_state(task.n_params)
     gov = Governor(cfg.guard_or_disabled())
     sched = cfg.schedule()
-    batch_state = StreamState(seed=cfg.seed, stream=_BATCH_STREAM)
+    stream = CounterStream(cfg.seed, _BATCH_STREAM)
 
     initial = evaluate(task, params)
     eval_trace: List[Tuple[int, float, float]] = []
     t0 = time.perf_counter()
     for step in range(cfg.steps):
         lr_t = schedule_lr(step, sched)
-        batch, burst, batch_state = _next_batch(task, cfg, step, batch_state)
+        batch, burst = _next_batch(task, cfg, step, stream)
         loss, grads = forward_backward(task, params, batch)
         params, opt_state, _ = guarded_step(
             gov, opt_state, params, grads, loss, step, lr_t, cfg.opt, cfg.clip,
@@ -294,11 +298,11 @@ def run_probe_ladder(cfg: RunConfig, lrs: Sequence[float]) -> List[ProbeResult]:
     initial = evaluate(task, task.init_params())
     params = np.tile(task.init_params(), (len(lrs), 1))
     opt_state = OptimizerState(m=np.zeros_like(params), v=np.zeros_like(params))
-    batch_state = StreamState(seed=cfg.seed, stream=_BATCH_STREAM)
+    stream = CounterStream(cfg.seed, _BATCH_STREAM)
     traces: List[List[Tuple[int, float, float]]] = [[] for _ in lrs]
     for step in range(cfg.steps):
         lr_t = np.array([[schedule_lr(step, sched)] for sched in scheds])
-        batch, burst, batch_state = _next_batch(task, cfg, step, batch_state)
+        batch, burst = _next_batch(task, cfg, step, stream)
         _, grads = task.loss_and_grad_rows(params, batch)
         if burst != 1.0:
             grads = grads * burst

@@ -112,14 +112,23 @@ def adamw_step(
     governed path skips before reaching here).
     """
     grads = np.asarray(grads, dtype=float)
-    if check_finite and not np.all(np.isfinite(grads)):
+    if check_finite and not np.isfinite(grads).all():
         raise NonFiniteGradientError("adamw_step on non-finite gradient")
     t = state.t + 1
-    m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * grads
-    v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * grads * grads
-    m_hat = m / (1.0 - cfg.beta1 ** t)
-    v_hat = v / (1.0 - cfg.beta2 ** t)
-    delta = -lr_t * (m_hat / (np.sqrt(v_hat) + cfg.eps) + cfg.weight_decay * params)
+    # The textbook expression
+    #   -lr_t * (m_hat / (sqrt(v_hat) + eps) + weight_decay * params)
+    # evaluated op by op in the same order, in fresh buffers updated in place
+    # (bitwise equal, fewer temporaries). Inputs are never written.
+    m = cfg.beta1 * state.m
+    m += (1.0 - cfg.beta1) * grads
+    v = cfg.beta2 * state.v
+    v += ((1.0 - cfg.beta2) * grads) * grads
+    den = np.sqrt(v / (1.0 - cfg.beta2 ** t))
+    den += cfg.eps
+    delta = m / (1.0 - cfg.beta1 ** t)
+    delta /= den
+    delta += cfg.weight_decay * params
+    delta *= -lr_t
     return delta, OptimizerState(m=m, v=v, t=t)
 
 
@@ -128,7 +137,7 @@ def clip_global_norm(grads: np.ndarray, g: float) -> Tuple[np.ndarray, float]:
     if g <= 0.0:
         raise ValueError("clip threshold g must be > 0")
     grads = np.asarray(grads, dtype=float)
-    if not np.all(np.isfinite(grads)):
+    if not np.isfinite(grads).all():
         raise NonFiniteGradientError("clip_global_norm on non-finite gradient")
     pre_norm = float(np.linalg.norm(grads))
     if pre_norm <= g:
@@ -171,7 +180,7 @@ def guarded_step(
     sensing stage still observes the corrupted gradient.
     """
     grads = np.asarray(grads, dtype=float)
-    inputs_finite = bool(math.isfinite(loss) and np.all(np.isfinite(grads)))
+    inputs_finite = bool(math.isfinite(loss) and np.isfinite(grads).all())
     if clip is not None and inputs_finite:
         grads, _ = clip_global_norm(grads, clip.g)
     if grad_scale != 1.0:

@@ -10,7 +10,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-__all__ = ["StreamState", "generator", "advance"]
+__all__ = ["StreamState", "CounterStream", "generator", "advance"]
+
+_U64 = 0xFFFFFFFFFFFFFFFF
 
 
 @dataclass(frozen=True)
@@ -26,13 +28,39 @@ class StreamState:
             raise ValueError("counter must be non-negative")
 
 
+class CounterStream:
+    """One Philox generator keyed by (seed, stream), moved to any counter.
+
+    at(c) returns the same Generator every time, repositioned so its draws
+    are bit-identical to a Philox freshly built at counter c. Repositioning
+    resets the whole bit-generator state (counter, output buffer, cached
+    uint32), so what was drawn at the previous counter never leaks into
+    the next: a draw can span several counter blocks, so merely advancing
+    one long-lived generator would overlap consecutive counters' draws.
+    """
+
+    def __init__(self, seed: int, stream: int = 0):
+        # A uint64 array, not a list: numpy turns a list holding an int of
+        # 2**63 or more into float64, which rounds the key.
+        key = np.array([seed & _U64, stream & _U64], dtype=np.uint64)
+        self._bits = np.random.Philox(counter=0, key=key)
+        self._rng = np.random.Generator(self._bits)
+        # The state a fresh Philox(counter=c, key=...) starts from; at() only
+        # rewrites counter[0] before assigning it.
+        self._state = self._bits.state
+        self._counter = self._state["state"]["counter"]
+
+    def at(self, counter: int) -> np.random.Generator:
+        if counter < 0:
+            raise ValueError("counter must be non-negative")
+        self._counter[0] = counter
+        self._bits.state = self._state
+        return self._rng
+
+
 def generator(state: StreamState) -> np.random.Generator:
     """Philox generator keyed by (seed, stream) at the given counter."""
-    bits = np.random.Philox(
-        counter=[state.counter, 0, 0, 0],
-        key=[state.seed & 0xFFFFFFFFFFFFFFFF, state.stream & 0xFFFFFFFFFFFFFFFF],
-    )
-    return np.random.Generator(bits)
+    return CounterStream(state.seed, state.stream).at(state.counter)
 
 
 def advance(state: StreamState, n: int = 1) -> StreamState:

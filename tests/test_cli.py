@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from guardlab import config as config_module
 from guardlab.cli import main
 from guardlab.config import expand_scenarios, parse_config
 from guardlab.harness import TaskSpec, calibrate_divergence_lr
@@ -87,6 +88,20 @@ def test_unknown_run_key_errors(tmp_path, capsys):
     assert main(["--config", str(cfg), "--quiet", "run"]) == 1
     err = json.loads(capsys.readouterr().err.strip())
     assert "warmup" in err["message"]
+
+
+def test_suite_with_a_preset_below_min_lr_exits_nonzero(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(config_module, "calibrate_divergence_lr", lambda *a, **k: 0.4)
+    cfg = write_config(tmp_path, extra={
+        "schedule": {"min_lr": 0.05},
+        "scenarios": [{"name": "gentle", "kind": "lr_stress", "task": "toy", "steps": 30,
+                       "lr": "safe", "batch_size": 8, "eval_every": 10}],
+    })
+    out = tmp_path / "suite_out"
+    assert main(["--config", str(cfg), "--out", str(out), "--quiet", "suite"]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ConfigError" and "'gentle'" in err["message"]
+    assert not (out / "suite.csv").exists()
 
 
 def test_calibrate_outputs_json(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from guardlab import config as config_module
 from guardlab.config import (
     GUARD_KEYS,
     LR_PRESETS,
@@ -52,6 +53,21 @@ def test_unknown_root_key_named_in_error():
 def test_unknown_guard_key_named_in_error():
     with pytest.raises(ConfigError, match="spike_thresh"):
         parse_config({**MINIMAL, "guard": {"spike_thresh": 2.0}})
+
+
+def test_unknown_run_key_named_in_error():
+    with pytest.raises(ConfigError, match="'warmup'"):
+        parse_config({"tasks": {}, "run": {"warmup": 5}})
+
+
+def test_preset_below_min_lr_is_a_config_error(monkeypatch):
+    # An aggressive rate of 0.4 backs off to 0.4 / 512 for "safe", below the
+    # schedule's min_lr: every pair would fail in ScheduleConfig.
+    monkeypatch.setattr(config_module, "calibrate_divergence_lr", lambda *a, **k: 0.4)
+    doc = {**MINIMAL, "schedule": {"min_lr": 0.05},
+           "scenarios": [{**MINIMAL["scenarios"][0], "lr": "safe"}]}
+    with pytest.raises(ConfigError, match=r"'demo'.*0\.00078125.*min_lr 0\.05"):
+        expand_scenarios(parse_config(doc))
 
 
 def test_guard_keys_are_exact():

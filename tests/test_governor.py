@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from guardlab.governor import (
     ACTIVE_SCALE_TOLERANCE,
@@ -21,6 +22,7 @@ from guardlab.governor import (
     StepRecord,
     TelemetryError,
     TelemetrySample,
+    TelemetrySummary,
     apply_posture,
     classify_regime,
     gradient_rms,
@@ -31,6 +33,7 @@ from guardlab.governor import (
     summarize_records,
     update_ema,
 )
+from guardlab.optim import ClipConfig, OptimizerConfig, guarded_step, init_optimizer_state
 
 CFG = GuardConfig()
 
@@ -502,3 +505,87 @@ def test_governor_stable_run_is_inactive():
     summary = gov.log.finalize()
     assert summary.control_active_steps == 0
     assert summary.control_energy == 0.0
+
+
+# --------------------------------------------------------------------------
+# guarded_step under adversarial telemetry (stateful)
+# --------------------------------------------------------------------------
+
+EXTREMES = [math.nan, math.inf, -math.inf, 1e300, 1e-300]
+N_PARAMS = 4
+
+
+class GuardedStepMachine(RuleBasedStateMachine):
+    """Drive guarded_step with NaN, +-inf, 1e300 and 1e-300 losses and
+    gradients, and check the governor's invariants after every step."""
+
+    @initialize(
+        c_min=st.floats(0.01, 1.0),
+        stats_freq=st.sampled_from([1, 3]),
+        clip=st.sampled_from([None, 1.0]),
+    )
+    def setup(self, c_min, stats_freq, clip):
+        self.gov = Governor(GuardConfig(c_min=c_min, stats_freq=stats_freq))
+        self.clip = None if clip is None else ClipConfig(g=clip)
+        self.opt_cfg = OptimizerConfig(lr=0.1, weight_decay=0.01)
+        self.opt_state = init_optimizer_state(N_PARAMS)
+        self.params = np.linspace(-1.0, 1.0, N_PARAMS)
+        self.step = 0
+        # An independent running tally of the summary.
+        self.active = self.skipped = self.switches = 0
+        self.energy = 0.0
+        self.min_scale = 1.0
+        self.prev_regime = None
+
+    @rule(
+        loss=st.one_of(st.sampled_from(EXTREMES), st.floats(0.01, 10.0)),
+        grad_fill=st.one_of(st.sampled_from(EXTREMES), st.floats(-10.0, 10.0)),
+        grad_at=st.integers(0, N_PARAMS),
+    )
+    def step_once(self, loss, grad_fill, grad_at):
+        # grad_fill lands on one entry (or, at N_PARAMS, on all of them).
+        grads = np.full(N_PARAMS, 0.5)
+        grads[grad_at if grad_at < N_PARAMS else slice(None)] = grad_fill
+        finite = math.isfinite(loss) and bool(np.isfinite(grads).all())
+        before = (self.params.tobytes(), self.opt_state.m.tobytes(),
+                  self.opt_state.v.tobytes(), self.opt_state.t)
+        with np.errstate(over="ignore"):
+            self.params, self.opt_state, rec = guarded_step(
+                self.gov, self.opt_state, self.params, grads, loss, self.step, 0.01,
+                self.opt_cfg, self.clip,
+            )
+        after = (self.params.tobytes(), self.opt_state.m.tobytes(),
+                 self.opt_state.v.tobytes(), self.opt_state.t)
+        self.step += 1
+
+        assert self.gov.cfg.c_min <= rec.scale <= C_MAX
+        assert rec.skipped == (not finite)
+        if rec.skipped:
+            assert after == before
+        else:
+            assert self.opt_state.t == before[3] + 1
+        self.active += rec.active
+        self.skipped += rec.skipped
+        self.switches += self.prev_regime is not None and rec.regime is not self.prev_regime
+        self.energy += 1.0 if rec.skipped else (1.0 - rec.scale) ** 2
+        self.min_scale = min(self.min_scale, rec.scale)
+        self.prev_regime = rec.regime
+
+    @invariant()
+    def summary_is_recomputable_from_the_log(self):
+        summary = summarize_records(self.gov.log.records)
+        assert summary == self.gov.log.finalize()
+        assert summary == TelemetrySummary(
+            total_steps=self.step,
+            control_active_steps=self.active,
+            regime_switches=self.switches,
+            control_energy=self.energy,
+            min_scale=self.min_scale,
+            skipped_steps=self.skipped,
+        )
+
+
+GuardedStepMachine.TestCase.settings = settings(
+    max_examples=60, stateful_step_count=30, deadline=None
+)
+test_guarded_step_state_machine = GuardedStepMachine.TestCase

@@ -108,6 +108,13 @@ def test_runconfig_rejects_out_of_range_injection_steps():
         RunConfig(task=MLP, steps=10, injection=InjectionSpec(magnitude=2.0, period=0, steps=(10,)))
 
 
+def test_runconfig_rejects_empty_batches():
+    # The run loop draws through CounterStream, not sample_batch, so the
+    # batch-size check lives in RunConfig: batch_size 0 would give NaN losses.
+    with pytest.raises(ValueError, match="batch_size"):
+        RunConfig(task=MLP, batch_size=0)
+
+
 def test_config_pair_diff_only_governance_fields():
     baseline = tiny_run(label="baseline", baseline=True, clip=ClipConfig(g=1.0))
     guarded = tiny_run(label="guard", guard=GuardConfig())

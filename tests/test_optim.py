@@ -81,6 +81,45 @@ def test_adamw_oracle_100_random_steps():
         np.testing.assert_allclose(ours[step], theirs[step], rtol=1e-12, atol=0)
 
 
+def _one_expression_adamw(state, params, grads, lr_t, cfg):
+    """AdamW as one expression per quantity: the bitwise oracle for adamw_step."""
+    t = state.t + 1
+    m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * grads
+    v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * grads * grads
+    m_hat = m / (1.0 - cfg.beta1 ** t)
+    v_hat = v / (1.0 - cfg.beta2 ** t)
+    delta = -lr_t * (m_hat / (np.sqrt(v_hat) + cfg.eps) + cfg.weight_decay * params)
+    return delta, OptimizerState(m=m, v=v, t=t)
+
+
+def _bits(*arrays):
+    return [np.asarray(a).tobytes() for a in arrays]
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+@pytest.mark.parametrize("shape", [(10,), (21, 10)], ids=["1d", "rows"])
+def test_adamw_bitwise_equal_to_one_expression_and_pure(shape, weight_decay):
+    rng = np.random.default_rng(5)
+    cfg = OptimizerConfig(lr=0.01, weight_decay=weight_decay)
+    params = rng.normal(size=shape)
+    state = OptimizerState(m=np.zeros(shape), v=np.zeros(shape))
+    ref_params, ref_state = params.copy(), OptimizerState(m=np.zeros(shape), v=np.zeros(shape))
+    for step in range(60):
+        # Gradients over many magnitudes (and exact zeros) exercise rounding.
+        grads = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+        grads[rng.random(shape) < 0.1] = 0.0
+        lr_t = 0.01 * (1.0 + rng.random((shape[0], 1))) if len(shape) == 2 else 0.01 / (step + 1)
+        inputs = (state.m, state.v, params, grads)
+        before = _bits(*inputs)
+        delta, state_next = adamw_step(state, params, grads, lr_t, cfg)
+        assert _bits(*inputs) == before
+        ref_delta, ref_next = _one_expression_adamw(ref_state, ref_params, grads, lr_t, cfg)
+        assert _bits(delta, state_next.m, state_next.v) == _bits(ref_delta, ref_next.m, ref_next.v)
+        assert state_next.t == ref_next.t == step + 1
+        params, state = params + delta, state_next
+        ref_params, ref_state = ref_params + ref_delta, ref_next
+
+
 def test_adamw_rejects_non_finite_gradient():
     cfg = OptimizerConfig(lr=0.1)
     with pytest.raises(NonFiniteGradientError):
