@@ -27,20 +27,13 @@ def main() -> int:
     parser.add_argument("--steps", type=int, default=1000)
     args = parser.parse_args()
 
-    task = TaskSpec(kind="bigram_lm", dims={})
     base = RunConfig(
-        task=task, steps=args.steps, eval_every=max(1, args.steps // 10), seed=args.seed
-    )
-    lr = resolve_lr(
-        "aggressive",
-        task,
-        base.opt,
-        (args.seed,),
-        base.schedule_kind,
-        base.batch_size,
+        task=TaskSpec(kind="bigram_lm", dims={}),
         steps=args.steps,
-        min_lr=base.min_lr,
+        eval_every=max(1, args.steps // 10),
+        seed=args.seed,
     )
+    lr = resolve_lr("aggressive", [base])
     print(f"calibrated degrading lr: {lr:g}")
     base = replace(base, opt=replace(base.opt, lr=lr))
 

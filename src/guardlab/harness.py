@@ -42,6 +42,8 @@ __all__ = [
     "ComparisonRow",
     "run_training",
     "run_probe_ladder",
+    "probe_config",
+    "degrading_lr",
     "calibrate_divergence_lr",
     "inject_outliers",
     "run_suite",
@@ -60,6 +62,9 @@ _BATCH_STREAM = 0
 class TaskSpec:
     kind: str
     dims: Dict = field(default_factory=dict)
+
+    def __hash__(self):
+        return hash((self.kind, tuple(sorted(self.dims.items()))))
 
     def build(self, seed: int) -> Task:
         return make_task(self.kind, dict(self.dims), seed)
@@ -326,6 +331,49 @@ def run_probe_ladder(cfg: RunConfig, lrs: Sequence[float]) -> List[ProbeResult]:
     ]
 
 
+def probe_config(arm: RunConfig) -> RunConfig:
+    """The baseline probe that calibrates arm's rate: arm with guard and clip
+    off, eval every tenth of the run, label "calibrate" and a placeholder base
+    lr (each ladder rung sets its own). What is left is what a probe's verdict
+    depends on, so arms with equal probes share a calibration."""
+    return replace(
+        arm,
+        opt=replace(arm.opt, lr=1.0),
+        guard=None,
+        baseline_marker=True,
+        clip=None,
+        eval_every=max(1, arm.steps // 10),
+        label="calibrate",
+    )
+
+
+def degrading_lr(
+    probe: RunConfig,
+    criterion: str = "peak",
+    floor: float = 1e-4,
+    max_doublings: int = 20,
+) -> float:
+    """The lowest rate on the doubling ladder floor * 2**k (k up to
+    max_doublings) whose run of probe degrades.
+
+    criterion="peak" flags degradation at any eval checkpoint within the
+    probe run; "final" requires the probe run to end degraded (cosine decay
+    can anneal a mid-run excursion away, so "final" needs a probe as long
+    as the target run to transfer). Every rung runs at once through
+    run_probe_ladder. Probes decay to their min_lr, as the runs they
+    calibrate do; rungs below min_lr are left off the ladder, since no
+    schedule decays upwards.
+    """
+    if criterion not in ("peak", "final"):
+        raise ValueError("criterion must be 'peak' or 'final'")
+    lrs = [floor * 2.0**k for k in range(max_doublings + 1) if floor * 2.0**k >= probe.min_lr]
+    if lrs:
+        for rung in run_probe_ladder(probe, lrs):
+            if _probe_degraded(rung, criterion):
+                return rung.lr
+    raise RuntimeError("task not stressable: no degrading lr within doubling budget")
+
+
 def calibrate_divergence_lr(
     task: TaskSpec,
     opt: OptimizerConfig = OptimizerConfig(),
@@ -339,38 +387,19 @@ def calibrate_divergence_lr(
     injection: Optional[InjectionSpec] = None,
     min_lr: float = 0.0,
 ) -> float:
-    """The lowest rate on the doubling ladder floor * 2**k (k up to
-    max_doublings) whose baseline probe run degrades.
-
-    criterion="peak" flags degradation at any eval checkpoint within the
-    probe run; "final" requires the probe run to end degraded (cosine decay
-    can anneal a mid-run excursion away, so "final" needs probe_steps equal
-    to the target run length to transfer). Every rung runs at once through
-    run_probe_ladder. Probes decay to min_lr, as the runs they calibrate do;
-    rungs below min_lr are left off the ladder, since no schedule decays
-    upwards.
-    """
-    if criterion not in ("peak", "final"):
-        raise ValueError("criterion must be 'peak' or 'final'")
-    probe = RunConfig(
+    """degrading_lr of the probe for a probe_steps-long baseline run."""
+    arm = RunConfig(
         task=task,
         opt=opt,
         schedule_kind=schedule_kind,
         min_lr=min_lr,
-        baseline_marker=True,
         steps=probe_steps,
         batch_size=batch_size,
-        eval_every=max(1, probe_steps // 10),
+        eval_every=probe_steps,
         seed=seed,
         injection=injection,
-        label="calibrate",
     )
-    lrs = [floor * 2.0**k for k in range(max_doublings + 1) if floor * 2.0**k >= min_lr]
-    if lrs:
-        for rung in run_probe_ladder(probe, lrs):
-            if _probe_degraded(rung, criterion):
-                return rung.lr
-    raise RuntimeError("task not stressable: no degrading lr within doubling budget")
+    return degrading_lr(probe_config(arm), criterion, floor, max_doublings)
 
 
 def config_pair_diff(baseline: RunConfig, guarded: RunConfig) -> List[str]:
@@ -408,17 +437,13 @@ def run_suite(
                 f"pairing integrity violated in {scenario!r}: differs on {sorted(extra)}"
             )
     # A config shared by several pairs (a scenario's guard arm is paired with
-    # each clip threshold) runs once. RunConfig is unhashable (TaskSpec.dims
-    # is a dict), so finished runs are found by equality.
-    finished: List[Tuple[RunConfig, RunResult]] = []
+    # each clip threshold) runs once.
+    finished: Dict[RunConfig, RunResult] = {}
 
     def run_once(cfg: RunConfig) -> RunResult:
-        for done_cfg, result in finished:
-            if done_cfg == cfg:
-                return result
-        result = run_training(cfg, out_dir)
-        finished.append((cfg, result))
-        return result
+        if cfg not in finished:
+            finished[cfg] = run_training(cfg, out_dir)
+        return finished[cfg]
 
     rows: List[ComparisonRow] = []
     for scenario, base_cfg, guard_cfg in pairs:

@@ -26,6 +26,7 @@ __all__ = [
     "MlpRegressionTask",
     "BigramLmTask",
     "make_task",
+    "task_dims",
     "forward_backward",
     "evaluate",
     "sample_batch",
@@ -348,37 +349,27 @@ _DEFAULT_DIMS: Dict[str, Dict] = {
 }
 
 
-def make_task(kind: str, dims: Optional[Dict] = None, seed: int = 0) -> Task:
-    """Deterministic task factory: same (kind, dims, seed) -> identical task."""
+def task_dims(kind: str, dims: Optional[Dict] = None) -> Dict:
+    """kind's default dims updated by dims, each converted to its default's
+    type; raises ValueError (TypeError) for an unknown kind, an unknown dim
+    or an unconvertible value. Builds nothing."""
     if kind not in TASK_KINDS:
         raise ValueError(f"unknown task kind: {kind!r}")
     merged = dict(_DEFAULT_DIMS[kind])
     for key, value in (dims or {}).items():
         if key not in merged:
             raise ValueError(f"unknown dim {key!r} for task kind {kind!r}")
-        merged[key] = value
-    if kind == "quadratic":
-        return QuadraticTask(
-            dim=int(merged["dim"]),
-            condition=float(merged["condition"]),
-            seed=seed,
-            noise=float(merged["noise"]),
-        )
-    if kind == "mlp_regression":
-        return MlpRegressionTask(
-            d_in=int(merged["d_in"]),
-            d_hidden=int(merged["d_hidden"]),
-            d_out=int(merged["d_out"]),
-            seed=seed,
-            noise=float(merged["noise"]),
-        )
-    return BigramLmTask(
-        alphabet=int(merged["alphabet"]),
-        seed=seed,
-        corpus_len=int(merged["corpus_len"]),
-        eval_len=int(merged["eval_len"]),
-        concentration=float(merged["concentration"]),
-    )
+        merged[key] = type(merged[key])(value)
+    return merged
+
+
+_TASK_CLASSES = {cls.kind: cls for cls in (QuadraticTask, MlpRegressionTask, BigramLmTask)}
+
+
+def make_task(kind: str, dims: Optional[Dict] = None, seed: int = 0) -> Task:
+    """Deterministic task factory: same (kind, dims, seed) -> identical task."""
+    dims = task_dims(kind, dims)
+    return _TASK_CLASSES[kind](seed=seed, **dims)
 
 
 def forward_backward(task: Task, params: np.ndarray, batch: Batch):

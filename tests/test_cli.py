@@ -91,7 +91,7 @@ def test_unknown_run_key_errors(tmp_path, capsys):
 
 
 def test_suite_with_a_preset_below_min_lr_exits_nonzero(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(config_module, "calibrate_divergence_lr", lambda *a, **k: 0.4)
+    monkeypatch.setattr(config_module, "degrading_lr", lambda *a, **k: 0.4)
     cfg = write_config(tmp_path, extra={
         "schedule": {"min_lr": 0.05},
         "scenarios": [{"name": "gentle", "kind": "lr_stress", "task": "toy", "steps": 30,
@@ -127,3 +127,28 @@ def test_calibrate_prints_the_rate_the_suite_runs_at(tmp_path, capsys):
         calibrate_divergence_lr(TaskSpec(**bigram), probe_steps=steps, seed=s, criterion="final")
         for s in suite.seeds
     )}
+
+
+def test_suite_with_a_malformed_value_prints_a_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, extra={
+        "scenarios": [{"name": "stress", "kind": "clip_baseline", "task": "toy", "steps": 30,
+                       "lr": 0.05, "batch_size": 8, "eval_every": 10, "clip_g": 3}],
+    })
+    out = tmp_path / "suite_out"
+    assert main(["--config", str(cfg), "--out", str(out), "--quiet", "suite"]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ConfigError" and "'clip_g'" in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("task", [
+    {"kind": "quadratc"},
+    {"kind": "quadratic", "dims": {"dimm": 4}},
+])
+def test_suite_with_an_unknown_task_kind_or_dim_exits_nonzero(tmp_path, capsys, task):
+    cfg = write_config(tmp_path, extra={"tasks": {"toy": task}})
+    out = tmp_path / "suite_out"
+    assert main(["--config", str(cfg), "--out", str(out), "--quiet", "suite"]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ConfigError" and "tasks.toy" in err["message"]
+    assert not (out / "suite.csv").exists()

@@ -1,5 +1,9 @@
 """Configuration parsing, validation, and scenario-expansion tests."""
 
+import json
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
 from guardlab import config as config_module
@@ -9,7 +13,9 @@ from guardlab.config import (
     MODERATE_BACKOFF,
     SAFE_BACKOFF,
     ConfigError,
+    InjectionSpec,
     OptimizerConfig,
+    RunConfig,
     ScheduleKind,
     TaskSpec,
     emit_config,
@@ -18,6 +24,9 @@ from guardlab.config import (
     resolve_lr,
 )
 from guardlab.governor import GuardConfig
+from guardlab.optim import ClipConfig
+
+SHIPPED = Path(__file__).resolve().parents[1] / "configs" / "default_suite.json"
 
 
 MINIMAL = {
@@ -38,8 +47,6 @@ def test_parse_minimal_config_defaults():
 
 
 def test_parse_config_from_file(tmp_path):
-    import json
-
     path = tmp_path / "suite.json"
     path.write_text(json.dumps(MINIMAL))
     assert parse_config(path) == parse_config(MINIMAL)
@@ -63,7 +70,7 @@ def test_unknown_run_key_named_in_error():
 def test_preset_below_min_lr_is_a_config_error(monkeypatch):
     # An aggressive rate of 0.4 backs off to 0.4 / 512 for "safe", below the
     # schedule's min_lr: every pair would fail in ScheduleConfig.
-    monkeypatch.setattr(config_module, "calibrate_divergence_lr", lambda *a, **k: 0.4)
+    monkeypatch.setattr(config_module, "degrading_lr", lambda *a, **k: 0.4)
     doc = {**MINIMAL, "schedule": {"min_lr": 0.05},
            "scenarios": [{**MINIMAL["scenarios"][0], "lr": "safe"}]}
     with pytest.raises(ConfigError, match=r"'demo'.*0\.00078125.*min_lr 0\.05"):
@@ -104,45 +111,78 @@ def test_emit_parse_round_trip():
     assert parse_config(emit_config(cfg)) == cfg
 
 
+QUAD_ARM = RunConfig(task=TaskSpec(kind="quadratic", dims={}), steps=100, batch_size=8, seed=7)
+
+
 def test_resolve_lr_numeric_passthrough():
-    lr = resolve_lr(0.03, TaskSpec(kind="quadratic", dims={}), OptimizerConfig(),
-                    seeds=(7,), schedule_kind=ScheduleKind.COSINE, batch_size=8)
-    assert lr == 0.03
+    assert resolve_lr(0.03, [QUAD_ARM]) == 0.03
 
 
 def test_resolve_lr_rejects_unknown_preset():
     with pytest.raises(ConfigError):
-        resolve_lr("ludicrous", TaskSpec(kind="quadratic", dims={}), OptimizerConfig(),
-                   seeds=(7,), schedule_kind=ScheduleKind.COSINE, batch_size=8)
+        resolve_lr("ludicrous", [QUAD_ARM])
+
+
+def fake_core(monkeypatch):
+    """Replace the calibration core with one that records each probe and
+    returns a rate derived from its batch size."""
+    probes = []
+
+    def core(probe, criterion="peak", **kw):
+        assert criterion == "final"
+        probes.append(probe)
+        return 1e-3 * probe.batch_size
+
+    monkeypatch.setattr(config_module, "degrading_lr", core)
+    return probes
 
 
 def test_resolve_lr_cache_keyed_on_batch_size(monkeypatch):
-    import guardlab.config as config
-
-    calls = []
-
-    def fake_calibrate(task, opt, probe_steps, seed, schedule_kind, batch_size, **kw):
-        calls.append(batch_size)
-        return 1e-3 * batch_size
-
-    monkeypatch.setattr(config, "calibrate_divergence_lr", fake_calibrate)
+    probes = fake_core(monkeypatch)
     cache = {}
-    spec = TaskSpec(kind="quadratic", dims={})
     rates = [
-        resolve_lr("aggressive", spec, OptimizerConfig(), seeds=(7,),
-                   schedule_kind=ScheduleKind.COSINE, batch_size=b, cache=cache)
-        for b in (8, 16, 8)
+        resolve_lr("aggressive", [replace(QUAD_ARM, batch_size=b)], cache) for b in (8, 16, 8)
     ]
     assert rates == [8e-3, 16e-3, 8e-3]
-    assert calls == [8, 16]
+    assert [p.batch_size for p in probes] == [8, 16]
     # The base lr is not a probe input: it shares the cached rate.
-    assert resolve_lr("aggressive", spec, OptimizerConfig(lr=0.5), seeds=(7,),
-                      schedule_kind=ScheduleKind.COSINE, batch_size=8, cache=cache) == 8e-3
-    resolve_lr("aggressive", spec, OptimizerConfig(beta2=0.99), seeds=(7,),
-               schedule_kind=ScheduleKind.COSINE, batch_size=8, cache=cache)
-    resolve_lr("aggressive", spec, OptimizerConfig(), seeds=(7,),
-               schedule_kind=ScheduleKind.CONSTANT, batch_size=8, cache=cache)
-    assert calls == [8, 16, 8, 8]
+    assert resolve_lr("aggressive", [replace(QUAD_ARM, opt=OptimizerConfig(lr=0.5))], cache) == 8e-3
+    resolve_lr("aggressive", [replace(QUAD_ARM, opt=OptimizerConfig(beta2=0.99))], cache)
+    resolve_lr("aggressive", [replace(QUAD_ARM, schedule_kind=ScheduleKind.CONSTANT)], cache)
+    assert [p.batch_size for p in probes] == [8, 16, 8, 8]
+
+
+def test_resolve_lr_cache_is_keyed_on_exactly_the_probe_inputs(monkeypatch):
+    probes = fake_core(monkeypatch)
+    cache = {}
+    resolve_lr("aggressive", [QUAD_ARM], cache)
+    # Fields a probe normalises away share the one ladder.
+    for arm in (
+        replace(QUAD_ARM, eval_every=7),
+        replace(QUAD_ARM, label="other"),
+        replace(QUAD_ARM, guard=GuardConfig()),
+        replace(QUAD_ARM, baseline_marker=True, clip=ClipConfig(g=0.5)),
+        replace(QUAD_ARM, opt=OptimizerConfig(lr=0.3)),
+    ):
+        resolve_lr("aggressive", [arm], cache)
+    assert len(probes) == 1
+    # Every probe input gets a ladder of its own.
+    for arm in (
+        replace(QUAD_ARM, seed=8),
+        replace(QUAD_ARM, min_lr=1e-4),
+        replace(QUAD_ARM, batch_size=9),
+        replace(QUAD_ARM, injection=InjectionSpec()),
+        replace(QUAD_ARM, opt=OptimizerConfig(beta1=0.8)),
+        replace(QUAD_ARM, opt=OptimizerConfig(beta2=0.99)),
+        replace(QUAD_ARM, schedule_kind=ScheduleKind.CONSTANT),
+        replace(QUAD_ARM, task=TaskSpec(kind="quadratic", dims={"dim": 4})),
+        replace(QUAD_ARM, steps=50, eval_every=10),
+    ):
+        resolve_lr("aggressive", [arm], cache)
+    assert len(probes) == 10 == len(cache)
+    # A preset over several arms is the largest of their rates.
+    assert resolve_lr("aggressive", [QUAD_ARM, replace(QUAD_ARM, batch_size=9)], cache) == 1e-3 * 9
+    assert len(probes) == 10
 
 
 def test_probes_decay_to_the_suite_min_lr(monkeypatch):
@@ -168,10 +208,8 @@ def test_probes_decay_to_the_suite_min_lr(monkeypatch):
     assert base.opt.lr == probes[0][1][0]
 
     cache = {}
-    spec = TaskSpec(kind="quadratic", dims={})
     for min_lr in (0.0, 1e-3, 0.0):
-        resolve_lr("aggressive", spec, OptimizerConfig(), seeds=(7,),
-                   schedule_kind=ScheduleKind.COSINE, batch_size=8, cache=cache, min_lr=min_lr)
+        resolve_lr("aggressive", [replace(QUAD_ARM, min_lr=min_lr)], cache)
     assert [m for m, _ in probes[1:]] == [0.0, 1e-3]
     assert probes[1][1][0] == 1e-4
 
@@ -203,3 +241,110 @@ def test_expand_scenarios_pairs_share_everything_but_governance():
         assert base.baseline_marker and base.clip is not None
         assert guard.guard is not None and guard.clip is None
         assert set(config_pair_diff(base, guard)) <= GOVERNANCE_FIELDS
+
+
+SCEN = MINIMAL["scenarios"][0]
+
+
+@pytest.mark.parametrize("patch, message", [
+    pytest.param({"scenarios": [{**SCEN, "clip_g": 3}]}, "'clip_g' in section 'scenarios[0]'", id="clip_g-number"),
+    pytest.param({"scenarios": [{**SCEN, "kind": "injection", "injection": {"steps": 3}}]},
+                 "'steps' in section 'scenarios[0].injection'", id="injection-steps-number"),
+    pytest.param({"schedule": 5}, "'schedule' must be an object", id="schedule-number"),
+    pytest.param({"scenarios": [{**SCEN, "steps": "x"}]}, "'steps' in section 'scenarios[0]'", id="steps-string"),
+    pytest.param({"guard": "x"}, "'guard' must be an object", id="guard-string"),
+    pytest.param({"tasks": {"toy": 5}}, "'tasks.toy' must be an object", id="task-number"),
+    pytest.param({"scenarios": ["x"]}, "'scenarios[0]' must be an object", id="scenario-string"),
+    pytest.param({"scenarios": [{**SCEN, "lr": [1]}]}, "scenarios[0]", id="lr-list"),
+    pytest.param({"scenarios": [{**SCEN, "clip_g": ["a"]}]}, "scenarios[0]", id="clip_g-string"),
+    pytest.param({"seeds": 5}, "'seeds' in section 'root'", id="seeds-number"),
+    pytest.param({"seeds": ["a"]}, "'seeds' in section 'root'", id="seeds-string"),
+    pytest.param({"schedule": {"min_lr": "x"}}, "'min_lr' in section 'schedule'", id="min_lr-string"),
+    pytest.param({"schedule": {"kind": "linear"}}, "'linear' is not a valid", id="schedule-kind"),
+])
+def test_malformed_values_are_config_errors(patch, message):
+    with pytest.raises(ConfigError) as info:
+        parse_config({**MINIMAL, **patch})
+    assert message in str(info.value)
+    assert "unknown key" not in str(info.value)
+
+
+@pytest.mark.parametrize("task, message", [
+    ({"kind": "quadratc"}, "unknown task kind: 'quadratc'"),
+    ({"kind": "quadratic", "dims": {"dimm": 4}}, "unknown dim 'dimm'"),
+    ({"kind": "quadratic", "dims": {"dim": "four"}}, "'four'"),
+    ({"kind": "quadratic", "dims": [1]}, "tasks.toy"),
+    ({"dims": {}}, "'kind'"),
+])
+def test_unknown_task_kinds_and_dims_are_rejected_at_parse_time(task, message):
+    with pytest.raises(ConfigError, match="tasks.toy") as info:
+        parse_config({**MINIMAL, "tasks": {"toy": task}})
+    assert message in str(info.value)
+
+
+def test_duplicate_scenario_names_are_rejected():
+    doc = {**MINIMAL,
+           "tasks": {**MINIMAL["tasks"], "other": {"kind": "bigram_lm"}},
+           "scenarios": [{**SCEN, "name": "x"}, {**SCEN, "name": "x", "task": "other"}]}
+    with pytest.raises(ConfigError, match="duplicate scenario name: 'x'"):
+        parse_config(doc)
+
+
+def test_duplicate_seeds_are_rejected():
+    with pytest.raises(ConfigError, match="duplicate seed: 7"):
+        parse_config({**MINIMAL, "seeds": [7, 42, 7]})
+
+
+def test_shipped_config_parses_and_round_trips():
+    cfg = parse_config(SHIPPED)
+    assert parse_config(emit_config(cfg)) == cfg
+    assert parse_config(json.loads(json.dumps(emit_config(cfg)))) == cfg
+
+
+def test_shipped_config_expands_to_the_calibrated_scenarios(monkeypatch):
+    probes = fake_core(monkeypatch)
+    pairs = expand_scenarios(parse_config(SHIPPED))
+    assert len(pairs) == 18
+    assert list(dict.fromkeys(scenario for scenario, _, _ in pairs)) == [
+        "lr-stress", "lr-moderate", "outlier-bursts/clip_g=1.0", "outlier-bursts/clip_g=0.5",
+        "long-budget", "benign-quadratic",
+    ]
+    # Three probe configs (1000 steps, with bursts, 5000 steps) on each of
+    # three seeds: lr-moderate reuses lr-stress's ladders.
+    assert len(probes) == 9 == len(set(probes))
+
+
+# Every field of GuardConfig, OptimizerConfig, InjectionSpec and ScenarioSpec,
+# the schedule and the run section, each away from its default.
+FULL = {
+    "out_dir": "elsewhere",
+    "seeds": [3, 5],
+    "tasks": {"q": {"kind": "quadratic", "dims": {"dim": 6, "condition": 10.0, "noise": 0.1}}},
+    "optimizer": {"lr": 0.02, "beta1": 0.8, "beta2": 0.99, "eps": 1e-6, "weight_decay": 0.01},
+    "schedule": {"kind": "constant", "min_lr": 1e-4},
+    "guard": {"auto_enabled": False, "stats_freq": 5, "stress_threshold": 1.5,
+              "spike_threshold": 2.5, "recovery_fast": 0.01, "ema_decay": 0.9,
+              "use_max_rms": False, "c_min": 0.1, "recovery_confirm": 2},
+    "scenarios": [
+        {"name": "inj", "kind": "injection", "task": "q", "steps": 40, "lr": "safe",
+         "batch_size": 4, "eval_every": 8, "clip_g": [2.0],
+         "injection": {"magnitude": 10.0, "period": 7, "steps": [3, 5],
+                       "mode": "gradient_burst"}},
+    ],
+    "run": {"task": "q", "arm": "baseline", "lr": 0.1, "steps": 20, "batch_size": 4,
+            "eval_every": 5, "clip_g": 1.0, "label": "solo"},
+}
+
+
+def test_every_field_set_away_from_its_default_round_trips():
+    import dataclasses
+
+    cfg = parse_config(FULL)
+    scen = cfg.scenarios[0]
+    for obj in (cfg.guard, cfg.optimizer, scen, scen.injection):
+        for f in dataclasses.fields(obj):
+            if f.default is not dataclasses.MISSING:
+                assert getattr(obj, f.name) != f.default, f.name
+    assert cfg.schedule_kind is ScheduleKind.CONSTANT and cfg.min_lr == 1e-4
+    assert json.loads(json.dumps(emit_config(cfg))) == FULL
+    assert parse_config(emit_config(cfg)) == cfg
