@@ -2,10 +2,11 @@
 """Run the full stress suite from a config and write CSV + markdown report.
 
 Usage:
-    python scripts/run_suite.py [--config configs/default_suite.json] [--out results]
+    python scripts/run_suite.py [--config configs/default_suite.json] [--out results] [--quiet]
+
+The flags are guardlab's own, and the config defaults to configs/default_suite.json.
 """
 
-import argparse
 import sys
 from pathlib import Path
 
@@ -15,15 +16,5 @@ from guardlab.cli import main  # noqa: E402
 
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--config", default="configs/default_suite.json")
-    parser.add_argument("--out", default=None)
-    parser.add_argument("--quiet", action="store_true")
-    args = parser.parse_args()
-    argv = ["--config", args.config]
-    if args.out:
-        argv += ["--out", args.out]
-    if args.quiet:
-        argv.append("--quiet")
-    argv.append("suite")
-    raise SystemExit(main(argv))
+    # A --config among the arguments comes after the default one and overrides it.
+    raise SystemExit(main(["--config", "configs/default_suite.json", *sys.argv[1:], "suite"]))

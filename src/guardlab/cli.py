@@ -5,13 +5,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
-from .config import ConfigError, SuiteConfig, emit_config, expand_scenarios, parse_config
-from .harness import RunConfig, run_suite, run_training
-from .optim import ClipConfig
+from .config import SuiteConfig, emit_config, expand_scenarios, parse_config, run_config
+from .harness import run_suite, run_training
 from .report import (
     read_suite_csv,
     render_report_from_csv,
@@ -54,47 +52,16 @@ def _echo_config(cfg: SuiteConfig, out: Path, quiet: bool) -> None:
         print(f"configuration (defaults applied) echoed to {echo_path}")
 
 
-def _run_config_from_section(cfg: SuiteConfig, seed_override: Optional[int]) -> RunConfig:
-    section = cfg.run
-    if not section:
-        raise CliError("config has no 'run' section for the run subcommand")
-    task_name = section.get("task")
-    if task_name not in cfg.tasks:
-        raise ConfigError(f"run.task references unknown task {task_name!r}")
-    arm = section.get("arm", "guard")
-    if arm not in ("guard", "baseline"):
-        raise ConfigError("run.arm must be 'guard' or 'baseline'")
-    opt = cfg.optimizer
-    if "lr" in section:
-        opt = replace(opt, lr=float(section["lr"]))
-    clip = None
-    if section.get("clip_g") is not None:
-        clip = ClipConfig(g=float(section["clip_g"]))
-    return RunConfig(
-        task=cfg.tasks[task_name],
-        opt=opt,
-        schedule_kind=cfg.schedule_kind,
-        min_lr=cfg.min_lr,
-        guard=cfg.guard if arm == "guard" else None,
-        baseline_marker=arm == "baseline",
-        clip=clip,
-        steps=int(section.get("steps", 1000)),
-        batch_size=int(section.get("batch_size", 32)),
-        eval_every=int(section.get("eval_every", 100)),
-        seed=seed_override if seed_override is not None else cfg.seeds[0],
-        label=str(section.get("label", f"run-{task_name}-{arm}")),
-    )
-
-
 def cmd_run(args) -> int:
     cfg = _load_config(args)
+    if cfg.run is None:
+        raise CliError("config has no 'run' section for the run subcommand")
     out = _out_dir(args, cfg)
     _echo_config(cfg, out, args.quiet)
-    run_cfg = _run_config_from_section(cfg, args.seed)
+    run_cfg = run_config(cfg, cfg.seeds[0] if args.seed is None else args.seed)
     result = run_training(run_cfg, out_dir=out)
-    arm = "guard" if run_cfg.guard else "baseline"
     write_csv_rows(
-        [result_csv_row(run_cfg.label, arm, result)],
+        [result_csv_row(run_cfg.label, cfg.run.arm, result)],
         out / f"{run_cfg.label}_seed{result.seed}.csv",
     )
     if not args.quiet:
@@ -182,7 +149,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (CliError, ConfigError, ValueError, RuntimeError, OSError) as exc:
+    except (CliError, ValueError, RuntimeError, OSError) as exc:
         print(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}),
             file=sys.stderr,

@@ -18,6 +18,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 from .governor import GuardConfig
 from .harness import (
     InjectionSpec,
+    NotStressableError,
     OptimizerConfig,
     RunConfig,
     TaskSpec,
@@ -27,11 +28,10 @@ from .harness import (
 from .optim import ClipConfig, ScheduleKind
 from .tasks import task_dims
 
-__all__ = ["SuiteConfig", "ScenarioSpec", "parse_config", "emit_config", "ConfigError"]
+__all__ = ["SuiteConfig", "ScenarioSpec", "parse_config", "emit_config", "run_config",
+           "ConfigError"]
 
 GUARD_KEYS = tuple(f.name for f in dataclasses.fields(GuardConfig))
-# The single-run section read by `guardlab run`.
-RUN_KEYS = ("task", "arm", "lr", "steps", "batch_size", "eval_every", "clip_g", "label")
 ROOT_KEYS = ("out_dir", "seeds", "tasks", "optimizer", "schedule", "guard", "scenarios", "run")
 # The schedule section's keys and the SuiteConfig fields they fill.
 SCHEDULE_FIELDS = {"kind": "schedule_kind", "min_lr": "min_lr"}
@@ -84,6 +84,11 @@ def _build(section: str, cls, data, validate=None, **convert):
         raise ConfigError(f"invalid section {section!r}: {exc}") from exc
 
 
+def _optional(convert):
+    """convert, passing None through."""
+    return lambda value: None if value is None else convert(value)
+
+
 def _unique(what: str, values: Iterable, key=lambda value: value) -> tuple:
     values = tuple(values)
     keys = [key(value) for value in values]
@@ -115,6 +120,25 @@ class ScenarioSpec:
 
 
 @dataclass(frozen=True)
+class RunSection:
+    """The run `guardlab run` executes. lr None is the optimizer's rate, and
+    clip_g None runs unclipped."""
+
+    task: str
+    label: str
+    arm: str = "guard"
+    lr: Optional[float] = None
+    steps: int = 1000
+    batch_size: int = 32
+    eval_every: int = 100
+    clip_g: Optional[float] = None
+
+    def __post_init__(self):
+        if self.arm not in ("guard", "baseline"):
+            raise ValueError(f"arm must be 'guard' or 'baseline', got {self.arm!r}")
+
+
+@dataclass(frozen=True)
 class SuiteConfig:
     out_dir: str = "results"
     seeds: Tuple[int, ...] = (7, 42, 123)
@@ -124,7 +148,7 @@ class SuiteConfig:
     min_lr: float = 0.0
     guard: GuardConfig = GuardConfig()
     scenarios: Tuple[ScenarioSpec, ...] = ()
-    run: Optional[dict] = None
+    run: Optional[RunSection] = None
 
 
 def _parse_task(name: str, data) -> TaskSpec:
@@ -134,6 +158,12 @@ def _parse_task(name: str, data) -> TaskSpec:
     )
 
 
+def _scenario_fields(scen: ScenarioSpec, tasks: Dict[str, TaskSpec]) -> dict:
+    """The RunConfig fields that every arm of scen shares."""
+    return dict(task=tasks[scen.task], steps=scen.steps, batch_size=scen.batch_size,
+                eval_every=scen.eval_every, injection=scen.injection)
+
+
 def _parse_scenario(idx: int, data, tasks: Dict[str, TaskSpec]) -> ScenarioSpec:
     section = f"scenarios[{idx}]"
     kind, task = _object(section, data).get("kind"), data.get("task")
@@ -141,14 +171,46 @@ def _parse_scenario(idx: int, data, tasks: Dict[str, TaskSpec]) -> ScenarioSpec:
     if kind == "injection":
         defaults["injection"] = {}
 
-    def known_task(scen: ScenarioSpec) -> None:
+    def validate(scen: ScenarioSpec) -> None:
         if scen.task not in tasks:
             raise ConfigError(f"{section}.task references unknown task {scen.task!r}")
+        RunConfig(**_scenario_fields(scen, tasks))
 
     return _build(
-        section, ScenarioSpec, {**defaults, **data}, validate=known_task,
+        section, ScenarioSpec, {**defaults, **data}, validate=validate,
         steps=int, batch_size=int, eval_every=int, clip_g=tuple,
         injection=lambda d: _build(f"{section}.injection", InjectionSpec, d, steps=tuple),
+    )
+
+
+def _parse_run(data, cfg: SuiteConfig) -> RunSection:
+    """The run section, checked by building its RunConfig in the suite cfg."""
+    label = f"run-{_object('run', data).get('task')}-{data.get('arm', RunSection.arm)}"
+    return _build(
+        "run", RunSection, {"label": label, **data},
+        validate=lambda run: run_config(replace(cfg, run=run), seed=0),
+        lr=_optional(float), steps=int, batch_size=int, eval_every=int, clip_g=_optional(float),
+    )
+
+
+def run_config(cfg: SuiteConfig, seed: int) -> RunConfig:
+    """The RunConfig of cfg's run section at seed."""
+    run = cfg.run
+    if run.task not in cfg.tasks:
+        raise ConfigError(f"run.task references unknown task {run.task!r}")
+    return RunConfig(
+        task=cfg.tasks[run.task],
+        opt=cfg.optimizer if run.lr is None else replace(cfg.optimizer, lr=run.lr),
+        schedule_kind=cfg.schedule_kind,
+        min_lr=cfg.min_lr,
+        guard=cfg.guard if run.arm == "guard" else None,
+        baseline_marker=run.arm == "baseline",
+        clip=None if run.clip_g is None else ClipConfig(g=run.clip_g),
+        steps=run.steps,
+        batch_size=run.batch_size,
+        eval_every=run.eval_every,
+        seed=seed,
+        label=run.label,
     )
 
 
@@ -167,7 +229,8 @@ def parse_config(source: Union[str, Path, dict]) -> SuiteConfig:
         name: _parse_task(name, spec)
         for name, spec in _object("tasks", doc.get("tasks", {})).items()
     }
-    return _build(
+    run = doc.pop("run", None)
+    cfg = _build(
         "root", SuiteConfig, doc,
         out_dir=str,
         seeds=lambda seeds: _unique("seed", (int(s) for s in seeds)),
@@ -178,8 +241,8 @@ def parse_config(source: Union[str, Path, dict]) -> SuiteConfig:
             (_parse_scenario(i, s, tasks) for i, s in enumerate(raw)),
             key=lambda scen: scen.name,
         ),
-        run=lambda run: None if run is None else _fields("run", run, RUN_KEYS, {}),
     )
+    return cfg if run is None else replace(cfg, run=_parse_run(run, cfg))
 
 
 def emit_config(cfg: SuiteConfig) -> dict:
@@ -239,17 +302,19 @@ def expand_scenarios(
     pairs: List[Tuple[str, RunConfig, RunConfig]] = []
     for scen in cfg.scenarios:
         common = dict(
-            task=cfg.tasks[scen.task],
+            _scenario_fields(scen, cfg.tasks),
             opt=cfg.optimizer,
             schedule_kind=cfg.schedule_kind,
             min_lr=cfg.min_lr,
-            steps=scen.steps,
-            batch_size=scen.batch_size,
-            eval_every=scen.eval_every,
-            injection=scen.injection,
         )
         arms = [RunConfig(baseline_marker=True, seed=seed, **common) for seed in cfg.seeds]
-        lr = resolve_lr(scen.lr, arms, cache)
+        try:
+            lr = resolve_lr(scen.lr, arms, cache)
+        except NotStressableError as exc:
+            raise ConfigError(
+                f"scenario {scen.name!r}: lr preset {scen.lr!r} needs a rate that degrades task "
+                f"kind {common['task'].kind!r}, and none does; give the scenario a numeric lr"
+            ) from exc
         if lr < cfg.min_lr:
             raise ConfigError(
                 f"scenario {scen.name!r} resolves lr {scen.lr!r} to {lr:g}, below "

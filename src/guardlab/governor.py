@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from typing import IO, List, Optional, Sequence
 
@@ -81,7 +81,6 @@ class GuardConfig:
     spike_threshold: float = 1.8
     recovery_fast: float = 0.005
     ema_decay: float = 0.98
-    use_max_rms: bool = True
     c_min: float = 0.05
     recovery_confirm: int = 3
 
@@ -125,11 +124,13 @@ class AnalyzerState:
 class ControlPosture:
     scale: float = 1.0
     skip_step: bool = False
-    mode: Regime = Regime.STABLE
 
 
 @dataclass(frozen=True)
 class StepRecord:
+    """One step of telemetry. Its fields, in declaration order, are the keys
+    of a JSONL line."""
+
     step: int
     loss: float
     loss_ema: float
@@ -139,6 +140,9 @@ class StepRecord:
     skipped: bool
     grad_rms: Optional[float]
     lr: float
+
+
+_RECORD_KEYS = tuple(f.name for f in fields(StepRecord))
 
 
 @dataclass(frozen=True)
@@ -160,25 +164,20 @@ def update_ema(prev: float, value: float, decay: float) -> float:
     return decay * prev + (1.0 - decay) * value
 
 
-def gradient_rms(grad_groups: Sequence[np.ndarray], use_max_rms: bool) -> float:
-    """Per-group RMS, aggregated by max (use_max_rms) or mean over groups."""
-    if len(grad_groups) == 0:
-        raise ValueError("gradient_rms requires at least one group")
-    per_group = []
-    for g in grad_groups:
-        arr = np.asarray(g, dtype=float)
-        if arr.size == 0:
-            raise ValueError("gradient_rms requires nonempty groups")
-        if not np.isfinite(arr).all():
-            raise NonFiniteGradientError("non-finite gradient")
-        per_group.append(float(np.sqrt(np.mean(arr * arr))))
-    return max(per_group) if use_max_rms else float(np.mean(per_group))
+def gradient_rms(grads: np.ndarray) -> float:
+    """Root mean square of a nonempty, finite gradient."""
+    arr = np.asarray(grads, dtype=float)
+    if arr.size == 0:
+        raise ValueError("gradient_rms requires a nonempty gradient")
+    if not np.isfinite(arr).all():
+        raise NonFiniteGradientError("non-finite gradient")
+    return float(np.sqrt(np.mean(arr * arr)))
 
 
 def sense(
     step: int,
     loss: float,
-    grad_groups: Optional[Sequence[np.ndarray]],
+    grads: Optional[np.ndarray],
     lr: float,
     cfg: GuardConfig,
 ) -> TelemetrySample:
@@ -192,9 +191,9 @@ def sense(
     if step < 0:
         raise ValueError("step must be non-negative")
     grad_rms: Optional[float] = None
-    if grad_groups is not None and step % cfg.stats_freq == 0:
+    if grads is not None and step % cfg.stats_freq == 0:
         try:
-            rms = gradient_rms(grad_groups, cfg.use_max_rms)
+            rms = gradient_rms(grads)
         except NonFiniteGradientError:
             rms = math.inf
         grad_rms = rms if math.isfinite(rms) else None
@@ -276,14 +275,14 @@ def select_posture(
 ) -> ControlPosture:
     """Bounded scale transition: damp on spike/stress, release otherwise."""
     if not cfg.auto_enabled:
-        return ControlPosture(scale=1.0, skip_step=False, mode=regime)
+        return ControlPosture()
     if regime is Regime.SPIKE:
         scale = max(cfg.c_min, current.scale * SPIKE_DAMPING)
     elif regime is Regime.STRESS:
         scale = max(cfg.c_min, current.scale * STRESS_DAMPING)
     else:
         scale = min(C_MAX, current.scale * (1.0 + cfg.recovery_fast))
-    return ControlPosture(scale=scale, skip_step=not loss_finite, mode=regime)
+    return ControlPosture(scale=scale, skip_step=not loss_finite)
 
 
 def apply_posture(
@@ -300,33 +299,9 @@ def apply_posture(
     return posture.scale * delta
 
 
-def _record_to_json_dict(rec: StepRecord) -> dict:
-    # Field order fixed for byte-stable JSONL diffs.
-    return {
-        "step": rec.step,
-        "loss": rec.loss,
-        "loss_ema": rec.loss_ema,
-        "regime": rec.regime.value,
-        "scale": rec.scale,
-        "active": rec.active,
-        "skipped": rec.skipped,
-        "grad_rms": rec.grad_rms,
-        "lr": rec.lr,
-    }
-
-
 def record_from_json_dict(d: dict) -> StepRecord:
-    return StepRecord(
-        step=int(d["step"]),
-        loss=float(d["loss"]),
-        loss_ema=float(d["loss_ema"]),
-        regime=Regime(d["regime"]),
-        scale=float(d["scale"]),
-        active=bool(d["active"]),
-        skipped=bool(d["skipped"]),
-        grad_rms=None if d["grad_rms"] is None else float(d["grad_rms"]),
-        lr=float(d["lr"]),
-    )
+    """The StepRecord of one JSONL line; a missing or unknown key is a TypeError."""
+    return replace(StepRecord(**d), regime=Regime(d["regime"]))
 
 
 @dataclass
@@ -346,8 +321,9 @@ class StepLog:
         return summarize_records(self.records)
 
     def write_jsonl(self, fh: IO[str]) -> None:
+        # A Regime, being a str, is written as its value.
         for rec in self.records:
-            fh.write(json.dumps(_record_to_json_dict(rec)))
+            fh.write(json.dumps({key: getattr(rec, key) for key in _RECORD_KEYS}))
             fh.write("\n")
 
 
@@ -371,29 +347,6 @@ def summarize_records(records: Sequence[StepRecord]) -> TelemetrySummary:
     )
 
 
-def make_step_record(
-    step: int,
-    loss: float,
-    loss_ema: float,
-    regime: Regime,
-    posture: ControlPosture,
-    grad_rms: Optional[float],
-    lr: float,
-) -> StepRecord:
-    active = posture.scale < 1.0 - ACTIVE_SCALE_TOLERANCE or posture.skip_step
-    return StepRecord(
-        step=step,
-        loss=float(loss),
-        loss_ema=float(loss_ema),
-        regime=regime,
-        scale=float(posture.scale),
-        active=active,
-        skipped=posture.skip_step,
-        grad_rms=grad_rms,
-        lr=float(lr),
-    )
-
-
 class Governor:
     """Stateful handle bundling analyzer state, posture, and the step log."""
 
@@ -407,18 +360,25 @@ class Governor:
         self,
         step: int,
         loss: float,
-        grad_groups: Optional[Sequence[np.ndarray]],
+        grads: Optional[np.ndarray],
         lr: float,
         inputs_finite: bool,
     ) -> ControlPosture:
         """One governance pass: sense, classify, and select the posture."""
-        sample = sense(step, loss, grad_groups, lr, self.cfg)
+        sample = sense(step, loss, grads, lr, self.cfg)
         regime, self.state = classify_regime(
             sample, self.state, self.cfg, current_scale=self.posture.scale
         )
-        self.posture = select_posture(regime, self.posture, self.cfg, inputs_finite)
-        rec = make_step_record(
-            step, loss, self.state.loss_ema, regime, self.posture, sample.grad_rms, lr
-        )
-        self.log.append(rec)
-        return self.posture
+        self.posture = posture = select_posture(regime, self.posture, self.cfg, inputs_finite)
+        self.log.append(StepRecord(
+            step=step,
+            loss=sample.loss,
+            loss_ema=self.state.loss_ema,
+            regime=regime,
+            scale=float(posture.scale),
+            active=posture.scale < 1.0 - ACTIVE_SCALE_TOLERANCE or posture.skip_step,
+            skipped=posture.skip_step,
+            grad_rms=sample.grad_rms,
+            lr=sample.lr,
+        ))
+        return posture

@@ -49,6 +49,7 @@ __all__ = [
     "run_suite",
     "config_pair_diff",
     "severe_degradation",
+    "NotStressableError",
 ]
 
 # A run is severely degraded when its final eval loss is non-finite or more
@@ -56,6 +57,10 @@ __all__ = [
 DEGRADATION_FACTOR = 2.0
 
 _BATCH_STREAM = 0
+
+
+class NotStressableError(RuntimeError):
+    """No rate on the calibration ladder degrades the probe."""
 
 
 @dataclass(frozen=True)
@@ -145,7 +150,6 @@ class RunResult:
     final_loss: float
     final_perplexity: float
     wall_seconds: float
-    steps_per_second: float
     summary: TelemetrySummary
     eval_trace: List[Tuple[int, float, float]]
     log: StepLog
@@ -243,7 +247,6 @@ def run_training(cfg: RunConfig, out_dir: Optional[Path] = None) -> RunResult:
         final_loss=final.eval_loss,
         final_perplexity=final.perplexity,
         wall_seconds=wall,
-        steps_per_second=cfg.steps / wall if wall > 0 else math.inf,
         summary=gov.log.finalize(),
         eval_trace=eval_trace,
         log=gov.log,
@@ -371,7 +374,7 @@ def degrading_lr(
         for rung in run_probe_ladder(probe, lrs):
             if _probe_degraded(rung, criterion):
                 return rung.lr
-    raise RuntimeError("task not stressable: no degrading lr within doubling budget")
+    raise NotStressableError("task not stressable: no degrading lr within doubling budget")
 
 
 def calibrate_divergence_lr(

@@ -185,7 +185,7 @@ def guarded_step(
         grads, _ = clip_global_norm(grads, clip.g)
     if grad_scale != 1.0:
         grads = grads * grad_scale
-    posture = gov.observe(step, loss, [grads], lr_t, inputs_finite)
+    posture = gov.observe(step, loss, grads, lr_t, inputs_finite)
     if posture.skip_step:
         return params, opt_state, gov.log.records[-1]
     delta, new_state = adamw_step(

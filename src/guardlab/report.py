@@ -16,6 +16,7 @@ from typing import Dict, List, Sequence
 from .harness import ComparisonRow, DEGRADATION_FACTOR, RunResult, seed_stats
 
 __all__ = [
+    "CSV_SCHEMA",
     "CSV_COLUMNS",
     "rows_to_csv_dicts",
     "write_csv_rows",
@@ -27,18 +28,22 @@ __all__ = [
     "result_csv_row",
 ]
 
-CSV_COLUMNS = (
-    "scenario",
-    "arm",
-    "seed",
-    "initial_loss",
-    "final_loss",
-    "final_ppl",
-    "wall_s",
-    "active_steps",
-    "regime_switches",
-    "control_energy",
-)
+# The suite CSV's columns, in file order, each with the type it reads back as.
+CSV_SCHEMA = {
+    "scenario": str,
+    "arm": str,
+    "seed": int,
+    "initial_loss": float,
+    "final_loss": float,
+    "final_ppl": float,
+    "wall_s": float,
+    "active_steps": int,
+    "regime_switches": int,
+    "control_energy": float,
+}
+CSV_COLUMNS = tuple(CSV_SCHEMA)
+# A failed pair's row: NaN in every float column, 0 in every count.
+_ERROR_ROW = {col: math.nan if kind is float else kind() for col, kind in CSV_SCHEMA.items()}
 
 
 def verdict(final_loss: float, initial_loss: float) -> str:
@@ -68,20 +73,7 @@ def rows_to_csv_dicts(rows: Sequence[ComparisonRow]) -> List[Dict[str, object]]:
     out: List[Dict[str, object]] = []
     for row in rows:
         if row.error is not None:
-            out.append(
-                {
-                    "scenario": row.scenario,
-                    "arm": "error",
-                    "seed": row.seed,
-                    "initial_loss": math.nan,
-                    "final_loss": math.nan,
-                    "final_ppl": math.nan,
-                    "wall_s": math.nan,
-                    "active_steps": 0,
-                    "regime_switches": 0,
-                    "control_energy": math.nan,
-                }
-            )
+            out.append({**_ERROR_ROW, "scenario": row.scenario, "arm": "error", "seed": row.seed})
             continue
         out.append(result_csv_row(row.scenario, "baseline", row.baseline))
         out.append(result_csv_row(row.scenario, "guard", row.guarded))
@@ -107,23 +99,7 @@ def read_suite_csv(path: Path) -> List[Dict[str, object]]:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or tuple(reader.fieldnames) != CSV_COLUMNS:
             raise ValueError(f"unexpected suite CSV columns in {path}")
-        out = []
-        for raw in reader:
-            out.append(
-                {
-                    "scenario": raw["scenario"],
-                    "arm": raw["arm"],
-                    "seed": int(raw["seed"]),
-                    "initial_loss": float(raw["initial_loss"]),
-                    "final_loss": float(raw["final_loss"]),
-                    "final_ppl": float(raw["final_ppl"]),
-                    "wall_s": float(raw["wall_s"]),
-                    "active_steps": int(raw["active_steps"]),
-                    "regime_switches": int(raw["regime_switches"]),
-                    "control_energy": float(raw["control_energy"]),
-                }
-            )
-        return out
+        return [{col: kind(raw[col]) for col, kind in CSV_SCHEMA.items()} for raw in reader]
 
 
 def _f(x: float) -> str:

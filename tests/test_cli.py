@@ -90,6 +90,15 @@ def test_unknown_run_key_errors(tmp_path, capsys):
     assert "warmup" in err["message"]
 
 
+@pytest.mark.parametrize("key, value", [("clip_g", [1]), ("steps", "x")])
+def test_run_with_a_malformed_value_prints_a_config_error(tmp_path, capsys, key, value):
+    cfg = write_config(tmp_path, extra={"run": {"task": "toy", key: value}})
+    assert main(["--config", str(cfg), "--quiet", "run"]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ConfigError"
+    assert f"invalid {key!r} in section 'run'" in err["message"]
+
+
 def test_suite_with_a_preset_below_min_lr_exits_nonzero(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(config_module, "degrading_lr", lambda *a, **k: 0.4)
     cfg = write_config(tmp_path, extra={

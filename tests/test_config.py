@@ -24,6 +24,7 @@ from guardlab.config import (
     resolve_lr,
 )
 from guardlab.governor import GuardConfig
+from guardlab.harness import NotStressableError
 from guardlab.optim import ClipConfig
 
 SHIPPED = Path(__file__).resolve().parents[1] / "configs" / "default_suite.json"
@@ -78,8 +79,53 @@ def test_preset_below_min_lr_is_a_config_error(monkeypatch):
 
 
 def test_guard_keys_are_exact():
-    assert len(GUARD_KEYS) == 9
+    assert len(GUARD_KEYS) == 8
     assert set(GUARD_KEYS) == set(GuardConfig().__dataclass_fields__)
+
+
+def test_removed_use_max_rms_is_an_unknown_key():
+    with pytest.raises(ConfigError, match="unknown key 'use_max_rms' in section 'guard'"):
+        parse_config({**MINIMAL, "guard": {"use_max_rms": True}})
+
+
+def test_scenario_run_limits_are_checked_at_parse_time():
+    # steps 20 with the default eval_every of 100 makes no RunConfig.
+    scen = {k: v for k, v in MINIMAL["scenarios"][0].items() if k != "eval_every"}
+    with pytest.raises(ConfigError, match=r"'scenarios\[0\]'.*eval_every must lie in \[1, steps\]"):
+        parse_config({**MINIMAL, "scenarios": [scen]})
+
+
+def test_run_section_limits_are_checked_at_parse_time():
+    with pytest.raises(ConfigError, match=r"'run'.*eval_every must lie in \[1, steps\]"):
+        parse_config({**MINIMAL, "run": {"task": "toy", "steps": 20}})
+    with pytest.raises(ConfigError, match=r"'run'.*lr must be > 0"):
+        parse_config({**MINIMAL, "run": {"task": "toy", "lr": -1.0}})
+    with pytest.raises(ConfigError, match="run.task references unknown task 'missing'"):
+        parse_config({**MINIMAL, "run": {"task": "missing"}})
+
+
+def test_run_section_defaults_are_materialized():
+    cfg = parse_config({**MINIMAL, "run": {"task": "toy", "arm": "baseline", "clip_g": None}})
+    assert emit_config(cfg)["run"] == {
+        "task": "toy", "label": "run-toy-baseline", "arm": "baseline", "lr": None,
+        "steps": 1000, "batch_size": 32, "eval_every": 100, "clip_g": None,
+    }
+    run = config_module.run_config(cfg, seed=5)
+    assert run.clip is None and run.guard is None and run.baseline_marker
+    assert run.opt == cfg.optimizer and run.seed == 5
+
+
+def test_unstressable_task_under_a_preset_is_a_config_error(monkeypatch):
+    def no_degrading_lr(*args, **kwargs):
+        raise NotStressableError("task not stressable: no degrading lr within doubling budget")
+
+    monkeypatch.setattr(config_module, "degrading_lr", no_degrading_lr)
+    doc = {**MINIMAL, "scenarios": [{**MINIMAL["scenarios"][0], "lr": "aggressive"}]}
+    with pytest.raises(ConfigError) as info:
+        expand_scenarios(parse_config(doc))
+    message = str(info.value)
+    for part in ("'demo'", "'quadratic'", "'aggressive'", "numeric lr"):
+        assert part in message, part
 
 
 def test_rejects_spike_not_above_stress():
@@ -324,7 +370,7 @@ FULL = {
     "schedule": {"kind": "constant", "min_lr": 1e-4},
     "guard": {"auto_enabled": False, "stats_freq": 5, "stress_threshold": 1.5,
               "spike_threshold": 2.5, "recovery_fast": 0.01, "ema_decay": 0.9,
-              "use_max_rms": False, "c_min": 0.1, "recovery_confirm": 2},
+              "c_min": 0.1, "recovery_confirm": 2},
     "scenarios": [
         {"name": "inj", "kind": "injection", "task": "q", "steps": 40, "lr": "safe",
          "batch_size": 4, "eval_every": 8, "clip_g": [2.0],
@@ -341,7 +387,7 @@ def test_every_field_set_away_from_its_default_round_trips():
 
     cfg = parse_config(FULL)
     scen = cfg.scenarios[0]
-    for obj in (cfg.guard, cfg.optimizer, scen, scen.injection):
+    for obj in (cfg.guard, cfg.optimizer, scen, scen.injection, cfg.run):
         for f in dataclasses.fields(obj):
             if f.default is not dataclasses.MISSING:
                 assert getattr(obj, f.name) != f.default, f.name

@@ -1,5 +1,7 @@
 """Governor-core unit tests: sensing, classification, posture, logging."""
 
+import dataclasses
+import io
 import json
 import math
 
@@ -26,7 +28,6 @@ from guardlab.governor import (
     apply_posture,
     classify_regime,
     gradient_rms,
-    make_step_record,
     record_from_json_dict,
     select_posture,
     sense,
@@ -83,24 +84,14 @@ def test_update_ema_matches_formula(prev, value, decay):
 
 def test_gradient_rms_hand_computed():
     # [DERIVED] RMS of [3, 4] = sqrt((9+16)/2) = sqrt(12.5)
-    assert gradient_rms([np.array([3.0, 4.0])], True) == pytest.approx(
-        math.sqrt(12.5), rel=1e-12
-    )
-
-
-def test_gradient_rms_max_and_mean_rules():
-    groups = [np.array([1.0, 1.0]), np.array([2.0, 2.0])]  # per-group RMS 1 and 2
-    assert gradient_rms(groups, True) == 2.0
-    assert gradient_rms(groups, False) == 1.5
+    assert gradient_rms(np.array([3.0, 4.0])) == pytest.approx(math.sqrt(12.5), rel=1e-12)
 
 
 def test_gradient_rms_rejects_empty_and_non_finite():
     with pytest.raises(ValueError):
-        gradient_rms([], True)
-    with pytest.raises(ValueError):
-        gradient_rms([np.array([])], True)
+        gradient_rms(np.array([]))
     with pytest.raises(NonFiniteGradientError):
-        gradient_rms([np.array([1.0, math.nan])], True)
+        gradient_rms(np.array([1.0, math.nan]))
 
 
 # --------------------------------------------------------------------------
@@ -109,7 +100,7 @@ def test_gradient_rms_rejects_empty_and_non_finite():
 
 
 def test_sense_probe_cadence():
-    grads = [np.array([1.0, 2.0])]
+    grads = np.array([1.0, 2.0])
     assert sense(0, 2.0, grads, 0.1, CFG).grad_rms is not None
     assert sense(7, 2.0, grads, 0.1, CFG).grad_rms is None
     assert sense(10, 2.0, grads, 0.1, CFG).grad_rms is not None
@@ -121,7 +112,7 @@ def test_sense_passes_non_finite_loss_through():
 
 
 def test_sense_non_finite_gradient_yields_missing_probe():
-    sample = sense(0, 2.0, [np.array([math.inf])], 0.1, CFG)
+    sample = sense(0, 2.0, np.array([math.inf]), 0.1, CFG)
     assert sample.grad_rms is None
 
 
@@ -451,18 +442,38 @@ def test_summary_matches_independent_recount(scales, skip_mask, regimes):
 def test_jsonl_round_trip():
     rec = _rec(3, scale=0.5, regime=Regime.STRESS)
     log = StepLog(records=[rec])
-    import io
-
     buf = io.StringIO()
     log.write_jsonl(buf)
     line = buf.getvalue().strip()
     parsed = record_from_json_dict(json.loads(line))
     assert parsed == rec
+    assert parsed.regime is Regime.STRESS
     # JSONL field order is fixed for byte-stable diffs.
     assert list(json.loads(line)) == [
         "step", "loss", "loss_ema", "regime", "scale",
         "active", "skipped", "grad_rms", "lr",
     ]
+
+
+def test_jsonl_line_is_written_exactly():
+    rec = StepRecord(step=4, loss=math.nan, loss_ema=2.5, regime=Regime.SPIKE, scale=0.25,
+                     active=True, skipped=True, grad_rms=None, lr=0.125)
+    buf = io.StringIO()
+    StepLog(records=[rec]).write_jsonl(buf)
+    assert buf.getvalue() == (
+        '{"step": 4, "loss": NaN, "loss_ema": 2.5, "regime": "spike", "scale": 0.25, '
+        '"active": true, "skipped": true, "grad_rms": null, "lr": 0.125}\n'
+    )
+
+
+def test_record_from_json_dict_rejects_a_missing_or_an_unknown_key():
+    line = json.loads(json.dumps(dataclasses.asdict(_rec(3))))
+    assert record_from_json_dict(line) == _rec(3)
+    missing = {k: v for k, v in line.items() if k != "grad_rms"}
+    with pytest.raises(TypeError, match="grad_rms"):
+        record_from_json_dict(missing)
+    with pytest.raises(TypeError, match="rho"):
+        record_from_json_dict({**line, "rho": 1.0})
 
 
 # --------------------------------------------------------------------------
@@ -490,8 +501,8 @@ def test_guard_config_rejects_invalid(kwargs):
 
 def test_governor_skip_on_non_finite_inputs():
     gov = Governor(GuardConfig())
-    gov.observe(0, 1.0, [np.array([0.1])], 0.1, inputs_finite=True)
-    posture = gov.observe(1, math.nan, [np.array([0.1])], 0.1, inputs_finite=False)
+    gov.observe(0, 1.0, np.array([0.1]), 0.1, inputs_finite=True)
+    posture = gov.observe(1, math.nan, np.array([0.1]), 0.1, inputs_finite=False)
     assert posture.skip_step
     rec = gov.log.records[-1]
     assert rec.skipped and rec.active
@@ -501,7 +512,7 @@ def test_governor_skip_on_non_finite_inputs():
 def test_governor_stable_run_is_inactive():
     gov = Governor(GuardConfig())
     for step in range(50):
-        gov.observe(step, 1.0, [np.array([0.1])], 0.1, inputs_finite=True)
+        gov.observe(step, 1.0, np.array([0.1]), 0.1, inputs_finite=True)
     summary = gov.log.finalize()
     assert summary.control_active_steps == 0
     assert summary.control_energy == 0.0

@@ -1,5 +1,7 @@
 """Stress-harness tests: injection, run determinism, calibration, suite plumbing."""
 
+import dataclasses
+import io
 import json
 import math
 from dataclasses import replace
@@ -168,12 +170,46 @@ def test_write_run_artifacts_paths(tmp_path):
     assert payload["total_steps"] == result.summary.total_steps
 
 
+# Each GuardConfig field moved away from its default. A field missing here
+# fails its case below, so a new knob must show an effect to ship.
+GUARD_FIELD_AWAY = {
+    "auto_enabled": False,
+    "stats_freq": 3,
+    "stress_threshold": 1.5,
+    "spike_threshold": 1.3,
+    "recovery_fast": 0.05,
+    "ema_decay": 0.9,
+    "c_min": 0.9,
+    "recovery_confirm": 1,
+}
+
+
+def _guard_jsonl(guard: GuardConfig) -> str:
+    cfg = RunConfig(
+        task=TaskSpec(kind="bigram_lm", dims={"alphabet": 8, "corpus_len": 256, "eval_len": 64}),
+        opt=OptimizerConfig(lr=1.0),
+        guard=guard,
+        steps=200,
+        eval_every=200,
+        seed=7,
+        injection=InjectionSpec(magnitude=50.0, period=25, mode="gradient_burst"),
+    )
+    buf = io.StringIO()
+    run_training(cfg).log.write_jsonl(buf)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(GuardConfig)])
+def test_every_guard_config_field_changes_the_telemetry(name):
+    away = GuardConfig(**{name: GUARD_FIELD_AWAY[name]})
+    assert _guard_jsonl(away) != _guard_jsonl(GuardConfig())
+
+
 def test_run_result_reports_finite_metrics():
     result = run_training(tiny_run(baseline=True))
     assert math.isfinite(result.initial_loss)
     assert math.isfinite(result.final_loss)
     assert result.wall_seconds > 0
-    assert result.steps_per_second > 0
     assert len(result.eval_trace) >= 2
 
 

@@ -15,6 +15,7 @@ from guardlab.harness import (
 )
 from guardlab.report import (
     CSV_COLUMNS,
+    CSV_SCHEMA,
     read_suite_csv,
     render_report,
     render_report_from_csv,
@@ -57,6 +58,24 @@ def test_csv_round_trip(tmp_path, suite_rows):
     back = read_suite_csv(path)
     assert len(back) == len(rows_to_csv_dicts(suite_rows))
     assert tuple(back[0].keys()) == CSV_COLUMNS
+
+
+def test_error_row_is_written_exactly_and_read_back_typed(tmp_path):
+    path = tmp_path / "suite.csv"
+    write_suite_csv([ComparisonRow(scenario="broken", seed=7, baseline=None, guarded=None,
+                                   error="ValueError: boom")], path)
+    assert path.read_bytes() == (
+        b"scenario,arm,seed,initial_loss,final_loss,final_ppl,wall_s,"
+        b"active_steps,regime_switches,control_energy\r\n"
+        b"broken,error,7,nan,nan,nan,nan,0,0,nan\r\n"
+    )
+    (row,) = read_suite_csv(path)
+    assert row["scenario"] == "broken" and row["arm"] == "error" and row["seed"] == 7
+    for col, kind in CSV_SCHEMA.items():
+        assert type(row[col]) is kind, col
+        if kind is float:
+            assert math.isnan(row[col]), col
+    assert row["active_steps"] == row["regime_switches"] == 0
 
 
 def test_read_rejects_wrong_columns(tmp_path):
