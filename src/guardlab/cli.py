@@ -25,6 +25,11 @@ class CliError(RuntimeError):
     pass
 
 
+def _print_error(error: str, message: str, **context) -> None:
+    """One JSON error line on stderr: {"error", "message"} plus context."""
+    print(json.dumps({"error": error, "message": message, **context}), file=sys.stderr)
+
+
 def _load_config(args) -> SuiteConfig:
     if not args.config:
         raise CliError("--config PATH is required for this subcommand")
@@ -95,7 +100,10 @@ def cmd_suite(args) -> int:
     report_path.write_text(render_report_from_csv(read_suite_csv(csv_path)), encoding="utf-8")
     if not args.quiet:
         print(f"wrote {csv_path} and {report_path}")
-    return 0
+    failed = [row for row in rows if row.error is not None]
+    for row in failed:
+        _print_error("PairFailed", row.error, scenario=row.scenario, seed=row.seed)
+    return 1 if failed else 0
 
 
 def cmd_calibrate(args) -> int:
@@ -150,10 +158,7 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except (CliError, ValueError, RuntimeError, OSError) as exc:
-        print(
-            json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-            file=sys.stderr,
-        )
+        _print_error(type(exc).__name__, str(exc))
         return 1
 
 

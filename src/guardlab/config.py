@@ -26,7 +26,7 @@ from .harness import (
     probe_config,
 )
 from .optim import ClipConfig, ScheduleKind
-from .tasks import task_dims
+from .tasks import TASK_CLASSES, task_dims
 
 __all__ = ["SuiteConfig", "ScenarioSpec", "parse_config", "emit_config", "run_config",
            "ConfigError"]
@@ -151,6 +151,13 @@ class SuiteConfig:
     run: Optional[RunSection] = None
 
 
+def _parse_seeds(seeds) -> Tuple[int, ...]:
+    seeds = _unique("seed", (int(s) for s in seeds))
+    if not seeds:
+        raise ValueError("at least one seed is required")
+    return seeds
+
+
 def _parse_task(name: str, data) -> TaskSpec:
     return _build(
         f"tasks.{name}", TaskSpec, data, dims=dict,
@@ -174,6 +181,13 @@ def _parse_scenario(idx: int, data, tasks: Dict[str, TaskSpec]) -> ScenarioSpec:
     def validate(scen: ScenarioSpec) -> None:
         if scen.task not in tasks:
             raise ConfigError(f"{section}.task references unknown task {scen.task!r}")
+        task_kind = tasks[scen.task].kind
+        if (scen.injection is not None and scen.injection.mode == "outlier_batch"
+                and TASK_CLASSES[task_kind].integer_targets):
+            raise ConfigError(
+                f"scenario {scen.name!r}: injection mode 'outlier_batch' scales batch targets, "
+                f"and task kind {task_kind!r} has integer targets; use 'gradient_burst'"
+            )
         RunConfig(**_scenario_fields(scen, tasks))
 
     return _build(
@@ -233,7 +247,7 @@ def parse_config(source: Union[str, Path, dict]) -> SuiteConfig:
     cfg = _build(
         "root", SuiteConfig, doc,
         out_dir=str,
-        seeds=lambda seeds: _unique("seed", (int(s) for s in seeds)),
+        seeds=_parse_seeds,
         optimizer=lambda d: _build("optimizer", OptimizerConfig, d),
         guard=lambda d: _build("guard", GuardConfig, d),
         scenarios=lambda raw: _unique(

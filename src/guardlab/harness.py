@@ -31,7 +31,7 @@ from .optim import (
     schedule_lr,
 )
 from .rngstream import CounterStream
-from .tasks import Batch, Task, evaluate, forward_backward, make_task
+from .tasks import Batch, Task, evaluate, evaluate_rows, forward_backward, make_task
 
 __all__ = [
     "TaskSpec",
@@ -295,9 +295,9 @@ def run_probe_ladder(cfg: RunConfig, lrs: Sequence[float]) -> List[ProbeResult]:
     Rung l is bitwise equal to run_training(cfg with opt.lr = lrs[l]) in its
     params, eval trace and losses: the task is built and each batch drawn
     once for every rung (neither depends on lr), params and AdamW moments
-    are stacked as (L, n) rows through the elementwise adamw_step, and each
-    rung is evaluated on its own row. The governor is left out: with the
-    guard off and no clip it is the identity on the update.
+    are stacked as (L, n) rows through the elementwise adamw_step, and all
+    rungs are evaluated in one eval_loss_rows call. The governor is left
+    out: with the guard off and no clip it is the identity on the update.
     """
     if cfg.guard_or_disabled().auto_enabled or cfg.clip is not None:
         raise ValueError("a probe ladder runs baseline arms: guard disabled, no clip")
@@ -317,20 +317,19 @@ def run_probe_ladder(cfg: RunConfig, lrs: Sequence[float]) -> List[ProbeResult]:
         delta, opt_state = adamw_step(
             opt_state, params, grads, lr_t, cfg.opt, check_finite=False
         )
-        params = params + delta
+        params += delta
         if (step + 1) % cfg.eval_every == 0:
-            for trace, row in zip(traces, params):
-                ev = evaluate(task, row)
+            for trace, ev in zip(traces, evaluate_rows(task, params)):
                 trace.append((step + 1, ev.eval_loss, ev.perplexity))
     return [
         ProbeResult(
             lr=float(lr),
             initial_loss=initial.eval_loss,
-            final_loss=evaluate(task, row).eval_loss,
+            final_loss=final.eval_loss,
             eval_trace=trace,
             params=row,
         )
-        for lr, trace, row in zip(lrs, traces, params)
+        for lr, trace, row, final in zip(lrs, traces, params, evaluate_rows(task, params))
     ]
 
 

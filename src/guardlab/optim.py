@@ -118,16 +118,23 @@ def adamw_step(
     # The textbook expression
     #   -lr_t * (m_hat / (sqrt(v_hat) + eps) + weight_decay * params)
     # evaluated op by op in the same order, in fresh buffers updated in place
-    # (bitwise equal, fewer temporaries). Inputs are never written.
+    # and one scratch buffer for the products added to them (bitwise equal,
+    # fewer temporaries). Inputs are never written. The weight-decay pass
+    # runs even at weight_decay 0, where it can turn a -0.0 delta into +0.0.
+    scratch = np.multiply(1.0 - cfg.beta1, grads)
     m = cfg.beta1 * state.m
-    m += (1.0 - cfg.beta1) * grads
+    m += scratch
+    np.multiply(1.0 - cfg.beta2, grads, out=scratch)
+    scratch *= grads
     v = cfg.beta2 * state.v
-    v += ((1.0 - cfg.beta2) * grads) * grads
-    den = np.sqrt(v / (1.0 - cfg.beta2 ** t))
+    v += scratch
+    den = np.divide(v, 1.0 - cfg.beta2 ** t)
+    np.sqrt(den, out=den)
     den += cfg.eps
     delta = m / (1.0 - cfg.beta1 ** t)
     delta /= den
-    delta += cfg.weight_decay * params
+    np.multiply(cfg.weight_decay, params, out=scratch)
+    delta += scratch
     delta *= -lr_t
     return delta, OptimizerState(m=m, v=v, t=t)
 

@@ -9,9 +9,10 @@ fixed at construction and disjoint from the training stream.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from .rngstream import StreamState, advance, generator
 
 __all__ = [
     "TASK_KINDS",
+    "TASK_CLASSES",
     "Batch",
     "EvalResult",
     "Task",
@@ -29,6 +31,7 @@ __all__ = [
     "task_dims",
     "forward_backward",
     "evaluate",
+    "evaluate_rows",
     "sample_batch",
 ]
 
@@ -63,6 +66,9 @@ class Task:
     kind: str
     seed: int
     n_params: int
+    # Batches carry integer targets (token ids), which outlier_batch
+    # injection cannot scale.
+    integer_targets = False
 
     def init_params(self) -> np.ndarray:
         raise NotImplementedError
@@ -83,6 +89,11 @@ class Task:
 
     def eval_loss(self, params: np.ndarray) -> float:
         raise NotImplementedError
+
+    def eval_loss_rows(self, param_rows: np.ndarray) -> np.ndarray:
+        """eval_loss of each row of an (L, n_params) stack; entry l is
+        bitwise equal to eval_loss(param_rows[l])."""
+        return np.array([self.eval_loss(row) for row in param_rows])
 
     def draw_batch(self, rng: np.random.Generator, batch_size: int) -> Batch:
         raise NotImplementedError
@@ -239,6 +250,7 @@ class BigramLmTask(Task):
     """
 
     kind = "bigram_lm"
+    integer_targets = True
 
     def __init__(
         self,
@@ -266,29 +278,22 @@ class BigramLmTask(Task):
     def init_params(self) -> np.ndarray:
         return np.zeros(self.n_params)
 
-    def _ce(self, param_rows, prev, nxt) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Mean cross-entropy for each row of (L, A*A) logits, with the
-        unnormalised softmax of the picked logit rows and its sums."""
-        a = self.alphabet
-        shifted = param_rows.reshape(param_rows.shape[0], a, a)[:, prev]
-        shifted -= shifted.max(axis=2, keepdims=True)
-        probs = np.exp(shifted)
-        total = probs.sum(axis=2, keepdims=True)
-        logp = shifted[:, np.arange(len(prev)), nxt] - np.log(total[:, :, 0])
-        # C order keeps each row's mean the pairwise sum of the 1-D case.
-        return -np.mean(np.ascontiguousarray(logp), axis=1), probs, total
-
     def _ce_and_grad(self, param_rows, prev, nxt) -> Tuple[np.ndarray, np.ndarray]:
         """Mean cross-entropy and its gradient for each row of (L, A*A) logits."""
         a = self.alphabet
         n_rows, n = param_rows.shape[0], len(prev)
-        losses, probs, total = self._ce(param_rows, prev, nxt)
+        shifted = param_rows.reshape(n_rows, a, a)[:, prev]
+        shifted -= shifted.max(axis=2, keepdims=True)
+        probs = np.exp(shifted)
+        total = probs.sum(axis=2, keepdims=True)
+        losses = -_row_means(shifted[:, np.arange(n), nxt] - np.log(total[:, :, 0]))
         probs /= total
         probs[:, np.arange(n), nxt] -= 1.0
         probs /= n
         # bincount adds each bin's entries in batch order, as np.add.at does.
-        logit_rows = np.arange(n_rows)[:, None] * a + prev
-        bins = (logit_rows[:, :, None] * a + np.arange(a)).ravel()
+        # One (L, n, A) add: each row's offset plus each pair's A bins.
+        pair_bins = prev[:, None] * a + np.arange(a)
+        bins = (np.arange(n_rows)[:, None, None] * (a * a) + pair_bins).ravel()
         grad = np.bincount(bins, weights=probs.ravel(), minlength=n_rows * a * a)
         return losses, grad.reshape(n_rows, a * a)
 
@@ -300,14 +305,29 @@ class BigramLmTask(Task):
         return self._ce_and_grad(param_rows, batch.inputs.astype(int), batch.targets.astype(int))
 
     def eval_loss(self, params) -> float:
+        return float(self.eval_loss_rows(params[None])[0])
+
+    def eval_loss_rows(self, param_rows):
+        """Mean cross-entropy of each row on the eval pairs, as _ce_and_grad
+        computes it, but with each of the A logit rows normalised once
+        instead of once per pair that reads it."""
         prev, nxt = self._eval_pairs
-        losses, _, _ = self._ce(params[None], prev, nxt)
-        return float(losses[0])
+        a = self.alphabet
+        logits = param_rows.reshape(param_rows.shape[0], a, a)
+        shifted = logits - logits.max(axis=2, keepdims=True)
+        log_total = np.log(np.exp(shifted).sum(axis=2))
+        return -_row_means(shifted[:, prev, nxt] - log_total[:, prev])
 
     def draw_batch(self, rng, batch_size):
         prev, nxt = self._train_pairs
         idx = rng.integers(0, len(prev), size=batch_size)
         return Batch(inputs=prev[idx], targets=nxt[idx])
+
+
+def _row_means(x: np.ndarray) -> np.ndarray:
+    """np.mean(x, axis=1), spelled out; C order keeps each row's sum the
+    pairwise sum of the 1-D case."""
+    return np.add.reduce(np.ascontiguousarray(x), axis=1) / x.shape[1]
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -324,20 +344,16 @@ def _markov_pairs(
 
     Generator.choice draws one uniform per call and returns the
     right-bisection of it in the row's cumsum divided by its last entry; the
-    chain's uniforms are the same numbers drawn in one call.
+    chain's uniforms are the same numbers drawn in one call, and each is
+    bisected in the current token's row only.
     """
     a = probs.shape[0]
     cdf = probs.cumsum(axis=1)
     cdf /= cdf[:, -1:]
+    rows = cdf.tolist()
     chain = [int(rng.integers(0, a))]
-    uniforms = rng.random(length)
-    # successor[r, i]: the token after r at position i of the chain.
-    successor = np.empty((a, length), dtype=np.min_scalar_type(a))
-    for row, out in zip(cdf, successor):
-        out[:] = np.searchsorted(row, uniforms, side="right")
-    table = memoryview(successor.ravel())
-    for i in range(length):
-        chain.append(table[chain[-1] * length + i])
+    for u in rng.random(length).tolist():
+        chain.append(bisect.bisect_right(rows[chain[-1]], u))
     tokens = np.array(chain, dtype=np.int64)
     return tokens[:-1].copy(), tokens[1:].copy()
 
@@ -363,13 +379,13 @@ def task_dims(kind: str, dims: Optional[Dict] = None) -> Dict:
     return merged
 
 
-_TASK_CLASSES = {cls.kind: cls for cls in (QuadraticTask, MlpRegressionTask, BigramLmTask)}
+TASK_CLASSES = {cls.kind: cls for cls in (QuadraticTask, MlpRegressionTask, BigramLmTask)}
 
 
 def make_task(kind: str, dims: Optional[Dict] = None, seed: int = 0) -> Task:
     """Deterministic task factory: same (kind, dims, seed) -> identical task."""
     dims = task_dims(kind, dims)
-    return _TASK_CLASSES[kind](seed=seed, **dims)
+    return TASK_CLASSES[kind](seed=seed, **dims)
 
 
 def forward_backward(task: Task, params: np.ndarray, batch: Batch):
@@ -380,6 +396,11 @@ def forward_backward(task: Task, params: np.ndarray, batch: Batch):
 def evaluate(task: Task, params: np.ndarray) -> EvalResult:
     """Mean loss over the fixed eval set; perplexity = exp(loss)."""
     return _eval_result(task.eval_loss(np.asarray(params, dtype=float)))
+
+
+def evaluate_rows(task: Task, param_rows: np.ndarray) -> List[EvalResult]:
+    """evaluate for each row of an (L, n_params) stack, in one eval_loss_rows call."""
+    return [_eval_result(loss) for loss in task.eval_loss_rows(param_rows)]
 
 
 def sample_batch(

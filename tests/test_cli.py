@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from guardlab import config as config_module
+from guardlab import harness
 from guardlab.cli import main
 from guardlab.config import expand_scenarios, parse_config
 from guardlab.harness import TaskSpec, calibrate_divergence_lr
@@ -161,3 +162,36 @@ def test_suite_with_an_unknown_task_kind_or_dim_exits_nonzero(tmp_path, capsys, 
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "ConfigError" and "tasks.toy" in err["message"]
     assert not (out / "suite.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "suite"])
+def test_an_empty_seed_list_prints_a_config_error(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, extra={"seeds": []})
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "--quiet", command]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ConfigError" and "'seeds'" in err["message"]
+    assert not out.exists()
+
+
+def test_suite_with_a_failing_pair_reports_it_and_exits_nonzero(tmp_path, capsys, monkeypatch):
+    real_run_training = harness.run_training
+
+    def run_training(cfg, out_dir=None):
+        if cfg.label == "stress-guard":
+            raise FloatingPointError("boom")
+        return real_run_training(cfg, out_dir)
+
+    monkeypatch.setattr(harness, "run_training", run_training)
+    cfg = write_config(tmp_path, extra={"seeds": [7, 42]})
+    out = tmp_path / "suite_out"
+    assert main(["--config", str(cfg), "--out", str(out), "--quiet", "suite"]) == 1
+    errors = [json.loads(line) for line in capsys.readouterr().err.strip().splitlines()]
+    assert errors == [
+        {"error": "PairFailed", "message": "FloatingPointError: boom",
+         "scenario": "stress", "seed": seed}
+        for seed in (7, 42)
+    ]
+    with open(out / "suite.csv") as fh:
+        assert [row["arm"] for row in csv.DictReader(fh)] == ["error", "error"]
+    assert "stress" in (out / "report.md").read_text()

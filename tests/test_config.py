@@ -341,6 +341,25 @@ def test_duplicate_seeds_are_rejected():
         parse_config({**MINIMAL, "seeds": [7, 42, 7]})
 
 
+def test_an_empty_seed_list_is_rejected():
+    with pytest.raises(ConfigError, match="'seeds' in section 'root'"):
+        parse_config({**MINIMAL, "seeds": []})
+
+
+@pytest.mark.parametrize("injection", [{}, {"mode": "outlier_batch", "period": 5}])
+def test_outlier_batch_on_integer_targets_is_a_config_error(injection):
+    doc = {**MINIMAL,
+           "tasks": {"tokens": {"kind": "bigram_lm", "dims": {"alphabet": 8}}},
+           "scenarios": [{**SCEN, "name": "spiky", "kind": "injection", "task": "tokens",
+                          "injection": injection}]}
+    with pytest.raises(ConfigError) as info:
+        parse_config(doc)
+    for part in ("'spiky'", "'bigram_lm'", "'outlier_batch'"):
+        assert part in str(info.value)
+    doc["scenarios"][0]["injection"] = {**injection, "mode": "gradient_burst"}
+    assert parse_config(doc).scenarios[0].injection.mode == "gradient_burst"
+
+
 def test_shipped_config_parses_and_round_trips():
     cfg = parse_config(SHIPPED)
     assert parse_config(emit_config(cfg)) == cfg

@@ -1,0 +1,60 @@
+"""Golden output of a tiny suite: pins every output byte that a performance
+change must leave alone.
+
+The digest covers suite.csv without its wall_s column and every file under
+runs/ (each run's JSONL and summary), in name order. It was recorded before
+the one-softmax-per-row eval, the scratch-buffer AdamW and the bisect corpus
+walk landed, so it holds them to the outputs of the code they replaced.
+"""
+
+import csv
+import hashlib
+import json
+
+from guardlab.cli import main
+
+GOLDEN_SUITE_SHA256 = "1881e2ff97a4b6255d98d3b76dce09750ce2313f29b84167d1e51524e34ed415"
+
+TINY_SUITE = {
+    "seeds": [7],
+    "tasks": {
+        "bigram": {"kind": "bigram_lm", "dims": {"alphabet": 8}},
+        "quadratic": {"kind": "quadratic", "dims": {}},
+    },
+    "scenarios": [
+        {"name": "lr-stress", "kind": "lr_stress", "task": "bigram",
+         "steps": 40, "lr": "aggressive", "eval_every": 10},
+        {"name": "lr-moderate", "kind": "lr_stress", "task": "bigram",
+         "steps": 40, "lr": "moderate", "eval_every": 10},
+        {"name": "clip", "kind": "clip_baseline", "task": "bigram",
+         "steps": 40, "lr": "aggressive", "eval_every": 10, "clip_g": [1.0, 0.5]},
+        {"name": "bursts", "kind": "injection", "task": "bigram",
+         "steps": 40, "lr": "aggressive", "eval_every": 10, "clip_g": [1.0],
+         "injection": {"magnitude": 50.0, "period": 10, "mode": "gradient_burst"}},
+        {"name": "long", "kind": "long_budget", "task": "bigram",
+         "steps": 80, "lr": "aggressive", "eval_every": 20},
+        {"name": "benign", "kind": "seed_sweep", "task": "quadratic",
+         "steps": 40, "lr": 0.001, "eval_every": 10},
+    ],
+}
+
+
+def suite_digest(out) -> str:
+    h = hashlib.sha256()
+    with open(out / "suite.csv", newline="", encoding="utf-8") as fh:
+        for row in csv.DictReader(fh):
+            del row["wall_s"]
+            h.update(json.dumps(row).encode("utf-8"))
+    for path in sorted((out / "runs").iterdir()):
+        h.update(path.name.encode("utf-8"))
+        h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+def test_tiny_suite_outputs_match_the_golden_digest(tmp_path):
+    cfg = tmp_path / "suite.json"
+    cfg.write_text(json.dumps(TINY_SUITE))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "--quiet", "suite"]) == 0
+    assert len(list((out / "runs").iterdir())) == 2 * 13
+    assert suite_digest(out) == GOLDEN_SUITE_SHA256

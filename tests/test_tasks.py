@@ -227,3 +227,45 @@ def test_loss_and_grad_rows_bitwise_per_row(kind):
         ref_loss, ref_grad = task.loss_and_grad(row.copy(), batch)
         assert float(loss) == ref_loss
         assert grad.tobytes() == ref_grad.tobytes()
+
+
+# --------------------------------------------------------------------------
+# Batched eval
+# --------------------------------------------------------------------------
+
+
+def _per_pair_eval_losses(task, param_rows):
+    """The bigram eval as it was before eval_loss_rows: a softmax for each
+    eval pair, over the logit row that pair reads."""
+    prev, nxt = task._eval_pairs
+    a = task.alphabet
+    shifted = param_rows.reshape(param_rows.shape[0], a, a)[:, prev]
+    shifted -= shifted.max(axis=2, keepdims=True)
+    probs = np.exp(shifted)
+    total = probs.sum(axis=2, keepdims=True)
+    logp = shifted[:, np.arange(len(prev)), nxt] - np.log(total[:, :, 0])
+    return -np.mean(np.ascontiguousarray(logp), axis=1)
+
+
+SMALL_BIGRAM_DIMS = {"alphabet": 8, "corpus_len": 256, "eval_len": 64}
+
+
+@pytest.mark.parametrize("dims", [{}, SMALL_BIGRAM_DIMS], ids=["default", "small"])
+@pytest.mark.parametrize("n_rows", [1, 3, 21])
+def test_bigram_eval_loss_rows_bitwise_equal_per_pair_eval(dims, n_rows):
+    task = make_task("bigram_lm", dims, seed=5)
+    rng = np.random.default_rng(n_rows)
+    stacks = [rng.normal(size=(n_rows, task.n_params)) * 10.0**k for k in range(-3, 5)]
+    special = rng.normal(size=(n_rows, task.n_params))
+    special[0, ::7] = math.inf
+    special[-1, 3::11] = -math.inf
+    special[n_rows // 2, 5] = math.nan
+    stacks.append(special)
+    with np.errstate(all="ignore"):
+        for rows in stacks:
+            ref = _per_pair_eval_losses(task, rows.copy())
+            assert task.eval_loss_rows(rows).tobytes() == ref.tobytes()
+            for row, ref_loss in zip(rows, ref):
+                assert np.float64(task.eval_loss(row)).tobytes() == ref_loss.tobytes()
+        assert not np.isfinite(_per_pair_eval_losses(task, special)).all()
+
