@@ -98,6 +98,12 @@ def _unique(what: str, values: Iterable, key=lambda value: value) -> tuple:
     return values
 
 
+def _check_file_stem(what: str, value: str) -> None:
+    """value goes into run file names, so it must not leave the runs directory."""
+    if "/" in value or "\\" in value:
+        raise ValueError(f"{what} must not contain '/' or '\\', got {value!r}")
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     name: str
@@ -117,6 +123,7 @@ class ScenarioSpec:
             raise ValueError(f"lr must be a number or one of {LR_PRESETS}, got {self.lr!r}")
         for g in self.clip_g:
             ClipConfig(g=g)
+        _check_file_stem("name", self.name)
 
 
 @dataclass(frozen=True)
@@ -136,6 +143,7 @@ class RunSection:
     def __post_init__(self):
         if self.arm not in ("guard", "baseline"):
             raise ValueError(f"arm must be 'guard' or 'baseline', got {self.arm!r}")
+        _check_file_stem("label", self.label)
 
 
 @dataclass(frozen=True)
@@ -192,7 +200,7 @@ def _parse_scenario(idx: int, data, tasks: Dict[str, TaskSpec]) -> ScenarioSpec:
 
     return _build(
         section, ScenarioSpec, {**defaults, **data}, validate=validate,
-        steps=int, batch_size=int, eval_every=int, clip_g=tuple,
+        steps=int, batch_size=int, eval_every=int, clip_g=lambda g: _unique("clip_g", g),
         injection=lambda d: _build(f"{section}.injection", InjectionSpec, d, steps=tuple),
     )
 
@@ -202,7 +210,7 @@ def _parse_run(data, cfg: SuiteConfig) -> RunSection:
     label = f"run-{_object('run', data).get('task')}-{data.get('arm', RunSection.arm)}"
     return _build(
         "run", RunSection, {"label": label, **data},
-        validate=lambda run: run_config(replace(cfg, run=run), seed=0),
+        validate=lambda run: run_config(replace(cfg, run=run), seed=0).schedule(),
         lr=_optional(float), steps=int, batch_size=int, eval_every=int, clip_g=_optional(float),
     )
 
@@ -315,41 +323,32 @@ def expand_scenarios(
     cache = {} if cache is None else cache
     pairs: List[Tuple[str, RunConfig, RunConfig]] = []
     for scen in cfg.scenarios:
-        common = dict(
-            _scenario_fields(scen, cfg.tasks),
-            opt=cfg.optimizer,
-            schedule_kind=cfg.schedule_kind,
-            min_lr=cfg.min_lr,
-        )
-        arms = [RunConfig(baseline_marker=True, seed=seed, **common) for seed in cfg.seeds]
+        baselines = [
+            RunConfig(opt=cfg.optimizer, schedule_kind=cfg.schedule_kind, min_lr=cfg.min_lr,
+                      baseline_marker=True, seed=seed, label=f"{scen.name}-baseline",
+                      **_scenario_fields(scen, cfg.tasks))
+            for seed in cfg.seeds
+        ]
         try:
-            lr = resolve_lr(scen.lr, arms, cache)
+            lr = resolve_lr(scen.lr, baselines, cache)
         except NotStressableError as exc:
             raise ConfigError(
                 f"scenario {scen.name!r}: lr preset {scen.lr!r} needs a rate that degrades task "
-                f"kind {common['task'].kind!r}, and none does; give the scenario a numeric lr"
+                f"kind {cfg.tasks[scen.task].kind!r}, and none does; give the scenario a numeric lr"
             ) from exc
         if lr < cfg.min_lr:
             raise ConfigError(
                 f"scenario {scen.name!r} resolves lr {scen.lr!r} to {lr:g}, below "
                 f"schedule.min_lr {cfg.min_lr:g}; no schedule decays upwards"
             )
-        common["opt"] = replace(cfg.optimizer, lr=lr)
-        for seed in cfg.seeds:
-            guard_cfg = RunConfig(guard=cfg.guard, seed=seed, label=f"{scen.name}-guard", **common)
+        for arm in baselines:
+            base_cfg = replace(arm, opt=replace(cfg.optimizer, lr=lr))
+            guard_cfg = replace(base_cfg, guard=cfg.guard, baseline_marker=False,
+                                label=f"{scen.name}-guard")
             if scen.kind in ("clip_baseline", "injection"):
                 for g in scen.clip_g:
-                    base_cfg = RunConfig(
-                        baseline_marker=True,
-                        clip=ClipConfig(g=g),
-                        seed=seed,
-                        label=f"{scen.name}-clip{g}",
-                        **common,
-                    )
-                    pairs.append((f"{scen.name}/clip_g={g}", base_cfg, guard_cfg))
+                    clip_cfg = replace(base_cfg, clip=ClipConfig(g=g), label=f"{scen.name}-clip{g}")
+                    pairs.append((f"{scen.name}/clip_g={g}", clip_cfg, guard_cfg))
             else:
-                base_cfg = RunConfig(
-                    baseline_marker=True, seed=seed, label=f"{scen.name}-baseline", **common
-                )
                 pairs.append((scen.name, base_cfg, guard_cfg))
     return pairs

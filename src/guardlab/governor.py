@@ -317,9 +317,6 @@ class StepLog:
             )
         self.records.append(rec)
 
-    def finalize(self) -> TelemetrySummary:
-        return summarize_records(self.records)
-
     def write_jsonl(self, fh: IO[str]) -> None:
         # A Regime, being a str, is written as its value.
         for rec in self.records:

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .governor import Governor, GuardConfig, StepLog, TelemetrySummary
+from .governor import Governor, GuardConfig, StepLog, TelemetrySummary, summarize_records
 from .optim import (
     ClipConfig,
     OptimizerConfig,
@@ -52,8 +52,7 @@ __all__ = [
     "NotStressableError",
 ]
 
-# A run is severely degraded when its final eval loss is non-finite or more
-# than twice its initial eval loss.
+# The multiple of the initial eval loss above which severe_degradation flags a loss.
 DEGRADATION_FACTOR = 2.0
 
 _BATCH_STREAM = 0
@@ -247,7 +246,7 @@ def run_training(cfg: RunConfig, out_dir: Optional[Path] = None) -> RunResult:
         final_loss=final.eval_loss,
         final_perplexity=final.perplexity,
         wall_seconds=wall,
-        summary=gov.log.finalize(),
+        summary=summarize_records(gov.log.records),
         eval_trace=eval_trace,
         log=gov.log,
         params=params,
@@ -271,22 +270,19 @@ def write_run_artifacts(result: RunResult, out_dir: Path) -> Tuple[Path, Path]:
     return jsonl_path, summary_path
 
 
-def severe_degradation(result: Union[RunResult, ProbeResult]) -> bool:
-    return not math.isfinite(result.final_loss) or (
-        result.final_loss > DEGRADATION_FACTOR * result.initial_loss
-    )
+def severe_degradation(loss: float, initial_loss: float) -> bool:
+    """An eval loss is severely degraded when it is non-finite or more than
+    DEGRADATION_FACTOR times the run's initial eval loss."""
+    return not math.isfinite(loss) or loss > DEGRADATION_FACTOR * initial_loss
 
 
 def _probe_degraded(result: Union[RunResult, ProbeResult], criterion: str) -> bool:
     """peak: any eval checkpoint degraded; final: only the final eval counts
     (non-finite mid-run evals count either way, the run is already dead)."""
-    if any(not math.isfinite(loss) for _, loss, _ in result.eval_trace):
-        return True
-    if criterion == "peak":
-        threshold = DEGRADATION_FACTOR * result.initial_loss
-        if any(loss > threshold for _, loss, _ in result.eval_trace):
-            return True
-    return severe_degradation(result)
+    checkpoints = [loss for _, loss, _ in result.eval_trace
+                   if criterion == "peak" or not math.isfinite(loss)]
+    return any(severe_degradation(loss, result.initial_loss)
+               for loss in [*checkpoints, result.final_loss])
 
 
 def run_probe_ladder(cfg: RunConfig, lrs: Sequence[float]) -> List[ProbeResult]:

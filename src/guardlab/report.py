@@ -13,7 +13,7 @@ from collections import defaultdict
 from pathlib import Path
 from typing import Dict, List, Sequence
 
-from .harness import ComparisonRow, DEGRADATION_FACTOR, RunResult, seed_stats
+from .harness import ComparisonRow, RunResult, seed_stats, severe_degradation
 
 __all__ = [
     "CSV_SCHEMA",
@@ -22,7 +22,6 @@ __all__ = [
     "write_csv_rows",
     "write_suite_csv",
     "read_suite_csv",
-    "render_report",
     "render_report_from_csv",
     "verdict",
     "result_csv_row",
@@ -47,7 +46,7 @@ _ERROR_ROW = {col: math.nan if kind is float else kind() for col, kind in CSV_SC
 
 
 def verdict(final_loss: float, initial_loss: float) -> str:
-    if not math.isfinite(final_loss) or final_loss > DEGRADATION_FACTOR * initial_loss:
+    if severe_degradation(final_loss, initial_loss):
         return "severe degradation"
     if final_loss < initial_loss:
         return "trainable"
@@ -154,7 +153,3 @@ def render_report_from_csv(csv_rows: Sequence[Dict[str, object]]) -> str:
                 )
         lines.append("")
     return "\n".join(lines)
-
-
-def render_report(rows: Sequence[ComparisonRow]) -> str:
-    return render_report_from_csv(rows_to_csv_dicts(rows))

@@ -102,8 +102,9 @@ def test_run_with_a_malformed_value_prints_a_config_error(tmp_path, capsys, key,
 
 def test_suite_with_a_preset_below_min_lr_exits_nonzero(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(config_module, "degrading_lr", lambda *a, **k: 0.4)
+    # "safe" resolves to 0.4 / 512, below min_lr; the run section's lr 0.01 is not.
     cfg = write_config(tmp_path, extra={
-        "schedule": {"min_lr": 0.05},
+        "schedule": {"min_lr": 0.005},
         "scenarios": [{"name": "gentle", "kind": "lr_stress", "task": "toy", "steps": 30,
                        "lr": "safe", "batch_size": 8, "eval_every": 10}],
     })

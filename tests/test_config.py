@@ -100,6 +100,9 @@ def test_run_section_limits_are_checked_at_parse_time():
         parse_config({**MINIMAL, "run": {"task": "toy", "steps": 20}})
     with pytest.raises(ConfigError, match=r"'run'.*lr must be > 0"):
         parse_config({**MINIMAL, "run": {"task": "toy", "lr": -1.0}})
+    # No schedule decays to a run lr below schedule.min_lr.
+    with pytest.raises(ConfigError, match=r"'run'.*min_lr must lie in \[0, base_lr\]"):
+        parse_config({**MINIMAL, "schedule": {"min_lr": 0.05}, "run": {"task": "toy", "lr": 0.01}})
     with pytest.raises(ConfigError, match="run.task references unknown task 'missing'"):
         parse_config({**MINIMAL, "run": {"task": "missing"}})
 
@@ -344,6 +347,27 @@ def test_duplicate_seeds_are_rejected():
 def test_an_empty_seed_list_is_rejected():
     with pytest.raises(ConfigError, match="'seeds' in section 'root'"):
         parse_config({**MINIMAL, "seeds": []})
+
+
+@pytest.mark.parametrize("name", ["../escape", "a\\b"])
+def test_a_scenario_name_with_a_path_separator_is_rejected(name):
+    # The name goes into run file names, which must stay in the runs directory.
+    scen = {**MINIMAL["scenarios"][0], "name": name}
+    with pytest.raises(ConfigError, match=r"'scenarios\[0\]'.*name must not contain"):
+        parse_config({**MINIMAL, "scenarios": [scen]})
+
+
+@pytest.mark.parametrize("label", ["../escape", "a\\b"])
+def test_a_run_label_with_a_path_separator_is_rejected(label):
+    with pytest.raises(ConfigError, match=r"'run'.*label must not contain"):
+        parse_config({**MINIMAL, "run": {"task": "toy", "label": label}})
+
+
+@pytest.mark.parametrize("clip_g", [[1.0, 1.0], [1, 0.5, 1.0]])
+def test_duplicate_clip_thresholds_are_rejected(clip_g):
+    scen = {**MINIMAL["scenarios"][0], "kind": "clip_baseline", "clip_g": clip_g}
+    with pytest.raises(ConfigError, match=r"duplicate clip_g: 1(\.0)?$"):
+        parse_config({**MINIMAL, "scenarios": [scen]})
 
 
 @pytest.mark.parametrize("injection", [{}, {"mode": "outlier_batch", "period": 5}])

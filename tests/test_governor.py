@@ -378,7 +378,7 @@ def test_log_append_and_monotonicity():
 
 
 def test_finalize_empty_log():
-    summary = StepLog().finalize()
+    summary = summarize_records(StepLog().records)
     assert summary.total_steps == 0
     assert summary.control_active_steps == 0
     assert summary.regime_switches == 0
@@ -390,7 +390,7 @@ def test_finalize_counts_and_energy():
     log = StepLog()
     for i, s in enumerate((1.0, 0.5, 1.0)):
         log.append(_rec(i, scale=s))
-    summary = log.finalize()
+    summary = summarize_records(log.records)
     assert summary.control_active_steps == 1
     assert summary.control_energy == pytest.approx(0.25, rel=1e-12)
     assert summary.min_scale == 0.5
@@ -399,7 +399,7 @@ def test_finalize_counts_and_energy():
 def test_finalize_skipped_contributes_one():
     log = StepLog()
     log.append(_rec(0, skipped=True))
-    summary = log.finalize()
+    summary = summarize_records(log.records)
     assert summary.control_active_steps == 1
     assert summary.skipped_steps == 1
     assert summary.control_energy == 1.0
@@ -410,7 +410,7 @@ def test_regime_switch_count():
     regimes = [Regime.STABLE, Regime.SPIKE, Regime.SPIKE, Regime.RECOVERY]
     for i, r in enumerate(regimes):
         log.append(_rec(i, regime=r))
-    assert log.finalize().regime_switches == 2
+    assert summarize_records(log.records).regime_switches == 2
 
 
 @settings(max_examples=100, deadline=None)
@@ -513,7 +513,7 @@ def test_governor_stable_run_is_inactive():
     gov = Governor(GuardConfig())
     for step in range(50):
         gov.observe(step, 1.0, np.array([0.1]), 0.1, inputs_finite=True)
-    summary = gov.log.finalize()
+    summary = summarize_records(gov.log.records)
     assert summary.control_active_steps == 0
     assert summary.control_energy == 0.0
 
@@ -585,7 +585,6 @@ class GuardedStepMachine(RuleBasedStateMachine):
     @invariant()
     def summary_is_recomputable_from_the_log(self):
         summary = summarize_records(self.gov.log.records)
-        assert summary == self.gov.log.finalize()
         assert summary == TelemetrySummary(
             total_steps=self.step,
             control_active_steps=self.active,

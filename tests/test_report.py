@@ -17,7 +17,6 @@ from guardlab.report import (
     CSV_COLUMNS,
     CSV_SCHEMA,
     read_suite_csv,
-    render_report,
     render_report_from_csv,
     rows_to_csv_dicts,
     verdict,
@@ -95,9 +94,3 @@ def test_report_numbers_match_csv_to_4dp(tmp_path, suite_rows):
     for row in csv_rows:
         cell = f"{float(row['final_ppl']):.4f}"
         assert cell in report, cell
-
-
-def test_render_report_matches_csv_rendering(suite_rows):
-    direct = render_report(suite_rows)
-    via_csv = render_report_from_csv(rows_to_csv_dicts(suite_rows))
-    assert direct == via_csv
