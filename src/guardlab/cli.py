@@ -18,8 +18,6 @@ from .report import (
     write_suite_csv,
 )
 
-__all__ = ["main"]
-
 
 class CliError(RuntimeError):
     pass
@@ -55,6 +53,14 @@ def _echo_config(cfg: SuiteConfig, out: Path, quiet: bool) -> None:
         fh.write("\n")
     if not quiet:
         print(f"configuration (defaults applied) echoed to {echo_path}")
+
+
+def _write_report(out: Path) -> Path:
+    """Render out/report.md from out/suite.csv."""
+    report_path = out / "report.md"
+    text = render_report_from_csv(read_suite_csv(out / "suite.csv"))
+    report_path.write_text(text, encoding="utf-8")
+    return report_path
 
 
 def cmd_run(args) -> int:
@@ -96,8 +102,7 @@ def cmd_suite(args) -> int:
     rows = run_suite(pairs, out_dir=out / "runs")
     csv_path = out / "suite.csv"
     write_suite_csv(rows, csv_path)
-    report_path = out / "report.md"
-    report_path.write_text(render_report_from_csv(read_suite_csv(csv_path)), encoding="utf-8")
+    report_path = _write_report(out)
     if not args.quiet:
         print(f"wrote {csv_path} and {report_path}")
     failed = [row for row in rows if row.error is not None]
@@ -121,8 +126,7 @@ def cmd_report(args) -> int:
     csv_path = out / "suite.csv"
     if not csv_path.exists():
         raise CliError(f"no suite.csv found in {out}")
-    report_path = out / "report.md"
-    report_path.write_text(render_report_from_csv(read_suite_csv(csv_path)), encoding="utf-8")
+    report_path = _write_report(out)
     if not args.quiet:
         print(f"wrote {report_path}")
     return 0

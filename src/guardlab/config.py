@@ -28,15 +28,12 @@ from .harness import (
 from .optim import ClipConfig, ScheduleKind
 from .tasks import TASK_CLASSES, task_dims
 
-__all__ = ["SuiteConfig", "ScenarioSpec", "parse_config", "emit_config", "run_config",
-           "ConfigError"]
-
-GUARD_KEYS = tuple(f.name for f in dataclasses.fields(GuardConfig))
-ROOT_KEYS = ("out_dir", "seeds", "tasks", "optimizer", "schedule", "guard", "scenarios", "run")
-# The schedule section's keys and the SuiteConfig fields they fill.
-SCHEDULE_FIELDS = {"kind": "schedule_kind", "min_lr": "min_lr"}
 SCENARIO_KINDS = ("lr_stress", "clip_baseline", "injection", "long_budget", "seed_sweep")
-LR_PRESETS = ("aggressive", "moderate", "safe")
+# Each lr preset's backoff factor from the calibrated aggressive rate. With
+# the doubling grid these land well inside (moderate) and far inside (safe)
+# the trainable region observed during calibration.
+PRESET_BACKOFF = {"aggressive": 1.0, "moderate": 32.0, "safe": 512.0}
+LR_PRESETS = tuple(PRESET_BACKOFF)
 
 
 class ConfigError(ValueError):
@@ -49,30 +46,24 @@ def _object(section: str, data) -> dict:
     return data
 
 
-def _fields(section: str, data, allowed: Iterable[str], convert: dict) -> dict:
-    """The entries of the JSON object data, each key checked against allowed
-    and each value passed through convert[key] when given."""
-    out = {}
+def _build(section: str, cls, data, validate=None, **convert):
+    """cls from the JSON object data, whose keys must be fields of cls.
+
+    Each value passes through convert[key] when given, and validate, when
+    given, checks the built object. Any error in a value, in validate or in
+    cls's own checks is a ConfigError naming the section.
+    """
+    allowed = [f.name for f in dataclasses.fields(cls)]
+    kwargs = {}
     for key, value in _object(section, data).items():
         if key not in allowed:
             raise ConfigError(f"unknown key {key!r} in section {section!r}")
         try:
-            out[key] = convert[key](value) if key in convert else value
+            kwargs[key] = convert[key](value) if key in convert else value
         except ConfigError:
             raise
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid {key!r} in section {section!r}: {exc}") from exc
-    return out
-
-
-def _build(section: str, cls, data, validate=None, **convert):
-    """cls from the JSON object data, whose keys must be fields of cls.
-
-    Values pass through convert as in _fields, and validate, when given,
-    checks the built object. Any error there or in cls's own checks is a
-    ConfigError naming the section.
-    """
-    kwargs = _fields(section, data, [f.name for f in dataclasses.fields(cls)], convert)
     try:
         obj = cls(**kwargs)
         if validate is not None:
@@ -109,10 +100,10 @@ class ScenarioSpec:
     name: str
     kind: str
     task: str
-    steps: int = 1000
+    steps: int = RunConfig.steps
     lr: Union[str, float] = "moderate"
-    batch_size: int = 32
-    eval_every: int = 100
+    batch_size: int = RunConfig.batch_size
+    eval_every: int = RunConfig.eval_every
     clip_g: Tuple[float, ...] = (1.0, 0.5)
     injection: Optional[InjectionSpec] = None
 
@@ -135,9 +126,9 @@ class RunSection:
     label: str
     arm: str = "guard"
     lr: Optional[float] = None
-    steps: int = 1000
-    batch_size: int = 32
-    eval_every: int = 100
+    steps: int = RunConfig.steps
+    batch_size: int = RunConfig.batch_size
+    eval_every: int = RunConfig.eval_every
     clip_g: Optional[float] = None
 
     def __post_init__(self):
@@ -147,13 +138,18 @@ class RunSection:
 
 
 @dataclass(frozen=True)
+class ScheduleSection:
+    kind: ScheduleKind = ScheduleKind.COSINE
+    min_lr: float = 0.0
+
+
+@dataclass(frozen=True)
 class SuiteConfig:
     out_dir: str = "results"
     seeds: Tuple[int, ...] = (7, 42, 123)
     tasks: Dict[str, TaskSpec] = field(default_factory=dict)
     optimizer: OptimizerConfig = OptimizerConfig()
-    schedule_kind: ScheduleKind = ScheduleKind.COSINE
-    min_lr: float = 0.0
+    schedule: ScheduleSection = ScheduleSection()
     guard: GuardConfig = GuardConfig()
     scenarios: Tuple[ScenarioSpec, ...] = ()
     run: Optional[RunSection] = None
@@ -182,8 +178,10 @@ def _scenario_fields(scen: ScenarioSpec, tasks: Dict[str, TaskSpec]) -> dict:
 def _parse_scenario(idx: int, data, tasks: Dict[str, TaskSpec]) -> ScenarioSpec:
     section = f"scenarios[{idx}]"
     kind, task = _object(section, data).get("kind"), data.get("task")
-    defaults = {"name": f"{kind}-{task}", "steps": 5000 if kind == "long_budget" else 1000}
-    if kind == "injection":
+    defaults = {"name": f"{kind}-{task}"}
+    if kind == "long_budget":
+        defaults["steps"] = 5000
+    elif kind == "injection":
         defaults["injection"] = {}
 
     def validate(scen: ScenarioSpec) -> None:
@@ -223,8 +221,8 @@ def run_config(cfg: SuiteConfig, seed: int) -> RunConfig:
     return RunConfig(
         task=cfg.tasks[run.task],
         opt=cfg.optimizer if run.lr is None else replace(cfg.optimizer, lr=run.lr),
-        schedule_kind=cfg.schedule_kind,
-        min_lr=cfg.min_lr,
+        schedule_kind=cfg.schedule.kind,
+        min_lr=cfg.schedule.min_lr,
         guard=cfg.guard if run.arm == "guard" else None,
         baseline_marker=run.arm == "baseline",
         clip=None if run.clip_g is None else ClipConfig(g=run.clip_g),
@@ -241,12 +239,7 @@ def parse_config(source: Union[str, Path, dict]) -> SuiteConfig:
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:
             source = json.load(fh)
-    doc = _fields("root", source, ROOT_KEYS, {})
-    schedule = _fields(
-        "schedule", doc.pop("schedule", {}), SCHEDULE_FIELDS,
-        {"kind": ScheduleKind, "min_lr": float},
-    )
-    doc.update((SCHEDULE_FIELDS[key], value) for key, value in schedule.items())
+    doc = dict(_object("root", source))
     tasks = doc["tasks"] = {
         name: _parse_task(name, spec)
         for name, spec in _object("tasks", doc.get("tasks", {})).items()
@@ -257,6 +250,7 @@ def parse_config(source: Union[str, Path, dict]) -> SuiteConfig:
         out_dir=str,
         seeds=_parse_seeds,
         optimizer=lambda d: _build("optimizer", OptimizerConfig, d),
+        schedule=lambda d: _build("schedule", ScheduleSection, d, kind=ScheduleKind, min_lr=float),
         guard=lambda d: _build("guard", GuardConfig, d),
         scenarios=lambda raw: _unique(
             "scenario name",
@@ -270,8 +264,7 @@ def parse_config(source: Union[str, Path, dict]) -> SuiteConfig:
 def emit_config(cfg: SuiteConfig) -> dict:
     """Fully defaulted configuration document; parse_config(emit(cfg)) == cfg."""
     doc = dataclasses.asdict(cfg)
-    doc["schedule"] = {key: doc.pop(name) for key, name in SCHEDULE_FIELDS.items()}
-    doc["schedule"]["kind"] = cfg.schedule_kind.value
+    doc["schedule"]["kind"] = cfg.schedule.kind.value
     for scen in doc["scenarios"]:
         if scen["injection"] is None:
             del scen["injection"]
@@ -280,21 +273,14 @@ def emit_config(cfg: SuiteConfig) -> dict:
     return doc
 
 
-# Backoff factors from the calibrated aggressive rate. With the doubling
-# grid these land well inside (moderate) and far inside (safe) the
-# trainable region observed during calibration.
-MODERATE_BACKOFF = 32.0
-SAFE_BACKOFF = 512.0
-
-
 def resolve_lr(
     lr: Union[str, float], arms: Sequence[RunConfig], cache: Optional[dict] = None
 ) -> float:
     """Turn an lr preset into a concrete rate via divergence calibration.
 
     aggressive: the largest rate over arms (one per seed) whose full-length
-    baseline probe ends degraded, so it degrades every arm; moderate and
-    safe back off from it by fixed factors. cache maps each probe to its
+    baseline probe ends degraded, so it degrades every arm; each preset
+    divides it by its PRESET_BACKOFF factor. cache maps each probe to its
     rate, so arms with equal probes calibrate once.
     """
     if not isinstance(lr, str):
@@ -308,12 +294,7 @@ def resolve_lr(
         if probe not in cache:
             cache[probe] = degrading_lr(probe, criterion="final")
         rates.append(cache[probe])
-    aggressive = max(rates)
-    if lr == "aggressive":
-        return aggressive
-    if lr == "moderate":
-        return aggressive / MODERATE_BACKOFF
-    return aggressive / SAFE_BACKOFF
+    return max(rates) / PRESET_BACKOFF[lr]
 
 
 def expand_scenarios(
@@ -324,9 +305,9 @@ def expand_scenarios(
     pairs: List[Tuple[str, RunConfig, RunConfig]] = []
     for scen in cfg.scenarios:
         baselines = [
-            RunConfig(opt=cfg.optimizer, schedule_kind=cfg.schedule_kind, min_lr=cfg.min_lr,
-                      baseline_marker=True, seed=seed, label=f"{scen.name}-baseline",
-                      **_scenario_fields(scen, cfg.tasks))
+            RunConfig(opt=cfg.optimizer, schedule_kind=cfg.schedule.kind,
+                      min_lr=cfg.schedule.min_lr, baseline_marker=True, seed=seed,
+                      label=f"{scen.name}-baseline", **_scenario_fields(scen, cfg.tasks))
             for seed in cfg.seeds
         ]
         try:
@@ -336,10 +317,10 @@ def expand_scenarios(
                 f"scenario {scen.name!r}: lr preset {scen.lr!r} needs a rate that degrades task "
                 f"kind {cfg.tasks[scen.task].kind!r}, and none does; give the scenario a numeric lr"
             ) from exc
-        if lr < cfg.min_lr:
+        if lr < cfg.schedule.min_lr:
             raise ConfigError(
                 f"scenario {scen.name!r} resolves lr {scen.lr!r} to {lr:g}, below "
-                f"schedule.min_lr {cfg.min_lr:g}; no schedule decays upwards"
+                f"schedule.min_lr {cfg.schedule.min_lr:g}; no schedule decays upwards"
             )
         for arm in baselines:
             base_cfg = replace(arm, opt=replace(cfg.optimizer, lr=lr))

@@ -16,31 +16,6 @@ from typing import IO, List, Optional, Sequence
 
 import numpy as np
 
-__all__ = [
-    "TelemetryError",
-    "NonFiniteGradientError",
-    "Regime",
-    "GuardConfig",
-    "TelemetrySample",
-    "AnalyzerState",
-    "ControlPosture",
-    "StepRecord",
-    "TelemetrySummary",
-    "update_ema",
-    "gradient_rms",
-    "sense",
-    "classify_regime",
-    "select_posture",
-    "apply_posture",
-    "StepLog",
-    "summarize_records",
-    "Governor",
-    "ACTIVE_SCALE_TOLERANCE",
-    "C_MAX",
-    "SPIKE_DAMPING",
-    "STRESS_DAMPING",
-]
-
 # A step counts as control-active when scale < 1 - tolerance; strict
 # inequality with a tolerance keeps floating noise out of the counter.
 ACTIVE_SCALE_TOLERANCE = 1e-9

@@ -33,25 +33,6 @@ from .optim import (
 from .rngstream import CounterStream
 from .tasks import Batch, Task, evaluate, evaluate_rows, forward_backward, make_task
 
-__all__ = [
-    "TaskSpec",
-    "InjectionSpec",
-    "RunConfig",
-    "RunResult",
-    "ProbeResult",
-    "ComparisonRow",
-    "run_training",
-    "run_probe_ladder",
-    "probe_config",
-    "degrading_lr",
-    "calibrate_divergence_lr",
-    "inject_outliers",
-    "run_suite",
-    "config_pair_diff",
-    "severe_degradation",
-    "NotStressableError",
-]
-
 # The multiple of the initial eval loss above which severe_degradation flags a loss.
 DEGRADATION_FACTOR = 2.0
 
@@ -374,25 +355,18 @@ def degrading_lr(
 
 def calibrate_divergence_lr(
     task: TaskSpec,
-    opt: OptimizerConfig = OptimizerConfig(),
     probe_steps: int = 300,
     seed: int = 7,
     floor: float = 1e-4,
-    schedule_kind: ScheduleKind = ScheduleKind.COSINE,
-    batch_size: int = 32,
     max_doublings: int = 20,
     criterion: str = "peak",
     injection: Optional[InjectionSpec] = None,
-    min_lr: float = 0.0,
 ) -> float:
-    """degrading_lr of the probe for a probe_steps-long baseline run."""
+    """degrading_lr of the probe for a probe_steps-long baseline run with
+    RunConfig's defaults."""
     arm = RunConfig(
         task=task,
-        opt=opt,
-        schedule_kind=schedule_kind,
-        min_lr=min_lr,
         steps=probe_steps,
-        batch_size=batch_size,
         eval_every=probe_steps,
         seed=seed,
         injection=injection,

@@ -21,19 +21,6 @@ from .governor import (
     apply_posture,
 )
 
-__all__ = [
-    "OptimizerConfig",
-    "OptimizerState",
-    "ClipConfig",
-    "ScheduleKind",
-    "ScheduleConfig",
-    "init_optimizer_state",
-    "adamw_step",
-    "clip_global_norm",
-    "schedule_lr",
-    "guarded_step",
-]
-
 
 @dataclass(frozen=True)
 class OptimizerConfig:
@@ -149,6 +136,10 @@ def clip_global_norm(grads: np.ndarray, g: float) -> Tuple[np.ndarray, float]:
     pre_norm = float(np.linalg.norm(grads))
     if pre_norm <= g:
         return grads, pre_norm
+    if math.isinf(pre_norm):
+        # The sum of squares overflows: take the direction from a copy divided by max|g|.
+        unit = grads / np.abs(grads).max()
+        return unit * (g / float(np.linalg.norm(unit))), pre_norm
     return grads * (g / pre_norm), pre_norm
 
 
@@ -184,7 +175,8 @@ def guarded_step(
 
     grad_scale models a gradient corruption entering the optimizer after
     the clipping stage (so magnitude clipping cannot remove it); the
-    sensing stage still observes the corrupted gradient.
+    sensing stage still observes the corrupted gradient, and a burst that
+    overflows it to non-finite skips the step.
     """
     grads = np.asarray(grads, dtype=float)
     inputs_finite = bool(math.isfinite(loss) and np.isfinite(grads).all())
@@ -192,6 +184,7 @@ def guarded_step(
         grads, _ = clip_global_norm(grads, clip.g)
     if grad_scale != 1.0:
         grads = grads * grad_scale
+        inputs_finite = inputs_finite and bool(np.isfinite(grads).all())
     posture = gov.observe(step, loss, grads, lr_t, inputs_finite)
     if posture.skip_step:
         return params, opt_state, gov.log.records[-1]

@@ -15,18 +15,6 @@ from typing import Dict, List, Sequence
 
 from .harness import ComparisonRow, RunResult, seed_stats, severe_degradation
 
-__all__ = [
-    "CSV_SCHEMA",
-    "CSV_COLUMNS",
-    "rows_to_csv_dicts",
-    "write_csv_rows",
-    "write_suite_csv",
-    "read_suite_csv",
-    "render_report_from_csv",
-    "verdict",
-    "result_csv_row",
-]
-
 # The suite CSV's columns, in file order, each with the type it reads back as.
 CSV_SCHEMA = {
     "scenario": str,

@@ -10,8 +10,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-__all__ = ["StreamState", "CounterStream", "generator", "advance"]
-
 _U64 = 0xFFFFFFFFFFFFFFFF
 
 

@@ -18,25 +18,6 @@ import numpy as np
 
 from .rngstream import StreamState, advance, generator
 
-__all__ = [
-    "TASK_KINDS",
-    "TASK_CLASSES",
-    "Batch",
-    "EvalResult",
-    "Task",
-    "QuadraticTask",
-    "MlpRegressionTask",
-    "BigramLmTask",
-    "make_task",
-    "task_dims",
-    "forward_backward",
-    "evaluate",
-    "evaluate_rows",
-    "sample_batch",
-]
-
-TASK_KINDS = ("quadratic", "mlp_regression", "bigram_lm")
-
 
 @dataclass
 class Batch:
@@ -66,6 +47,8 @@ class Task:
     kind: str
     seed: int
     n_params: int
+    # The constructor's dims with their defaults; task_dims casts to each default's type.
+    default_dims: Dict[str, object]
     # Batches carry integer targets (token ids), which outlier_batch
     # injection cannot scale.
     integer_targets = False
@@ -108,8 +91,9 @@ class QuadraticTask(Task):
     """
 
     kind = "quadratic"
+    default_dims = {"dim": 20, "condition": 1e3, "noise": 0.0}
 
-    def __init__(self, dim: int, condition: float, seed: int, noise: float = 0.0):
+    def __init__(self, dim: int, condition: float, seed: int, noise: float):
         if dim < 2:
             raise ValueError("quadratic dim must be >= 2")
         if condition < 1.0:
@@ -160,6 +144,9 @@ class MlpRegressionTask(Task):
     """
 
     kind = "mlp_regression"
+    default_dims = {"d_in": 5, "d_hidden": 8, "d_out": 2, "noise": 0.02}
+    # Rows in the fixed eval set.
+    eval_size = 128
 
     def __init__(
         self,
@@ -167,8 +154,7 @@ class MlpRegressionTask(Task):
         d_hidden: int,
         d_out: int,
         seed: int,
-        noise: float = 0.02,
-        eval_size: int = 128,
+        noise: float,
     ):
         if min(d_in, d_hidden, d_out) < 1:
             raise ValueError("mlp dims must be >= 1")
@@ -185,7 +171,7 @@ class MlpRegressionTask(Task):
         b2 += 0.5
         self._teacher = self._pack(w1, b1, w2, b2)
         self._x0 = 0.5 * rng.normal(size=self.n_params)
-        x_eval = rng.normal(size=(eval_size, d_in))
+        x_eval = rng.normal(size=(self.eval_size, d_in))
         self._eval_x = x_eval
         self._eval_y = self._predict(self._teacher, x_eval)
 
@@ -251,14 +237,15 @@ class BigramLmTask(Task):
 
     kind = "bigram_lm"
     integer_targets = True
+    default_dims = {"alphabet": 32, "corpus_len": 4096, "eval_len": 512, "concentration": 2.0}
 
     def __init__(
         self,
         alphabet: int,
         seed: int,
-        corpus_len: int = 4096,
-        eval_len: int = 512,
-        concentration: float = 2.0,
+        corpus_len: int,
+        eval_len: int,
+        concentration: float,
     ):
         if alphabet < 2:
             raise ValueError("alphabet must be >= 2")
@@ -358,28 +345,21 @@ def _markov_pairs(
     return tokens[:-1].copy(), tokens[1:].copy()
 
 
-_DEFAULT_DIMS: Dict[str, Dict] = {
-    "quadratic": {"dim": 20, "condition": 1e3, "noise": 0.0},
-    "mlp_regression": {"d_in": 5, "d_hidden": 8, "d_out": 2, "noise": 0.02},
-    "bigram_lm": {"alphabet": 32, "corpus_len": 4096, "eval_len": 512, "concentration": 2.0},
-}
+TASK_CLASSES = {cls.kind: cls for cls in (QuadraticTask, MlpRegressionTask, BigramLmTask)}
 
 
 def task_dims(kind: str, dims: Optional[Dict] = None) -> Dict:
     """kind's default dims updated by dims, each converted to its default's
     type; raises ValueError (TypeError) for an unknown kind, an unknown dim
     or an unconvertible value. Builds nothing."""
-    if kind not in TASK_KINDS:
+    if kind not in TASK_CLASSES:
         raise ValueError(f"unknown task kind: {kind!r}")
-    merged = dict(_DEFAULT_DIMS[kind])
+    merged = dict(TASK_CLASSES[kind].default_dims)
     for key, value in (dims or {}).items():
         if key not in merged:
             raise ValueError(f"unknown dim {key!r} for task kind {kind!r}")
         merged[key] = type(merged[key])(value)
     return merged
-
-
-TASK_CLASSES = {cls.kind: cls for cls in (QuadraticTask, MlpRegressionTask, BigramLmTask)}
 
 
 def make_task(kind: str, dims: Optional[Dict] = None, seed: int = 0) -> Task:

@@ -1,5 +1,6 @@
 """Configuration parsing, validation, and scenario-expansion tests."""
 
+import dataclasses
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -8,10 +9,8 @@ import pytest
 
 from guardlab import config as config_module
 from guardlab.config import (
-    GUARD_KEYS,
     LR_PRESETS,
-    MODERATE_BACKOFF,
-    SAFE_BACKOFF,
+    PRESET_BACKOFF,
     ConfigError,
     InjectionSpec,
     OptimizerConfig,
@@ -42,7 +41,7 @@ MINIMAL = {
 def test_parse_minimal_config_defaults():
     cfg = parse_config(MINIMAL)
     assert cfg.seeds == (7, 42, 123)
-    assert cfg.schedule_kind is ScheduleKind.COSINE
+    assert cfg.schedule.kind is ScheduleKind.COSINE
     assert cfg.guard == GuardConfig()
     assert cfg.scenarios[0].name == "demo"
 
@@ -79,8 +78,9 @@ def test_preset_below_min_lr_is_a_config_error(monkeypatch):
 
 
 def test_guard_keys_are_exact():
-    assert len(GUARD_KEYS) == 8
-    assert set(GUARD_KEYS) == set(GuardConfig().__dataclass_fields__)
+    keys = {f.name for f in dataclasses.fields(GuardConfig)}
+    assert len(keys) == 8
+    assert set(emit_config(parse_config(MINIMAL))["guard"]) == keys
 
 
 def test_removed_use_max_rms_is_an_unknown_key():
@@ -265,8 +265,7 @@ def test_probes_decay_to_the_suite_min_lr(monkeypatch):
 
 def test_lr_presets_and_backoffs():
     assert set(LR_PRESETS) == {"aggressive", "moderate", "safe"}
-    assert MODERATE_BACKOFF == 32.0
-    assert SAFE_BACKOFF == 512.0
+    assert PRESET_BACKOFF == {"aggressive": 1.0, "moderate": 32.0, "safe": 512.0}
 
 
 def test_expand_scenarios_pairs_share_everything_but_governance():
@@ -434,6 +433,6 @@ def test_every_field_set_away_from_its_default_round_trips():
         for f in dataclasses.fields(obj):
             if f.default is not dataclasses.MISSING:
                 assert getattr(obj, f.name) != f.default, f.name
-    assert cfg.schedule_kind is ScheduleKind.CONSTANT and cfg.min_lr == 1e-4
+    assert cfg.schedule.kind is ScheduleKind.CONSTANT and cfg.schedule.min_lr == 1e-4
     assert json.loads(json.dumps(emit_config(cfg))) == FULL
     assert parse_config(emit_config(cfg)) == cfg

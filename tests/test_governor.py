@@ -522,13 +522,15 @@ def test_governor_stable_run_is_inactive():
 # guarded_step under adversarial telemetry (stateful)
 # --------------------------------------------------------------------------
 
-EXTREMES = [math.nan, math.inf, -math.inf, 1e300, 1e-300]
+# 1e307 is finite, and a burst of 50 overflows it.
+EXTREMES = [math.nan, math.inf, -math.inf, 1e307, 1e300, 1e-300]
 N_PARAMS = 4
 
 
 class GuardedStepMachine(RuleBasedStateMachine):
-    """Drive guarded_step with NaN, +-inf, 1e300 and 1e-300 losses and
-    gradients, and check the governor's invariants after every step."""
+    """Drive guarded_step with NaN, +-inf, 1e307, 1e300 and 1e-300 losses and
+    gradients, with and without a gradient burst, and check the governor's
+    invariants after every step."""
 
     @initialize(
         c_min=st.floats(0.01, 1.0),
@@ -552,18 +554,23 @@ class GuardedStepMachine(RuleBasedStateMachine):
         loss=st.one_of(st.sampled_from(EXTREMES), st.floats(0.01, 10.0)),
         grad_fill=st.one_of(st.sampled_from(EXTREMES), st.floats(-10.0, 10.0)),
         grad_at=st.integers(0, N_PARAMS),
+        burst=st.sampled_from([1.0, 50.0]),
     )
-    def step_once(self, loss, grad_fill, grad_at):
+    def step_once(self, loss, grad_fill, grad_at, burst):
         # grad_fill lands on one entry (or, at N_PARAMS, on all of them).
         grads = np.full(N_PARAMS, 0.5)
         grads[grad_at if grad_at < N_PARAMS else slice(None)] = grad_fill
-        finite = math.isfinite(loss) and bool(np.isfinite(grads).all())
+        # The skip oracle reads the gradient after the burst. A clipped
+        # gradient has norm <= 1, so only an unclipped one can overflow.
+        with np.errstate(over="ignore", invalid="ignore"):
+            seen = grads if self.clip is not None else grads * burst
+        finite = math.isfinite(loss) and bool(np.isfinite(seen).all())
         before = (self.params.tobytes(), self.opt_state.m.tobytes(),
                   self.opt_state.v.tobytes(), self.opt_state.t)
         with np.errstate(over="ignore"):
             self.params, self.opt_state, rec = guarded_step(
                 self.gov, self.opt_state, self.params, grads, loss, self.step, 0.01,
-                self.opt_cfg, self.clip,
+                self.opt_cfg, self.clip, grad_scale=burst,
             )
         after = (self.params.tobytes(), self.opt_state.m.tobytes(),
                  self.opt_state.v.tobytes(), self.opt_state.t)

@@ -178,6 +178,15 @@ def test_clip_rejects_non_finite():
         clip_global_norm(np.array([math.inf]), 1.0)
 
 
+def test_clip_keeps_the_direction_when_the_norm_overflows():
+    # Finite entries whose sum of squares overflows: the norm reads inf,
+    # and the clipped vector still points along the gradient.
+    with np.errstate(over="ignore"):
+        clipped, pre_norm = clip_global_norm(np.array([1e200, -1e200]), 1.0)
+    assert pre_norm == math.inf
+    np.testing.assert_allclose(clipped, [math.sqrt(0.5), -math.sqrt(0.5)], rtol=1e-12)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     vec=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=16),

@@ -7,8 +7,7 @@ import pytest
 
 from guardlab.rngstream import StreamState, advance
 from guardlab.tasks import (
-    TASK_KINDS,
-    BigramLmTask,
+    TASK_CLASSES,
     QuadraticTask,
     evaluate,
     forward_backward,
@@ -23,7 +22,7 @@ from reference_impl import central_difference_gradient
 # --------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("kind", sorted(TASK_KINDS))
+@pytest.mark.parametrize("kind", sorted(TASK_CLASSES))
 def test_gradient_matches_finite_differences(kind):
     # [DERIVED] central-difference oracle at 20 random points per task kind.
     task = make_task(kind, seed=11)
@@ -49,7 +48,7 @@ def test_gradient_matches_finite_differences(kind):
 # --------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("kind", sorted(TASK_KINDS))
+@pytest.mark.parametrize("kind", sorted(TASK_CLASSES))
 def test_make_task_deterministic_in_seed(kind):
     a = make_task(kind, seed=3)
     b = make_task(kind, seed=3)
@@ -85,7 +84,7 @@ def test_make_task_rejects_unknown_dim():
 
 
 def test_quadratic_gradient_closed_form():
-    task = QuadraticTask(dim=8, condition=100.0, seed=5)
+    task = QuadraticTask(dim=8, condition=100.0, seed=5, noise=0.0)
     rng = np.random.default_rng(1)
     params = rng.normal(size=8)
     batch = task.draw_batch(np.random.default_rng(2), 4)
@@ -96,7 +95,7 @@ def test_quadratic_gradient_closed_form():
 
 
 def test_quadratic_minimizer_is_stationary_with_zero_loss():
-    task = QuadraticTask(dim=6, condition=1e3, seed=9)
+    task = QuadraticTask(dim=6, condition=1e3, seed=9, noise=0.0)
     theta_star = task.minimizer()
     batch = task.draw_batch(np.random.default_rng(0), 4)
     loss, grad = forward_backward(task, theta_star, batch)
@@ -111,7 +110,7 @@ def test_quadratic_minimizer_is_stationary_with_zero_loss():
 
 def test_bigram_zero_params_gives_uniform_loss():
     # [DERIVED] all-zero logits are a uniform model: CE = ln(alphabet).
-    task = BigramLmTask(alphabet=32, seed=4)
+    task = make_task("bigram_lm", {"alphabet": 32}, seed=4)
     res = evaluate(task, task.init_params())
     assert res.eval_loss == pytest.approx(math.log(32), rel=1e-12)
     assert res.perplexity == pytest.approx(32.0, rel=1e-9)
@@ -214,7 +213,7 @@ def test_bigram_corpus_golden(seed, dims, digest):
     assert h.hexdigest() == digest
 
 
-@pytest.mark.parametrize("kind", sorted(TASK_KINDS))
+@pytest.mark.parametrize("kind", sorted(TASK_CLASSES))
 def test_loss_and_grad_rows_bitwise_per_row(kind):
     task = make_task(kind, seed=5)
     batch, _ = sample_batch(task, StreamState(seed=5, stream=0), batch_size=16)
