@@ -23,10 +23,11 @@ from .harness import (
     RunConfig,
     TaskSpec,
     degrading_lr,
+    parallel_map,
     probe_config,
 )
 from .optim import ClipConfig, ScheduleKind
-from .tasks import TASK_CLASSES, task_dims
+from .tasks import TASK_CLASSES, strict_int, task_dims
 
 SCENARIO_KINDS = ("lr_stress", "clip_baseline", "injection", "long_budget", "seed_sweep")
 # Each lr preset's backoff factor from the calibrated aggressive rate. With
@@ -156,17 +157,21 @@ class SuiteConfig:
 
 
 def _parse_seeds(seeds) -> Tuple[int, ...]:
-    seeds = _unique("seed", (int(s) for s in seeds))
+    seeds = _unique("seed", (strict_int(s) for s in seeds))
     if not seeds:
         raise ValueError("at least one seed is required")
     return seeds
 
 
 def _parse_task(name: str, data) -> TaskSpec:
-    return _build(
+    """The task, holding its given dims as converted, so that its echo, its
+    cache key and the task it builds agree."""
+    spec = _build(
         f"tasks.{name}", TaskSpec, data, dims=dict,
         validate=lambda t: task_dims(t.kind, t.dims),
     )
+    dims = task_dims(spec.kind, spec.dims)
+    return replace(spec, dims={key: dims[key] for key in spec.dims})
 
 
 def _scenario_fields(scen: ScenarioSpec, tasks: Dict[str, TaskSpec]) -> dict:
@@ -198,8 +203,11 @@ def _parse_scenario(idx: int, data, tasks: Dict[str, TaskSpec]) -> ScenarioSpec:
 
     return _build(
         section, ScenarioSpec, {**defaults, **data}, validate=validate,
-        steps=int, batch_size=int, eval_every=int, clip_g=lambda g: _unique("clip_g", g),
-        injection=lambda d: _build(f"{section}.injection", InjectionSpec, d, steps=tuple),
+        steps=strict_int, batch_size=strict_int, eval_every=strict_int,
+        clip_g=lambda g: _unique("clip_g", g),
+        injection=lambda d: _build(f"{section}.injection", InjectionSpec, d,
+                                   period=_optional(strict_int),
+                                   steps=lambda s: tuple(strict_int(step) for step in s)),
     )
 
 
@@ -209,7 +217,8 @@ def _parse_run(data, cfg: SuiteConfig) -> RunSection:
     return _build(
         "run", RunSection, {"label": label, **data},
         validate=lambda run: run_config(replace(cfg, run=run), seed=0).schedule(),
-        lr=_optional(float), steps=int, batch_size=int, eval_every=int, clip_g=_optional(float),
+        lr=_optional(float), steps=strict_int, batch_size=strict_int, eval_every=strict_int,
+        clip_g=_optional(float),
     )
 
 
@@ -251,7 +260,8 @@ def parse_config(source: Union[str, Path, dict]) -> SuiteConfig:
         seeds=_parse_seeds,
         optimizer=lambda d: _build("optimizer", OptimizerConfig, d),
         schedule=lambda d: _build("schedule", ScheduleSection, d, kind=ScheduleKind, min_lr=float),
-        guard=lambda d: _build("guard", GuardConfig, d),
+        guard=lambda d: _build("guard", GuardConfig, d,
+                               stats_freq=strict_int, recovery_confirm=strict_int),
         scenarios=lambda raw: _unique(
             "scenario name",
             (_parse_scenario(i, s, tasks) for i, s in enumerate(raw)),
@@ -297,21 +307,45 @@ def resolve_lr(
     return max(rates) / PRESET_BACKOFF[lr]
 
 
+def _calibrate(probe: RunConfig) -> Optional[float]:
+    """resolve_lr's ladder for probe, or None when it raises: resolve_lr then
+    runs it again itself, so the error surfaces in config order."""
+    try:
+        return degrading_lr(probe, criterion="final")
+    except Exception:  # noqa: BLE001 - re-raised by resolve_lr's own run
+        return None
+
+
 def expand_scenarios(
     cfg: SuiteConfig, cache: Optional[dict] = None
 ) -> List[Tuple[str, RunConfig, RunConfig]]:
-    """Expand every scenario into (scenario_id, baseline_cfg, guarded_cfg) pairs."""
+    """Expand every scenario into (scenario_id, baseline_cfg, guarded_cfg) pairs.
+
+    Every preset's distinct uncached probes are calibrated first, at once
+    through parallel_map; each scenario then resolves its rate from the cache.
+    """
     cache = {} if cache is None else cache
-    pairs: List[Tuple[str, RunConfig, RunConfig]] = []
-    for scen in cfg.scenarios:
-        baselines = [
+    baselines = {
+        scen.name: [
             RunConfig(opt=cfg.optimizer, schedule_kind=cfg.schedule.kind,
                       min_lr=cfg.schedule.min_lr, baseline_marker=True, seed=seed,
                       label=f"{scen.name}-baseline", **_scenario_fields(scen, cfg.tasks))
             for seed in cfg.seeds
         ]
+        for scen in cfg.scenarios
+    }
+    probes = dict.fromkeys(
+        probe_config(arm) for scen in cfg.scenarios if isinstance(scen.lr, str)
+        for arm in baselines[scen.name]
+    )
+    probes = [probe for probe in probes if probe not in cache]
+    for probe, rate in zip(probes, parallel_map(_calibrate, probes)):
+        if rate is not None:
+            cache[probe] = rate
+    pairs: List[Tuple[str, RunConfig, RunConfig]] = []
+    for scen in cfg.scenarios:
         try:
-            lr = resolve_lr(scen.lr, baselines, cache)
+            lr = resolve_lr(scen.lr, baselines[scen.name], cache)
         except NotStressableError as exc:
             raise ConfigError(
                 f"scenario {scen.name!r}: lr preset {scen.lr!r} needs a rate that degrades task "
@@ -322,7 +356,7 @@ def expand_scenarios(
                 f"scenario {scen.name!r} resolves lr {scen.lr!r} to {lr:g}, below "
                 f"schedule.min_lr {cfg.schedule.min_lr:g}; no schedule decays upwards"
             )
-        for arm in baselines:
+        for arm in baselines[scen.name]:
             base_cfg = replace(arm, opt=replace(cfg.optimizer, lr=lr))
             guard_cfg = replace(base_cfg, guard=cfg.guard, baseline_marker=False,
                                 label=f"{scen.name}-guard")

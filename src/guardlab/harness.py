@@ -1,5 +1,5 @@
 """Stress-test harness: run loop, divergence calibration, outlier injection,
-and paired baseline-vs-guard suite execution.
+and paired baseline-vs-guard suite execution on forked workers.
 
 Runs are deterministic in (config, seed) apart from wall-clock fields. Each
 run carries its full step log, so telemetry summaries can be recomputed and
@@ -11,10 +11,12 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar, Union
 
 import numpy as np
 
@@ -390,6 +392,48 @@ def config_pair_diff(baseline: RunConfig, guarded: RunConfig) -> List[str]:
 GOVERNANCE_FIELDS = {"guard", "baseline_marker", "clip", "label"}
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on; 1 where the OS cannot say."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+Item = TypeVar("Item")
+Out = TypeVar("Out")
+
+
+def parallel_map(fn: Callable[[Item], Out], items: Sequence[Item]) -> List[Out]:
+    """[fn(item) for item in items], run on one forked worker per usable CPU.
+
+    Items start longest steps first, so a long one does not finish last on
+    its own, and the parent only coordinates. A worker forks from the
+    parent, so fn must be a module-level function (it is pickled by
+    reference) that looks its callees up when called: it then sees the
+    parent's module state, monkeypatches included. With fewer than two
+    workers, or without fork, this is the plain loop.
+    """
+    workers = min(usable_cpus(), len(items))
+    if workers >= 2:
+        # Imported here: at module load multiprocessing costs ~20 ms of set-up.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            fork = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(workers, mp_context=fork) as pool:
+                futures = {i: pool.submit(fn, items[i])
+                           for i in sorted(range(len(items)), key=lambda i: -items[i].steps)}
+            return [futures[i].result() for i in range(len(items))]
+    return [fn(item) for item in items]
+
+
+def _run_or_error(cfg: RunConfig, out_dir: Optional[Path]) -> Union[RunResult, str]:
+    """run_training(cfg, out_dir), or the error text its suite row carries."""
+    try:
+        return run_training(cfg, out_dir)
+    except Exception as exc:  # noqa: BLE001 - per-row error capture
+        return f"{type(exc).__name__}: {exc}"
+
+
 def run_suite(
     pairs: Sequence[Tuple[str, RunConfig, RunConfig]],
     out_dir: Optional[Path] = None,
@@ -397,8 +441,8 @@ def run_suite(
     """Run (scenario, baseline_cfg, guarded_cfg) pairs and aggregate rows.
 
     Pairing integrity is asserted up front; per-run errors are recorded on
-    the row and the suite continues. Each distinct config runs once. Rows
-    come back sorted by scenario id.
+    the row and the suite continues. Each distinct config runs once, all of
+    them through parallel_map. Rows come back sorted by scenario id.
     """
     if not pairs:
         raise ValueError("run_suite requires at least one pair")
@@ -410,21 +454,17 @@ def run_suite(
             )
     # A config shared by several pairs (a scenario's guard arm is paired with
     # each clip threshold) runs once.
-    finished: Dict[RunConfig, RunResult] = {}
-
-    def run_once(cfg: RunConfig) -> RunResult:
-        if cfg not in finished:
-            finished[cfg] = run_training(cfg, out_dir)
-        return finished[cfg]
+    configs = list(dict.fromkeys(cfg for _, *arms in pairs for cfg in arms))
+    results = dict(zip(configs, parallel_map(partial(_run_or_error, out_dir=out_dir), configs)))
 
     rows: List[ComparisonRow] = []
     for scenario, base_cfg, guard_cfg in pairs:
         row = ComparisonRow(scenario=scenario, seed=base_cfg.seed, baseline=None, guarded=None)
-        try:
-            row.baseline = run_once(base_cfg)
-            row.guarded = run_once(guard_cfg)
-        except Exception as exc:  # noqa: BLE001 - per-row error capture
-            row.error = f"{type(exc).__name__}: {exc}"
+        base, guard = results[base_cfg], results[guard_cfg]
+        if isinstance(base, str) or isinstance(guard, str):
+            row.error = base if isinstance(base, str) else guard
+        else:
+            row.baseline, row.guarded = base, guard
         rows.append(row)
     rows.sort(key=lambda r: (r.scenario, r.seed))
     return rows

@@ -94,12 +94,13 @@ def _f(x: float) -> str:
 
 
 def render_report_from_csv(csv_rows: Sequence[Dict[str, object]]) -> str:
-    """Markdown report: per-scenario comparison tables plus seed aggregates."""
+    """Markdown report: per-scenario comparison tables plus seed aggregates,
+    from rows typed by CSV_SCHEMA (as read_suite_csv returns them)."""
     if not csv_rows:
         raise ValueError("report requires at least one row")
     by_scenario: Dict[str, Dict[int, Dict[str, dict]]] = defaultdict(lambda: defaultdict(dict))
     for row in csv_rows:
-        by_scenario[str(row["scenario"])][int(row["seed"])][str(row["arm"])] = row
+        by_scenario[row["scenario"]][row["seed"]][row["arm"]] = row
 
     lines = ["# Stress suite report", ""]
     for scenario in sorted(by_scenario):
@@ -117,17 +118,17 @@ def render_report_from_csv(csv_rows: Sequence[Dict[str, object]]) -> str:
                 lines.append(f"| {seed} | run error | | | | | |")
                 continue
             base, guard = arms["baseline"], arms["guard"]
-            b_ppl, g_ppl = float(base["final_ppl"]), float(guard["final_ppl"])
+            b_ppl, g_ppl = base["final_ppl"], guard["final_ppl"]
             if math.isfinite(b_ppl) and b_ppl > 0:
                 reduction = f"{100.0 * (1.0 - g_ppl / b_ppl):.1f}%"
             else:
                 reduction = "n/a"
-            g_wall = float(guard["wall_s"])
-            speedup = _f(float(base["wall_s"]) / g_wall) + "x" if g_wall > 0 else "n/a"
+            g_wall = guard["wall_s"]
+            speedup = _f(base["wall_s"] / g_wall) + "x" if g_wall > 0 else "n/a"
             lines.append(
                 f"| {seed} | {_f(b_ppl)} | {_f(g_ppl)} | {reduction} | {speedup} | "
-                f"{verdict(float(base['final_loss']), float(base['initial_loss']))} | "
-                f"{verdict(float(guard['final_loss']), float(guard['initial_loss']))} |"
+                f"{verdict(base['final_loss'], base['initial_loss'])} | "
+                f"{verdict(guard['final_loss'], guard['initial_loss'])} |"
             )
             per_arm["baseline"].append(b_ppl)
             per_arm["guard"].append(g_ppl)

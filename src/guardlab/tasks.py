@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -348,17 +349,31 @@ def _markov_pairs(
 TASK_CLASSES = {cls.kind: cls for cls in (QuadraticTask, MlpRegressionTask, BigramLmTask)}
 
 
+def strict_int(value) -> int:
+    """value as an int: an integral float such as 1e3 becomes one, and a bool,
+    a non-integral number or a non-number is a ValueError."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def task_dims(kind: str, dims: Optional[Dict] = None) -> Dict:
     """kind's default dims updated by dims, each converted to its default's
-    type; raises ValueError (TypeError) for an unknown kind, an unknown dim
-    or an unconvertible value. Builds nothing."""
+    type (an int dim through strict_int); raises ValueError for an unknown
+    kind, an unknown dim or an unconvertible value. Builds nothing."""
     if kind not in TASK_CLASSES:
         raise ValueError(f"unknown task kind: {kind!r}")
     merged = dict(TASK_CLASSES[kind].default_dims)
     for key, value in (dims or {}).items():
         if key not in merged:
             raise ValueError(f"unknown dim {key!r} for task kind {kind!r}")
-        merged[key] = type(merged[key])(value)
+        convert = strict_int if type(merged[key]) is int else type(merged[key])
+        try:
+            merged[key] = convert(value)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"dim {key!r}: {exc}") from exc
     return merged
 
 

@@ -175,7 +175,9 @@ def test_an_empty_seed_list_prints_a_config_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
-def test_suite_with_a_failing_pair_reports_it_and_exits_nonzero(tmp_path, capsys, monkeypatch):
+def test_suite_with_a_failing_pair_reports_it_and_exits_nonzero(
+    tmp_path, capsys, monkeypatch, workers
+):
     real_run_training = harness.run_training
 
     def run_training(cfg, out_dir=None):

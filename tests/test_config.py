@@ -118,17 +118,21 @@ def test_run_section_defaults_are_materialized():
     assert run.opt == cfg.optimizer and run.seed == 5
 
 
-def test_unstressable_task_under_a_preset_is_a_config_error(monkeypatch):
+def test_unstressable_task_under_a_preset_is_a_config_error(monkeypatch, workers):
     def no_degrading_lr(*args, **kwargs):
         raise NotStressableError("task not stressable: no degrading lr within doubling budget")
 
     monkeypatch.setattr(config_module, "degrading_lr", no_degrading_lr)
-    doc = {**MINIMAL, "scenarios": [{**MINIMAL["scenarios"][0], "lr": "aggressive"}]}
+    scen = {**MINIMAL["scenarios"][0], "lr": "aggressive"}
+    later = {**scen, "name": "later", "steps": 40}
+    doc = {**MINIMAL, "scenarios": [scen, later]}
     with pytest.raises(ConfigError) as info:
         expand_scenarios(parse_config(doc))
+    # The first unstressable scenario in config order is the one named.
     message = str(info.value)
     for part in ("'demo'", "'quadratic'", "'aggressive'", "numeric lr"):
         assert part in message, part
+    assert "'later'" not in message
 
 
 def test_rejects_spike_not_above_stress():
@@ -330,6 +334,59 @@ def test_unknown_task_kinds_and_dims_are_rejected_at_parse_time(task, message):
     assert message in str(info.value)
 
 
+# Every integer field, each at an integral value that a float spells.
+INTEGERS = {
+    "seeds": [7],
+    "tasks": {"toy": {"kind": "quadratic", "dims": {"dim": 4}}},
+    "guard": {"stats_freq": 10, "recovery_confirm": 3},
+    "scenarios": [
+        {"name": "demo", "kind": "injection", "task": "toy", "steps": 20, "lr": 0.01,
+         "batch_size": 8, "eval_every": 10, "injection": {"period": 5, "steps": [3]}},
+    ],
+    "run": {"task": "toy", "steps": 20, "batch_size": 8, "eval_every": 10},
+}
+
+
+@pytest.mark.parametrize("path, section", [
+    (("seeds", 0), "root"),
+    (("tasks", "toy", "dims", "dim"), "tasks.toy"),
+    (("guard", "stats_freq"), "guard"),
+    (("guard", "recovery_confirm"), "guard"),
+    (("scenarios", 0, "steps"), "scenarios[0]"),
+    (("scenarios", 0, "batch_size"), "scenarios[0]"),
+    (("scenarios", 0, "eval_every"), "scenarios[0]"),
+    (("scenarios", 0, "injection", "period"), "scenarios[0].injection"),
+    (("scenarios", 0, "injection", "steps", 0), "scenarios[0].injection"),
+    (("run", "steps"), "run"),
+    (("run", "batch_size"), "run"),
+    (("run", "eval_every"), "run"),
+], ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else None)
+def test_integer_fields_take_integral_numbers_only(path, section):
+    def at(doc):
+        for key in path:
+            doc = doc[key]
+        return doc
+
+    def doc_with(value):
+        doc = json.loads(json.dumps(INTEGERS))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        return doc
+
+    key = [k for k in path if isinstance(k, str)][-1]
+    for bad in (True, 2.5, 7.9):
+        with pytest.raises(ConfigError) as info:
+            parse_config(doc_with(bad))
+        assert f"'{section}'" in str(info.value) and f"'{key}'" in str(info.value)
+    # An integral float is that int: the echo, the cache keys and the built
+    # task are the int's.
+    cfg = parse_config(doc_with(float(at(INTEGERS))))
+    assert cfg == parse_config(INTEGERS)
+    assert type(at(emit_config(cfg))) is int
+
+
 def test_duplicate_scenario_names_are_rejected():
     doc = {**MINIMAL,
            "tasks": {**MINIMAL["tasks"], "other": {"kind": "bigram_lm"}},
@@ -389,7 +446,7 @@ def test_shipped_config_parses_and_round_trips():
     assert parse_config(json.loads(json.dumps(emit_config(cfg)))) == cfg
 
 
-def test_shipped_config_expands_to_the_calibrated_scenarios(monkeypatch):
+def test_shipped_config_expands_to_the_calibrated_scenarios(monkeypatch, one_worker):
     probes = fake_core(monkeypatch)
     pairs = expand_scenarios(parse_config(SHIPPED))
     assert len(pairs) == 18

@@ -379,7 +379,7 @@ def test_calibrate_not_stressable_matches_scalar():
 # --------------------------------------------------------------------------
 
 
-def test_run_suite_runs_a_shared_guard_arm_once(tmp_path, monkeypatch):
+def test_run_suite_runs_a_shared_guard_arm_once(tmp_path, monkeypatch, one_worker):
     import guardlab.harness as harness
 
     calls = []
