@@ -8,7 +8,14 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .config import SuiteConfig, emit_config, expand_scenarios, parse_config, run_config
+from .config import (
+    SuiteConfig,
+    calibration_record,
+    emit_config,
+    expand_scenarios,
+    parse_config,
+    run_config,
+)
 from .harness import run_suite, run_training
 from .report import (
     read_suite_csv,
@@ -96,10 +103,14 @@ def cmd_suite(args) -> int:
         raise CliError("config defines no scenarios")
     out = _out_dir(args, cfg)
     _echo_config(cfg, out, args.quiet)
-    pairs = expand_scenarios(cfg)
+    ladders: dict = {}
+    pairs = expand_scenarios(cfg, ladders)
+    with open(out / "calibration.json", "w", encoding="utf-8") as fh:
+        json.dump(calibration_record(cfg, ladders), fh, indent=2)
+        fh.write("\n")
     if not args.quiet:
         print(f"running {len(pairs)} comparison pairs")
-    rows = run_suite(pairs, out_dir=out / "runs")
+    rows = run_suite(pairs, out_dir=out / "runs", ladders=ladders)
     csv_path = out / "suite.csv"
     write_suite_csv(rows, csv_path)
     report_path = _write_report(out)

@@ -2,9 +2,10 @@
 expansion into paired run configs.
 
 Each section is read from the fields of its dataclass, which are the only
-statement of the schema. Unknown keys and malformed values are ConfigErrors
-naming the section and key. Every default is materialized into the echoed
-configuration for provenance.
+statement of the schema: a field with an int default takes an integral
+number and one with a float default a finite number. Unknown keys and
+malformed values are ConfigErrors naming the section and key. Every default
+is materialized into the echoed configuration for provenance.
 """
 
 from __future__ import annotations
@@ -12,11 +13,13 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .governor import GuardConfig
 from .harness import (
+    Calibration,
     InjectionSpec,
     NotStressableError,
     OptimizerConfig,
@@ -25,9 +28,10 @@ from .harness import (
     degrading_lr,
     parallel_map,
     probe_config,
+    probe_degraded,
 )
 from .optim import ClipConfig, ScheduleKind
-from .tasks import TASK_CLASSES, strict_int, task_dims
+from .tasks import TASK_CLASSES, strict_float, strict_int, task_dims
 
 SCENARIO_KINDS = ("lr_stress", "clip_baseline", "injection", "long_budget", "seed_sweep")
 # Each lr preset's backoff factor from the calibrated aggressive rate. With
@@ -35,6 +39,11 @@ SCENARIO_KINDS = ("lr_stress", "clip_baseline", "injection", "long_budget", "see
 # the trainable region observed during calibration.
 PRESET_BACKOFF = {"aggressive": 1.0, "moderate": 32.0, "safe": 512.0}
 LR_PRESETS = tuple(PRESET_BACKOFF)
+# A preset's probe must end degraded; see harness.degrading_lr.
+CALIBRATION_CRITERION = "final"
+# The converter of a field by the type of its default: bools and None
+# defaults have none, and a converter given to _build takes precedence.
+_DEFAULT_CONVERTERS = {int: strict_int, float: strict_float}
 
 
 class ConfigError(ValueError):
@@ -50,11 +59,15 @@ def _object(section: str, data) -> dict:
 def _build(section: str, cls, data, validate=None, **convert):
     """cls from the JSON object data, whose keys must be fields of cls.
 
-    Each value passes through convert[key] when given, and validate, when
-    given, checks the built object. Any error in a value, in validate or in
-    cls's own checks is a ConfigError naming the section.
+    Each value passes through convert[key] when given, else through the
+    converter of its field's default type, and validate, when given, checks
+    the built object. Any error in a value, in validate or in cls's own
+    checks is a ConfigError naming the section.
     """
-    allowed = [f.name for f in dataclasses.fields(cls)]
+    fields = dataclasses.fields(cls)
+    allowed = [f.name for f in fields]
+    convert = {**{f.name: _DEFAULT_CONVERTERS[type(f.default)] for f in fields
+                  if type(f.default) in _DEFAULT_CONVERTERS}, **convert}
     kwargs = {}
     for key, value in _object(section, data).items():
         if key not in allowed:
@@ -180,6 +193,16 @@ def _scenario_fields(scen: ScenarioSpec, tasks: Dict[str, TaskSpec]) -> dict:
                 eval_every=scen.eval_every, injection=scen.injection)
 
 
+def _scenario_lr(value) -> Union[str, float]:
+    """A preset name as given, or a rate, which must be a positive number."""
+    if isinstance(value, str):
+        return value
+    lr = strict_float(value)
+    if lr <= 0.0:
+        raise ValueError(f"lr must be > 0, got {value!r}")
+    return lr
+
+
 def _parse_scenario(idx: int, data, tasks: Dict[str, TaskSpec]) -> ScenarioSpec:
     section = f"scenarios[{idx}]"
     kind, task = _object(section, data).get("kind"), data.get("task")
@@ -203,8 +226,8 @@ def _parse_scenario(idx: int, data, tasks: Dict[str, TaskSpec]) -> ScenarioSpec:
 
     return _build(
         section, ScenarioSpec, {**defaults, **data}, validate=validate,
-        steps=strict_int, batch_size=strict_int, eval_every=strict_int,
-        clip_g=lambda g: _unique("clip_g", g),
+        lr=_scenario_lr,
+        clip_g=lambda g: _unique("clip_g", (strict_float(x) for x in g)),
         injection=lambda d: _build(f"{section}.injection", InjectionSpec, d,
                                    period=_optional(strict_int),
                                    steps=lambda s: tuple(strict_int(step) for step in s)),
@@ -217,8 +240,7 @@ def _parse_run(data, cfg: SuiteConfig) -> RunSection:
     return _build(
         "run", RunSection, {"label": label, **data},
         validate=lambda run: run_config(replace(cfg, run=run), seed=0).schedule(),
-        lr=_optional(float), steps=strict_int, batch_size=strict_int, eval_every=strict_int,
-        clip_g=_optional(float),
+        lr=_optional(strict_float), clip_g=_optional(strict_float),
     )
 
 
@@ -259,9 +281,8 @@ def parse_config(source: Union[str, Path, dict]) -> SuiteConfig:
         out_dir=str,
         seeds=_parse_seeds,
         optimizer=lambda d: _build("optimizer", OptimizerConfig, d),
-        schedule=lambda d: _build("schedule", ScheduleSection, d, kind=ScheduleKind, min_lr=float),
-        guard=lambda d: _build("guard", GuardConfig, d,
-                               stats_freq=strict_int, recovery_confirm=strict_int),
+        schedule=lambda d: _build("schedule", ScheduleSection, d, kind=ScheduleKind),
+        guard=lambda d: _build("guard", GuardConfig, d),
         scenarios=lambda raw: _unique(
             "scenario name",
             (_parse_scenario(i, s, tasks) for i, s in enumerate(raw)),
@@ -291,7 +312,7 @@ def resolve_lr(
     aggressive: the largest rate over arms (one per seed) whose full-length
     baseline probe ends degraded, so it degrades every arm; each preset
     divides it by its PRESET_BACKOFF factor. cache maps each probe to its
-    rate, so arms with equal probes calibrate once.
+    Calibration, so arms with equal probes calibrate once.
     """
     if not isinstance(lr, str):
         return float(lr)
@@ -302,18 +323,85 @@ def resolve_lr(
     for arm in arms:
         probe = probe_config(arm)
         if probe not in cache:
-            cache[probe] = degrading_lr(probe, criterion="final")
-        rates.append(cache[probe])
+            cache[probe] = _calibration(probe)
+        rates.append(cache[probe].lr)
     return max(rates) / PRESET_BACKOFF[lr]
 
 
-def _calibrate(probe: RunConfig) -> Optional[float]:
-    """resolve_lr's ladder for probe, or None when it raises: resolve_lr then
-    runs it again itself, so the error surfaces in config order."""
+def _calibration(probe: RunConfig) -> Calibration:
+    """probe's ladder: the rate degrading_lr reads from it, and its rungs."""
+    rungs: list = []
+    return Calibration(degrading_lr(probe, criterion=CALIBRATION_CRITERION, rungs=rungs), rungs)
+
+
+def _calibrate(probe: RunConfig, backoffs: Dict[RunConfig, float]) -> Optional[Calibration]:
+    """_calibration(probe) for the presets that divide its rate by at most
+    backoffs[probe], or None when it raises: resolve_lr then runs it again
+    itself, so the error surfaces in config order.
+
+    Such a preset's rate is the largest verdict over its arms' probes, one
+    of which is this one, divided by its backoff. So no preset arm runs at
+    a rung further than backoffs[probe] below this probe's verdict, and
+    those rungs keep only the fields the verdict reads: a worker then sends
+    back no per-step data that no arm can replay.
+    """
     try:
-        return degrading_lr(probe, criterion="final")
+        calibration = _calibration(probe)
     except Exception:  # noqa: BLE001 - re-raised by resolve_lr's own run
         return None
+    lowest = calibration.lr / backoffs[probe]
+    calibration.rungs = [
+        rung if rung.lr >= lowest else replace(rung, params=None, losses=None, grad_rms=[])
+        for rung in calibration.rungs
+    ]
+    return calibration
+
+
+def _baseline_arms(cfg: SuiteConfig) -> Dict[str, List[RunConfig]]:
+    """Each scenario's baseline arm on each seed, at the optimizer's lr."""
+    return {
+        scen.name: [
+            RunConfig(opt=cfg.optimizer, schedule_kind=cfg.schedule.kind,
+                      min_lr=cfg.schedule.min_lr, baseline_marker=True, seed=seed,
+                      label=f"{scen.name}-baseline", **_scenario_fields(scen, cfg.tasks))
+            for seed in cfg.seeds
+        ]
+        for scen in cfg.scenarios
+    }
+
+
+def _preset_probes(
+    cfg: SuiteConfig, baselines: Dict[str, List[RunConfig]]
+) -> Dict[RunConfig, List[ScenarioSpec]]:
+    """Each distinct probe of cfg's preset scenarios, in config order, with
+    the scenarios it calibrates."""
+    probes: Dict[RunConfig, List[ScenarioSpec]] = {}
+    for scen in cfg.scenarios:
+        if isinstance(scen.lr, str):
+            for arm in baselines[scen.name]:
+                probes.setdefault(probe_config(arm), []).append(scen)
+    return probes
+
+
+def calibration_record(cfg: SuiteConfig, cache: Dict[RunConfig, Calibration]) -> List[dict]:
+    """One entry per distinct probe of cfg's preset scenarios in cache: the
+    scenarios and seed it calibrates, its steps and injection, each rung's
+    lr, initial and final loss and degraded flag, and its verdict lr."""
+    return [
+        {
+            "scenarios": [scen.name for scen in scens],
+            "seed": probe.seed,
+            "steps": probe.steps,
+            "injection": None if probe.injection is None else dataclasses.asdict(probe.injection),
+            "rungs": [
+                {"lr": rung.lr, "initial_loss": rung.initial_loss, "final_loss": rung.final_loss,
+                 "degraded": probe_degraded(rung, CALIBRATION_CRITERION)}
+                for rung in cache[probe].rungs
+            ],
+            "lr": cache[probe].lr,
+        }
+        for probe, scens in _preset_probes(cfg, _baseline_arms(cfg)).items() if probe in cache
+    ]
 
 
 def expand_scenarios(
@@ -325,23 +413,14 @@ def expand_scenarios(
     through parallel_map; each scenario then resolves its rate from the cache.
     """
     cache = {} if cache is None else cache
-    baselines = {
-        scen.name: [
-            RunConfig(opt=cfg.optimizer, schedule_kind=cfg.schedule.kind,
-                      min_lr=cfg.schedule.min_lr, baseline_marker=True, seed=seed,
-                      label=f"{scen.name}-baseline", **_scenario_fields(scen, cfg.tasks))
-            for seed in cfg.seeds
-        ]
-        for scen in cfg.scenarios
-    }
-    probes = dict.fromkeys(
-        probe_config(arm) for scen in cfg.scenarios if isinstance(scen.lr, str)
-        for arm in baselines[scen.name]
-    )
-    probes = [probe for probe in probes if probe not in cache]
-    for probe, rate in zip(probes, parallel_map(_calibrate, probes)):
-        if rate is not None:
-            cache[probe] = rate
+    baselines = _baseline_arms(cfg)
+    backoffs = {probe: max(PRESET_BACKOFF[scen.lr] for scen in scens)
+                for probe, scens in _preset_probes(cfg, baselines).items()}
+    probes = [probe for probe in backoffs if probe not in cache]
+    calibrate = partial(_calibrate, backoffs=backoffs)
+    for probe, calibration in zip(probes, parallel_map(calibrate, probes)):
+        if calibration is not None:
+            cache[probe] = calibration
     pairs: List[Tuple[str, RunConfig, RunConfig]] = []
     for scen in cfg.scenarios:
         try:

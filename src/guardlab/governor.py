@@ -165,14 +165,18 @@ def sense(
     """
     if step < 0:
         raise ValueError("step must be non-negative")
-    grad_rms: Optional[float] = None
-    if grads is not None and step % cfg.stats_freq == 0:
-        try:
-            rms = gradient_rms(grads)
-        except NonFiniteGradientError:
-            rms = math.inf
-        grad_rms = rms if math.isfinite(rms) else None
+    grad_rms = probe_rms(grads) if grads is not None and step % cfg.stats_freq == 0 else None
     return TelemetrySample(step=step, loss=float(loss), grad_rms=grad_rms, lr=float(lr))
+
+
+def probe_rms(grads: np.ndarray) -> Optional[float]:
+    """What sense takes of a probe step's gradient: its gradient_rms, or
+    None when an entry is non-finite or the mean square overflows."""
+    try:
+        rms = gradient_rms(grads)
+    except NonFiniteGradientError:
+        return None
+    return rms if math.isfinite(rms) else None
 
 
 def classify_regime(
@@ -337,13 +341,17 @@ class Governor:
         inputs_finite: bool,
     ) -> ControlPosture:
         """One governance pass: sense, classify, and select the posture."""
-        sample = sense(step, loss, grads, lr, self.cfg)
+        return self.govern(sense(step, loss, grads, lr, self.cfg), inputs_finite)
+
+    def govern(self, sample: TelemetrySample, inputs_finite: bool) -> ControlPosture:
+        """observe's passes after sense: classify the sample, select the
+        posture and log the step."""
         regime, self.state = classify_regime(
             sample, self.state, self.cfg, current_scale=self.posture.scale
         )
         self.posture = posture = select_posture(regime, self.posture, self.cfg, inputs_finite)
         self.log.append(StepRecord(
-            step=step,
+            step=sample.step,
             loss=sample.loss,
             loss_ema=self.state.loss_ema,
             regime=regime,

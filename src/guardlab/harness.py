@@ -16,11 +16,19 @@ import time
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, TypeVar, Union
 
 import numpy as np
 
-from .governor import Governor, GuardConfig, StepLog, TelemetrySummary, summarize_records
+from .governor import (
+    Governor,
+    GuardConfig,
+    StepLog,
+    TelemetrySample,
+    TelemetrySummary,
+    probe_rms,
+    summarize_records,
+)
 from .optim import (
     ClipConfig,
     OptimizerConfig,
@@ -140,13 +148,33 @@ class RunResult:
 
 @dataclass
 class ProbeResult:
-    """One rung of a probe ladder: the fields the degradation verdict reads."""
+    """One rung of a probe ladder: the fields the degradation verdict reads,
+    and the rest of what run_training would return for the rung's run.
+
+    losses holds the training loss of every step, and grad_rms the gradient
+    RMS that sense takes on every stats_freq step of the probe's disabled
+    guard (None where it is non-finite or overflows). wall_seconds is the
+    rung's share of the ladder's step loop. A rung kept for its verdict
+    only has neither params nor losses.
+    """
 
     lr: float
     initial_loss: float
     final_loss: float
     eval_trace: List[Tuple[int, float, float]]
-    params: np.ndarray
+    params: Optional[np.ndarray]
+    final_perplexity: float = math.nan
+    losses: Optional[np.ndarray] = None
+    grad_rms: List[Optional[float]] = field(default_factory=list)
+    wall_seconds: float = 0.0
+
+
+@dataclass
+class Calibration:
+    """A probe's doubling ladder: its verdict rate and the rungs it read."""
+
+    lr: float
+    rungs: List[ProbeResult]
 
 
 @dataclass
@@ -259,7 +287,7 @@ def severe_degradation(loss: float, initial_loss: float) -> bool:
     return not math.isfinite(loss) or loss > DEGRADATION_FACTOR * initial_loss
 
 
-def _probe_degraded(result: Union[RunResult, ProbeResult], criterion: str) -> bool:
+def probe_degraded(result: Union[RunResult, ProbeResult], criterion: str) -> bool:
     """peak: any eval checkpoint degraded; final: only the final eval counts
     (non-finite mid-run evals count either way, the run is already dead)."""
     checkpoints = [loss for _, loss, _ in result.eval_trace
@@ -277,8 +305,12 @@ def run_probe_ladder(cfg: RunConfig, lrs: Sequence[float]) -> List[ProbeResult]:
     are stacked as (L, n) rows through the elementwise adamw_step, and all
     rungs are evaluated in one eval_loss_rows call. The governor is left
     out: with the guard off and no clip it is the identity on the update.
+    What its log reads is kept instead, each step's loss and, on the
+    disabled guard's stats steps, what sense takes of each rung's gradient
+    after the burst, so replay_rung can write the rung's telemetry.
     """
-    if cfg.guard_or_disabled().auto_enabled or cfg.clip is not None:
+    guard = cfg.guard_or_disabled()
+    if guard.auto_enabled or cfg.clip is not None:
         raise ValueError("a probe ladder runs baseline arms: guard disabled, no clip")
     scheds = [replace(cfg, opt=replace(cfg.opt, lr=lr)).schedule() for lr in lrs]
     task = cfg.task.build(cfg.seed)
@@ -287,12 +319,18 @@ def run_probe_ladder(cfg: RunConfig, lrs: Sequence[float]) -> List[ProbeResult]:
     opt_state = OptimizerState(m=np.zeros_like(params), v=np.zeros_like(params))
     stream = CounterStream(cfg.seed, _BATCH_STREAM)
     traces: List[List[Tuple[int, float, float]]] = [[] for _ in lrs]
+    loss_rows = np.empty((len(lrs), cfg.steps))
+    rms_rows: List[List[Optional[float]]] = [[] for _ in lrs]
+    t0 = time.perf_counter()
     for step in range(cfg.steps):
         lr_t = np.array([[schedule_lr(step, sched)] for sched in scheds])
         batch, burst = _next_batch(task, cfg, step, stream)
-        _, grads = task.loss_and_grad_rows(params, batch)
+        loss_rows[:, step], grads = task.loss_and_grad_rows(params, batch)
         if burst != 1.0:
             grads = grads * burst
+        if step % guard.stats_freq == 0:
+            for rms, row in zip(rms_rows, grads):
+                rms.append(probe_rms(row))
         delta, opt_state = adamw_step(
             opt_state, params, grads, lr_t, cfg.opt, check_finite=False
         )
@@ -300,6 +338,7 @@ def run_probe_ladder(cfg: RunConfig, lrs: Sequence[float]) -> List[ProbeResult]:
         if (step + 1) % cfg.eval_every == 0:
             for trace, ev in zip(traces, evaluate_rows(task, params)):
                 trace.append((step + 1, ev.eval_loss, ev.perplexity))
+    share = (time.perf_counter() - t0) / len(lrs)
     return [
         ProbeResult(
             lr=float(lr),
@@ -307,9 +346,47 @@ def run_probe_ladder(cfg: RunConfig, lrs: Sequence[float]) -> List[ProbeResult]:
             final_loss=final.eval_loss,
             eval_trace=trace,
             params=row,
+            final_perplexity=final.perplexity,
+            losses=losses,
+            grad_rms=rms,
+            wall_seconds=share,
         )
-        for lr, trace, row, final in zip(lrs, traces, params, evaluate_rows(task, params))
+        for lr, trace, row, final, losses, rms in zip(
+            lrs, traces, params, evaluate_rows(task, params), loss_rows, rms_rows
+        )
     ]
+
+
+def replay_rung(cfg: RunConfig, rung: ProbeResult, out_dir: Optional[Path] = None) -> RunResult:
+    """run_training(cfg, out_dir)'s result, from the ladder rung that already
+    ran cfg (see ladder_rung): the rung's losses, gradient RMS and scheduled
+    lr go through cfg's disabled governor, which logs them as the run's own
+    would. The run's wall_seconds is the rung's share of its ladder's loop.
+    """
+    gov = Governor(cfg.guard_or_disabled())
+    if gov.cfg.auto_enabled:
+        raise ValueError("a rung replays a baseline arm: guard disabled")
+    sched = cfg.schedule()
+    stats_freq = gov.cfg.stats_freq
+    for step, loss in enumerate(rung.losses.tolist()):
+        grad_rms = rung.grad_rms[step // stats_freq] if step % stats_freq == 0 else None
+        # inputs_finite does not reach the log: a disabled guard never skips.
+        gov.govern(TelemetrySample(step, loss, grad_rms, schedule_lr(step, sched)), True)
+    result = RunResult(
+        label=cfg.label,
+        seed=cfg.seed,
+        initial_loss=rung.initial_loss,
+        final_loss=rung.final_loss,
+        final_perplexity=rung.final_perplexity,
+        wall_seconds=rung.wall_seconds,
+        summary=summarize_records(gov.log.records),
+        eval_trace=rung.eval_trace,
+        log=gov.log,
+        params=rung.params,
+    )
+    if out_dir is not None:
+        write_run_artifacts(result, Path(out_dir))
+    return result
 
 
 def probe_config(arm: RunConfig) -> RunConfig:
@@ -333,6 +410,7 @@ def degrading_lr(
     criterion: str = "peak",
     floor: float = 1e-4,
     max_doublings: int = 20,
+    rungs: Optional[List[ProbeResult]] = None,
 ) -> float:
     """The lowest rate on the doubling ladder floor * 2**k (k up to
     max_doublings) whose run of probe degrades.
@@ -343,15 +421,18 @@ def degrading_lr(
     as the target run to transfer). Every rung runs at once through
     run_probe_ladder. Probes decay to their min_lr, as the runs they
     calibrate do; rungs below min_lr are left off the ladder, since no
-    schedule decays upwards.
+    schedule decays upwards. When rungs is a list, the ladder's rungs are
+    appended to it, for a caller that keeps them.
     """
     if criterion not in ("peak", "final"):
         raise ValueError("criterion must be 'peak' or 'final'")
     lrs = [floor * 2.0**k for k in range(max_doublings + 1) if floor * 2.0**k >= probe.min_lr]
-    if lrs:
-        for rung in run_probe_ladder(probe, lrs):
-            if _probe_degraded(rung, criterion):
-                return rung.lr
+    ladder = run_probe_ladder(probe, lrs) if lrs else []
+    if rungs is not None:
+        rungs.extend(ladder)
+    for rung in ladder:
+        if probe_degraded(rung, criterion):
+            return rung.lr
     raise NotStressableError("task not stressable: no degrading lr within doubling budget")
 
 
@@ -426,10 +507,27 @@ def parallel_map(fn: Callable[[Item], Out], items: Sequence[Item]) -> List[Out]:
     return [fn(item) for item in items]
 
 
-def _run_or_error(cfg: RunConfig, out_dir: Optional[Path]) -> Union[RunResult, str]:
-    """run_training(cfg, out_dir), or the error text its suite row carries."""
+def ladder_rung(cfg: RunConfig, ladders: Mapping[RunConfig, Calibration]) -> Optional[ProbeResult]:
+    """The rung of a calibrated ladder that already ran cfg, if any.
+
+    That is a rung of cfg's probe at cfg's rate, where cfg is the probe but
+    for its optimizer and label: a baseline arm with no guard and no clip
+    that evaluates every tenth of its run, as the probe does.
+    """
+    probe = probe_config(cfg)
+    if probe not in ladders or replace(probe, opt=cfg.opt, label=cfg.label) != cfg:
+        return None
+    return next((rung for rung in ladders[probe].rungs
+                 if rung.lr == cfg.opt.lr and rung.losses is not None), None)
+
+
+def _run_or_error(
+    cfg: RunConfig, out_dir: Optional[Path], rung: Optional[ProbeResult] = None
+) -> Union[RunResult, str]:
+    """run_training(cfg, out_dir), or replay_rung when a rung already ran
+    cfg; or the error text its suite row carries."""
     try:
-        return run_training(cfg, out_dir)
+        return run_training(cfg, out_dir) if rung is None else replay_rung(cfg, rung, out_dir)
     except Exception as exc:  # noqa: BLE001 - per-row error capture
         return f"{type(exc).__name__}: {exc}"
 
@@ -437,12 +535,15 @@ def _run_or_error(cfg: RunConfig, out_dir: Optional[Path]) -> Union[RunResult, s
 def run_suite(
     pairs: Sequence[Tuple[str, RunConfig, RunConfig]],
     out_dir: Optional[Path] = None,
+    ladders: Optional[Mapping[RunConfig, Calibration]] = None,
 ) -> List[ComparisonRow]:
     """Run (scenario, baseline_cfg, guarded_cfg) pairs and aggregate rows.
 
     Pairing integrity is asserted up front; per-run errors are recorded on
-    the row and the suite continues. Each distinct config runs once, all of
-    them through parallel_map. Rows come back sorted by scenario id.
+    the row and the suite continues. Each distinct config runs once: a
+    baseline arm that a rung of ladders (probe -> Calibration) already ran
+    is replayed from it, and every other config runs through parallel_map.
+    Rows come back sorted by scenario id.
     """
     if not pairs:
         raise ValueError("run_suite requires at least one pair")
@@ -455,7 +556,11 @@ def run_suite(
     # A config shared by several pairs (a scenario's guard arm is paired with
     # each clip threshold) runs once.
     configs = list(dict.fromkeys(cfg for _, *arms in pairs for cfg in arms))
-    results = dict(zip(configs, parallel_map(partial(_run_or_error, out_dir=out_dir), configs)))
+    rungs = {cfg: ladder_rung(cfg, ladders or {}) for cfg in configs}
+    runs = [cfg for cfg in configs if rungs[cfg] is None]
+    results = dict(zip(runs, parallel_map(partial(_run_or_error, out_dir=out_dir), runs)))
+    results.update((cfg, _run_or_error(cfg, out_dir, rung))
+                   for cfg, rung in rungs.items() if rung is not None)
 
     rows: List[ComparisonRow] = []
     for scenario, base_cfg, guard_cfg in pairs:

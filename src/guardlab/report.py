@@ -107,15 +107,14 @@ def render_report_from_csv(csv_rows: Sequence[Dict[str, object]]) -> str:
         lines.append(f"## {scenario}")
         lines.append("")
         lines.append(
-            "| seed | baseline PPL | guard PPL | PPL reduction | E2E speedup |"
-            " baseline verdict | guard verdict |"
+            "| seed | baseline PPL | guard PPL | PPL reduction | baseline verdict | guard verdict |"
         )
-        lines.append("|---|---|---|---|---|---|---|")
+        lines.append("|---|---|---|---|---|---|")
         per_arm: Dict[str, List[float]] = defaultdict(list)
         for seed in sorted(by_scenario[scenario]):
             arms = by_scenario[scenario][seed]
             if "error" in arms:
-                lines.append(f"| {seed} | run error | | | | | |")
+                lines.append(f"| {seed} | run error | | | | |")
                 continue
             base, guard = arms["baseline"], arms["guard"]
             b_ppl, g_ppl = base["final_ppl"], guard["final_ppl"]
@@ -123,10 +122,8 @@ def render_report_from_csv(csv_rows: Sequence[Dict[str, object]]) -> str:
                 reduction = f"{100.0 * (1.0 - g_ppl / b_ppl):.1f}%"
             else:
                 reduction = "n/a"
-            g_wall = guard["wall_s"]
-            speedup = _f(base["wall_s"] / g_wall) + "x" if g_wall > 0 else "n/a"
             lines.append(
-                f"| {seed} | {_f(b_ppl)} | {_f(g_ppl)} | {reduction} | {speedup} | "
+                f"| {seed} | {_f(b_ppl)} | {_f(g_ppl)} | {reduction} | "
                 f"{verdict(base['final_loss'], base['initial_loss'])} | "
                 f"{verdict(guard['final_loss'], guard['initial_loss'])} |"
             )

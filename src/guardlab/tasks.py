@@ -359,17 +359,28 @@ def strict_int(value) -> int:
     return int(value)
 
 
+def strict_float(value) -> float:
+    """value as a float: an int becomes one, and a bool, a non-finite number
+    or a non-number is a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return float(value)
+
+
 def task_dims(kind: str, dims: Optional[Dict] = None) -> Dict:
     """kind's default dims updated by dims, each converted to its default's
-    type (an int dim through strict_int); raises ValueError for an unknown
-    kind, an unknown dim or an unconvertible value. Builds nothing."""
+    type (an int dim through strict_int, a float one through strict_float);
+    raises ValueError for an unknown kind, an unknown dim or an unconvertible
+    value. Builds nothing."""
     if kind not in TASK_CLASSES:
         raise ValueError(f"unknown task kind: {kind!r}")
     merged = dict(TASK_CLASSES[kind].default_dims)
     for key, value in (dims or {}).items():
         if key not in merged:
             raise ValueError(f"unknown dim {key!r} for task kind {kind!r}")
-        convert = strict_int if type(merged[key]) is int else type(merged[key])
+        convert = strict_int if type(merged[key]) is int else strict_float
         try:
             merged[key] = convert(value)
         except (TypeError, ValueError) as exc:

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -138,6 +139,49 @@ def test_calibrate_prints_the_rate_the_suite_runs_at(tmp_path, capsys):
         calibrate_divergence_lr(TaskSpec(**bigram), probe_steps=steps, seed=s, criterion="final")
         for s in suite.seeds
     )}
+
+
+def test_suite_writes_the_ladders_it_calibrated_to_calibration_json(tmp_path):
+    bigram = {"kind": "bigram_lm", "dims": {"alphabet": 8, "corpus_len": 256, "eval_len": 64}}
+    burst = {"magnitude": 50.0, "period": 10, "mode": "gradient_burst"}
+    scen = {"kind": "lr_stress", "task": "toy", "steps": 40, "eval_every": 4}
+    cfg = write_config(tmp_path, extra={
+        "seeds": [7, 42],
+        "tasks": {"toy": bigram},
+        "scenarios": [
+            {**scen, "name": "hot", "lr": "aggressive"},
+            {**scen, "name": "mild", "lr": "moderate"},
+            {**scen, "name": "bursts", "kind": "injection", "lr": "aggressive", "clip_g": [1.0],
+             "injection": burst},
+            {**scen, "name": "fixed", "lr": 0.01},
+        ],
+    })
+    out = tmp_path / "suite_out"
+    assert main(["--config", str(cfg), "--out", str(out), "--quiet", "suite"]) == 0
+    entries = json.loads((out / "calibration.json").read_text())
+    assert [(e["scenarios"], e["seed"], e["steps"], e["injection"]) for e in entries] == [
+        (["hot", "mild"], 7, 40, None), (["hot", "mild"], 42, 40, None),
+        (["bursts"], 7, 40, {**burst, "steps": []}), (["bursts"], 42, 40, {**burst, "steps": []}),
+    ]
+    for entry in entries:
+        rungs = entry["rungs"]
+        assert [r["lr"] for r in rungs] == [1e-4 * 2.0**k for k in range(21)]
+        # The verdict is the lowest rung whose run ends degraded.
+        assert entry["lr"] == next(r["lr"] for r in rungs if r["degraded"])
+        for r in rungs:
+            final = r["final_loss"]
+            assert r["degraded"] == (not math.isfinite(final) or final > 2 * r["initial_loss"])
+    with open(out / "suite.csv") as fh:
+        rows = [row for row in csv.DictReader(fh) if row["arm"] == "baseline"]
+    rates = {s: base.opt.lr for s, base, _ in expand_scenarios(parse_config(cfg))}
+    for row in rows:
+        if row["scenario"] in ("hot", "mild"):
+            # The baseline was replayed from its rung: the same losses, bit for bit.
+            (entry,) = [e for e in entries if e["seed"] == int(row["seed"])
+                        and row["scenario"] in e["scenarios"]]
+            (rung,) = [r for r in entry["rungs"] if r["lr"] == rates[row["scenario"]]]
+            assert float(row["initial_loss"]) == rung["initial_loss"]
+            assert float(row["final_loss"]) == rung["final_loss"]
 
 
 def test_suite_with_a_malformed_value_prints_a_config_error(tmp_path, capsys):

@@ -387,6 +387,50 @@ def test_integer_fields_take_integral_numbers_only(path, section):
     assert type(at(emit_config(cfg))) is int
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("path, value, section", [
+    (("optimizer", "lr"), NAN, "optimizer"),
+    (("optimizer", "eps"), NAN, "optimizer"),
+    (("optimizer", "weight_decay"), INF, "optimizer"),
+    (("optimizer", "beta1"), True, "optimizer"),
+    (("schedule", "min_lr"), True, "schedule"),
+    (("guard", "recovery_fast"), INF, "guard"),
+    (("guard", "c_min"), True, "guard"),
+    (("scenarios", 0, "lr"), True, "scenarios[0]"),
+    (("scenarios", 0, "lr"), NAN, "scenarios[0]"),
+    (("scenarios", 0, "lr"), 0, "scenarios[0]"),
+    (("scenarios", 0, "lr"), -1, "scenarios[0]"),
+    (("scenarios", 0, "clip_g", 0), NAN, "scenarios[0]"),
+    (("scenarios", 0, "clip_g", 0), True, "scenarios[0]"),
+    (("scenarios", 0, "injection", "magnitude"), NAN, "scenarios[0].injection"),
+    (("run", "lr"), True, "run"),
+    (("run", "clip_g"), NAN, "run"),
+    (("tasks", "q", "dims", "condition"), INF, "tasks.q"),
+], ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else None)
+def test_float_fields_take_finite_numbers_only(path, value, section):
+    doc = json.loads(json.dumps(FULL))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    key = [k for k in path if isinstance(k, str)][-1]
+    with pytest.raises(ConfigError) as info:
+        parse_config(doc)
+    assert f"'{section}'" in str(info.value) and f"'{key}'" in str(info.value)
+
+
+def test_an_int_in_a_float_field_is_that_float():
+    doc = json.loads(json.dumps(FULL))
+    doc["optimizer"]["lr"] = 1
+    doc["scenarios"][0].update(lr=2, clip_g=[3])
+    cfg = parse_config(doc)
+    for value in (cfg.optimizer.lr, cfg.scenarios[0].lr, *cfg.scenarios[0].clip_g):
+        assert type(value) is float
+    assert (cfg.optimizer.lr, cfg.scenarios[0].lr, cfg.scenarios[0].clip_g) == (1.0, 2.0, (3.0,))
+
+
 def test_duplicate_scenario_names_are_rejected():
     doc = {**MINIMAL,
            "tasks": {**MINIMAL["tasks"], "other": {"kind": "bigram_lm"}},

@@ -6,13 +6,19 @@ runs/ (each run's JSONL and summary), in name order. It was recorded before
 the one-softmax-per-row eval, the scratch-buffer AdamW and the bisect corpus
 walk landed, so it holds them to the outputs of the code they replaced. The
 suite's 3 distinct probes and 13 distinct runs give the same bytes in one
-process and on a pool of forked workers.
+process and on a pool of forked workers. Three of those runs, the baselines
+of lr-stress, lr-moderate and long, are replayed from the rungs of their
+calibration ladders, and the other 10 run through run_training, so the
+digest also holds the replays to the runs they stand for. No eval enters
+the digest, so the three scenarios' eval_every was set to the probes' own
+(a tenth of the run), which a replay needs, without changing it.
 """
 
 import csv
 import hashlib
 import json
 
+from guardlab import harness
 from guardlab.cli import main
 
 GOLDEN_SUITE_SHA256 = "1881e2ff97a4b6255d98d3b76dce09750ce2313f29b84167d1e51524e34ed415"
@@ -25,16 +31,16 @@ TINY_SUITE = {
     },
     "scenarios": [
         {"name": "lr-stress", "kind": "lr_stress", "task": "bigram",
-         "steps": 40, "lr": "aggressive", "eval_every": 10},
+         "steps": 40, "lr": "aggressive", "eval_every": 4},
         {"name": "lr-moderate", "kind": "lr_stress", "task": "bigram",
-         "steps": 40, "lr": "moderate", "eval_every": 10},
+         "steps": 40, "lr": "moderate", "eval_every": 4},
         {"name": "clip", "kind": "clip_baseline", "task": "bigram",
          "steps": 40, "lr": "aggressive", "eval_every": 10, "clip_g": [1.0, 0.5]},
         {"name": "bursts", "kind": "injection", "task": "bigram",
          "steps": 40, "lr": "aggressive", "eval_every": 10, "clip_g": [1.0],
          "injection": {"magnitude": 50.0, "period": 10, "mode": "gradient_burst"}},
         {"name": "long", "kind": "long_budget", "task": "bigram",
-         "steps": 80, "lr": "aggressive", "eval_every": 20},
+         "steps": 80, "lr": "aggressive", "eval_every": 8},
         {"name": "benign", "kind": "seed_sweep", "task": "quadratic",
          "steps": 40, "lr": 0.001, "eval_every": 10},
     ],
@@ -53,10 +59,22 @@ def suite_digest(out) -> str:
     return h.hexdigest()
 
 
-def test_tiny_suite_outputs_match_the_golden_digest(tmp_path, workers):
+def test_tiny_suite_outputs_match_the_golden_digest(tmp_path, workers, monkeypatch):
+    ran = []
+    real = harness.run_training
+
+    def counting(cfg, out_dir=None):
+        ran.append(cfg.label)
+        return real(cfg, out_dir)
+
+    monkeypatch.setattr(harness, "run_training", counting)
     cfg = tmp_path / "suite.json"
     cfg.write_text(json.dumps(TINY_SUITE))
     out = tmp_path / "out"
     assert main(["--config", str(cfg), "--out", str(out), "--quiet", "suite"]) == 0
     assert len(list((out / "runs").iterdir())) == 2 * 13
     assert suite_digest(out) == GOLDEN_SUITE_SHA256
+    if workers == 1:
+        # A forked worker's calls never reach this process's list.
+        assert len(ran) == 10
+        assert not {"lr-stress-baseline", "lr-moderate-baseline", "long-baseline"} & set(ran)

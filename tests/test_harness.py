@@ -241,7 +241,7 @@ def test_calibrate_monotone_bracket():
     # [DERIVED] the returned lr degrades the probe and half of it does not.
     spec = TaskSpec(kind="quadratic", dims={"dim": 4, "condition": 100.0, "noise": 0.0})
     lr = calibrate_divergence_lr(spec, probe_steps=60, floor=1e-3, criterion="peak")
-    from guardlab.harness import _probe_degraded
+    from guardlab.harness import probe_degraded
     from guardlab.optim import ScheduleKind
 
     def probe(rate):
@@ -255,7 +255,7 @@ def test_calibrate_monotone_bracket():
             seed=7,
             label="probe",
         )
-        return _probe_degraded(run_training(cfg), "peak")
+        return probe_degraded(run_training(cfg), "peak")
 
     assert probe(lr)
     assert not probe(lr / 2.0)
@@ -301,7 +301,7 @@ LADDER_CASES = [
     "task,injection", LADDER_CASES, ids=[f"{t.kind}-{i}" for t, i in LADDER_CASES]
 )
 def test_probe_ladder_rows_bitwise_equal_scalar_runs(task, injection):
-    from guardlab.harness import _probe_degraded
+    from guardlab.harness import probe_degraded
 
     cfg = RunConfig(
         task=task, baseline_marker=True, steps=40, batch_size=16, eval_every=8,
@@ -319,7 +319,7 @@ def test_probe_ladder_rows_bitwise_equal_scalar_runs(task, injection):
             for (_, loss, ppl), (_, ref_loss, ref_ppl) in zip(rung.eval_trace, ref.eval_trace):
                 assert _same(loss, ref_loss) and _same(ppl, ref_ppl)
     # The ladder spans healthy and degraded rungs.
-    assert not _probe_degraded(rungs[0], "peak") and _probe_degraded(rungs[-1], "peak")
+    assert not probe_degraded(rungs[0], "peak") and probe_degraded(rungs[-1], "peak")
 
 
 def test_probe_ladder_rejects_governed_arms():
@@ -331,7 +331,7 @@ def test_probe_ladder_rejects_governed_arms():
 
 def _scalar_ladder(task, probe_steps, floor, criterion, injection=None, max_doublings=20):
     """The doubling ladder run rung by rung through run_training."""
-    from guardlab.harness import _probe_degraded
+    from guardlab.harness import probe_degraded
 
     lr = floor
     for _ in range(max_doublings + 1):
@@ -340,7 +340,7 @@ def _scalar_ladder(task, probe_steps, floor, criterion, injection=None, max_doub
             steps=probe_steps, batch_size=32, eval_every=max(1, probe_steps // 10),
             seed=7, injection=injection, label="calibrate",
         )
-        if _probe_degraded(run_training(cfg), criterion):
+        if probe_degraded(run_training(cfg), criterion):
             return lr
         lr *= 2.0
     return None
@@ -372,6 +372,106 @@ def test_calibrate_not_stressable_matches_scalar():
         calibrate_divergence_lr(
             NOISELESS_QUAD, probe_steps=50, floor=1e-6, max_doublings=3, criterion="final"
         )
+
+
+# --------------------------------------------------------------------------
+# Baseline arms taken from the calibration ladder
+# --------------------------------------------------------------------------
+
+TAKEN_BIGRAM = {"kind": "bigram_lm", "dims": {"alphabet": 8, "corpus_len": 256, "eval_len": 64}}
+BURSTS = {"magnitude": 50.0, "period": 10, "mode": "gradient_burst"}
+# The baseline arms these scenarios replay from a rung, and those that run.
+TAKEN_SCENARIOS = [
+    {"name": "hot", "kind": "lr_stress", "lr": "aggressive"},
+    {"name": "hot-bursts", "kind": "lr_stress", "lr": "aggressive", "injection": BURSTS},
+    {"name": "long", "kind": "long_budget", "lr": "aggressive", "steps": 80, "eval_every": 8},
+    {"name": "mild", "kind": "lr_stress", "lr": "moderate"},
+]
+RUN_SCENARIOS = [
+    {"name": "clipped", "kind": "clip_baseline", "lr": "aggressive", "clip_g": [1.0]},
+    {"name": "sparse-evals", "kind": "lr_stress", "lr": "aggressive", "eval_every": 5},
+    {"name": "off-ladder", "kind": "lr_stress", "lr": 0.003},
+]
+
+
+def _trace_same(a, b) -> bool:
+    return len(a) == len(b) and all(
+        s == t and _same(loss, ref_loss) and _same(ppl, ref_ppl)
+        for (s, loss, ppl), (t, ref_loss, ref_ppl) in zip(a, b)
+    )
+
+
+def test_suite_replays_baseline_arms_from_their_ladder_rungs(tmp_path, monkeypatch, one_worker):
+    import guardlab.harness as harness
+    from guardlab.config import expand_scenarios, parse_config
+
+    ran = []
+    real = harness.run_training
+
+    def counting(cfg, out_dir=None):
+        ran.append(cfg.label)
+        return real(cfg, out_dir)
+
+    cfg = parse_config({
+        "seeds": [3],
+        "tasks": {"toy": TAKEN_BIGRAM},
+        "scenarios": [{"task": "toy", "steps": 40, "batch_size": 16, "eval_every": 4, **scen}
+                      for scen in TAKEN_SCENARIOS + RUN_SCENARIOS],
+    })
+    ladders = {}
+    with np.errstate(all="ignore"):
+        pairs = expand_scenarios(cfg, ladders)
+        monkeypatch.setattr(harness, "run_training", counting)
+        rows = run_suite(pairs, out_dir=tmp_path / "runs", ladders=ladders)
+        monkeypatch.setattr(harness, "run_training", real)
+        assert all(row.error is None for row in rows)
+        taken = {f"{scen['name']}-baseline" for scen in TAKEN_SCENARIOS}
+        assert sorted(ran) == sorted(
+            [f"{scen['name']}-guard" for scen in TAKEN_SCENARIOS + RUN_SCENARIOS]
+            + ["clipped-clip1.0", "sparse-evals-baseline", "off-ladder-baseline"]
+        )
+        arms = {arm.label: arm for _, *pair in pairs for arm in pair}
+        assert arms["mild-baseline"].opt.lr == arms["hot-baseline"].opt.lr / 32
+        results = {res.label: res for row in rows for res in (row.baseline, row.guarded)}
+        assert results.keys() == arms.keys()
+        for label, res in results.items():
+            ref = run_training(arms[label], tmp_path / "ref")
+            stem = f"{label}_seed3"
+            for suffix in (".jsonl", "_summary.json"):
+                assert ((tmp_path / "runs" / f"{stem}{suffix}").read_bytes()
+                        == (tmp_path / "ref" / f"{stem}{suffix}").read_bytes()), stem
+            assert res.params.tobytes() == ref.params.tobytes(), label
+            assert res.summary == ref.summary, label
+            assert _trace_same(res.eval_trace, ref.eval_trace), label
+            for name in ("initial_loss", "final_loss", "final_perplexity"):
+                assert _same(getattr(res, name), getattr(ref, name)), (label, name)
+            if label in taken:
+                assert res.wall_seconds == harness.ladder_rung(arms[label], ladders).wall_seconds
+    # The stress rate degrades the replayed baseline: its log is not a quiet run's.
+    assert results["hot-baseline"].summary.regime_switches > 0
+
+
+@pytest.mark.parametrize("lr, injection, why", [
+    (1e300, None, "the loss and gradient are non-finite"),
+    (1e-3, InjectionSpec(magnitude=1e300, period=10, mode="gradient_burst"),
+     "the burst leaves the gradient finite but its mean square overflows"),
+])
+def test_a_rung_logs_a_null_grad_rms_where_sense_does(lr, injection, why):
+    from guardlab.harness import replay_rung
+
+    cfg = RunConfig(task=NOISELESS_QUAD, opt=OptimizerConfig(lr=lr), baseline_marker=True,
+                    steps=30, batch_size=8, eval_every=3, seed=3, injection=injection,
+                    label="probe")
+    with np.errstate(all="ignore"):
+        (rung,) = run_probe_ladder(cfg, [lr])
+        ref = run_training(cfg)
+    assert rung.grad_rms[1:] == [None, None], why
+    assert rung.grad_rms[0] == ref.log.records[0].grad_rms is not None
+    text, ref_text = io.StringIO(), io.StringIO()
+    replay_rung(cfg, rung).log.write_jsonl(text)
+    ref.log.write_jsonl(ref_text)
+    assert text.getvalue() == ref_text.getvalue()
+    assert '"grad_rms": null' in text.getvalue()
 
 
 # --------------------------------------------------------------------------
