@@ -2,8 +2,9 @@
 expansion into paired run configs.
 
 Each section is read from the fields of its dataclass, which are the only
-statement of the schema: a field with an int default takes an integral
-number and one with a float default a finite number. Unknown keys and
+statement of the schema: a field with a bool default takes true or false,
+one with an int default an integral number and one with a float default a
+finite number. Unknown keys and
 malformed values are ConfigErrors naming the section and key. Every default
 is materialized into the echoed configuration for provenance.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
@@ -19,21 +21,25 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .governor import GuardConfig
 from .harness import (
-    Calibration,
     InjectionSpec,
     NotStressableError,
     OptimizerConfig,
+    ProbeResult,
     RunConfig,
     TaskSpec,
     degrading_lr,
+    doubling_ladder,
     parallel_map,
     probe_config,
     probe_degraded,
+    replayable,
 )
 from .optim import ClipConfig, ScheduleKind
-from .tasks import TASK_CLASSES, strict_float, strict_int, task_dims
+from .tasks import TASK_CLASSES, strict_bool, strict_float, strict_int, task_dims
 
 SCENARIO_KINDS = ("lr_stress", "clip_baseline", "injection", "long_budget", "seed_sweep")
+# The kinds whose baseline arms clip, one per clip_g threshold.
+CLIP_KINDS = ("clip_baseline", "injection")
 # Each lr preset's backoff factor from the calibrated aggressive rate. With
 # the doubling grid these land well inside (moderate) and far inside (safe)
 # the trainable region observed during calibration.
@@ -41,9 +47,9 @@ PRESET_BACKOFF = {"aggressive": 1.0, "moderate": 32.0, "safe": 512.0}
 LR_PRESETS = tuple(PRESET_BACKOFF)
 # A preset's probe must end degraded; see harness.degrading_lr.
 CALIBRATION_CRITERION = "final"
-# The converter of a field by the type of its default: bools and None
-# defaults have none, and a converter given to _build takes precedence.
-_DEFAULT_CONVERTERS = {int: strict_int, float: strict_float}
+# The converter of a field by the type of its default: None defaults have
+# none, and a converter given to _build takes precedence.
+_DEFAULT_CONVERTERS = {bool: strict_bool, int: strict_int, float: strict_float}
 
 
 class ConfigError(ValueError):
@@ -128,6 +134,8 @@ class ScenarioSpec:
             raise ValueError(f"lr must be a number or one of {LR_PRESETS}, got {self.lr!r}")
         for g in self.clip_g:
             ClipConfig(g=g)
+        if self.kind in CLIP_KINDS and not self.clip_g:
+            raise ValueError(f"clip_g must hold a threshold for kind {self.kind!r}")
         _check_file_stem("name", self.name)
 
 
@@ -309,10 +317,10 @@ def resolve_lr(
 ) -> float:
     """Turn an lr preset into a concrete rate via divergence calibration.
 
-    aggressive: the largest rate over arms (one per seed) whose full-length
-    baseline probe ends degraded, so it degrades every arm; each preset
-    divides it by its PRESET_BACKOFF factor. cache maps each probe to its
-    Calibration, so arms with equal probes calibrate once.
+    aggressive: the largest rate over arms (a scenario's, on each seed) whose
+    full-length baseline probe ends degraded, so it degrades every arm; each
+    preset divides it by its PRESET_BACKOFF factor. cache maps each probe to
+    its ladder's rungs, so arms with equal probes calibrate once.
     """
     if not isinstance(lr, str):
         return float(lr)
@@ -323,84 +331,79 @@ def resolve_lr(
     for arm in arms:
         probe = probe_config(arm)
         if probe not in cache:
-            cache[probe] = _calibration(probe)
-        rates.append(cache[probe].lr)
+            cache[probe] = doubling_ladder(probe)
+        rates.append(degrading_lr(cache[probe], CALIBRATION_CRITERION))
     return max(rates) / PRESET_BACKOFF[lr]
 
 
-def _calibration(probe: RunConfig) -> Calibration:
-    """probe's ladder: the rate degrading_lr reads from it, and its rungs."""
-    rungs: list = []
-    return Calibration(degrading_lr(probe, criterion=CALIBRATION_CRITERION, rungs=rungs), rungs)
+def _calibrate(probe: RunConfig, backoffs: Dict[RunConfig, float]) -> List[ProbeResult]:
+    """probe's ladder, where only the rungs a preset arm can replay keep
+    their per-step data, so a worker sends back none that no arm replays.
 
-
-def _calibrate(probe: RunConfig, backoffs: Dict[RunConfig, float]) -> Optional[Calibration]:
-    """_calibration(probe) for the presets that divide its rate by at most
-    backoffs[probe], or None when it raises: resolve_lr then runs it again
-    itself, so the error surfaces in config order.
-
-    Such a preset's rate is the largest verdict over its arms' probes, one
-    of which is this one, divided by its backoff. So no preset arm runs at
-    a rung further than backoffs[probe] below this probe's verdict, and
-    those rungs keep only the fields the verdict reads: a worker then sends
-    back no per-step data that no arm can replay.
-    """
+    backoffs[probe] is the largest backoff of the presets whose baseline arm
+    replays a rung of probe (0 for none). Such a preset's rate is the largest
+    verdict over its arms' probes, this one's among them, over its backoff."""
+    rungs = doubling_ladder(probe)
+    backoff = backoffs[probe]
     try:
-        calibration = _calibration(probe)
-    except Exception:  # noqa: BLE001 - re-raised by resolve_lr's own run
-        return None
-    lowest = calibration.lr / backoffs[probe]
-    calibration.rungs = [
-        rung if rung.lr >= lowest else replace(rung, params=None, losses=None, grad_rms=[])
-        for rung in calibration.rungs
-    ]
-    return calibration
+        lowest = degrading_lr(rungs, CALIBRATION_CRITERION) / backoff if backoff else math.inf
+    except NotStressableError:  # resolve_lr raises it where it reads the rate
+        lowest = math.inf
+    return [rung if rung.lr >= lowest else replace(rung, params=None, losses=None, grad_rms=[])
+            for rung in rungs]
 
 
-def _baseline_arms(cfg: SuiteConfig) -> Dict[str, List[RunConfig]]:
-    """Each scenario's baseline arm on each seed, at the optimizer's lr."""
-    return {
-        scen.name: [
-            RunConfig(opt=cfg.optimizer, schedule_kind=cfg.schedule.kind,
-                      min_lr=cfg.schedule.min_lr, baseline_marker=True, seed=seed,
-                      label=f"{scen.name}-baseline", **_scenario_fields(scen, cfg.tasks))
-            for seed in cfg.seeds
-        ]
-        for scen in cfg.scenarios
-    }
+def _pairs(cfg: SuiteConfig, scen: ScenarioSpec,
+           lr: float) -> List[Tuple[str, RunConfig, RunConfig]]:
+    """scen's (scenario_id, baseline_cfg, guarded_cfg) pairs at rate lr, seed
+    by seed: each clip arm under CLIP_KINDS, else the plain baseline arm,
+    against the guard arm."""
+    pairs = []
+    for seed in cfg.seeds:
+        base = RunConfig(opt=replace(cfg.optimizer, lr=lr), schedule_kind=cfg.schedule.kind,
+                         min_lr=cfg.schedule.min_lr, baseline_marker=True, seed=seed,
+                         label=f"{scen.name}-baseline", **_scenario_fields(scen, cfg.tasks))
+        guard = replace(base, guard=cfg.guard, baseline_marker=False, label=f"{scen.name}-guard")
+        if scen.kind in CLIP_KINDS:
+            pairs += [(f"{scen.name}/clip_g={g}",
+                       replace(base, clip=ClipConfig(g=g), label=f"{scen.name}-clip{g}"), guard)
+                      for g in scen.clip_g]
+        else:
+            pairs.append((scen.name, base, guard))
+    return pairs
 
 
-def _preset_probes(
-    cfg: SuiteConfig, baselines: Dict[str, List[RunConfig]]
-) -> Dict[RunConfig, List[ScenarioSpec]]:
+def _preset_probes(cfg: SuiteConfig) -> Dict[RunConfig, Dict[str, float]]:
     """Each distinct probe of cfg's preset scenarios, in config order, with
-    the scenarios it calibrates."""
-    probes: Dict[RunConfig, List[ScenarioSpec]] = {}
+    the scenarios it calibrates, each mapped to its preset's backoff where
+    the scenario's baseline arm replays a rung of the probe, else to 0."""
+    probes: Dict[RunConfig, Dict[str, float]] = {}
     for scen in cfg.scenarios:
         if isinstance(scen.lr, str):
-            for arm in baselines[scen.name]:
-                probes.setdefault(probe_config(arm), []).append(scen)
+            for _, base, _ in _pairs(cfg, scen, cfg.optimizer.lr):
+                probes.setdefault(probe_config(base), {})[scen.name] = (
+                    PRESET_BACKOFF[scen.lr] if replayable(base) else 0.0)
     return probes
 
 
-def calibration_record(cfg: SuiteConfig, cache: Dict[RunConfig, Calibration]) -> List[dict]:
+def calibration_record(cfg: SuiteConfig, cache: Dict[RunConfig, List[ProbeResult]]) -> List[dict]:
     """One entry per distinct probe of cfg's preset scenarios in cache: the
     scenarios and seed it calibrates, its steps and injection, each rung's
     lr, initial and final loss and degraded flag, and its verdict lr."""
     return [
         {
-            "scenarios": [scen.name for scen in scens],
+            "scenarios": list(uses),
             "seed": probe.seed,
             "steps": probe.steps,
             "injection": None if probe.injection is None else dataclasses.asdict(probe.injection),
             "rungs": [
                 {"lr": rung.lr, "initial_loss": rung.initial_loss, "final_loss": rung.final_loss,
                  "degraded": probe_degraded(rung, CALIBRATION_CRITERION)}
-                for rung in cache[probe].rungs
+                for rung in cache[probe]
             ],
-            "lr": cache[probe].lr,
+            "lr": degrading_lr(cache[probe], CALIBRATION_CRITERION),
         }
-        for probe, scens in _preset_probes(cfg, _baseline_arms(cfg)).items() if probe in cache
+        for probe, uses in _preset_probes(cfg).items() if probe in cache
     ]
 
 
@@ -413,18 +416,14 @@ def expand_scenarios(
     through parallel_map; each scenario then resolves its rate from the cache.
     """
     cache = {} if cache is None else cache
-    baselines = _baseline_arms(cfg)
-    backoffs = {probe: max(PRESET_BACKOFF[scen.lr] for scen in scens)
-                for probe, scens in _preset_probes(cfg, baselines).items()}
+    backoffs = {probe: max(uses.values()) for probe, uses in _preset_probes(cfg).items()}
     probes = [probe for probe in backoffs if probe not in cache]
-    calibrate = partial(_calibrate, backoffs=backoffs)
-    for probe, calibration in zip(probes, parallel_map(calibrate, probes)):
-        if calibration is not None:
-            cache[probe] = calibration
+    cache.update(zip(probes, parallel_map(partial(_calibrate, backoffs=backoffs), probes)))
     pairs: List[Tuple[str, RunConfig, RunConfig]] = []
     for scen in cfg.scenarios:
+        arms = [base for _, base, _ in _pairs(cfg, scen, cfg.optimizer.lr)]
         try:
-            lr = resolve_lr(scen.lr, baselines[scen.name], cache)
+            lr = resolve_lr(scen.lr, arms, cache)
         except NotStressableError as exc:
             raise ConfigError(
                 f"scenario {scen.name!r}: lr preset {scen.lr!r} needs a rate that degrades task "
@@ -435,14 +434,5 @@ def expand_scenarios(
                 f"scenario {scen.name!r} resolves lr {scen.lr!r} to {lr:g}, below "
                 f"schedule.min_lr {cfg.schedule.min_lr:g}; no schedule decays upwards"
             )
-        for arm in baselines[scen.name]:
-            base_cfg = replace(arm, opt=replace(cfg.optimizer, lr=lr))
-            guard_cfg = replace(base_cfg, guard=cfg.guard, baseline_marker=False,
-                                label=f"{scen.name}-guard")
-            if scen.kind in ("clip_baseline", "injection"):
-                for g in scen.clip_g:
-                    clip_cfg = replace(base_cfg, clip=ClipConfig(g=g), label=f"{scen.name}-clip{g}")
-                    pairs.append((f"{scen.name}/clip_g={g}", clip_cfg, guard_cfg))
-            else:
-                pairs.append((scen.name, base_cfg, guard_cfg))
+        pairs.extend(_pairs(cfg, scen, lr))
     return pairs

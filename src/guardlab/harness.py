@@ -170,14 +170,6 @@ class ProbeResult:
 
 
 @dataclass
-class Calibration:
-    """A probe's doubling ladder: its verdict rate and the rungs it read."""
-
-    lr: float
-    rungs: List[ProbeResult]
-
-
-@dataclass
 class ComparisonRow:
     scenario: str
     seed: int
@@ -405,32 +397,27 @@ def probe_config(arm: RunConfig) -> RunConfig:
     )
 
 
-def degrading_lr(
-    probe: RunConfig,
-    criterion: str = "peak",
-    floor: float = 1e-4,
-    max_doublings: int = 20,
-    rungs: Optional[List[ProbeResult]] = None,
-) -> float:
-    """The lowest rate on the doubling ladder floor * 2**k (k up to
-    max_doublings) whose run of probe degrades.
+def doubling_ladder(probe: RunConfig, floor: float = 1e-4,
+                    max_doublings: int = 20) -> List[ProbeResult]:
+    """probe's rungs at the rates floor * 2**k (k up to max_doublings), lowest
+    first, all run at once through run_probe_ladder. Probes decay to their
+    min_lr, as the runs they calibrate do; rungs below min_lr are left off
+    the ladder, since no schedule decays upwards."""
+    lrs = [floor * 2.0**k for k in range(max_doublings + 1) if floor * 2.0**k >= probe.min_lr]
+    return run_probe_ladder(probe, lrs) if lrs else []
+
+
+def degrading_lr(rungs: Sequence[ProbeResult], criterion: str = "peak") -> float:
+    """The lowest rate among a ladder's rungs, lowest first, whose run degrades.
 
     criterion="peak" flags degradation at any eval checkpoint within the
     probe run; "final" requires the probe run to end degraded (cosine decay
     can anneal a mid-run excursion away, so "final" needs a probe as long
-    as the target run to transfer). Every rung runs at once through
-    run_probe_ladder. Probes decay to their min_lr, as the runs they
-    calibrate do; rungs below min_lr are left off the ladder, since no
-    schedule decays upwards. When rungs is a list, the ladder's rungs are
-    appended to it, for a caller that keeps them.
+    as the target run to transfer).
     """
     if criterion not in ("peak", "final"):
         raise ValueError("criterion must be 'peak' or 'final'")
-    lrs = [floor * 2.0**k for k in range(max_doublings + 1) if floor * 2.0**k >= probe.min_lr]
-    ladder = run_probe_ladder(probe, lrs) if lrs else []
-    if rungs is not None:
-        rungs.extend(ladder)
-    for rung in ladder:
+    for rung in rungs:
         if probe_degraded(rung, criterion):
             return rung.lr
     raise NotStressableError("task not stressable: no degrading lr within doubling budget")
@@ -454,7 +441,7 @@ def calibrate_divergence_lr(
         seed=seed,
         injection=injection,
     )
-    return degrading_lr(probe_config(arm), criterion, floor, max_doublings)
+    return degrading_lr(doubling_ladder(probe_config(arm), floor, max_doublings), criterion)
 
 
 def config_pair_diff(baseline: RunConfig, guarded: RunConfig) -> List[str]:
@@ -482,11 +469,12 @@ Item = TypeVar("Item")
 Out = TypeVar("Out")
 
 
-def parallel_map(fn: Callable[[Item], Out], items: Sequence[Item]) -> List[Out]:
+def parallel_map(fn: Callable[[Item], Out], items: Sequence[Item],
+                 steps: Callable[[Item], int] = lambda item: item.steps) -> List[Out]:
     """[fn(item) for item in items], run on one forked worker per usable CPU.
 
-    Items start longest steps first, so a long one does not finish last on
-    its own, and the parent only coordinates. A worker forks from the
+    Items start most steps(item) first, so a long one does not finish last
+    on its own, and the parent only coordinates. A worker forks from the
     parent, so fn must be a module-level function (it is pickled by
     reference) that looks its callees up when called: it then sees the
     parent's module state, monkeypatches included. With fewer than two
@@ -502,30 +490,35 @@ def parallel_map(fn: Callable[[Item], Out], items: Sequence[Item]) -> List[Out]:
             fork = multiprocessing.get_context("fork")
             with ProcessPoolExecutor(workers, mp_context=fork) as pool:
                 futures = {i: pool.submit(fn, items[i])
-                           for i in sorted(range(len(items)), key=lambda i: -items[i].steps)}
+                           for i in sorted(range(len(items)), key=lambda i: -steps(items[i]))}
             return [futures[i].result() for i in range(len(items))]
     return [fn(item) for item in items]
 
 
-def ladder_rung(cfg: RunConfig, ladders: Mapping[RunConfig, Calibration]) -> Optional[ProbeResult]:
-    """The rung of a calibrated ladder that already ran cfg, if any.
+def replayable(arm: RunConfig) -> bool:
+    """Whether arm is its probe but for its optimizer and label (a baseline
+    arm with no guard and no clip that evaluates every tenth of its run), so
+    that the rung of its probe's ladder at its rate ran arm itself."""
+    return replace(probe_config(arm), opt=arm.opt, label=arm.label) == arm
 
-    That is a rung of cfg's probe at cfg's rate, where cfg is the probe but
-    for its optimizer and label: a baseline arm with no guard and no clip
-    that evaluates every tenth of its run, as the probe does.
-    """
+
+def ladder_rung(cfg: RunConfig,
+                ladders: Mapping[RunConfig, List[ProbeResult]]) -> Optional[ProbeResult]:
+    """The rung of cfg's probe in ladders (probe -> rungs) that already ran
+    cfg, if any: cfg is replayable and the rung at its rate kept its losses."""
     probe = probe_config(cfg)
-    if probe not in ladders or replace(probe, opt=cfg.opt, label=cfg.label) != cfg:
+    if probe not in ladders or not replayable(cfg):
         return None
-    return next((rung for rung in ladders[probe].rungs
+    return next((rung for rung in ladders[probe]
                  if rung.lr == cfg.opt.lr and rung.losses is not None), None)
 
 
 def _run_or_error(
-    cfg: RunConfig, out_dir: Optional[Path], rung: Optional[ProbeResult] = None
+    item: Tuple[RunConfig, Optional[ProbeResult]], out_dir: Optional[Path]
 ) -> Union[RunResult, str]:
-    """run_training(cfg, out_dir), or replay_rung when a rung already ran
-    cfg; or the error text its suite row carries."""
+    """run_training(cfg, out_dir) for an item (cfg, None), else replay_rung of
+    its rung; or the error text its suite row carries."""
+    cfg, rung = item
     try:
         return run_training(cfg, out_dir) if rung is None else replay_rung(cfg, rung, out_dir)
     except Exception as exc:  # noqa: BLE001 - per-row error capture
@@ -535,15 +528,15 @@ def _run_or_error(
 def run_suite(
     pairs: Sequence[Tuple[str, RunConfig, RunConfig]],
     out_dir: Optional[Path] = None,
-    ladders: Optional[Mapping[RunConfig, Calibration]] = None,
+    ladders: Optional[Mapping[RunConfig, List[ProbeResult]]] = None,
 ) -> List[ComparisonRow]:
     """Run (scenario, baseline_cfg, guarded_cfg) pairs and aggregate rows.
 
     Pairing integrity is asserted up front; per-run errors are recorded on
-    the row and the suite continues. Each distinct config runs once: a
-    baseline arm that a rung of ladders (probe -> Calibration) already ran
-    is replayed from it, and every other config runs through parallel_map.
-    Rows come back sorted by scenario id.
+    the row and the suite continues. Each distinct config runs once, all
+    through one parallel_map: a baseline arm that a rung of ladders
+    (probe -> rungs) already ran is replayed from it, and every other
+    config runs. Rows come back sorted by scenario id.
     """
     if not pairs:
         raise ValueError("run_suite requires at least one pair")
@@ -556,11 +549,11 @@ def run_suite(
     # A config shared by several pairs (a scenario's guard arm is paired with
     # each clip threshold) runs once.
     configs = list(dict.fromkeys(cfg for _, *arms in pairs for cfg in arms))
-    rungs = {cfg: ladder_rung(cfg, ladders or {}) for cfg in configs}
-    runs = [cfg for cfg in configs if rungs[cfg] is None]
-    results = dict(zip(runs, parallel_map(partial(_run_or_error, out_dir=out_dir), runs)))
-    results.update((cfg, _run_or_error(cfg, out_dir, rung))
-                   for cfg, rung in rungs.items() if rung is not None)
+    items = [(cfg, ladder_rung(cfg, ladders or {})) for cfg in configs]
+    # A replay runs no task: it is short work that fills the pool's tail.
+    results = dict(zip(configs, parallel_map(
+        partial(_run_or_error, out_dir=out_dir), items,
+        steps=lambda item: 0 if item[1] is not None else item[0].steps)))
 
     rows: List[ComparisonRow] = []
     for scenario, base_cfg, guard_cfg in pairs:

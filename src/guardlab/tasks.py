@@ -359,6 +359,13 @@ def strict_int(value) -> int:
     return int(value)
 
 
+def strict_bool(value) -> bool:
+    """value, which must be a bool: a string, a number or None is a ValueError."""
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value
+
+
 def strict_float(value) -> float:
     """value as a float: an int becomes one, and a bool, a non-finite number
     or a non-number is a ValueError."""

@@ -23,7 +23,7 @@ from guardlab.config import (
     resolve_lr,
 )
 from guardlab.governor import GuardConfig
-from guardlab.harness import NotStressableError
+from guardlab.harness import ProbeResult
 from guardlab.optim import ClipConfig
 
 SHIPPED = Path(__file__).resolve().parents[1] / "configs" / "default_suite.json"
@@ -119,20 +119,28 @@ def test_run_section_defaults_are_materialized():
 
 
 def test_unstressable_task_under_a_preset_is_a_config_error(monkeypatch, workers):
-    def no_degrading_lr(*args, **kwargs):
-        raise NotStressableError("task not stressable: no degrading lr within doubling budget")
+    built = []
 
-    monkeypatch.setattr(config_module, "degrading_lr", no_degrading_lr)
+    def no_degrading_rung(probe):
+        built.append(probe)
+        return [ProbeResult(lr=1e-4, initial_loss=1.0, final_loss=0.5, eval_trace=[], params=None)]
+
+    monkeypatch.setattr(config_module, "doubling_ladder", no_degrading_rung)
     scen = {**MINIMAL["scenarios"][0], "lr": "aggressive"}
     later = {**scen, "name": "later", "steps": 40}
-    doc = {**MINIMAL, "scenarios": [scen, later]}
+    cfg = parse_config({**MINIMAL, "scenarios": [scen, later]})
     with pytest.raises(ConfigError) as info:
-        expand_scenarios(parse_config(doc))
+        expand_scenarios(cfg)
     # The first unstressable scenario in config order is the one named.
     message = str(info.value)
     for part in ("'demo'", "'quadratic'", "'aggressive'", "numeric lr"):
         assert part in message, part
     assert "'later'" not in message
+    if workers == 1:
+        # Each distinct probe, one per scenario and seed, is built once: the
+        # error is raised from the cached rungs, without a second ladder.
+        # A forked worker's calls never reach this process's list.
+        assert len(built) == 2 * len(cfg.seeds) == len(set(built))
 
 
 def test_rejects_spike_not_above_stress():
@@ -177,16 +185,22 @@ def test_resolve_lr_rejects_unknown_preset():
 
 
 def fake_core(monkeypatch):
-    """Replace the calibration core with one that records each probe and
-    returns a rate derived from its batch size."""
+    """Replace the calibration ladder with one that records each probe and
+    degrades, under the "final" criterion, from a rate derived from its
+    batch size."""
     probes = []
 
-    def core(probe, criterion="peak", **kw):
-        assert criterion == "final"
+    def ladder(probe):
         probes.append(probe)
-        return 1e-3 * probe.batch_size
+        lr = 1e-3 * probe.batch_size
+        return [
+            # Degraded mid-run only: the "peak" criterion would stop here.
+            ProbeResult(lr=lr / 2, initial_loss=1.0, final_loss=0.5,
+                        eval_trace=[(1, 3.0, 3.0)], params=None),
+            ProbeResult(lr=lr, initial_loss=1.0, final_loss=3.0, eval_trace=[], params=None),
+        ]
 
-    monkeypatch.setattr(config_module, "degrading_lr", core)
+    monkeypatch.setattr(config_module, "doubling_ladder", ladder)
     return probes
 
 
@@ -309,6 +323,11 @@ SCEN = MINIMAL["scenarios"][0]
     pytest.param({"scenarios": ["x"]}, "'scenarios[0]' must be an object", id="scenario-string"),
     pytest.param({"scenarios": [{**SCEN, "lr": [1]}]}, "scenarios[0]", id="lr-list"),
     pytest.param({"scenarios": [{**SCEN, "clip_g": ["a"]}]}, "scenarios[0]", id="clip_g-string"),
+    # A clip scenario without a threshold would expand to no pairs at all.
+    pytest.param({"scenarios": [{**SCEN, "kind": "clip_baseline", "clip_g": []}]},
+                 "'scenarios[0]': clip_g", id="clip_g-empty-clip_baseline"),
+    pytest.param({"scenarios": [{**SCEN, "kind": "injection", "clip_g": []}]},
+                 "'scenarios[0]': clip_g", id="clip_g-empty-injection"),
     pytest.param({"seeds": 5}, "'seeds' in section 'root'", id="seeds-number"),
     pytest.param({"seeds": ["a"]}, "'seeds' in section 'root'", id="seeds-string"),
     pytest.param({"schedule": {"min_lr": "x"}}, "'min_lr' in section 'schedule'", id="min_lr-string"),
@@ -431,6 +450,20 @@ def test_an_int_in_a_float_field_is_that_float():
     assert (cfg.optimizer.lr, cfg.scenarios[0].lr, cfg.scenarios[0].clip_g) == (1.0, 2.0, (3.0,))
 
 
+@pytest.mark.parametrize("value", ["no", None, 0, 1], ids=repr)
+def test_bool_fields_take_true_or_false_only(value):
+    with pytest.raises(ConfigError) as info:
+        parse_config({**MINIMAL, "guard": {"auto_enabled": value}})
+    assert "'auto_enabled' in section 'guard'" in str(info.value)
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_a_bool_field_round_trips(value):
+    cfg = parse_config({**MINIMAL, "guard": {"auto_enabled": value}})
+    assert cfg.guard.auto_enabled is value
+    assert parse_config(json.loads(json.dumps(emit_config(cfg)))) == cfg
+
+
 def test_duplicate_scenario_names_are_rejected():
     doc = {**MINIMAL,
            "tasks": {**MINIMAL["tasks"], "other": {"kind": "bigram_lm"}},
@@ -501,6 +534,38 @@ def test_shipped_config_expands_to_the_calibrated_scenarios(monkeypatch, one_wor
     # Three probe configs (1000 steps, with bursts, 5000 steps) on each of
     # three seeds: lr-moderate reuses lr-stress's ladders.
     assert len(probes) == 9 == len(set(probes))
+
+
+def test_only_rungs_a_baseline_arm_replays_keep_their_per_step_data(one_worker):
+    from test_golden import TINY_SUITE
+
+    from guardlab.harness import ladder_rung, probe_config
+
+    def losses_kept(name):
+        (probe,) = {probe_config(base) for scen, base, _ in pairs if scen.startswith(name)}
+        return [rung.lr for rung in cache[probe] if rung.losses is not None]
+
+    cache = {}
+    pairs = expand_scenarios(parse_config(TINY_SUITE), cache)
+    # bursts pairs the guard against clip arms only, so no rung of its probe
+    # is replayed and none keeps its losses.
+    assert losses_kept("bursts") == []
+    replayed = {base.label: ladder_rung(base, cache) for _, base, _ in pairs}
+    assert [label for label, rung in replayed.items() if rung is not None] == [
+        "lr-stress-baseline", "lr-moderate-baseline", "long-baseline"]
+    assert all(rung.losses is not None for rung in replayed.values() if rung is not None)
+    # clip shares lr-stress's probe, whose rungs keep their losses from the
+    # lr-moderate rate (a 32nd of the aggressive one) up.
+    stress = pairs[0][1].opt.lr
+    assert min(losses_kept("clip")) == stress / 32 == pairs[1][1].opt.lr
+    # With a probe of its own, clip keeps no losses either.
+    clip_only = {**TINY_SUITE, "scenarios": [scen for scen in TINY_SUITE["scenarios"]
+                                             if scen["name"] in ("clip", "bursts")]}
+    ladders = {}
+    expand_scenarios(parse_config(clip_only), ladders)
+    assert len(ladders) == 2
+    assert all(rung.losses is None and rung.params is None for rungs in ladders.values()
+               for rung in rungs)
 
 
 # Every field of GuardConfig, OptimizerConfig, InjectionSpec and ScenarioSpec,

@@ -401,7 +401,7 @@ def _trace_same(a, b) -> bool:
     )
 
 
-def test_suite_replays_baseline_arms_from_their_ladder_rungs(tmp_path, monkeypatch, one_worker):
+def test_suite_replays_baseline_arms_from_their_ladder_rungs(tmp_path, monkeypatch, workers):
     import guardlab.harness as harness
     from guardlab.config import expand_scenarios, parse_config
 
@@ -426,10 +426,13 @@ def test_suite_replays_baseline_arms_from_their_ladder_rungs(tmp_path, monkeypat
         monkeypatch.setattr(harness, "run_training", real)
         assert all(row.error is None for row in rows)
         taken = {f"{scen['name']}-baseline" for scen in TAKEN_SCENARIOS}
-        assert sorted(ran) == sorted(
-            [f"{scen['name']}-guard" for scen in TAKEN_SCENARIOS + RUN_SCENARIOS]
-            + ["clipped-clip1.0", "sparse-evals-baseline", "off-ladder-baseline"]
-        )
+        if workers == 1:
+            # A forked worker's calls never reach this process's list; with
+            # two, the replays run on the workers and the bytes below check them.
+            assert sorted(ran) == sorted(
+                [f"{scen['name']}-guard" for scen in TAKEN_SCENARIOS + RUN_SCENARIOS]
+                + ["clipped-clip1.0", "sparse-evals-baseline", "off-ladder-baseline"]
+            )
         arms = {arm.label: arm for _, *pair in pairs for arm in pair}
         assert arms["mild-baseline"].opt.lr == arms["hot-baseline"].opt.lr / 32
         results = {res.label: res for row in rows for res in (row.baseline, row.guarded)}
