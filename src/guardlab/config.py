@@ -3,10 +3,12 @@ expansion into paired run configs.
 
 Each section is read from the fields of its dataclass, which are the only
 statement of the schema: a field with a bool default takes true or false,
-one with an int default an integral number and one with a float default a
-finite number. Unknown keys and
-malformed values are ConfigErrors naming the section and key. Every default
-is materialized into the echoed configuration for provenance.
+one with an int default an integral number, one with a float default a
+finite number and one with a str default a string; each string field without
+a default names its converter, strict_str, where its section is built.
+Unknown keys and malformed values are ConfigErrors naming the section and
+key. Every default is materialized into the echoed configuration for
+provenance.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .harness import (
     replayable,
 )
 from .optim import ClipConfig, ScheduleKind
-from .tasks import TASK_CLASSES, strict_bool, strict_float, strict_int, task_dims
+from .tasks import TASK_CLASSES, strict_bool, strict_float, strict_int, strict_str, task_dims
 
 SCENARIO_KINDS = ("lr_stress", "clip_baseline", "injection", "long_budget", "seed_sweep")
 # The kinds whose baseline arms clip, one per clip_g threshold.
@@ -49,7 +51,7 @@ LR_PRESETS = tuple(PRESET_BACKOFF)
 CALIBRATION_CRITERION = "final"
 # The converter of a field by the type of its default: None defaults have
 # none, and a converter given to _build takes precedence.
-_DEFAULT_CONVERTERS = {bool: strict_bool, int: strict_int, float: strict_float}
+_DEFAULT_CONVERTERS = {bool: strict_bool, int: strict_int, float: strict_float, str: strict_str}
 
 
 class ConfigError(ValueError):
@@ -188,7 +190,7 @@ def _parse_task(name: str, data) -> TaskSpec:
     """The task, holding its given dims as converted, so that its echo, its
     cache key and the task it builds agree."""
     spec = _build(
-        f"tasks.{name}", TaskSpec, data, dims=dict,
+        f"tasks.{name}", TaskSpec, data, kind=strict_str, dims=dict,
         validate=lambda t: task_dims(t.kind, t.dims),
     )
     dims = task_dims(spec.kind, spec.dims)
@@ -234,7 +236,7 @@ def _parse_scenario(idx: int, data, tasks: Dict[str, TaskSpec]) -> ScenarioSpec:
 
     return _build(
         section, ScenarioSpec, {**defaults, **data}, validate=validate,
-        lr=_scenario_lr,
+        name=strict_str, kind=strict_str, task=strict_str, lr=_scenario_lr,
         clip_g=lambda g: _unique("clip_g", (strict_float(x) for x in g)),
         injection=lambda d: _build(f"{section}.injection", InjectionSpec, d,
                                    period=_optional(strict_int),
@@ -248,7 +250,8 @@ def _parse_run(data, cfg: SuiteConfig) -> RunSection:
     return _build(
         "run", RunSection, {"label": label, **data},
         validate=lambda run: run_config(replace(cfg, run=run), seed=0).schedule(),
-        lr=_optional(strict_float), clip_g=_optional(strict_float),
+        task=strict_str, label=strict_str, lr=_optional(strict_float),
+        clip_g=_optional(strict_float),
     )
 
 
@@ -286,10 +289,10 @@ def parse_config(source: Union[str, Path, dict]) -> SuiteConfig:
     run = doc.pop("run", None)
     cfg = _build(
         "root", SuiteConfig, doc,
-        out_dir=str,
         seeds=_parse_seeds,
         optimizer=lambda d: _build("optimizer", OptimizerConfig, d),
-        schedule=lambda d: _build("schedule", ScheduleSection, d, kind=ScheduleKind),
+        schedule=lambda d: _build("schedule", ScheduleSection, d,
+                                  kind=lambda k: ScheduleKind(strict_str(k))),
         guard=lambda d: _build("guard", GuardConfig, d),
         scenarios=lambda raw: _unique(
             "scenario name",

@@ -101,7 +101,12 @@ class ControlPosture:
     skip_step: bool = False
 
 
-@dataclass(frozen=True)
+# The neutral posture: full scale, no skip. select_posture returns this one
+# instance whenever the posture is neutral.
+NEUTRAL_POSTURE = ControlPosture()
+
+
+@dataclass(frozen=True, slots=True)
 class StepRecord:
     """One step of telemetry. Its fields, in declaration order, are the keys
     of a JSONL line."""
@@ -252,15 +257,19 @@ def select_posture(
     cfg: GuardConfig,
     loss_finite: bool,
 ) -> ControlPosture:
-    """Bounded scale transition: damp on spike/stress, release otherwise."""
+    """Bounded scale transition: damp on spike/stress, release otherwise.
+
+    A neutral posture (scale C_MAX, no skip) is always NEUTRAL_POSTURE."""
     if not cfg.auto_enabled:
-        return ControlPosture()
+        return NEUTRAL_POSTURE
     if regime is Regime.SPIKE:
         scale = max(cfg.c_min, current.scale * SPIKE_DAMPING)
     elif regime is Regime.STRESS:
         scale = max(cfg.c_min, current.scale * STRESS_DAMPING)
     else:
         scale = min(C_MAX, current.scale * (1.0 + cfg.recovery_fast))
+    if scale == C_MAX and loss_finite:
+        return NEUTRAL_POSTURE
     return ControlPosture(scale=scale, skip_step=not loss_finite)
 
 
@@ -269,12 +278,17 @@ def apply_posture(
     posture: ControlPosture,
     check_finite: bool = True,
 ) -> np.ndarray:
-    """Scale the update elementwise; a skipped step becomes the zero delta."""
+    """Scale the update elementwise; a skipped step becomes the zero delta.
+
+    At scale C_MAX the checked delta itself is returned: 1.0 * x is x bit
+    for bit."""
     delta = np.asarray(update_delta, dtype=float)
     if posture.skip_step:
         return np.zeros_like(delta)
     if check_finite and not np.isfinite(delta).all():
         raise TelemetryError("actuation on non-finite update")
+    if posture.scale == C_MAX:
+        return delta
     return posture.scale * delta
 
 
@@ -329,7 +343,7 @@ class Governor:
     def __init__(self, cfg: GuardConfig):
         self.cfg = cfg
         self.state = AnalyzerState()
-        self.posture = ControlPosture()
+        self.posture = NEUTRAL_POSTURE
         self.log = StepLog()
 
     def observe(

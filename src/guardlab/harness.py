@@ -205,9 +205,10 @@ def _next_batch(
 
     Both depend only on (seed, step), never on params or lr: the batch is
     drawn at counter step of the run's batch stream, as
-    sample_batch(task, StreamState(seed, _BATCH_STREAM, step), ...) would.
+    sample_batch(task, StreamState(seed, _BATCH_STREAM, step), ...) would,
+    except that a full-batch task's one batch needs no stream.
     """
-    batch = task.draw_batch(stream.at(step), cfg.batch_size)
+    batch = task.draw_batch(None if task.full_batch else stream.at(step), cfg.batch_size)
     burst = 1.0
     if cfg.injection is not None:
         batch = inject_outliers(batch, cfg.injection, step)

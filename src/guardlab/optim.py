@@ -177,6 +177,10 @@ def guarded_step(
     the clipping stage (so magnitude clipping cannot remove it); the
     sensing stage still observes the corrupted gradient, and a burst that
     overflows it to non-finite skips the step.
+
+    inputs_finite is the step's one finiteness verdict on the gradient: an
+    enabled guard skips unless it holds, so adamw_step runs unchecked here
+    (a disabled guard lets a non-finite gradient through, as plain AdamW).
     """
     grads = np.asarray(grads, dtype=float)
     inputs_finite = bool(math.isfinite(loss) and np.isfinite(grads).all())
@@ -188,8 +192,6 @@ def guarded_step(
     posture = gov.observe(step, loss, grads, lr_t, inputs_finite)
     if posture.skip_step:
         return params, opt_state, gov.log.records[-1]
-    delta, new_state = adamw_step(
-        opt_state, params, grads, lr_t, opt_cfg, check_finite=gov.cfg.auto_enabled
-    )
+    delta, new_state = adamw_step(opt_state, params, grads, lr_t, opt_cfg, check_finite=False)
     scaled = apply_posture(delta, posture, check_finite=gov.cfg.auto_enabled)
     return params + scaled, new_state, gov.log.records[-1]

@@ -53,6 +53,10 @@ class Task:
     # Batches carry integer targets (token ids), which outlier_batch
     # injection cannot scale.
     integer_targets = False
+    # Every batch is one full batch built at construction, with read-only
+    # arrays: draw_batch ignores its rng, so a run loop passes None and
+    # positions no stream.
+    full_batch = False
 
     def init_params(self) -> np.ndarray:
         raise NotImplementedError
@@ -111,25 +115,31 @@ class QuadraticTask(Task):
         self._x0 = rng.normal(size=dim)
         # Shift so the minimum value is exactly 0.
         self.offset = 0.5 * float(np.dot(self.b / self.h, self.b))
+        self.full_batch = noise == 0.0
+        if self.full_batch:
+            self._batch = Batch(inputs=np.zeros(0), targets=self.b.copy())
+            self._batch.inputs.flags.writeable = False
+            self._batch.targets.flags.writeable = False
 
     def init_params(self) -> np.ndarray:
         return self._x0.copy()
 
-    def _loss(self, x: np.ndarray, b: np.ndarray) -> float:
-        return float(0.5 * np.dot(x, self.h * x) - np.dot(b, x) + self.offset)
+    def _loss(self, x: np.ndarray, hx: np.ndarray, b: np.ndarray) -> float:
+        """The loss at x, given hx = h * x."""
+        return float(0.5 * np.dot(x, hx) - np.dot(b, x) + self.offset)
 
     def loss_and_grad(self, params, batch):
         b = batch.targets
-        return self._loss(params, b), self.h * params - b
+        hx = self.h * params
+        return self._loss(params, hx, b), hx - b
 
     def eval_loss(self, params) -> float:
-        return self._loss(params, self.b)
+        return self._loss(params, self.h * params, self.b)
 
     def draw_batch(self, rng, batch_size):
-        b = self.b
-        if self.noise > 0.0:
-            b = b + self.noise * rng.normal(size=self.dim)
-        return Batch(inputs=np.zeros(0), targets=b.copy())
+        if self.full_batch:
+            return self._batch
+        return Batch(inputs=np.zeros(0), targets=self.b + self.noise * rng.normal(size=self.dim))
 
     def minimizer(self) -> np.ndarray:
         return self.b / self.h
@@ -270,19 +280,21 @@ class BigramLmTask(Task):
         """Mean cross-entropy and its gradient for each row of (L, A*A) logits."""
         a = self.alphabet
         n_rows, n = param_rows.shape[0], len(prev)
+        positions = np.arange(n)
         shifted = param_rows.reshape(n_rows, a, a)[:, prev]
         shifted -= shifted.max(axis=2, keepdims=True)
         probs = np.exp(shifted)
         total = probs.sum(axis=2, keepdims=True)
-        losses = -_row_means(shifted[:, np.arange(n), nxt] - np.log(total[:, :, 0]))
+        losses = -_row_means(shifted[:, positions, nxt] - np.log(total[:, :, 0]))
         probs /= total
-        probs[:, np.arange(n), nxt] -= 1.0
+        probs[:, positions, nxt] -= 1.0
         probs /= n
         # bincount adds each bin's entries in batch order, as np.add.at does.
-        # One (L, n, A) add: each row's offset plus each pair's A bins.
-        pair_bins = prev[:, None] * a + np.arange(a)
-        bins = (np.arange(n_rows)[:, None, None] * (a * a) + pair_bins).ravel()
-        grad = np.bincount(bins, weights=probs.ravel(), minlength=n_rows * a * a)
+        # Each pair's A bins, offset by their row's block when L > 1.
+        bins = prev[:, None] * a + np.arange(a)
+        if n_rows > 1:
+            bins = np.arange(n_rows)[:, None, None] * (a * a) + bins
+        grad = np.bincount(bins.ravel(), weights=probs.ravel(), minlength=n_rows * a * a)
         return losses, grad.reshape(n_rows, a * a)
 
     def loss_and_grad(self, params, batch):
@@ -290,7 +302,7 @@ class BigramLmTask(Task):
         return float(losses[0]), grads[0]
 
     def loss_and_grad_rows(self, param_rows, batch):
-        return self._ce_and_grad(param_rows, batch.inputs.astype(int), batch.targets.astype(int))
+        return self._ce_and_grad(param_rows, batch.inputs, batch.targets)
 
     def eval_loss(self, params) -> float:
         return float(self.eval_loss_rows(params[None])[0])
@@ -363,6 +375,14 @@ def strict_bool(value) -> bool:
     """value, which must be a bool: a string, a number or None is a ValueError."""
     if not isinstance(value, bool):
         raise ValueError(f"expected true or false, got {value!r}")
+    return value
+
+
+def strict_str(value) -> str:
+    """value, which must be a string: None, a number, a bool, a list or an
+    object is a ValueError."""
+    if not isinstance(value, str):
+        raise ValueError(f"expected a string, got {value!r}")
     return value
 
 

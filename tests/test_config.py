@@ -457,6 +457,48 @@ def test_bool_fields_take_true_or_false_only(value):
     assert "'auto_enabled' in section 'guard'" in str(info.value)
 
 
+def _with(section: str, key: str, value) -> dict:
+    """MINIMAL with key of section set to value."""
+    doc = json.loads(json.dumps(MINIMAL))
+    if section == "root":
+        doc[key] = value
+    elif section == "run":
+        doc["run"] = {"task": "toy", "steps": 20, "eval_every": 10, key: value}
+    elif section.startswith("scenarios[0]"):
+        scen = doc["scenarios"][0]
+        if section.endswith(".injection"):
+            scen.update(kind="injection", injection={key: value})
+        else:
+            scen[key] = value
+    elif section.startswith("tasks."):
+        doc["tasks"]["toy"][key] = value
+    else:
+        doc[section] = {key: value}
+    return doc
+
+
+STRING_FIELDS = [("root", "out_dir"), ("scenarios[0]", "name"), ("scenarios[0]", "kind"),
+                 ("scenarios[0]", "task"), ("scenarios[0].injection", "mode"),
+                 ("tasks.toy", "kind"), ("schedule", "kind"), ("run", "task"),
+                 ("run", "label"), ("run", "arm")]
+
+
+@pytest.mark.parametrize("value", [None, 3, True, ["r"], {"r": 1}], ids=repr)
+@pytest.mark.parametrize("section, key", STRING_FIELDS)
+def test_string_fields_take_strings_only(section, key, value):
+    with pytest.raises(ConfigError) as info:
+        parse_config(_with(section, key, value))
+    assert f"invalid {key!r} in section {section!r}: expected a string" in str(info.value)
+
+
+def test_string_fields_parse_and_round_trip():
+    doc = _with("run", "label", "mine")
+    doc.update(out_dir="out", schedule={"kind": "constant"})
+    cfg = parse_config(doc)
+    assert (cfg.out_dir, cfg.run.label, cfg.schedule.kind) == ("out", "mine", ScheduleKind.CONSTANT)
+    assert parse_config(json.loads(json.dumps(emit_config(cfg)))) == cfg
+
+
 @pytest.mark.parametrize("value", [True, False])
 def test_a_bool_field_round_trips(value):
     cfg = parse_config({**MINIMAL, "guard": {"auto_enabled": value}})

@@ -14,6 +14,7 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 from guardlab.governor import (
     ACTIVE_SCALE_TOLERANCE,
     C_MAX,
+    NEUTRAL_POSTURE,
     AnalyzerState,
     ControlPosture,
     Governor,
@@ -301,6 +302,31 @@ def test_posture_always_within_bounds(regime, scale, loss_finite):
     assert CFG.c_min <= posture.scale <= C_MAX
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    regime=st.sampled_from(list(Regime)),
+    scale=st.one_of(st.sampled_from([1.0, 0.999, 0.5]), st.floats(0.05, 1.0)),
+    auto_enabled=st.booleans(),
+    recovery_fast=st.sampled_from([0.0, 0.005, 1.0]),
+    loss_finite=st.booleans(),
+)
+def test_select_posture_shares_the_neutral_posture_exactly_when_neutral(
+    regime, scale, auto_enabled, recovery_fast, loss_finite
+):
+    cfg = GuardConfig(auto_enabled=auto_enabled, recovery_fast=recovery_fast)
+    current = ControlPosture(scale=scale)
+    posture = select_posture(regime, current, cfg, loss_finite)
+    neutral = posture.scale == C_MAX and not posture.skip_step
+    assert (posture is NEUTRAL_POSTURE) == neutral
+    if not neutral:
+        assert posture is not select_posture(regime, current, cfg, loss_finite)
+
+
+def test_the_neutral_posture_is_the_default_posture():
+    assert NEUTRAL_POSTURE == ControlPosture()
+    assert Governor(CFG).posture is NEUTRAL_POSTURE
+
+
 def test_monotone_damping_and_release():
     # Uninterrupted Spikes: scale non-increasing. Uninterrupted Stables:
     # non-decreasing and released within the advertised step bound.
@@ -328,6 +354,9 @@ def test_monotone_damping_and_release():
 def test_apply_posture_identity_and_scaling():
     delta = np.array([-0.1, 0.2])
     np.testing.assert_array_equal(apply_posture(delta, ControlPosture(scale=1.0)), delta)
+    # At scale 1.0 the checked delta itself comes back: 1.0 * x is x, -0.0 included.
+    signed_zero = np.array([-0.0, 0.25])
+    assert apply_posture(signed_zero, NEUTRAL_POSTURE) is signed_zero
     np.testing.assert_allclose(
         apply_posture(delta, ControlPosture(scale=0.5)), [-0.05, 0.1], rtol=1e-12
     )

@@ -4,10 +4,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from guardlab.governor import Governor, GuardConfig, NonFiniteGradientError, Regime
+from guardlab import optim
+from guardlab.governor import (
+    AnalyzerState,
+    ControlPosture,
+    Governor,
+    GuardConfig,
+    NonFiniteGradientError,
+    Regime,
+)
 from guardlab.optim import (
     ClipConfig,
     OptimizerConfig,
@@ -350,3 +358,107 @@ def test_guarded_step_survives_gradient_rms_overflow(auto_enabled):
     assert records[0].grad_rms is None and not records[0].skipped
     assert records[10].grad_rms == 1.0 and records[20].grad_rms == 1.0
     assert np.all(np.isfinite(params))
+
+
+# --------------------------------------------------------------------------
+# guarded_step: one finiteness verdict per step
+# --------------------------------------------------------------------------
+
+# 1e307 is finite, and a burst of 50 overflows it.
+SPECIALS = [-0.0, 0.0, math.nan, math.inf, -math.inf, 1e307]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    loss=st.one_of(st.sampled_from(SPECIALS), st.floats(0.01, 10.0)),
+    grads=st.lists(st.one_of(st.sampled_from(SPECIALS), st.floats(-10.0, 10.0)),
+                   min_size=3, max_size=3),
+    auto_enabled=st.booleans(),
+    clip=st.sampled_from([None, 0.5]),
+    burst=st.sampled_from([1.0, 50.0]),
+    weight_decay=st.sampled_from([0.0, 0.01]),
+    scale=st.sampled_from([1.0, 0.5, 0.3, 0.05]),
+    t=st.integers(0, 5),
+)
+# A finite gradient that the burst overflows, clipped and unclipped; a NaN
+# gradient past a disabled guard; a damped step; signed zeros at scale 1.0.
+@example(loss=1.0, grads=[1e307, 0.5, -0.0], auto_enabled=True, clip=None, burst=50.0,
+         weight_decay=0.0, scale=1.0, t=0)
+@example(loss=1.0, grads=[1e307, 0.5, -0.0], auto_enabled=True, clip=0.5, burst=50.0,
+         weight_decay=0.01, scale=0.5, t=2)
+@example(loss=1.0, grads=[math.nan, 0.5, 1.0], auto_enabled=False, clip=0.5, burst=1.0,
+         weight_decay=0.01, scale=1.0, t=1)
+@example(loss=5.0, grads=[0.1, -0.2, 0.3], auto_enabled=True, clip=None, burst=1.0,
+         weight_decay=0.01, scale=0.3, t=3)
+@example(loss=-0.0, grads=[-0.0, 0.0, -0.0], auto_enabled=True, clip=None, burst=1.0,
+         weight_decay=0.0, scale=1.0, t=0)
+def test_guarded_step_is_the_textbook_composition_byte_for_byte(
+    loss, grads, auto_enabled, clip, burst, weight_decay, scale, t
+):
+    # The textbook step: clip a finite gradient, apply the burst, skip if an
+    # enabled guard sees a non-finite loss or gradient, else take
+    # params + scale * adamw_step with adamw_step's own finiteness check on
+    # (a disabled guard lets a non-finite gradient through, as plain AdamW).
+    grads = np.array(grads)
+    cfg = OptimizerConfig(lr=0.1, weight_decay=weight_decay)
+    gov = Governor(GuardConfig(auto_enabled=auto_enabled))
+    # The step's posture moves from this one: at scale 1.0 a finite loss at
+    # or below the EMA keeps it neutral, and a spike damps it.
+    gov.state = AnalyzerState(loss_ema=1.0, initialized=True)
+    gov.posture = ControlPosture(scale=scale)
+    params = np.array([1.0, -0.5, -0.0])
+    state = OptimizerState(m=np.array([0.1, -0.2, -0.0]), v=np.array([0.01, 0.04, 0.0]), t=t)
+    with np.errstate(all="ignore"):
+        finite = math.isfinite(loss) and bool(np.isfinite(grads).all())
+        seen = clip_global_norm(grads, clip)[0] if clip is not None and finite else grads
+        if burst != 1.0:
+            seen = seen * burst
+        finite = finite and bool(np.isfinite(seen).all())
+        new_params, new_state, rec = guarded_step(
+            gov, state, params, grads, loss, 0, 0.1, cfg,
+            None if clip is None else ClipConfig(g=clip), grad_scale=burst,
+        )
+        assert rec.skipped == (auto_enabled and not finite)
+        if rec.skipped:
+            assert new_params is params and new_state is state
+            return
+        delta, want_state = adamw_step(state, params, seen, 0.1, cfg, check_finite=auto_enabled)
+        want = params + rec.scale * delta
+    assert auto_enabled or rec.scale == 1.0
+    assert new_params.tobytes() == want.tobytes()
+    assert new_state.m.tobytes() == want_state.m.tobytes()
+    assert new_state.v.tobytes() == want_state.v.tobytes()
+    assert new_state.t == want_state.t == t + 1
+
+
+@pytest.mark.parametrize("clip", [None, ClipConfig(g=1.0)], ids=["unclipped", "clipped"])
+@pytest.mark.parametrize("loss, grad, burst", [
+    (math.nan, 0.5, 1.0),
+    (math.inf, 0.5, 1.0),
+    (1.0, math.nan, 1.0),
+    (1.0, math.inf, 1.0),
+    (1.0, 1e307, 50.0),
+    (1.0, 0.5, 1.0),
+], ids=["nan-loss", "inf-loss", "nan-grad", "inf-grad", "burst-overflow", "finite"])
+def test_an_enabled_guard_never_steps_adamw_on_a_non_finite_gradient(
+    monkeypatch, clip, loss, grad, burst
+):
+    calls = []
+    unchecked = optim.adamw_step
+
+    def finite_only(state, params, grads, *args, **kwargs):
+        assert np.isfinite(grads).all(), "adamw_step reached with a non-finite gradient"
+        calls.append(grads)
+        return unchecked(state, params, grads, *args, **kwargs)
+
+    monkeypatch.setattr(optim, "adamw_step", finite_only)
+    with np.errstate(over="ignore"):
+        _, _, rec = guarded_step(
+            Governor(GuardConfig()), init_optimizer_state(2), np.zeros(2),
+            np.array([grad, 0.5]), loss, 0, 0.1, OptimizerConfig(lr=0.1), clip,
+            grad_scale=burst,
+        )
+    # A clipped gradient has norm <= 1, so only an unclipped one overflows.
+    overflows = clip is None and burst != 1.0
+    assert rec.skipped == (not (math.isfinite(loss) and math.isfinite(grad)) or overflows)
+    assert len(calls) == (0 if rec.skipped else 1)

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from guardlab import harness
 from guardlab.governor import Governor, GuardConfig
 from guardlab.harness import RunConfig, TaskSpec, run_training
 from guardlab.optim import OptimizerConfig, guarded_step, init_optimizer_state, schedule_lr
 from guardlab.rngstream import CounterStream, StreamState, advance, generator
-from guardlab.tasks import sample_batch
+from guardlab.tasks import make_task, sample_batch
 
 
 def test_same_state_same_draws():
@@ -129,12 +130,8 @@ RUN_TASKS = {
 }
 
 
-@pytest.mark.parametrize("kind", list(RUN_TASKS))
-def test_run_training_matches_a_sample_batch_loop(kind):
-    cfg = RunConfig(task=RUN_TASKS[kind], opt=OptimizerConfig(lr=0.05), guard=GuardConfig(),
-                    steps=60, batch_size=8, eval_every=20, seed=4)
-    result = run_training(cfg)
-
+def _sample_batch_loop(cfg):
+    """cfg's final params and JSONL, from batches drawn through sample_batch."""
     task = cfg.task.build(cfg.seed)
     params = task.init_params()
     opt_state = init_optimizer_state(task.n_params)
@@ -146,8 +143,56 @@ def test_run_training_matches_a_sample_batch_loop(kind):
         params, opt_state, _ = guarded_step(
             gov, opt_state, params, grads, loss, step, schedule_lr(step, cfg.schedule()), cfg.opt
         )
-    assert result.params.tobytes() == params.tobytes()
-    want, got = io.StringIO(), io.StringIO()
-    gov.log.write_jsonl(want)
-    result.log.write_jsonl(got)
-    assert got.getvalue() == want.getvalue()
+    log = io.StringIO()
+    gov.log.write_jsonl(log)
+    return params.tobytes(), log.getvalue()
+
+
+@pytest.mark.parametrize("kind", list(RUN_TASKS))
+def test_run_training_matches_a_sample_batch_loop(kind):
+    cfg = RunConfig(task=RUN_TASKS[kind], opt=OptimizerConfig(lr=0.05), guard=GuardConfig(),
+                    steps=60, batch_size=8, eval_every=20, seed=4)
+    result = run_training(cfg)
+    log = io.StringIO()
+    result.log.write_jsonl(log)
+    assert (result.params.tobytes(), log.getvalue()) == _sample_batch_loop(cfg)
+
+
+# --------------------------------------------------------------------------
+# Full-batch tasks draw no stream
+# --------------------------------------------------------------------------
+
+
+def test_a_full_batch_task_returns_one_read_only_batch():
+    task = make_task("quadratic", seed=3)
+    assert task.full_batch
+    assert not make_task("quadratic", {"noise": 0.1}, seed=3).full_batch
+    batch = task.draw_batch(None, 32)
+    assert task.draw_batch(None, 8) is batch
+    assert not batch.inputs.flags.writeable and not batch.targets.flags.writeable
+    with pytest.raises(ValueError):
+        batch.targets[0] = 0.0
+    want, _ = sample_batch(task, StreamState(seed=3, stream=0, counter=5), 32)
+    assert want.targets.tobytes() == batch.targets.tobytes() == task.b.tobytes()
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.5])
+def test_only_a_noisy_quadratic_run_positions_its_stream(monkeypatch, noise):
+    cfg = RunConfig(task=TaskSpec(kind="quadratic", dims={"dim": 6, "noise": noise}),
+                    opt=OptimizerConfig(lr=0.05), guard=GuardConfig(),
+                    steps=30, batch_size=8, eval_every=10, seed=4)
+    want = _sample_batch_loop(cfg)
+    counters = []
+
+    class CountingStream(CounterStream):
+        def at(self, counter):
+            counters.append(counter)
+            return super().at(counter)
+
+    # The run's batch stream only: a task build draws through generator.
+    monkeypatch.setattr(harness, "CounterStream", CountingStream)
+    result = run_training(cfg)
+    log = io.StringIO()
+    result.log.write_jsonl(log)
+    assert (result.params.tobytes(), log.getvalue()) == want
+    assert counters == ([] if noise == 0.0 else list(range(cfg.steps)))

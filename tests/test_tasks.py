@@ -135,7 +135,8 @@ def test_perplexity_is_exp_of_loss():
 def test_evaluate_overflow_yields_non_finite_not_exception():
     task = make_task("quadratic", seed=0)
     params = np.full(task.init_params().size, 1e200)
-    res = evaluate(task, params)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        res = evaluate(task, params)
     assert not math.isfinite(res.perplexity) or res.perplexity == math.inf
 
 
