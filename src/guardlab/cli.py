@@ -150,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", metavar="PATH", help="suite configuration JSON")
     parser.add_argument("--out", metavar="DIR", help="output directory")
-    parser.add_argument("--seed", type=int, metavar="N", help="seed override")
+    parser.add_argument("--seed", type=int, metavar="N", help="seed override for run")
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("run", help="execute the config's single-run section")
@@ -171,6 +171,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.seed is not None and args.command != "run":
+            raise CliError(f"--seed applies to the run subcommand only, not {args.command!r}")
         return _COMMANDS[args.command](args)
     except (CliError, ValueError, RuntimeError, OSError) as exc:
         _print_error(type(exc).__name__, str(exc))

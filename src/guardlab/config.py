@@ -15,9 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 from dataclasses import dataclass, field, replace
-from functools import partial
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -34,7 +32,6 @@ from .harness import (
     parallel_map,
     probe_config,
     probe_degraded,
-    replayable,
 )
 from .optim import ClipConfig, ScheduleKind
 from .tasks import TASK_CLASSES, strict_bool, strict_float, strict_int, strict_str, task_dims
@@ -190,7 +187,8 @@ def _parse_task(name: str, data) -> TaskSpec:
     """The task, holding its given dims as converted, so that its echo, its
     cache key and the task it builds agree."""
     spec = _build(
-        f"tasks.{name}", TaskSpec, data, kind=strict_str, dims=dict,
+        f"tasks.{name}", TaskSpec, data, kind=strict_str,
+        dims=lambda dims: _object(f"tasks.{name}.dims", dims),
         validate=lambda t: task_dims(t.kind, t.dims),
     )
     dims = task_dims(spec.kind, spec.dims)
@@ -339,21 +337,11 @@ def resolve_lr(
     return max(rates) / PRESET_BACKOFF[lr]
 
 
-def _calibrate(probe: RunConfig, backoffs: Dict[RunConfig, float]) -> List[ProbeResult]:
-    """probe's ladder, where only the rungs a preset arm can replay keep
-    their per-step data, so a worker sends back none that no arm replays.
-
-    backoffs[probe] is the largest backoff of the presets whose baseline arm
-    replays a rung of probe (0 for none). Such a preset's rate is the largest
-    verdict over its arms' probes, this one's among them, over its backoff."""
-    rungs = doubling_ladder(probe)
-    backoff = backoffs[probe]
-    try:
-        lowest = degrading_lr(rungs, CALIBRATION_CRITERION) / backoff if backoff else math.inf
-    except NotStressableError:  # resolve_lr raises it where it reads the rate
-        lowest = math.inf
-    return [rung if rung.lr >= lowest else replace(rung, params=None, losses=None, grad_rms=[])
-            for rung in rungs]
+def _calibrate(probe: RunConfig) -> List[ProbeResult]:
+    """probe's ladder. parallel_map sends a worker this function by
+    reference, and it looks doubling_ladder up when called, so the worker
+    runs this module's doubling_ladder as the parent holds it."""
+    return doubling_ladder(probe)
 
 
 def _pairs(cfg: SuiteConfig, scen: ScenarioSpec,
@@ -376,16 +364,15 @@ def _pairs(cfg: SuiteConfig, scen: ScenarioSpec,
     return pairs
 
 
-def _preset_probes(cfg: SuiteConfig) -> Dict[RunConfig, Dict[str, float]]:
+def _preset_probes(cfg: SuiteConfig) -> Dict[RunConfig, List[str]]:
     """Each distinct probe of cfg's preset scenarios, in config order, with
-    the scenarios it calibrates, each mapped to its preset's backoff where
-    the scenario's baseline arm replays a rung of the probe, else to 0."""
-    probes: Dict[RunConfig, Dict[str, float]] = {}
+    the names of the scenarios it calibrates."""
+    probes: Dict[RunConfig, List[str]] = {}
     for scen in cfg.scenarios:
         if isinstance(scen.lr, str):
-            for _, base, _ in _pairs(cfg, scen, cfg.optimizer.lr):
-                probes.setdefault(probe_config(base), {})[scen.name] = (
-                    PRESET_BACKOFF[scen.lr] if replayable(base) else 0.0)
+            arms = (base for _, base, _ in _pairs(cfg, scen, cfg.optimizer.lr))
+            for probe in dict.fromkeys(map(probe_config, arms)):
+                probes.setdefault(probe, []).append(scen.name)
     return probes
 
 
@@ -395,7 +382,7 @@ def calibration_record(cfg: SuiteConfig, cache: Dict[RunConfig, List[ProbeResult
     lr, initial and final loss and degraded flag, and its verdict lr."""
     return [
         {
-            "scenarios": list(uses),
+            "scenarios": uses,
             "seed": probe.seed,
             "steps": probe.steps,
             "injection": None if probe.injection is None else dataclasses.asdict(probe.injection),
@@ -419,9 +406,8 @@ def expand_scenarios(
     through parallel_map; each scenario then resolves its rate from the cache.
     """
     cache = {} if cache is None else cache
-    backoffs = {probe: max(uses.values()) for probe, uses in _preset_probes(cfg).items()}
-    probes = [probe for probe in backoffs if probe not in cache]
-    cache.update(zip(probes, parallel_map(partial(_calibrate, backoffs=backoffs), probes)))
+    probes = [probe for probe in _preset_probes(cfg) if probe not in cache]
+    cache.update(zip(probes, parallel_map(_calibrate, probes)))
     pairs: List[Tuple[str, RunConfig, RunConfig]] = []
     for scen in cfg.scenarios:
         arms = [base for _, base, _ in _pairs(cfg, scen, cfg.optimizer.lr)]

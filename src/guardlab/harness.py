@@ -1,9 +1,10 @@
 """Stress-test harness: run loop, divergence calibration, outlier injection,
 and paired baseline-vs-guard suite execution on forked workers.
 
-Runs are deterministic in (config, seed) apart from wall-clock fields. Each
-run carries its full step log, so telemetry summaries can be recomputed and
-cross-checked from the raw records at any time.
+Runs are deterministic in (config, seed) apart from wall-clock fields.
+run_training's result carries the run's full step log; a suite run comes back
+from its worker as its summary row (RunRow), and its log is its JSONL. Either
+way its telemetry summary can be recomputed from the raw records.
 """
 
 from __future__ import annotations
@@ -133,7 +134,9 @@ class RunConfig:
 
 
 @dataclass
-class RunResult:
+class RunRow:
+    """What a suite row reads of a run: the fields of its CSV row."""
+
     label: str
     seed: int
     initial_loss: float
@@ -141,6 +144,10 @@ class RunResult:
     final_perplexity: float
     wall_seconds: float
     summary: TelemetrySummary
+
+
+@dataclass
+class RunResult(RunRow):
     eval_trace: List[Tuple[int, float, float]]
     log: StepLog
     params: np.ndarray
@@ -154,8 +161,7 @@ class ProbeResult:
     losses holds the training loss of every step, and grad_rms the gradient
     RMS that sense takes on every stats_freq step of the probe's disabled
     guard (None where it is non-finite or overflows). wall_seconds is the
-    rung's share of the ladder's step loop. A rung kept for its verdict
-    only has neither params nor losses.
+    rung's share of the ladder's step loop.
     """
 
     lr: float
@@ -173,8 +179,8 @@ class ProbeResult:
 class ComparisonRow:
     scenario: str
     seed: int
-    baseline: Optional[RunResult]
-    guarded: Optional[RunResult]
+    baseline: Optional[RunRow]
+    guarded: Optional[RunRow]
     error: Optional[str] = None
 
 
@@ -408,6 +414,11 @@ def doubling_ladder(probe: RunConfig, floor: float = 1e-4,
     return run_probe_ladder(probe, lrs) if lrs else []
 
 
+def _check_criterion(criterion: str) -> None:
+    if criterion not in ("peak", "final"):
+        raise ValueError(f"criterion must be 'peak' or 'final', got {criterion!r}")
+
+
 def degrading_lr(rungs: Sequence[ProbeResult], criterion: str = "peak") -> float:
     """The lowest rate among a ladder's rungs, lowest first, whose run degrades.
 
@@ -416,8 +427,7 @@ def degrading_lr(rungs: Sequence[ProbeResult], criterion: str = "peak") -> float
     can anneal a mid-run excursion away, so "final" needs a probe as long
     as the target run to transfer).
     """
-    if criterion not in ("peak", "final"):
-        raise ValueError("criterion must be 'peak' or 'final'")
+    _check_criterion(criterion)
     for rung in rungs:
         if probe_degraded(rung, criterion):
             return rung.lr
@@ -434,7 +444,8 @@ def calibrate_divergence_lr(
     injection: Optional[InjectionSpec] = None,
 ) -> float:
     """degrading_lr of the probe for a probe_steps-long baseline run with
-    RunConfig's defaults."""
+    RunConfig's defaults. An unknown criterion fails before any rung runs."""
+    _check_criterion(criterion)
     arm = RunConfig(
         task=task,
         steps=probe_steps,
@@ -496,39 +507,35 @@ def parallel_map(fn: Callable[[Item], Out], items: Sequence[Item],
     return [fn(item) for item in items]
 
 
-def replayable(arm: RunConfig) -> bool:
-    """Whether arm is its probe but for its optimizer and label (a baseline
-    arm with no guard and no clip that evaluates every tenth of its run), so
-    that the rung of its probe's ladder at its rate ran arm itself."""
-    return replace(probe_config(arm), opt=arm.opt, label=arm.label) == arm
-
-
 def ladder_rung(cfg: RunConfig,
                 ladders: Mapping[RunConfig, List[ProbeResult]]) -> Optional[ProbeResult]:
     """The rung of cfg's probe in ladders (probe -> rungs) that already ran
-    cfg, if any: cfg is replayable and the rung at its rate kept its losses."""
+    cfg, if any: cfg is its probe but for its optimizer and label (a baseline
+    arm with no guard and no clip that evaluates every tenth of its run), and
+    the probe's ladder has a rung at cfg's rate."""
     probe = probe_config(cfg)
-    if probe not in ladders or not replayable(cfg):
+    if probe not in ladders or replace(probe, opt=cfg.opt, label=cfg.label) != cfg:
         return None
-    return next((rung for rung in ladders[probe]
-                 if rung.lr == cfg.opt.lr and rung.losses is not None), None)
+    return next((rung for rung in ladders[probe] if rung.lr == cfg.opt.lr), None)
 
 
 def _run_or_error(
-    item: Tuple[RunConfig, Optional[ProbeResult]], out_dir: Optional[Path]
-) -> Union[RunResult, str]:
-    """run_training(cfg, out_dir) for an item (cfg, None), else replay_rung of
-    its rung; or the error text its suite row carries."""
+    item: Tuple[RunConfig, Optional[ProbeResult]], out_dir: Path
+) -> Union[RunRow, str]:
+    """The RunRow of run_training(cfg, out_dir) for an item (cfg, None), else
+    of replay_rung of its rung, whose log stays in the worker as the JSONL it
+    wrote; or the error text its suite row carries."""
     cfg, rung = item
     try:
-        return run_training(cfg, out_dir) if rung is None else replay_rung(cfg, rung, out_dir)
+        result = run_training(cfg, out_dir) if rung is None else replay_rung(cfg, rung, out_dir)
     except Exception as exc:  # noqa: BLE001 - per-row error capture
         return f"{type(exc).__name__}: {exc}"
+    return RunRow(*(getattr(result, f.name) for f in dataclasses.fields(RunRow)))
 
 
 def run_suite(
     pairs: Sequence[Tuple[str, RunConfig, RunConfig]],
-    out_dir: Optional[Path] = None,
+    out_dir: Path,
     ladders: Optional[Mapping[RunConfig, List[ProbeResult]]] = None,
 ) -> List[ComparisonRow]:
     """Run (scenario, baseline_cfg, guarded_cfg) pairs and aggregate rows.
@@ -537,7 +544,8 @@ def run_suite(
     the row and the suite continues. Each distinct config runs once, all
     through one parallel_map: a baseline arm that a rung of ladders
     (probe -> rungs) already ran is replayed from it, and every other
-    config runs. Rows come back sorted by scenario id.
+    config runs; each writes its JSONL and summary under out_dir. Rows hold
+    RunRows and come back sorted by scenario id.
     """
     if not pairs:
         raise ValueError("run_suite requires at least one pair")

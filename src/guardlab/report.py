@@ -13,7 +13,7 @@ from collections import defaultdict
 from pathlib import Path
 from typing import Dict, List, Sequence
 
-from .harness import ComparisonRow, RunResult, seed_stats, severe_degradation
+from .harness import ComparisonRow, RunRow, seed_stats, severe_degradation
 
 # The suite CSV's columns, in file order, each with the type it reads back as.
 CSV_SCHEMA = {
@@ -41,7 +41,7 @@ def verdict(final_loss: float, initial_loss: float) -> str:
     return "stagnant"
 
 
-def result_csv_row(scenario: str, arm: str, res: RunResult) -> Dict[str, object]:
+def result_csv_row(scenario: str, arm: str, res: RunRow) -> Dict[str, object]:
     return {
         "scenario": scenario,
         "arm": arm,

@@ -68,6 +68,19 @@ def test_seed_override(tmp_path):
     assert (out / "demo_seed99.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["suite", "calibrate", "report"])
+def test_seed_outside_run_is_an_error(tmp_path, capsys, command):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    argv = ["--config", str(cfg), "--out", str(out), "--seed", "99", "--quiet", command]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    err = json.loads(captured.err.strip())
+    assert err["error"] == "CliError" and "--seed" in err["message"]
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_suite_then_report_identical_markdown(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "suiteout"

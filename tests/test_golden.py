@@ -12,16 +12,24 @@ calibration ladders, and the other 10 run through run_training, so the
 digest also holds the replays to the runs they stand for. No eval enters
 the digest, so the three scenarios' eval_every was set to the probes' own
 (a tenth of the run), which a replay needs, without changing it.
+
+The shipped configuration's digest pins the full default suite the same way,
+on every usable CPU. It was recorded with numpy 2.4.6, before suite runs came
+back from their workers as summary rows and before every calibration rung
+kept its per-step data.
 """
 
 import csv
 import hashlib
 import json
+from pathlib import Path
 
 from guardlab import harness
 from guardlab.cli import main
 
 GOLDEN_SUITE_SHA256 = "1881e2ff97a4b6255d98d3b76dce09750ce2313f29b84167d1e51524e34ed415"
+SHIPPED = Path(__file__).resolve().parents[1] / "configs" / "default_suite.json"
+SHIPPED_SUITE_SHA256 = "61ef9f52f71a8d961b765176bd3e1a9343d6bc784a3b3f6aa90851530caf557d"
 
 TINY_SUITE = {
     "seeds": [7],
@@ -78,3 +86,9 @@ def test_tiny_suite_outputs_match_the_golden_digest(tmp_path, workers, monkeypat
         # A forked worker's calls never reach this process's list.
         assert len(ran) == 10
         assert not {"lr-stress-baseline", "lr-moderate-baseline", "long-baseline"} & set(ran)
+
+
+def test_shipped_suite_outputs_match_the_golden_digest(tmp_path):
+    out = tmp_path / "out"
+    assert main(["--config", str(SHIPPED), "--out", str(out), "--quiet", "suite"]) == 0
+    assert suite_digest(out) == SHIPPED_SUITE_SHA256

@@ -237,6 +237,17 @@ def test_calibrate_returns_floor_when_floor_degrades():
     assert lr == 50.0
 
 
+def test_calibrate_rejects_an_unknown_criterion_before_any_rung_runs(monkeypatch):
+    import guardlab.harness as harness
+
+    def no_ladder(cfg, lrs):
+        raise AssertionError("a rung ran")
+
+    monkeypatch.setattr(harness, "run_probe_ladder", no_ladder)
+    with pytest.raises(ValueError, match="'bogus'"):
+        calibrate_divergence_lr(QUAD, probe_steps=20, criterion="bogus")
+
+
 def test_calibrate_monotone_bracket():
     # [DERIVED] the returned lr degrades the probe and half of it does not.
     spec = TaskSpec(kind="quadratic", dims={"dim": 4, "condition": 100.0, "noise": 0.0})
@@ -443,13 +454,15 @@ def test_suite_replays_baseline_arms_from_their_ladder_rungs(tmp_path, monkeypat
             for suffix in (".jsonl", "_summary.json"):
                 assert ((tmp_path / "runs" / f"{stem}{suffix}").read_bytes()
                         == (tmp_path / "ref" / f"{stem}{suffix}").read_bytes()), stem
-            assert res.params.tobytes() == ref.params.tobytes(), label
             assert res.summary == ref.summary, label
-            assert _trace_same(res.eval_trace, ref.eval_trace), label
             for name in ("initial_loss", "final_loss", "final_perplexity"):
                 assert _same(getattr(res, name), getattr(ref, name)), (label, name)
             if label in taken:
-                assert res.wall_seconds == harness.ladder_rung(arms[label], ladders).wall_seconds
+                rung = harness.ladder_rung(arms[label], ladders)
+                assert res.wall_seconds == rung.wall_seconds
+                replayed = harness.replay_rung(arms[label], rung)
+                assert replayed.params.tobytes() == ref.params.tobytes(), label
+                assert _trace_same(replayed.eval_trace, ref.eval_trace), label
     # The stress rate degrades the replayed baseline: its log is not a quiet run's.
     assert results["hot-baseline"].summary.regime_switches > 0
 
@@ -516,14 +529,31 @@ def test_run_suite_self_comparison_zero_reduction(tmp_path):
     assert row.guarded.final_perplexity == row.baseline.final_perplexity
 
 
-def test_run_suite_captures_errors_as_rows():
+def test_run_suite_captures_errors_as_rows(tmp_path):
     baseline = tiny_run(label="baseline", baseline=True)
     bad_task = TaskSpec(kind="mlp_regression", dims={"bogus": 1})
     baseline = RunConfig(**{**baseline.__dict__, "task": bad_task})
     bad_guard = tiny_run(label="guard", guard=GuardConfig())
     bad_guard = RunConfig(**{**bad_guard.__dict__, "task": bad_task})
-    rows = run_suite([("broken", baseline, bad_guard)])
+    rows = run_suite([("broken", baseline, bad_guard)], out_dir=tmp_path)
     assert rows[0].error is not None
+
+
+def test_run_suite_rows_hold_summary_rows_recomputable_from_their_jsonl(tmp_path, workers):
+    from guardlab.governor import record_from_json_dict, summarize_records
+    from guardlab.harness import RunRow
+
+    guard = tiny_run(label="guard", guard=GuardConfig())
+    pairs = [("clip", tiny_run(label="clip", baseline=True, clip=ClipConfig(g=1.0)), guard),
+             ("plain", tiny_run(label="baseline", baseline=True), guard)]
+    rows = run_suite(pairs, out_dir=tmp_path)
+    for res in (res for row in rows for res in (row.baseline, row.guarded)):
+        assert type(res) is RunRow
+        assert not hasattr(res, "log") and not hasattr(res, "params")
+        with open(tmp_path / f"{res.label}_seed{res.seed}.jsonl", encoding="utf-8") as fh:
+            records = [record_from_json_dict(json.loads(line)) for line in fh]
+        assert len(records) == guard.steps
+        assert res.summary == summarize_records(records), res.label
 
 
 def test_seed_stats():
