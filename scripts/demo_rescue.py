@@ -38,7 +38,7 @@ def main() -> int:
     base = replace(base, opt=replace(base.opt, lr=lr))
 
     results = {
-        "baseline": run_training(replace(base, baseline_marker=True, label="baseline")),
+        "baseline": run_training(replace(base, label="baseline")),
         "guard": run_training(replace(base, guard=GuardConfig(), label="guard")),
     }
 

@@ -160,20 +160,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Each subcommand and the global flags it reads; it rejects the others rather
+# than ignore them. --quiet only silences progress lines, so all take it.
 _COMMANDS = {
-    "run": cmd_run,
-    "suite": cmd_suite,
-    "calibrate": cmd_calibrate,
-    "report": cmd_report,
+    "run": (cmd_run, ("config", "out", "seed")),
+    "suite": (cmd_suite, ("config", "out")),
+    "calibrate": (cmd_calibrate, ("config",)),
+    "report": (cmd_report, ("out",)),
 }
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    command, takes = _COMMANDS[args.command]
     try:
-        if args.seed is not None and args.command != "run":
-            raise CliError(f"--seed applies to the run subcommand only, not {args.command!r}")
-        return _COMMANDS[args.command](args)
+        ignored = [f"--{flag}" for flag in ("config", "out", "seed")
+                   if getattr(args, flag) is not None and flag not in takes]
+        if ignored:
+            raise CliError(f"{args.command!r} does not take {', '.join(ignored)}")
+        return command(args)
     except (CliError, ValueError, RuntimeError, OSError) as exc:
         _print_error(type(exc).__name__, str(exc))
         return 1

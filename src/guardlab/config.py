@@ -37,15 +37,14 @@ from .optim import ClipConfig, ScheduleKind
 from .tasks import TASK_CLASSES, strict_bool, strict_float, strict_int, strict_str, task_dims
 
 SCENARIO_KINDS = ("lr_stress", "clip_baseline", "injection", "long_budget", "seed_sweep")
-# The kinds whose baseline arms clip, one per clip_g threshold.
+# The kinds whose baseline arms clip, one per clip_g threshold; clip_g
+# defaults to (1.0, 0.5) for them and must stay empty for any other kind.
 CLIP_KINDS = ("clip_baseline", "injection")
 # Each lr preset's backoff factor from the calibrated aggressive rate. With
 # the doubling grid these land well inside (moderate) and far inside (safe)
 # the trainable region observed during calibration.
 PRESET_BACKOFF = {"aggressive": 1.0, "moderate": 32.0, "safe": 512.0}
 LR_PRESETS = tuple(PRESET_BACKOFF)
-# A preset's probe must end degraded; see harness.degrading_lr.
-CALIBRATION_CRITERION = "final"
 # The converter of a field by the type of its default: None defaults have
 # none, and a converter given to _build takes precedence.
 _DEFAULT_CONVERTERS = {bool: strict_bool, int: strict_int, float: strict_float, str: strict_str}
@@ -123,7 +122,7 @@ class ScenarioSpec:
     lr: Union[str, float] = "moderate"
     batch_size: int = RunConfig.batch_size
     eval_every: int = RunConfig.eval_every
-    clip_g: Tuple[float, ...] = (1.0, 0.5)
+    clip_g: Tuple[float, ...] = ()
     injection: Optional[InjectionSpec] = None
 
     def __post_init__(self):
@@ -133,8 +132,9 @@ class ScenarioSpec:
             raise ValueError(f"lr must be a number or one of {LR_PRESETS}, got {self.lr!r}")
         for g in self.clip_g:
             ClipConfig(g=g)
-        if self.kind in CLIP_KINDS and not self.clip_g:
-            raise ValueError(f"clip_g must hold a threshold for kind {self.kind!r}")
+        if bool(self.clip_g) != (self.kind in CLIP_KINDS):
+            rule = "must hold a threshold" if self.kind in CLIP_KINDS else "must be empty"
+            raise ValueError(f"clip_g {rule} for kind {self.kind!r}; only {CLIP_KINDS} clip")
         _check_file_stem("name", self.name)
 
 
@@ -217,7 +217,9 @@ def _parse_scenario(idx: int, data, tasks: Dict[str, TaskSpec]) -> ScenarioSpec:
     defaults = {"name": f"{kind}-{task}"}
     if kind == "long_budget":
         defaults["steps"] = 5000
-    elif kind == "injection":
+    if kind in CLIP_KINDS:
+        defaults["clip_g"] = (1.0, 0.5)
+    if kind == "injection":
         defaults["injection"] = {}
 
     def validate(scen: ScenarioSpec) -> None:
@@ -264,7 +266,6 @@ def run_config(cfg: SuiteConfig, seed: int) -> RunConfig:
         schedule_kind=cfg.schedule.kind,
         min_lr=cfg.schedule.min_lr,
         guard=cfg.guard if run.arm == "guard" else None,
-        baseline_marker=run.arm == "baseline",
         clip=None if run.clip_g is None else ClipConfig(g=run.clip_g),
         steps=run.steps,
         batch_size=run.batch_size,
@@ -333,7 +334,7 @@ def resolve_lr(
         probe = probe_config(arm)
         if probe not in cache:
             cache[probe] = doubling_ladder(probe)
-        rates.append(degrading_lr(cache[probe], CALIBRATION_CRITERION))
+        rates.append(degrading_lr(cache[probe]))
     return max(rates) / PRESET_BACKOFF[lr]
 
 
@@ -352,9 +353,9 @@ def _pairs(cfg: SuiteConfig, scen: ScenarioSpec,
     pairs = []
     for seed in cfg.seeds:
         base = RunConfig(opt=replace(cfg.optimizer, lr=lr), schedule_kind=cfg.schedule.kind,
-                         min_lr=cfg.schedule.min_lr, baseline_marker=True, seed=seed,
+                         min_lr=cfg.schedule.min_lr, seed=seed,
                          label=f"{scen.name}-baseline", **_scenario_fields(scen, cfg.tasks))
-        guard = replace(base, guard=cfg.guard, baseline_marker=False, label=f"{scen.name}-guard")
+        guard = replace(base, guard=cfg.guard, label=f"{scen.name}-guard")
         if scen.kind in CLIP_KINDS:
             pairs += [(f"{scen.name}/clip_g={g}",
                        replace(base, clip=ClipConfig(g=g), label=f"{scen.name}-clip{g}"), guard)
@@ -388,10 +389,10 @@ def calibration_record(cfg: SuiteConfig, cache: Dict[RunConfig, List[ProbeResult
             "injection": None if probe.injection is None else dataclasses.asdict(probe.injection),
             "rungs": [
                 {"lr": rung.lr, "initial_loss": rung.initial_loss, "final_loss": rung.final_loss,
-                 "degraded": probe_degraded(rung, CALIBRATION_CRITERION)}
+                 "degraded": probe_degraded(rung)}
                 for rung in cache[probe]
             ],
-            "lr": degrading_lr(cache[probe], CALIBRATION_CRITERION),
+            "lr": degrading_lr(cache[probe]),
         }
         for probe, uses in _preset_probes(cfg).items() if probe in cache
     ]

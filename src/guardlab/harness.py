@@ -46,6 +46,8 @@ from .tasks import Batch, Task, evaluate, evaluate_rows, forward_backward, make_
 
 # The multiple of the initial eval loss above which severe_degradation flags a loss.
 DEGRADATION_FACTOR = 2.0
+# The calibration grid: 1e-4 * 2**k for k = 0..20, lowest first.
+LADDER_LRS = tuple(1e-4 * 2.0**k for k in range(21))
 
 _BATCH_STREAM = 0
 
@@ -96,7 +98,6 @@ class RunConfig:
     schedule_kind: ScheduleKind = ScheduleKind.COSINE
     min_lr: float = 0.0
     guard: Optional[GuardConfig] = None
-    baseline_marker: bool = False
     clip: Optional[ClipConfig] = None
     steps: int = 1000
     batch_size: int = 32
@@ -112,8 +113,6 @@ class RunConfig:
             raise ValueError("batch_size must be >= 1")
         if self.eval_every < 1 or self.eval_every > self.steps:
             raise ValueError("eval_every must lie in [1, steps]")
-        if self.baseline_marker and self.guard is not None and self.guard.auto_enabled:
-            raise ValueError("config conflict: baseline marker with an enabled guard")
         if self.injection is not None:
             bad = [s for s in self.injection.steps if not 0 <= s < self.steps]
             if bad:
@@ -286,11 +285,10 @@ def severe_degradation(loss: float, initial_loss: float) -> bool:
     return not math.isfinite(loss) or loss > DEGRADATION_FACTOR * initial_loss
 
 
-def probe_degraded(result: Union[RunResult, ProbeResult], criterion: str) -> bool:
-    """peak: any eval checkpoint degraded; final: only the final eval counts
-    (non-finite mid-run evals count either way, the run is already dead)."""
-    checkpoints = [loss for _, loss, _ in result.eval_trace
-                   if criterion == "peak" or not math.isfinite(loss)]
+def probe_degraded(result: Union[RunResult, ProbeResult]) -> bool:
+    """The one calibration rule: the final eval is severely degraded, or an
+    eval went non-finite on the way (the run is already dead)."""
+    checkpoints = [loss for _, loss, _ in result.eval_trace if not math.isfinite(loss)]
     return any(severe_degradation(loss, result.initial_loss)
                for loss in [*checkpoints, result.final_loss])
 
@@ -397,55 +395,39 @@ def probe_config(arm: RunConfig) -> RunConfig:
         arm,
         opt=replace(arm.opt, lr=1.0),
         guard=None,
-        baseline_marker=True,
         clip=None,
         eval_every=max(1, arm.steps // 10),
         label="calibrate",
     )
 
 
-def doubling_ladder(probe: RunConfig, floor: float = 1e-4,
-                    max_doublings: int = 20) -> List[ProbeResult]:
-    """probe's rungs at the rates floor * 2**k (k up to max_doublings), lowest
-    first, all run at once through run_probe_ladder. Probes decay to their
-    min_lr, as the runs they calibrate do; rungs below min_lr are left off
-    the ladder, since no schedule decays upwards."""
-    lrs = [floor * 2.0**k for k in range(max_doublings + 1) if floor * 2.0**k >= probe.min_lr]
+def doubling_ladder(probe: RunConfig) -> List[ProbeResult]:
+    """probe's rungs at the LADDER_LRS rates, lowest first, all run at once
+    through run_probe_ladder. Probes decay to their min_lr, as the runs they
+    calibrate do; rungs below min_lr are left off the ladder, since no
+    schedule decays upwards."""
+    lrs = [lr for lr in LADDER_LRS if lr >= probe.min_lr]
     return run_probe_ladder(probe, lrs) if lrs else []
 
 
-def _check_criterion(criterion: str) -> None:
-    if criterion not in ("peak", "final"):
-        raise ValueError(f"criterion must be 'peak' or 'final', got {criterion!r}")
-
-
-def degrading_lr(rungs: Sequence[ProbeResult], criterion: str = "peak") -> float:
-    """The lowest rate among a ladder's rungs, lowest first, whose run degrades.
-
-    criterion="peak" flags degradation at any eval checkpoint within the
-    probe run; "final" requires the probe run to end degraded (cosine decay
-    can anneal a mid-run excursion away, so "final" needs a probe as long
-    as the target run to transfer).
-    """
-    _check_criterion(criterion)
+def degrading_lr(rungs: Sequence[ProbeResult]) -> float:
+    """The lowest rate among a ladder's rungs, lowest first, whose run is
+    probe_degraded. The verdict reads the end of the run (cosine decay can
+    anneal a mid-run excursion away), so a probe is as long as its target."""
     for rung in rungs:
-        if probe_degraded(rung, criterion):
+        if probe_degraded(rung):
             return rung.lr
-    raise NotStressableError("task not stressable: no degrading lr within doubling budget")
+    raise NotStressableError("task not stressable: no degrading lr on the calibration ladder")
 
 
 def calibrate_divergence_lr(
     task: TaskSpec,
     probe_steps: int = 300,
     seed: int = 7,
-    floor: float = 1e-4,
-    max_doublings: int = 20,
-    criterion: str = "peak",
     injection: Optional[InjectionSpec] = None,
 ) -> float:
     """degrading_lr of the probe for a probe_steps-long baseline run with
-    RunConfig's defaults. An unknown criterion fails before any rung runs."""
-    _check_criterion(criterion)
+    RunConfig's defaults."""
     arm = RunConfig(
         task=task,
         steps=probe_steps,
@@ -453,14 +435,14 @@ def calibrate_divergence_lr(
         seed=seed,
         injection=injection,
     )
-    return degrading_lr(doubling_ladder(probe_config(arm), floor, max_doublings), criterion)
+    return degrading_lr(doubling_ladder(probe_config(arm)))
 
 
 def config_pair_diff(baseline: RunConfig, guarded: RunConfig) -> List[str]:
     """Field names where a comparison pair differs.
 
     Pairing integrity requires the diff to be a subset of the
-    governance/clipping fields {guard, baseline_marker, clip, label}.
+    governance/clipping fields {guard, clip, label}.
     """
     diffs = []
     for f in dataclasses.fields(RunConfig):
@@ -469,7 +451,7 @@ def config_pair_diff(baseline: RunConfig, guarded: RunConfig) -> List[str]:
     return diffs
 
 
-GOVERNANCE_FIELDS = {"guard", "baseline_marker", "clip", "label"}
+GOVERNANCE_FIELDS = {"guard", "clip", "label"}
 
 
 def usable_cpus() -> int:

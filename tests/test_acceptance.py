@@ -72,13 +72,12 @@ def _guard_cfg():
     return GuardConfig()
 
 
-def _run(task, seed, lr, steps, label, guard=None, baseline=False, clip=None,
+def _run(task, seed, lr, steps, label, guard=None, clip=None,
          injection=None, batch_size=32, eval_every=100):
     cfg = RunConfig(
         task=task,
         opt=OptimizerConfig(lr=lr),
         guard=guard,
-        baseline_marker=baseline,
         clip=clip,
         steps=steps,
         batch_size=batch_size,
@@ -99,7 +98,7 @@ def _run(task, seed, lr, steps, label, guard=None, baseline=False, clip=None,
 def aggressive_lr():
     # Largest per-seed rate whose full 1000-step baseline run ends degraded.
     return max(
-        calibrate_divergence_lr(BIGRAM, probe_steps=1000, seed=s, criterion="final")
+        calibrate_divergence_lr(BIGRAM, probe_steps=1000, seed=s)
         for s in SEEDS
     )
 
@@ -111,7 +110,7 @@ def burst_lr():
     spec = InjectionSpec(magnitude=50.0, period=100, mode="gradient_burst")
     return max(
         calibrate_divergence_lr(
-            BIGRAM, probe_steps=1000, seed=s, criterion="final", injection=spec
+            BIGRAM, probe_steps=1000, seed=s, injection=spec
         )
         for s in SEEDS
     )
@@ -123,7 +122,7 @@ def stress_runs(aggressive_lr):
     runs = {}
     for seed in SEEDS:
         runs[seed] = (
-            _run(BIGRAM, seed, aggressive_lr, 1000, "stress-baseline", baseline=True),
+            _run(BIGRAM, seed, aggressive_lr, 1000, "stress-baseline"),
             _run(BIGRAM, seed, aggressive_lr, 1000, "stress-guard", guard=_guard_cfg()),
         )
     return runs
@@ -138,9 +137,9 @@ def injection_runs(burst_lr):
         guard = _run(BIGRAM, seed, burst_lr, 1000, "inject-guard",
                      guard=_guard_cfg(), injection=spec)
         clip1 = _run(BIGRAM, seed, burst_lr, 1000, "inject-clip1",
-                     baseline=True, injection=spec, clip=ClipConfig(g=1.0))
+                     injection=spec, clip=ClipConfig(g=1.0))
         clip05 = _run(BIGRAM, seed, burst_lr, 1000, "inject-clip05",
-                      baseline=True, injection=spec, clip=ClipConfig(g=0.5))
+                      injection=spec, clip=ClipConfig(g=0.5))
         runs[seed] = (guard, clip1, clip05)
     return runs
 
@@ -152,7 +151,7 @@ def moderate_runs(aggressive_lr):
     runs = {}
     for seed in SEEDS:
         runs[seed] = (
-            _run(BIGRAM, seed, lr, 1000, "moderate-baseline", baseline=True),
+            _run(BIGRAM, seed, lr, 1000, "moderate-baseline"),
             _run(BIGRAM, seed, lr, 1000, "moderate-guard", guard=_guard_cfg()),
         )
     return runs
@@ -162,7 +161,7 @@ def moderate_runs(aggressive_lr):
 def noop_runs():
     """Criterion-10 scenario: benign quadratic at a safe fixed lr."""
     return (
-        _run(QUAD, 7, 1e-3, 1000, "noop-baseline", baseline=True),
+        _run(QUAD, 7, 1e-3, 1000, "noop-baseline"),
         _run(QUAD, 7, 1e-3, 1000, "noop-guard", guard=_guard_cfg()),
     )
 

@@ -11,7 +11,7 @@ from guardlab import config as config_module
 from guardlab import harness
 from guardlab.cli import main
 from guardlab.config import expand_scenarios, parse_config
-from guardlab.harness import TaskSpec, calibrate_divergence_lr
+from guardlab.harness import LADDER_LRS, TaskSpec, calibrate_divergence_lr
 
 
 def write_config(tmp_path: Path, extra: dict = None) -> Path:
@@ -79,6 +79,27 @@ def test_seed_outside_run_is_an_error(tmp_path, capsys, command):
     assert err["error"] == "CliError" and "--seed" in err["message"]
     assert captured.out == ""
     assert not out.exists()
+
+
+# The global flags each subcommand takes; the pairs outside this table.
+TAKES = {"run": ("--config", "--out", "--seed"), "suite": ("--config", "--out"),
+         "calibrate": ("--config",), "report": ("--out",)}
+NOT_TAKEN = [(flag, command) for command, takes in TAKES.items()
+             for flag in ("--config", "--out", "--seed") if flag not in takes]
+
+
+@pytest.mark.parametrize("flag, command", NOT_TAKEN, ids=lambda v: v)
+def test_a_flag_a_subcommand_does_not_take_is_an_error(tmp_path, capsys, flag, command):
+    values = {"--config": str(write_config(tmp_path)), "--out": str(tmp_path / "out"),
+              "--seed": "99"}
+    argv = [arg for f in (*TAKES[command], flag) for arg in (f, values[f])]
+    before = sorted(tmp_path.rglob("*"))
+    assert main([*argv, command]) == 1
+    captured = capsys.readouterr()
+    err = json.loads(captured.err.strip())
+    assert err["error"] == "CliError" and flag in err["message"]
+    assert captured.out == ""
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_suite_then_report_identical_markdown(tmp_path):
@@ -149,9 +170,15 @@ def test_calibrate_prints_the_rate_the_suite_runs_at(tmp_path, capsys):
     suite = parse_config(cfg)
     assert {base.opt.lr for _, base, _ in expand_scenarios(suite)} == {printed["hot"]}
     assert printed == {"hot": max(
-        calibrate_divergence_lr(TaskSpec(**bigram), probe_steps=steps, seed=s, criterion="final")
+        calibrate_divergence_lr(TaskSpec(**bigram), probe_steps=steps, seed=s)
         for s in suite.seeds
     )}
+
+
+def test_calibrate_divergence_lr_reads_the_shipped_stress_rate():
+    # The lr-stress rate that `guardlab calibrate` prints for the shipped
+    # config (README): one verdict rule, so the library call agrees with it.
+    assert calibrate_divergence_lr(TaskSpec("bigram_lm", {}), probe_steps=1000, seed=7) == 13.1072
 
 
 def test_suite_writes_the_ladders_it_calibrated_to_calibration_json(tmp_path):
@@ -178,7 +205,7 @@ def test_suite_writes_the_ladders_it_calibrated_to_calibration_json(tmp_path):
     ]
     for entry in entries:
         rungs = entry["rungs"]
-        assert [r["lr"] for r in rungs] == [1e-4 * 2.0**k for k in range(21)]
+        assert [r["lr"] for r in rungs] == list(LADDER_LRS)
         # The verdict is the lowest rung whose run ends degraded.
         assert entry["lr"] == next(r["lr"] for r in rungs if r["degraded"])
         for r in rungs:

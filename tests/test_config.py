@@ -114,7 +114,7 @@ def test_run_section_defaults_are_materialized():
         "steps": 1000, "batch_size": 32, "eval_every": 100, "clip_g": None,
     }
     run = config_module.run_config(cfg, seed=5)
-    assert run.clip is None and run.guard is None and run.baseline_marker
+    assert run.clip is None and run.guard is None
     assert run.opt == cfg.optimizer and run.seed == 5
 
 
@@ -186,15 +186,14 @@ def test_resolve_lr_rejects_unknown_preset():
 
 def fake_core(monkeypatch):
     """Replace the calibration ladder with one that records each probe and
-    degrades, under the "final" criterion, from a rate derived from its
-    batch size."""
+    degrades from a rate derived from its batch size."""
     probes = []
 
     def ladder(probe):
         probes.append(probe)
         lr = 1e-3 * probe.batch_size
         return [
-            # Degraded mid-run only: the "peak" criterion would stop here.
+            # Degraded mid-run only, with a finite eval: not a degraded rung.
             ProbeResult(lr=lr / 2, initial_loss=1.0, final_loss=0.5,
                         eval_trace=[(1, 3.0, 3.0)], params=None),
             ProbeResult(lr=lr, initial_loss=1.0, final_loss=3.0, eval_trace=[], params=None),
@@ -228,7 +227,7 @@ def test_resolve_lr_cache_is_keyed_on_exactly_the_probe_inputs(monkeypatch):
         replace(QUAD_ARM, eval_every=7),
         replace(QUAD_ARM, label="other"),
         replace(QUAD_ARM, guard=GuardConfig()),
-        replace(QUAD_ARM, baseline_marker=True, clip=ClipConfig(g=0.5)),
+        replace(QUAD_ARM, clip=ClipConfig(g=0.5)),
         replace(QUAD_ARM, opt=OptimizerConfig(lr=0.3)),
     ):
         resolve_lr("aggressive", [arm], cache)
@@ -304,7 +303,7 @@ def test_expand_scenarios_pairs_share_everything_but_governance():
     assert sorted(set(ids)) == ["clipdemo/clip_g=0.5", "clipdemo/clip_g=1.0"]
     assert len(ids) == 6
     for _, base, guard in pairs:
-        assert base.baseline_marker and base.clip is not None
+        assert base.guard is None and base.clip is not None
         assert guard.guard is not None and guard.clip is None
         assert set(config_pair_diff(base, guard)) <= GOVERNANCE_FIELDS
 
@@ -548,6 +547,20 @@ def test_duplicate_clip_thresholds_are_rejected(clip_g):
     scen = {**MINIMAL["scenarios"][0], "kind": "clip_baseline", "clip_g": clip_g}
     with pytest.raises(ConfigError, match=r"duplicate clip_g: 1(\.0)?$"):
         parse_config({**MINIMAL, "scenarios": [scen]})
+
+
+@pytest.mark.parametrize("kind", config_module.SCENARIO_KINDS)
+def test_clip_g_belongs_to_the_kinds_that_clip(kind):
+    # Only these kinds' baseline arms clip; a threshold on any other kind
+    # would be echoed but never run.
+    clips = kind in ("clip_baseline", "injection")
+    scen = {**SCEN, "kind": kind}
+    cfg = parse_config({**MINIMAL, "scenarios": [scen]})
+    assert cfg.scenarios[0].clip_g == ((1.0, 0.5) if clips else ())
+    assert parse_config(emit_config(cfg)) == cfg
+    rule = "must hold a threshold" if clips else "must be empty"
+    with pytest.raises(ConfigError, match=rf"'scenarios\[0\]': clip_g {rule} for kind '{kind}'"):
+        parse_config({**MINIMAL, "scenarios": [{**scen, "clip_g": [] if clips else [0.05]}]})
 
 
 @pytest.mark.parametrize("injection", [{}, {"mode": "outlier_batch", "period": 5}])

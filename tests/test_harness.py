@@ -12,14 +12,19 @@ import pytest
 from guardlab.governor import GuardConfig
 from guardlab.harness import (
     GOVERNANCE_FIELDS,
+    LADDER_LRS,
     ClipConfig,
     InjectionSpec,
+    NotStressableError,
     OptimizerConfig,
+    ProbeResult,
     RunConfig,
     TaskSpec,
     calibrate_divergence_lr,
     config_pair_diff,
+    degrading_lr,
     inject_outliers,
+    probe_degraded,
     run_probe_ladder,
     run_suite,
     run_training,
@@ -34,12 +39,11 @@ QUAD = TaskSpec(kind="quadratic", dims={"dim": 8, "condition": 100.0, "noise": 0
 MLP = TaskSpec(kind="mlp_regression", dims={})
 
 
-def tiny_run(label="run", seed=7, guard=None, baseline=False, **kw):
+def tiny_run(label="run", seed=7, guard=None, **kw):
     return RunConfig(
         task=MLP,
         opt=OptimizerConfig(lr=1e-3),
         guard=guard,
-        baseline_marker=baseline,
         steps=40,
         batch_size=8,
         eval_every=20,
@@ -100,11 +104,6 @@ def test_injection_period_skips_step_zero():
 # --------------------------------------------------------------------------
 
 
-def test_runconfig_rejects_baseline_with_enabled_guard():
-    with pytest.raises(ValueError):
-        RunConfig(task=MLP, baseline_marker=True, guard=GuardConfig(auto_enabled=True))
-
-
 def test_runconfig_rejects_out_of_range_injection_steps():
     with pytest.raises(ValueError):
         RunConfig(task=MLP, steps=10, injection=InjectionSpec(magnitude=2.0, period=0, steps=(10,)))
@@ -118,7 +117,7 @@ def test_runconfig_rejects_empty_batches():
 
 
 def test_config_pair_diff_only_governance_fields():
-    baseline = tiny_run(label="baseline", baseline=True, clip=ClipConfig(g=1.0))
+    baseline = tiny_run(label="baseline", clip=ClipConfig(g=1.0))
     guarded = tiny_run(label="guard", guard=GuardConfig())
     diff = config_pair_diff(baseline, guarded)
     assert set(diff) <= GOVERNANCE_FIELDS
@@ -126,7 +125,7 @@ def test_config_pair_diff_only_governance_fields():
 
 
 def test_config_pair_diff_flags_non_governance_mismatch():
-    baseline = tiny_run(label="baseline", baseline=True)
+    baseline = tiny_run(label="baseline")
     guarded = tiny_run(label="guard", guard=GuardConfig(), seed=8)
     diff = config_pair_diff(baseline, guarded)
     assert "seed" in diff
@@ -206,7 +205,7 @@ def test_every_guard_config_field_changes_the_telemetry(name):
 
 
 def test_run_result_reports_finite_metrics():
-    result = run_training(tiny_run(baseline=True))
+    result = run_training(tiny_run())
     assert math.isfinite(result.initial_loss)
     assert math.isfinite(result.final_loss)
     assert result.wall_seconds > 0
@@ -225,48 +224,34 @@ def test_severe_degradation_factor_of_two():
     assert not severe_degradation(0.5, 1.0)
 
 
+def _rungs(degraded):
+    """Hand-built rungs over LADDER_LRS: rung i ends at 3x its initial loss
+    where degraded(i), else at half of it."""
+    return [ProbeResult(lr=lr, initial_loss=1.0, final_loss=3.0 if degraded(i) else 0.5,
+                        eval_trace=[], params=None)
+            for i, lr in enumerate(LADDER_LRS)]
+
+
 def test_calibrate_returns_floor_when_floor_degrades():
-    # A quadratic with condition 1e4 diverges under Adam well below the floor
-    # probe when lr is large; use a floor that already degrades it.
-    lr = calibrate_divergence_lr(
-        TaskSpec(kind="quadratic", dims={"dim": 4, "condition": 10.0, "noise": 0.0}),
-        probe_steps=50,
-        floor=50.0,
-        criterion="peak",
-    )
-    assert lr == 50.0
-
-
-def test_calibrate_rejects_an_unknown_criterion_before_any_rung_runs(monkeypatch):
-    import guardlab.harness as harness
-
-    def no_ladder(cfg, lrs):
-        raise AssertionError("a rung ran")
-
-    monkeypatch.setattr(harness, "run_probe_ladder", no_ladder)
-    with pytest.raises(ValueError, match="'bogus'"):
-        calibrate_divergence_lr(QUAD, probe_steps=20, criterion="bogus")
+    assert degrading_lr(_rungs(lambda i: True)) == LADDER_LRS[0]
 
 
 def test_calibrate_monotone_bracket():
     # [DERIVED] the returned lr degrades the probe and half of it does not.
     spec = TaskSpec(kind="quadratic", dims={"dim": 4, "condition": 100.0, "noise": 0.0})
-    lr = calibrate_divergence_lr(spec, probe_steps=60, floor=1e-3, criterion="peak")
-    from guardlab.harness import probe_degraded
-    from guardlab.optim import ScheduleKind
+    lr = calibrate_divergence_lr(spec, probe_steps=60)
 
     def probe(rate):
         cfg = RunConfig(
             task=spec,
             opt=OptimizerConfig(lr=rate),
-            baseline_marker=True,
             steps=60,
             batch_size=32,
             eval_every=6,
             seed=7,
             label="probe",
         )
-        return probe_degraded(run_training(cfg), "peak")
+        return probe_degraded(run_training(cfg))
 
     assert probe(lr)
     assert not probe(lr / 2.0)
@@ -276,7 +261,7 @@ def test_calibrate_quadratic_exceeds_stability_bound():
     # Sanity: the divergence lr for a noiseless quadratic sits above the
     # gradient-descent stability bound 2/L (Adam tolerates more than GD).
     spec = TaskSpec(kind="quadratic", dims={"dim": 4, "condition": 100.0, "noise": 0.0})
-    lr = calibrate_divergence_lr(spec, probe_steps=60, floor=1e-3, criterion="peak")
+    lr = calibrate_divergence_lr(spec, probe_steps=60)
     L = 100.0  # largest curvature eigenvalue
     assert lr > 2.0 / L
 
@@ -287,7 +272,6 @@ def test_calibrate_quadratic_exceeds_stability_bound():
 
 SMALL_BIGRAM = TaskSpec(kind="bigram_lm", dims={"alphabet": 8, "corpus_len": 256, "eval_len": 64})
 NOISELESS_QUAD = TaskSpec(kind="quadratic", dims={"dim": 4, "condition": 100.0, "noise": 0.0})
-LADDER_LRS = [1e-4 * 2.0**k for k in range(21)]
 INJECTIONS = {
     None: None,
     "gradient_burst": InjectionSpec(magnitude=50.0, period=10, mode="gradient_burst"),
@@ -312,10 +296,8 @@ LADDER_CASES = [
     "task,injection", LADDER_CASES, ids=[f"{t.kind}-{i}" for t, i in LADDER_CASES]
 )
 def test_probe_ladder_rows_bitwise_equal_scalar_runs(task, injection):
-    from guardlab.harness import probe_degraded
-
     cfg = RunConfig(
-        task=task, baseline_marker=True, steps=40, batch_size=16, eval_every=8,
+        task=task, steps=40, batch_size=16, eval_every=8,
         seed=3, injection=INJECTIONS[injection], label="probe",
     )
     with np.errstate(all="ignore"):
@@ -330,59 +312,61 @@ def test_probe_ladder_rows_bitwise_equal_scalar_runs(task, injection):
             for (_, loss, ppl), (_, ref_loss, ref_ppl) in zip(rung.eval_trace, ref.eval_trace):
                 assert _same(loss, ref_loss) and _same(ppl, ref_ppl)
     # The ladder spans healthy and degraded rungs.
-    assert not probe_degraded(rungs[0], "peak") and probe_degraded(rungs[-1], "peak")
+    assert not probe_degraded(rungs[0]) and probe_degraded(rungs[-1])
 
 
 def test_probe_ladder_rejects_governed_arms():
     with pytest.raises(ValueError):
         run_probe_ladder(tiny_run(guard=GuardConfig()), [1e-3])
     with pytest.raises(ValueError):
-        run_probe_ladder(tiny_run(baseline=True, clip=ClipConfig(g=1.0)), [1e-3])
+        run_probe_ladder(tiny_run(clip=ClipConfig(g=1.0)), [1e-3])
 
 
-def _scalar_ladder(task, probe_steps, floor, criterion, injection=None, max_doublings=20):
-    """The doubling ladder run rung by rung through run_training."""
-    from guardlab.harness import probe_degraded
-
-    lr = floor
-    for _ in range(max_doublings + 1):
-        cfg = RunConfig(
-            task=task, opt=OptimizerConfig(lr=lr), baseline_marker=True,
-            steps=probe_steps, batch_size=32, eval_every=max(1, probe_steps // 10),
-            seed=7, injection=injection, label="calibrate",
-        )
-        if probe_degraded(run_training(cfg), criterion):
+def _scalar_ladder(results):
+    """The rate of the first degraded result, walking LADDER_LRS rung by
+    rung, or None if no rung degrades."""
+    for lr, result in zip(LADDER_LRS, results):
+        if probe_degraded(result):
             return lr
-        lr *= 2.0
     return None
 
 
+def _scalar_runs(task, probe_steps, injection=None):
+    """The doubling ladder's runs, one run_training each, made as walked."""
+    for lr in LADDER_LRS:
+        yield run_training(RunConfig(
+            task=task, opt=OptimizerConfig(lr=lr), steps=probe_steps, batch_size=32,
+            eval_every=max(1, probe_steps // 10), seed=7, injection=injection, label="calibrate",
+        ))
+
+
 @pytest.mark.parametrize("injection", [None, "gradient_burst"])
-@pytest.mark.parametrize("criterion", ["peak", "final"])
 @pytest.mark.parametrize("task", [SMALL_BIGRAM, NOISELESS_QUAD, MLP], ids=lambda t: t.kind)
-def test_calibrate_matches_scalar_reference_ladder(task, criterion, injection):
+def test_calibrate_matches_scalar_reference_ladder(task, injection):
     inj = INJECTIONS[injection]
     with np.errstate(all="ignore"):
-        expected = _scalar_ladder(task, 60, 1e-4, criterion, inj)
-        lr = calibrate_divergence_lr(task, probe_steps=60, criterion=criterion, injection=inj)
+        expected = _scalar_ladder(_scalar_runs(task, 60, inj))
+        lr = calibrate_divergence_lr(task, probe_steps=60, injection=inj)
     assert expected is not None
     assert lr == expected
 
 
-@pytest.mark.parametrize("criterion", ["peak", "final"])
-def test_calibrate_floor_already_degrades_matches_scalar(criterion):
-    with np.errstate(all="ignore"):
-        expected = _scalar_ladder(NOISELESS_QUAD, 50, 50.0, criterion)
-        lr = calibrate_divergence_lr(NOISELESS_QUAD, probe_steps=50, floor=50.0, criterion=criterion)
-    assert lr == expected == 50.0
+def test_calibrate_floor_already_degrades_matches_scalar():
+    # The first rung died mid-run, a non-finite eval, though its final eval
+    # is finite and low: the ladder stops at its first rate.
+    rungs = _rungs(lambda i: i >= 5)
+    rungs[0].eval_trace = [(1, math.inf, math.inf)]
+    assert degrading_lr(rungs) == _scalar_ladder(rungs) == LADDER_LRS[0]
 
 
 def test_calibrate_not_stressable_matches_scalar():
-    assert _scalar_ladder(NOISELESS_QUAD, 50, 1e-6, "final", max_doublings=3) is None
-    with pytest.raises(RuntimeError, match="not stressable"):
-        calibrate_divergence_lr(
-            NOISELESS_QUAD, probe_steps=50, floor=1e-6, max_doublings=3, criterion="final"
-        )
+    # A finite mid-run excursion that the final eval recovers from does not
+    # degrade a rung, so no rung of this ladder degrades.
+    rungs = _rungs(lambda i: False)
+    rungs[-1].eval_trace = [(1, 3.0, 3.0)]
+    assert _scalar_ladder(rungs) is None
+    with pytest.raises(NotStressableError, match="not stressable"):
+        degrading_lr(rungs)
 
 
 # --------------------------------------------------------------------------
@@ -475,7 +459,7 @@ def test_suite_replays_baseline_arms_from_their_ladder_rungs(tmp_path, monkeypat
 def test_a_rung_logs_a_null_grad_rms_where_sense_does(lr, injection, why):
     from guardlab.harness import replay_rung
 
-    cfg = RunConfig(task=NOISELESS_QUAD, opt=OptimizerConfig(lr=lr), baseline_marker=True,
+    cfg = RunConfig(task=NOISELESS_QUAD, opt=OptimizerConfig(lr=lr),
                     steps=30, batch_size=8, eval_every=3, seed=3, injection=injection,
                     label="probe")
     with np.errstate(all="ignore"):
@@ -508,8 +492,7 @@ def test_run_suite_runs_a_shared_guard_arm_once(tmp_path, monkeypatch, one_worke
     monkeypatch.setattr(harness, "run_training", counting)
     guard = tiny_run(label="burst-guard", guard=GuardConfig())
     pairs = [
-        (f"burst/clip_g={g}", tiny_run(label=f"burst-clip{g}", baseline=True,
-                                       clip=ClipConfig(g=g)), guard)
+        (f"burst/clip_g={g}", tiny_run(label=f"burst-clip{g}", clip=ClipConfig(g=g)), guard)
         for g in (1.0, 0.5)
     ]
     rows = run_suite(pairs, out_dir=tmp_path)
@@ -519,7 +502,7 @@ def test_run_suite_runs_a_shared_guard_arm_once(tmp_path, monkeypatch, one_worke
 
 
 def test_run_suite_self_comparison_zero_reduction(tmp_path):
-    baseline = tiny_run(label="baseline", baseline=True)
+    baseline = tiny_run(label="baseline")
     guard_off = tiny_run(label="guard", guard=GuardConfig(auto_enabled=False))
     rows = run_suite([("self", baseline, guard_off)], out_dir=tmp_path)
     assert len(rows) == 1
@@ -530,7 +513,7 @@ def test_run_suite_self_comparison_zero_reduction(tmp_path):
 
 
 def test_run_suite_captures_errors_as_rows(tmp_path):
-    baseline = tiny_run(label="baseline", baseline=True)
+    baseline = tiny_run(label="baseline")
     bad_task = TaskSpec(kind="mlp_regression", dims={"bogus": 1})
     baseline = RunConfig(**{**baseline.__dict__, "task": bad_task})
     bad_guard = tiny_run(label="guard", guard=GuardConfig())
@@ -544,8 +527,8 @@ def test_run_suite_rows_hold_summary_rows_recomputable_from_their_jsonl(tmp_path
     from guardlab.harness import RunRow
 
     guard = tiny_run(label="guard", guard=GuardConfig())
-    pairs = [("clip", tiny_run(label="clip", baseline=True, clip=ClipConfig(g=1.0)), guard),
-             ("plain", tiny_run(label="baseline", baseline=True), guard)]
+    pairs = [("clip", tiny_run(label="clip", clip=ClipConfig(g=1.0)), guard),
+             ("plain", tiny_run(label="baseline"), guard)]
     rows = run_suite(pairs, out_dir=tmp_path)
     for res in (res for row in rows for res in (row.baseline, row.guarded)):
         assert type(res) is RunRow

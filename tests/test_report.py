@@ -30,7 +30,7 @@ def suite_rows():
     rows = []
     for seed in (7, 42):
         base = run_training(RunConfig(task=task, opt=OptimizerConfig(lr=1e-3),
-                                      baseline_marker=True, steps=30, batch_size=8,
+                                      steps=30, batch_size=8,
                                       eval_every=10, seed=seed, label="baseline"))
         guard = run_training(RunConfig(task=task, opt=OptimizerConfig(lr=1e-3),
                                        guard=GuardConfig(), steps=30, batch_size=8,
