@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
-from typing import IO, List, Optional, Sequence
+from typing import IO, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -76,8 +76,13 @@ class GuardConfig:
             raise ValueError("recovery_confirm must be >= 1")
 
 
-@dataclass(frozen=True)
-class TelemetrySample:
+# The values a step passes between the governor's functions are NamedTuples,
+# not frozen dataclasses: a frozen dataclass's __init__ pays one
+# object.__setattr__ per field, and every step builds a sample and an analyzer
+# state. StepRecord, the logged value, stays a slotted dataclass (its fields
+# are the JSONL schema, and replace/asdict read it) but is not frozen, for the
+# same cost.
+class TelemetrySample(NamedTuple):
     """Per-step sensor output. grad_rms is present only on probe steps."""
 
     step: int
@@ -86,8 +91,7 @@ class TelemetrySample:
     lr: float
 
 
-@dataclass(frozen=True)
-class AnalyzerState:
+class AnalyzerState(NamedTuple):
     loss_ema: float = 0.0
     rms_ema: Optional[float] = None
     regime: Regime = Regime.STABLE
@@ -95,8 +99,7 @@ class AnalyzerState:
     initialized: bool = False
 
 
-@dataclass(frozen=True)
-class ControlPosture:
+class ControlPosture(NamedTuple):
     scale: float = 1.0
     skip_step: bool = False
 
@@ -106,7 +109,7 @@ class ControlPosture:
 NEUTRAL_POSTURE = ControlPosture()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class StepRecord:
     """One step of telemetry. Its fields, in declaration order, are the keys
     of a JSONL line."""
@@ -151,7 +154,8 @@ def gradient_rms(grads: np.ndarray) -> float:
         raise ValueError("gradient_rms requires a nonempty gradient")
     if not np.isfinite(arr).all():
         raise NonFiniteGradientError("non-finite gradient")
-    return float(np.sqrt(np.mean(arr * arr)))
+    # np.mean's sum and division, without its wrapper.
+    return float(np.sqrt(np.add.reduce(arr * arr, axis=None) / arr.size))
 
 
 def sense(
@@ -204,7 +208,7 @@ def classify_regime(
 
     if not state.initialized:
         if not finite:
-            return Regime.SPIKE, replace(state, regime=Regime.SPIKE, improving_streak=0)
+            return Regime.SPIKE, state._replace(regime=Regime.SPIKE, improving_streak=0)
         new = AnalyzerState(
             loss_ema=loss,
             rms_ema=sample.grad_rms,

@@ -159,8 +159,10 @@ class ProbeResult:
 
     losses holds the training loss of every step, and grad_rms the gradient
     RMS that sense takes on every stats_freq step of the probe's disabled
-    guard (None where it is non-finite or overflows). wall_seconds is the
-    rung's share of the ladder's step loop.
+    guard (None where it is non-finite or overflows). max_grad_sumsq is the
+    largest sum of squares of a step's gradient before any burst (NaN or inf
+    if one was non-finite), so a clip threshold above its root never fired.
+    wall_seconds is the rung's share of the ladder's step loop.
     """
 
     lr: float
@@ -171,6 +173,7 @@ class ProbeResult:
     final_perplexity: float = math.nan
     losses: Optional[np.ndarray] = None
     grad_rms: List[Optional[float]] = field(default_factory=list)
+    max_grad_sumsq: float = math.inf
     wall_seconds: float = 0.0
 
 
@@ -318,11 +321,14 @@ def run_probe_ladder(cfg: RunConfig, lrs: Sequence[float]) -> List[ProbeResult]:
     traces: List[List[Tuple[int, float, float]]] = [[] for _ in lrs]
     loss_rows = np.empty((len(lrs), cfg.steps))
     rms_rows: List[List[Optional[float]]] = [[] for _ in lrs]
+    max_sumsq = np.zeros(len(lrs))
     t0 = time.perf_counter()
     for step in range(cfg.steps):
         lr_t = np.array([[schedule_lr(step, sched)] for sched in scheds])
         batch, burst = _next_batch(task, cfg, step, stream)
         loss_rows[:, step], grads = task.loss_and_grad_rows(params, batch)
+        # np.maximum propagates NaN; einsum neither warns nor copies.
+        np.maximum(max_sumsq, np.einsum("ij,ij->i", grads, grads), out=max_sumsq)
         if burst != 1.0:
             grads = grads * burst
         if step % guard.stats_freq == 0:
@@ -346,19 +352,21 @@ def run_probe_ladder(cfg: RunConfig, lrs: Sequence[float]) -> List[ProbeResult]:
             final_perplexity=final.perplexity,
             losses=losses,
             grad_rms=rms,
+            max_grad_sumsq=float(sumsq),
             wall_seconds=share,
         )
-        for lr, trace, row, final, losses, rms in zip(
-            lrs, traces, params, evaluate_rows(task, params), loss_rows, rms_rows
+        for lr, trace, row, final, losses, rms, sumsq in zip(
+            lrs, traces, params, evaluate_rows(task, params), loss_rows, rms_rows, max_sumsq
         )
     ]
 
 
 def replay_rung(cfg: RunConfig, rung: ProbeResult, out_dir: Optional[Path] = None) -> RunResult:
     """run_training(cfg, out_dir)'s result, from the ladder rung that already
-    ran cfg (see ladder_rung): the rung's losses, gradient RMS and scheduled
-    lr go through cfg's disabled governor, which logs them as the run's own
-    would. The run's wall_seconds is the rung's share of its ladder's loop.
+    ran cfg (see ladder_rung; a clip that never fired there changes nothing):
+    the rung's losses, gradient RMS and scheduled lr go through cfg's disabled
+    governor, which logs them as the run's own would. The run's wall_seconds
+    is the rung's share of its ladder's loop.
     """
     gov = Governor(cfg.guard_or_disabled())
     if gov.cfg.auto_enabled:
@@ -492,13 +500,22 @@ def parallel_map(fn: Callable[[Item], Out], items: Sequence[Item],
 def ladder_rung(cfg: RunConfig,
                 ladders: Mapping[RunConfig, List[ProbeResult]]) -> Optional[ProbeResult]:
     """The rung of cfg's probe in ladders (probe -> rungs) that already ran
-    cfg, if any: cfg is its probe but for its optimizer and label (a baseline
-    arm with no guard and no clip that evaluates every tenth of its run), and
-    the probe's ladder has a rung at cfg's rate."""
+    cfg, if any: cfg is its probe but for its optimizer, label and clip (a
+    baseline arm with no guard that evaluates every tenth of its run), the
+    probe's ladder has a rung at cfg's rate, and cfg's clip, if any, never
+    fired on that rung, so clipping left every gradient as it was.
+
+    The clip compares np.linalg.norm's 1-D dot product with its threshold g,
+    and the rung kept a row reduce that may round differently, so a clip arm
+    replays only when the rung's largest sum of squares is below
+    (g * (1 - 1e-12))**2: an arm whose clip could have fired always runs."""
     probe = probe_config(cfg)
-    if probe not in ladders or replace(probe, opt=cfg.opt, label=cfg.label) != cfg:
+    if probe not in ladders or replace(probe, opt=cfg.opt, label=cfg.label, clip=cfg.clip) != cfg:
         return None
-    return next((rung for rung in ladders[probe] if rung.lr == cfg.opt.lr), None)
+    rung = next((rung for rung in ladders[probe] if rung.lr == cfg.opt.lr), None)
+    if rung is None or cfg.clip is None:
+        return rung
+    return rung if rung.max_grad_sumsq < (cfg.clip.g * (1.0 - 1e-12)) ** 2 else None
 
 
 def _run_or_error(

@@ -108,6 +108,8 @@ def adamw_step(
     # and one scratch buffer for the products added to them (bitwise equal,
     # fewer temporaries). Inputs are never written. The weight-decay pass
     # runs even at weight_decay 0, where it can turn a -0.0 delta into +0.0.
+    # A Python-float operand goes through an explicit out= call: the same
+    # operation as += or *=, without the operator's dispatch overhead.
     scratch = np.multiply(1.0 - cfg.beta1, grads)
     m = cfg.beta1 * state.m
     m += scratch
@@ -117,12 +119,12 @@ def adamw_step(
     v += scratch
     den = np.divide(v, 1.0 - cfg.beta2 ** t)
     np.sqrt(den, out=den)
-    den += cfg.eps
+    np.add(den, cfg.eps, out=den)
     delta = m / (1.0 - cfg.beta1 ** t)
     delta /= den
     np.multiply(cfg.weight_decay, params, out=scratch)
     delta += scratch
-    delta *= -lr_t
+    np.multiply(delta, -lr_t, out=delta)
     return delta, OptimizerState(m=m, v=v, t=t)
 
 

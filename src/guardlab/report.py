@@ -118,7 +118,7 @@ def render_report_from_csv(csv_rows: Sequence[Dict[str, object]]) -> str:
                 continue
             base, guard = arms["baseline"], arms["guard"]
             b_ppl, g_ppl = base["final_ppl"], guard["final_ppl"]
-            if math.isfinite(b_ppl) and b_ppl > 0:
+            if math.isfinite(b_ppl) and math.isfinite(g_ppl) and b_ppl > 0:
                 reduction = f"{100.0 * (1.0 - g_ppl / b_ppl):.1f}%"
             else:
                 reduction = "n/a"

@@ -505,6 +505,41 @@ def test_record_from_json_dict_rejects_a_missing_or_an_unknown_key():
         record_from_json_dict({**line, "rho": 1.0})
 
 
+def test_step_record_is_a_slotted_dataclass_in_jsonl_key_order():
+    rec = _rec(3, scale=0.5, regime=Regime.STRESS)
+    names = [f.name for f in dataclasses.fields(StepRecord)]
+    buf = io.StringIO()
+    StepLog(records=[rec]).write_jsonl(buf)
+    assert list(json.loads(buf.getvalue())) == names
+    assert list(dataclasses.asdict(rec)) == names
+    moved = dataclasses.replace(rec, step=4, skipped=True)
+    assert (moved.step, moved.skipped, moved.scale, moved.regime) == (4, True, 0.5, Regime.STRESS)
+    assert (rec.step, rec.skipped) == (3, False)
+    assert not hasattr(rec, "__dict__")
+
+
+_REQUIRED = object()
+
+
+@pytest.mark.parametrize("cls, defaults", [
+    (TelemetrySample, {"step": _REQUIRED, "loss": _REQUIRED, "grad_rms": _REQUIRED,
+                       "lr": _REQUIRED}),
+    (AnalyzerState, {"loss_ema": 0.0, "rms_ema": None, "regime": Regime.STABLE,
+                     "improving_streak": 0, "initialized": False}),
+    (ControlPosture, {"scale": 1.0, "skip_step": False}),
+], ids=lambda x: getattr(x, "__name__", ""))
+def test_governor_values_are_immutable_with_their_fields_and_defaults(cls, defaults):
+    assert cls._fields == tuple(defaults)
+    assert cls._field_defaults == {k: v for k, v in defaults.items() if v is not _REQUIRED}
+    value = cls(**{k: 1 if v is _REQUIRED else v for k, v in defaults.items()})
+    for name in defaults:
+        with pytest.raises(AttributeError):
+            setattr(value, name, 2)
+    with pytest.raises(AttributeError):
+        value.extra = 2
+    assert value == cls(*value)
+
+
 # --------------------------------------------------------------------------
 # GuardConfig validation and the Governor bundle
 # --------------------------------------------------------------------------

@@ -94,3 +94,24 @@ def test_report_numbers_match_csv_to_4dp(tmp_path, suite_rows):
     for row in csv_rows:
         cell = f"{float(row['final_ppl']):.4f}"
         assert cell in report, cell
+
+
+def _ppl_row(arm: str, ppl: float) -> dict:
+    return {"scenario": "s", "arm": arm, "seed": 7, "initial_loss": 2.0, "final_loss": 1.0,
+            "final_ppl": ppl, "wall_s": 0.0, "active_steps": 0, "regime_switches": 0,
+            "control_energy": 0.0}
+
+
+@pytest.mark.parametrize("b_ppl, g_ppl, cell", [
+    (4.0, 2.0, "50.0%"),
+    (4.0, math.inf, "n/a"),
+    (4.0, math.nan, "n/a"),
+    (math.inf, 2.0, "n/a"),
+    (math.nan, 2.0, "n/a"),
+    (0.0, 2.0, "n/a"),
+])
+def test_ppl_reduction_is_a_number_only_between_finite_perplexities(b_ppl, g_ppl, cell):
+    report = render_report_from_csv([_ppl_row("baseline", b_ppl), _ppl_row("guard", g_ppl)])
+    (line,) = [ln for ln in report.splitlines() if ln.startswith("| 7 |")]
+    assert line.split(" | ")[3] == cell
+    assert "inf%" not in report and "nan%" not in report
