@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from typing import IO, List, NamedTuple, Optional, Sequence
@@ -126,6 +127,35 @@ class StepRecord:
 
 
 _RECORD_KEYS = tuple(f.name for f in fields(StepRecord))
+_record_values = operator.attrgetter(*_RECORD_KEYS)
+
+# A JSONL line is this template filled with each field's JSON token, the text
+# json.dumps writes for the value, chosen by the value's exact type (so repr
+# is int.__repr__ or float.__repr__, as in json.dumps). A value of any other
+# type (an np.float64, say) or a non-finite float, which repr spells
+# otherwise, sends its line to json.dumps.
+_JSONL_TEMPLATE = "{" + ", ".join(f"{json.dumps(key)}: %s" for key in _RECORD_KEYS) + "}\n"
+_JSON_TOKEN = {
+    int: repr,
+    float: repr,
+    bool: ("false", "true").__getitem__,
+    type(None): {None: "null"}.__getitem__,
+    Regime: {r: json.dumps(r) for r in Regime}.__getitem__,
+}
+_NON_FINITE_REPRS = frozenset(repr(x) for x in (math.nan, math.inf, -math.inf))
+
+
+def _jsonl_line(rec: StepRecord) -> str:
+    """json.dumps of rec's fields as a dict, plus a newline."""
+    values = _record_values(rec)
+    try:
+        tokens = tuple([_JSON_TOKEN[type(v)](v) for v in values])
+    except KeyError:
+        pass
+    else:
+        if _NON_FINITE_REPRS.isdisjoint(tokens):
+            return _JSONL_TEMPLATE % tokens
+    return json.dumps(dict(zip(_RECORD_KEYS, values))) + "\n"
 
 
 @dataclass(frozen=True)
@@ -315,10 +345,8 @@ class StepLog:
         self.records.append(rec)
 
     def write_jsonl(self, fh: IO[str]) -> None:
-        # A Regime, being a str, is written as its value.
-        for rec in self.records:
-            fh.write(json.dumps({key: getattr(rec, key) for key in _RECORD_KEYS}))
-            fh.write("\n")
+        # One write of every line; a Regime, being a str, is written as its value.
+        fh.write("".join(map(_jsonl_line, self.records)))
 
 
 def summarize_records(records: Sequence[StepRecord]) -> TelemetrySummary:

@@ -129,13 +129,22 @@ def adamw_step(
 
 
 def clip_global_norm(grads: np.ndarray, g: float) -> Tuple[np.ndarray, float]:
-    """Rescale so the global L2 norm does not exceed g; direction preserved."""
+    """Rescale so the global L2 norm does not exceed g; direction preserved.
+
+    Returns (grads, pre_norm), grads itself when the clip does not fire. A
+    NaN or infinite entry raises NonFiniteGradientError.
+    """
     if g <= 0.0:
         raise ValueError("clip threshold g must be > 0")
     grads = np.asarray(grads, dtype=float)
-    if not np.isfinite(grads).all():
+    # np.linalg.norm's own arithmetic, without its wrapper.
+    flat = grads.ravel(order="K")
+    pre_norm = math.sqrt(flat.dot(flat))
+    # A finite norm proves every entry finite, so only an infinite or NaN
+    # norm (a non-finite entry, or finite squares whose sum overflows) pays
+    # for the entry scan.
+    if not math.isfinite(pre_norm) and not np.isfinite(grads).all():
         raise NonFiniteGradientError("clip_global_norm on non-finite gradient")
-    pre_norm = float(np.linalg.norm(grads))
     if pre_norm <= g:
         return grads, pre_norm
     if math.isinf(pre_norm):

@@ -277,24 +277,35 @@ class BigramLmTask(Task):
         return np.zeros(self.n_params)
 
     def _ce_and_grad(self, param_rows, prev, nxt) -> Tuple[np.ndarray, np.ndarray]:
-        """Mean cross-entropy and its gradient for each row of (L, A*A) logits."""
+        """Mean cross-entropy and its gradient for each row of (L, A*A) logits.
+
+        The L stacked A x A matrices are one (L*A, A) matrix of logit rows;
+        pair i of parameter row l reads its row l*A + prev[i]. The (L*n, A)
+        gather of those rows is softmaxed in place, and pair j of it reaches
+        its target entry through the flat index j*A + nxt[j mod n].
+        """
         a = self.alphabet
         n_rows, n = param_rows.shape[0], len(prev)
-        positions = np.arange(n)
-        shifted = param_rows.reshape(n_rows, a, a)[:, prev]
-        shifted -= shifted.max(axis=2, keepdims=True)
-        probs = np.exp(shifted)
-        total = probs.sum(axis=2, keepdims=True)
-        losses = -_row_means(shifted[:, positions, nxt] - np.log(total[:, :, 0]))
+        rows = np.add.outer(np.arange(0, n_rows * a, a), prev).ravel()
+        probs = param_rows.reshape(n_rows * a, a)[rows]
+        probs -= np.maximum.reduce(probs, axis=1, keepdims=True)
+        flat = probs.ravel()
+        targets = np.arange(0, n_rows * n * a, a).reshape(n_rows, n)
+        targets += nxt
+        # Each pair's target logit minus its row max, before exp overwrites it.
+        picked = flat[targets]
+        np.exp(probs, out=probs)
+        total = np.add.reduce(probs, axis=1, keepdims=True)
+        picked -= np.log(total.reshape(n_rows, n))
+        losses = -_row_means(picked)
         probs /= total
-        probs[:, positions, nxt] -= 1.0
+        flat[targets] -= 1.0
         probs /= n
-        # bincount adds each bin's entries in batch order, as np.add.at does.
-        # Each pair's A bins, offset by their row's block when L > 1.
-        bins = prev[:, None] * a + np.arange(a)
-        if n_rows > 1:
-            bins = np.arange(n_rows)[:, None, None] * (a * a) + bins
-        grad = np.bincount(bins.ravel(), weights=probs.ravel(), minlength=n_rows * a * a)
+        # bincount adds each bin's entries in pair order, as np.add.at does.
+        # Pair j's A bins are its logit row's flat indices, rows[j]*A + k:
+        # the same gather, of the index grid.
+        bins = np.arange(n_rows * a * a).reshape(n_rows * a, a)[rows].ravel()
+        grad = np.bincount(bins, weights=flat, minlength=n_rows * a * a)
         return losses, grad.reshape(n_rows, a * a)
 
     def loss_and_grad(self, params, batch):

@@ -7,6 +7,8 @@ unlikely to hide in both implementations.
 
 import math
 
+import numpy as np
+
 
 def reference_adamw_trajectory(params0, grad_seq, lr_seq, beta1, beta2, eps, wd):
     """Plain AdamW with bias correction and decoupled weight decay.
@@ -46,3 +48,31 @@ def central_difference_gradient(f, x, h=1e-5):
         x_minus[i] -= h
         grad.append((f(x_plus) - f(x_minus)) / (2.0 * h))
     return grad
+
+
+def reference_bigram_ce_and_grad(logits, prev, nxt):
+    """Mean cross-entropy and its gradient for one (A, A) logit matrix over the
+    pairs (prev[i], nxt[i]), one pair at a time.
+
+    Each pair takes a softmax over the logit row it reads, in the bigram
+    kernel's operation order (shift by the row max, exp, sum, log of the sum,
+    divide, subtract the one-hot target, divide by the batch size), and adds
+    its row into the gradient with np.add.at, pair after pair. numpy does the
+    per-entry arithmetic (its exp and pairwise sum are what the kernel must
+    match bit for bit); only the batching differs. Returns (loss, grad[A*A]).
+    """
+    a = logits.shape[0]
+    n = len(prev)
+    terms = np.empty(n)
+    grad = np.zeros((a, a))
+    for i in range(n):
+        row = logits[prev[i]]
+        shifted = row - np.maximum.reduce(row)
+        exp = np.exp(shifted)
+        total = np.add.reduce(exp)
+        terms[i] = shifted[nxt[i]] - np.log(total)
+        probs = exp / total
+        probs[nxt[i]] -= 1.0
+        probs /= n
+        np.add.at(grad, prev[i], probs)
+    return -(np.add.reduce(terms) / n), grad.ravel()

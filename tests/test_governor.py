@@ -495,6 +495,35 @@ def test_jsonl_line_is_written_exactly():
     )
 
 
+def _json_dumps_lines(records):
+    keys = [f.name for f in dataclasses.fields(StepRecord)]
+    return [json.dumps({k: getattr(rec, k) for k in keys}) + "\n" for rec in records]
+
+
+def test_write_jsonl_equals_json_dumps_line_for_line():
+    floats = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 0.1, 1e16, 1e22, 1 / 3,
+              -2.5e-308, 1.7976931348623157e308, 123456789.125]
+    records = []
+    for i, (x, regime) in enumerate(zip(floats * 4, list(Regime) * 13)):
+        records.append(StepRecord(
+            step=i, loss=x, loss_ema=floats[-1 - i % len(floats)], regime=regime,
+            scale=x if i % 3 else 0.05, active=bool(i % 2), skipped=not i % 5,
+            grad_rms=None if i % 4 else x, lr=floats[(3 * i) % len(floats)],
+        ))
+    records.append(dataclasses.replace(records[-1], step=10**30))
+    # Values of another type than the field's own: an np.float64 and ints,
+    # an int subclass and a plain str where a Regime goes.
+    records.append(StepRecord(step=10**30 + 1, loss=np.float64(0.1), loss_ema=np.float64(math.nan),
+                              regime="stable", scale=1, active=False, skipped=False,
+                              grad_rms=np.float64(2.0), lr=7))
+    records.append(StepRecord(step=10**30 + 2, loss=-0, loss_ema=True, regime=Regime.RECOVERY,
+                              scale=np.float64(-0.0), active=True, skipped=True, grad_rms=0,
+                              lr=np.float64(1e22)))
+    buf = io.StringIO()
+    StepLog(records=records).write_jsonl(buf)
+    assert buf.getvalue().splitlines(keepends=True) == _json_dumps_lines(records)
+
+
 def test_record_from_json_dict_rejects_a_missing_or_an_unknown_key():
     line = json.loads(json.dumps(dataclasses.asdict(_rec(3))))
     assert record_from_json_dict(line) == _rec(3)

@@ -170,9 +170,11 @@ def test_clip_rescales_over_threshold():
 
 def test_clip_under_threshold_unchanged():
     grads = np.array([0.3, 0.4])
-    clipped, pre_norm = clip_global_norm(grads, 1.0)
-    np.testing.assert_array_equal(clipped, grads)
-    assert pre_norm == 0.5
+    for g in (0.5, 1.0, 1e308, math.inf):
+        clipped, pre_norm = clip_global_norm(grads, g)
+        # A clip that does not fire returns its input array itself.
+        assert clipped is grads
+        assert pre_norm == 0.5
 
 
 def test_clip_zero_vector():
@@ -182,8 +184,20 @@ def test_clip_zero_vector():
 
 
 def test_clip_rejects_non_finite():
-    with pytest.raises(NonFiniteGradientError):
-        clip_global_norm(np.array([math.inf]), 1.0)
+    # At every threshold, also beside an entry whose square overflows.
+    for g in (1e-300, 1.0, 1e308, math.inf):
+        for bad in (math.nan, math.inf, -math.inf):
+            for grads in (np.array([bad]), np.array([0.0, bad, 1e-3]), np.array([1e200, bad])):
+                with np.errstate(over="ignore"), pytest.raises(NonFiniteGradientError):
+                    clip_global_norm(grads, g)
+
+
+def test_clip_pre_norm_is_np_linalg_norm_bitwise():
+    # Transposed stacks too: np.linalg.norm sums them in memory order.
+    rng = np.random.default_rng(3)
+    stacks = [rng.normal(size=(64, 48)).T for _ in range(16)]
+    for grads in (rng.normal(size=1024), rng.normal(size=(3, 5)) * 1e-150, np.zeros(0), *stacks):
+        assert clip_global_norm(grads, 1e308)[1] == float(np.linalg.norm(grads))
 
 
 def test_clip_keeps_the_direction_when_the_norm_overflows():

@@ -14,7 +14,7 @@ from guardlab.tasks import (
     make_task,
     sample_batch,
 )
-from reference_impl import central_difference_gradient
+from reference_impl import central_difference_gradient, reference_bigram_ce_and_grad
 
 
 # --------------------------------------------------------------------------
@@ -227,6 +227,35 @@ def test_loss_and_grad_rows_bitwise_per_row(kind):
         ref_loss, ref_grad = task.loss_and_grad(row.copy(), batch)
         assert float(loss) == ref_loss
         assert grad.tobytes() == ref_grad.tobytes()
+
+
+def _extreme_logit_rows(rng, n_rows, a):
+    """Logit stacks with -0.0, +0.0, +-1e300 and -inf entries, each logit row
+    keeping a finite max (its first entry is never -inf)."""
+    rows = rng.normal(size=(n_rows, a, a)) * 3.0
+    specials = np.array([0.0, -0.0, 1e300, -1e300, -math.inf])
+    mask = rng.random(size=rows.shape) < 0.3
+    rows[mask] = rng.choice(specials, size=int(mask.sum()))
+    rows[:, :, 0] = np.where(np.isneginf(rows[:, :, 0]), -0.0, rows[:, :, 0])
+    return rows.reshape(n_rows, a * a)
+
+
+@pytest.mark.parametrize("alphabet", [2, 8, 32])
+@pytest.mark.parametrize("batch_size", [1, 7, 32, 100])
+@pytest.mark.parametrize("n_rows", [1, 3, 21])
+def test_bigram_kernel_bitwise_equal_per_pair_reference(alphabet, batch_size, n_rows):
+    task = make_task("bigram_lm", {"alphabet": alphabet, "corpus_len": 512, "eval_len": 8},
+                     seed=alphabet)
+    batch, _ = sample_batch(task, StreamState(seed=batch_size, stream=0), batch_size)
+    rng = np.random.default_rng(1000 * alphabet + 10 * batch_size + n_rows)
+    for rows in (rng.normal(size=(n_rows, task.n_params)),
+                 _extreme_logit_rows(rng, n_rows, alphabet)):
+        losses, grads = task.loss_and_grad_rows(rows, batch)
+        for row, loss, grad in zip(rows, losses, grads):
+            ref_loss, ref_grad = reference_bigram_ce_and_grad(
+                row.reshape(alphabet, alphabet), batch.inputs, batch.targets)
+            assert loss.tobytes() == ref_loss.tobytes()
+            assert grad.tobytes() == ref_grad.tobytes()
 
 
 # --------------------------------------------------------------------------
