@@ -34,7 +34,7 @@ from .harness import (
     probe_degraded,
 )
 from .optim import ClipConfig, ScheduleKind
-from .tasks import TASK_CLASSES, strict_bool, strict_float, strict_int, strict_str, task_dims
+from .tasks import strict_bool, strict_float, strict_int, strict_str, task_dims
 
 SCENARIO_KINDS = ("lr_stress", "clip_baseline", "injection", "long_budget", "seed_sweep")
 # The kinds whose baseline arms clip, one per clip_g threshold; clip_g
@@ -225,13 +225,6 @@ def _parse_scenario(idx: int, data, tasks: Dict[str, TaskSpec]) -> ScenarioSpec:
     def validate(scen: ScenarioSpec) -> None:
         if scen.task not in tasks:
             raise ConfigError(f"{section}.task references unknown task {scen.task!r}")
-        task_kind = tasks[scen.task].kind
-        if (scen.injection is not None and scen.injection.mode == "outlier_batch"
-                and TASK_CLASSES[task_kind].integer_targets):
-            raise ConfigError(
-                f"scenario {scen.name!r}: injection mode 'outlier_batch' scales batch targets, "
-                f"and task kind {task_kind!r} has integer targets; use 'gradient_burst'"
-            )
         RunConfig(**_scenario_fields(scen, tasks))
 
     return _build(

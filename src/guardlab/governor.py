@@ -177,15 +177,18 @@ def update_ema(prev: float, value: float, decay: float) -> float:
     return decay * prev + (1.0 - decay) * value
 
 
-def gradient_rms(grads: np.ndarray) -> float:
-    """Root mean square of a nonempty, finite gradient."""
+def probe_rms(grads: np.ndarray) -> Optional[float]:
+    """What sense takes of a probe step's gradient: the root mean square of
+    a nonempty gradient, or None when an entry is non-finite or the mean
+    square overflows."""
     arr = np.asarray(grads, dtype=float)
     if arr.size == 0:
-        raise ValueError("gradient_rms requires a nonempty gradient")
+        raise ValueError("probe_rms requires a nonempty gradient")
     if not np.isfinite(arr).all():
-        raise NonFiniteGradientError("non-finite gradient")
+        return None
     # np.mean's sum and division, without its wrapper.
-    return float(np.sqrt(np.add.reduce(arr * arr, axis=None) / arr.size))
+    rms = float(np.sqrt(np.add.reduce(arr * arr, axis=None) / arr.size))
+    return rms if math.isfinite(rms) else None
 
 
 def sense(
@@ -206,16 +209,6 @@ def sense(
         raise ValueError("step must be non-negative")
     grad_rms = probe_rms(grads) if grads is not None and step % cfg.stats_freq == 0 else None
     return TelemetrySample(step=step, loss=float(loss), grad_rms=grad_rms, lr=float(lr))
-
-
-def probe_rms(grads: np.ndarray) -> Optional[float]:
-    """What sense takes of a probe step's gradient: its gradient_rms, or
-    None when an entry is non-finite or the mean square overflows."""
-    try:
-        rms = gradient_rms(grads)
-    except NonFiniteGradientError:
-        return None
-    return rms if math.isfinite(rms) else None
 
 
 def classify_regime(

@@ -42,7 +42,7 @@ from .optim import (
     schedule_lr,
 )
 from .rngstream import CounterStream
-from .tasks import Batch, Task, evaluate, evaluate_rows, forward_backward, make_task
+from .tasks import TASK_CLASSES, Batch, Task, evaluate, evaluate_rows, forward_backward, make_task
 
 # The multiple of the initial eval loss above which severe_degradation flags a loss.
 DEGRADATION_FACTOR = 2.0
@@ -113,10 +113,22 @@ class RunConfig:
             raise ValueError("batch_size must be >= 1")
         if self.eval_every < 1 or self.eval_every > self.steps:
             raise ValueError("eval_every must lie in [1, steps]")
-        if self.injection is not None:
-            bad = [s for s in self.injection.steps if not 0 <= s < self.steps]
+        injection = self.injection
+        if injection is not None:
+            bad = [s for s in injection.steps if not 0 <= s < self.steps]
             if bad:
                 raise ValueError(f"injection steps outside [0, steps): {bad}")
+            period = injection.period
+            if not injection.steps and (period is None or period >= self.steps):
+                raise ValueError(f"injection schedules no step: it has no explicit steps "
+                                 f"and no period below steps ({self.steps})")
+            # An unknown kind is left to TaskSpec.build, which names it.
+            if (injection.mode == "outlier_batch"
+                    and TASK_CLASSES.get(self.task.kind, Task).integer_targets):
+                raise ValueError(
+                    f"injection mode 'outlier_batch' scales batch targets, and task kind "
+                    f"{self.task.kind!r} has integer targets; use 'gradient_burst'"
+                )
 
     def schedule(self) -> ScheduleConfig:
         return ScheduleConfig(
@@ -186,43 +198,27 @@ class ComparisonRow:
     error: Optional[str] = None
 
 
-def inject_outliers(batch: Batch, spec: InjectionSpec, step: int) -> Batch:
-    """Flag and rescale scheduled batches; off-schedule batches pass through.
-
-    outlier_batch scales the targets before the forward pass; gradient_burst
-    only flags the batch, and the run loop scales the gradient after the
-    clipping stage (a corruption magnitude clipping cannot remove).
-    """
-    if not spec.scheduled(step):
-        return batch
-    if spec.mode == "outlier_batch":
-        if np.issubdtype(np.asarray(batch.targets).dtype, np.integer):
-            raise ValueError("outlier_batch injection requires real-valued targets")
-        return Batch(
-            inputs=batch.inputs,
-            targets=np.asarray(batch.targets, dtype=float) * spec.magnitude,
-            outlier_flag=True,
-        )
-    return Batch(inputs=batch.inputs, targets=batch.targets, outlier_flag=True)
-
-
 def _next_batch(
     task: Task, cfg: RunConfig, step: int, stream: CounterStream
 ) -> Tuple[Batch, float]:
-    """The step's batch (injected if scheduled) and its post-clip gradient scale.
+    """The step's batch and its burst, the scale on its gradient after the clip.
 
-    Both depend only on (seed, step), never on params or lr: the batch is
-    drawn at counter step of the run's batch stream, as
-    sample_batch(task, StreamState(seed, _BATCH_STREAM, step), ...) would,
-    except that a full-batch task's one batch needs no stream.
+    On a step cfg's injection schedules, outlier_batch scales the batch's
+    targets by its magnitude before the forward pass, and gradient_burst
+    returns the batch as drawn with its magnitude as the burst: a corruption
+    that enters past the clipping stage, so no clip can remove it. Every
+    other step's burst is 1.0. Both depend only on (seed, step), never on
+    params or lr: the batch is drawn at counter step of the run's batch
+    stream, as sample_batch(task, StreamState(seed, _BATCH_STREAM, step), ...)
+    would, except that a full-batch task's one batch needs no stream.
     """
     batch = task.draw_batch(None if task.full_batch else stream.at(step), cfg.batch_size)
-    burst = 1.0
-    if cfg.injection is not None:
-        batch = inject_outliers(batch, cfg.injection, step)
-        if cfg.injection.mode == "gradient_burst" and batch.outlier_flag:
-            burst = cfg.injection.magnitude
-    return batch, burst
+    spec = cfg.injection
+    if spec is None or not spec.scheduled(step):
+        return batch, 1.0
+    if spec.mode == "outlier_batch":
+        return Batch(batch.inputs, np.asarray(batch.targets, dtype=float) * spec.magnitude), 1.0
+    return batch, spec.magnitude
 
 
 def run_training(cfg: RunConfig, out_dir: Optional[Path] = None) -> RunResult:
@@ -251,18 +247,16 @@ def run_training(cfg: RunConfig, out_dir: Optional[Path] = None) -> RunResult:
     wall = time.perf_counter() - t0
 
     final = evaluate(task, params)
-    result = RunResult(
-        label=cfg.label,
-        seed=cfg.seed,
-        initial_loss=initial.eval_loss,
-        final_loss=final.eval_loss,
-        final_perplexity=final.perplexity,
-        wall_seconds=wall,
-        summary=summarize_records(gov.log.records),
-        eval_trace=eval_trace,
-        log=gov.log,
-        params=params,
-    )
+    return _run_result(cfg, gov, out_dir, initial_loss=initial.eval_loss,
+                       final_loss=final.eval_loss, final_perplexity=final.perplexity,
+                       wall_seconds=wall, eval_trace=eval_trace, params=params)
+
+
+def _run_result(cfg: RunConfig, gov: Governor, out_dir: Optional[Path], **fields) -> RunResult:
+    """The RunResult of cfg's run from its fields, with its label, seed, and
+    log and summary from gov; its artifacts are written when out_dir is given."""
+    result = RunResult(label=cfg.label, seed=cfg.seed, log=gov.log,
+                       summary=summarize_records(gov.log.records), **fields)
     if out_dir is not None:
         write_run_artifacts(result, Path(out_dir))
     return result
@@ -377,21 +371,10 @@ def replay_rung(cfg: RunConfig, rung: ProbeResult, out_dir: Optional[Path] = Non
         grad_rms = rung.grad_rms[step // stats_freq] if step % stats_freq == 0 else None
         # inputs_finite does not reach the log: a disabled guard never skips.
         gov.govern(TelemetrySample(step, loss, grad_rms, schedule_lr(step, sched)), True)
-    result = RunResult(
-        label=cfg.label,
-        seed=cfg.seed,
-        initial_loss=rung.initial_loss,
-        final_loss=rung.final_loss,
-        final_perplexity=rung.final_perplexity,
-        wall_seconds=rung.wall_seconds,
-        summary=summarize_records(gov.log.records),
-        eval_trace=rung.eval_trace,
-        log=gov.log,
-        params=rung.params,
-    )
-    if out_dir is not None:
-        write_run_artifacts(result, Path(out_dir))
-    return result
+    return _run_result(cfg, gov, out_dir, initial_loss=rung.initial_loss,
+                       final_loss=rung.final_loss, final_perplexity=rung.final_perplexity,
+                       wall_seconds=rung.wall_seconds, eval_trace=rung.eval_trace,
+                       params=rung.params)
 
 
 def probe_config(arm: RunConfig) -> RunConfig:

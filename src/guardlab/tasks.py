@@ -24,7 +24,6 @@ from .rngstream import StreamState, advance, generator
 class Batch:
     inputs: np.ndarray
     targets: np.ndarray
-    outlier_flag: bool = False
 
 
 @dataclass(frozen=True)
@@ -276,7 +275,11 @@ class BigramLmTask(Task):
     def init_params(self) -> np.ndarray:
         return np.zeros(self.n_params)
 
-    def _ce_and_grad(self, param_rows, prev, nxt) -> Tuple[np.ndarray, np.ndarray]:
+    def loss_and_grad(self, params, batch):
+        losses, grads = self.loss_and_grad_rows(params[None], batch)
+        return float(losses[0]), grads[0]
+
+    def loss_and_grad_rows(self, param_rows, batch):
         """Mean cross-entropy and its gradient for each row of (L, A*A) logits.
 
         The L stacked A x A matrices are one (L*A, A) matrix of logit rows;
@@ -284,6 +287,7 @@ class BigramLmTask(Task):
         gather of those rows is softmaxed in place, and pair j of it reaches
         its target entry through the flat index j*A + nxt[j mod n].
         """
+        prev, nxt = batch.inputs, batch.targets
         a = self.alphabet
         n_rows, n = param_rows.shape[0], len(prev)
         rows = np.add.outer(np.arange(0, n_rows * a, a), prev).ravel()
@@ -308,18 +312,11 @@ class BigramLmTask(Task):
         grad = np.bincount(bins, weights=flat, minlength=n_rows * a * a)
         return losses, grad.reshape(n_rows, a * a)
 
-    def loss_and_grad(self, params, batch):
-        losses, grads = self.loss_and_grad_rows(params[None], batch)
-        return float(losses[0]), grads[0]
-
-    def loss_and_grad_rows(self, param_rows, batch):
-        return self._ce_and_grad(param_rows, batch.inputs, batch.targets)
-
     def eval_loss(self, params) -> float:
         return float(self.eval_loss_rows(params[None])[0])
 
     def eval_loss_rows(self, param_rows):
-        """Mean cross-entropy of each row on the eval pairs, as _ce_and_grad
+        """Mean cross-entropy of each row on the eval pairs, as loss_and_grad_rows
         computes it, but with each of the A logit rows normalised once
         instead of once per pair that reads it."""
         prev, nxt = self._eval_pairs

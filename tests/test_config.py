@@ -237,7 +237,7 @@ def test_resolve_lr_cache_is_keyed_on_exactly_the_probe_inputs(monkeypatch):
         replace(QUAD_ARM, seed=8),
         replace(QUAD_ARM, min_lr=1e-4),
         replace(QUAD_ARM, batch_size=9),
-        replace(QUAD_ARM, injection=InjectionSpec()),
+        replace(QUAD_ARM, injection=InjectionSpec(period=10)),
         replace(QUAD_ARM, opt=OptimizerConfig(beta1=0.8)),
         replace(QUAD_ARM, opt=OptimizerConfig(beta2=0.99)),
         replace(QUAD_ARM, schedule_kind=ScheduleKind.CONSTANT),
@@ -555,6 +555,8 @@ def test_clip_g_belongs_to_the_kinds_that_clip(kind):
     # would be echoed but never run.
     clips = kind in ("clip_baseline", "injection")
     scen = {**SCEN, "kind": kind}
+    if kind == "injection":
+        scen["injection"] = {"period": 5}
     cfg = parse_config({**MINIMAL, "scenarios": [scen]})
     assert cfg.scenarios[0].clip_g == ((1.0, 0.5) if clips else ())
     assert parse_config(emit_config(cfg)) == cfg
@@ -563,7 +565,7 @@ def test_clip_g_belongs_to_the_kinds_that_clip(kind):
         parse_config({**MINIMAL, "scenarios": [{**scen, "clip_g": [] if clips else [0.05]}]})
 
 
-@pytest.mark.parametrize("injection", [{}, {"mode": "outlier_batch", "period": 5}])
+@pytest.mark.parametrize("injection", [{"period": 5}, {"mode": "outlier_batch", "period": 5}])
 def test_outlier_batch_on_integer_targets_is_a_config_error(injection):
     doc = {**MINIMAL,
            "tasks": {"tokens": {"kind": "bigram_lm", "dims": {"alphabet": 8}}},
@@ -571,10 +573,20 @@ def test_outlier_batch_on_integer_targets_is_a_config_error(injection):
                           "injection": injection}]}
     with pytest.raises(ConfigError) as info:
         parse_config(doc)
-    for part in ("'spiky'", "'bigram_lm'", "'outlier_batch'"):
+    for part in ("'scenarios[0]'", "'bigram_lm'", "'outlier_batch'"):
         assert part in str(info.value)
     doc["scenarios"][0]["injection"] = {**injection, "mode": "gradient_burst"}
     assert parse_config(doc).scenarios[0].injection.mode == "gradient_burst"
+
+
+@pytest.mark.parametrize("injection", [{"period": None}, {}, {"period": 20}])
+def test_an_injection_that_schedules_no_step_is_a_config_error(injection):
+    # SCEN runs 20 steps: no explicit step and no period below 20 never fires.
+    doc = {**MINIMAL, "scenarios": [{**SCEN, "kind": "injection", "injection": injection}]}
+    with pytest.raises(ConfigError, match=r"'scenarios\[0\]': injection schedules no step"):
+        parse_config(doc)
+    doc["scenarios"][0]["injection"] = {**injection, "steps": [19]}
+    assert parse_config(doc).scenarios[0].injection.steps == (19,)
 
 
 def test_shipped_config_parses_and_round_trips():

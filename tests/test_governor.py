@@ -19,7 +19,6 @@ from guardlab.governor import (
     ControlPosture,
     Governor,
     GuardConfig,
-    NonFiniteGradientError,
     Regime,
     StepLog,
     StepRecord,
@@ -28,7 +27,7 @@ from guardlab.governor import (
     TelemetrySummary,
     apply_posture,
     classify_regime,
-    gradient_rms,
+    probe_rms,
     record_from_json_dict,
     select_posture,
     sense,
@@ -79,20 +78,23 @@ def test_update_ema_matches_formula(prev, value, decay):
 
 
 # --------------------------------------------------------------------------
-# gradient_rms
+# probe_rms: the gradient RMS that sense takes
 # --------------------------------------------------------------------------
 
 
 def test_gradient_rms_hand_computed():
     # [DERIVED] RMS of [3, 4] = sqrt((9+16)/2) = sqrt(12.5)
-    assert gradient_rms(np.array([3.0, 4.0])) == pytest.approx(math.sqrt(12.5), rel=1e-12)
+    assert probe_rms(np.array([3.0, 4.0])) == pytest.approx(math.sqrt(12.5), rel=1e-12)
 
 
 def test_gradient_rms_rejects_empty_and_non_finite():
     with pytest.raises(ValueError):
-        gradient_rms(np.array([]))
-    with pytest.raises(NonFiniteGradientError):
-        gradient_rms(np.array([1.0, math.nan]))
+        probe_rms(np.array([]))
+    # A non-finite entry or an overflowing mean square leaves no usable probe.
+    for bad in (math.nan, math.inf, -math.inf):
+        assert probe_rms(np.array([1.0, bad])) is None
+    with np.errstate(over="ignore"):
+        assert probe_rms(np.array([1e200, -1e200])) is None
 
 
 # --------------------------------------------------------------------------

@@ -20,10 +20,10 @@ from guardlab.harness import (
     ProbeResult,
     RunConfig,
     TaskSpec,
+    _next_batch,
     calibrate_divergence_lr,
     config_pair_diff,
     degrading_lr,
-    inject_outliers,
     probe_degraded,
     run_probe_ladder,
     run_suite,
@@ -32,7 +32,8 @@ from guardlab.harness import (
     severe_degradation,
     write_run_artifacts,
 )
-from guardlab.tasks import Batch
+from guardlab.rngstream import CounterStream, StreamState
+from guardlab.tasks import sample_batch
 
 
 QUAD = TaskSpec(kind="quadratic", dims={"dim": 8, "condition": 100.0, "noise": 0.01})
@@ -54,32 +55,24 @@ def tiny_run(label="run", seed=7, guard=None, **kw):
 
 
 # --------------------------------------------------------------------------
-# inject_outliers
+# _next_batch: a step's batch and burst
 # --------------------------------------------------------------------------
 
 
-def test_inject_outliers_unscheduled_passthrough():
-    spec = InjectionSpec(magnitude=50.0, period=100)
-    batch = Batch(inputs=np.ones((4, 2)), targets=np.ones((4, 1)))
-    out = inject_outliers(batch, spec, step=37)
-    np.testing.assert_array_equal(out.targets, batch.targets)
-    assert not out.outlier_flag
-
-
-def test_inject_outliers_scales_targets_and_flags():
-    spec = InjectionSpec(magnitude=50.0, period=100, mode="outlier_batch")
-    batch = Batch(inputs=np.ones((4, 2)), targets=np.full((4, 1), 2.0))
-    out = inject_outliers(batch, spec, step=100)
-    assert out.outlier_flag
-    np.testing.assert_array_equal(out.targets, np.full((4, 1), 100.0))
-
-
-def test_inject_outliers_magnitude_one_flags_without_change():
-    spec = InjectionSpec(magnitude=1.0, period=10)
-    batch = Batch(inputs=np.ones((2, 2)), targets=np.full((2, 1), 3.0))
-    out = inject_outliers(batch, spec, step=10)
-    assert out.outlier_flag
-    np.testing.assert_array_equal(out.targets, batch.targets)
+@pytest.mark.parametrize("magnitude", [1.0, 50.0])
+@pytest.mark.parametrize("mode", ["outlier_batch", "gradient_burst"])
+def test_next_batch_injects_on_scheduled_steps_only(mode, magnitude):
+    # Step 0 is off the schedule, 7 an explicit step and 10 a period step.
+    cfg = tiny_run(injection=InjectionSpec(magnitude=magnitude, period=10, steps=(7,), mode=mode))
+    task = cfg.task.build(cfg.seed)
+    stream = CounterStream(cfg.seed, 0)
+    for step, scheduled in ((0, False), (7, True), (10, True)):
+        drawn, _ = sample_batch(task, StreamState(cfg.seed, 0, step), cfg.batch_size)
+        batch, burst = _next_batch(task, cfg, step, stream)
+        np.testing.assert_array_equal(batch.inputs, drawn.inputs)
+        scale = magnitude if scheduled and mode == "outlier_batch" else 1.0
+        np.testing.assert_array_equal(batch.targets, drawn.targets * scale)
+        assert burst == (magnitude if scheduled and mode == "gradient_burst" else 1.0)
 
 
 def test_injection_spec_rejects_magnitude_below_one():
@@ -105,8 +98,27 @@ def test_injection_period_skips_step_zero():
 
 
 def test_runconfig_rejects_out_of_range_injection_steps():
-    with pytest.raises(ValueError):
-        RunConfig(task=MLP, steps=10, injection=InjectionSpec(magnitude=2.0, period=0, steps=(10,)))
+    with pytest.raises(ValueError, match="outside"):
+        RunConfig(task=MLP, steps=10, eval_every=5,
+                  injection=InjectionSpec(magnitude=2.0, period=None, steps=(10,)))
+
+
+@pytest.mark.parametrize("period", [None, 40, 100])
+def test_runconfig_rejects_an_injection_that_schedules_no_step(period):
+    spec = InjectionSpec(period=period)
+    with pytest.raises(ValueError, match="schedules no step"):
+        tiny_run(injection=spec)
+    tiny_run(injection=replace(spec, steps=(39,)))
+    tiny_run(injection=replace(spec, period=39))
+
+
+def test_runconfig_rejects_outlier_batch_on_integer_targets():
+    # Checked when the run is configured, not at its first scheduled step.
+    bigram = TaskSpec(kind="bigram_lm", dims={"alphabet": 8})
+    spec = InjectionSpec(period=10)
+    with pytest.raises(ValueError, match="'outlier_batch'.*'bigram_lm'"):
+        replace(tiny_run(), task=bigram, injection=spec)
+    replace(tiny_run(), task=bigram, injection=replace(spec, mode="gradient_burst"))
 
 
 def test_runconfig_rejects_empty_batches():
