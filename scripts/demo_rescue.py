@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Side-by-side demo: baseline AdamW vs the guarded run at an aggressive lr.
 
-Takes the suite's "aggressive" rate for the bigram task at this run length,
-then runs both arms and prints the eval traces so the rescue is visible step
-by step.
+Expands one lr_stress scenario on the bigram task at this run length, so the
+pair runs at the rate the suite's calibration gives it, then runs both arms
+and prints the eval traces so the rescue is visible step by step.
 
 Usage:
     python scripts/demo_rescue.py [--seed 7] [--steps 1000]
@@ -11,14 +11,12 @@ Usage:
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from guardlab.config import resolve_lr  # noqa: E402
-from guardlab.governor import GuardConfig  # noqa: E402
-from guardlab.harness import RunConfig, TaskSpec, run_training  # noqa: E402
+from guardlab.config import expand_scenarios, parse_config  # noqa: E402
+from guardlab.harness import run_training  # noqa: E402
 
 
 def main() -> int:
@@ -27,20 +25,15 @@ def main() -> int:
     parser.add_argument("--steps", type=int, default=1000)
     args = parser.parse_args()
 
-    base = RunConfig(
-        task=TaskSpec(kind="bigram_lm", dims={}),
-        steps=args.steps,
-        eval_every=max(1, args.steps // 10),
-        seed=args.seed,
-    )
-    lr = resolve_lr("aggressive", [base])
-    print(f"calibrated degrading lr: {lr:g}")
-    base = replace(base, opt=replace(base.opt, lr=lr))
-
-    results = {
-        "baseline": run_training(replace(base, label="baseline")),
-        "guard": run_training(replace(base, guard=GuardConfig(), label="guard")),
-    }
+    (_, base, guard), = expand_scenarios(parse_config({
+        "seeds": [args.seed],
+        "tasks": {"bigram": {"kind": "bigram_lm"}},
+        "scenarios": [{"name": "lr-stress", "kind": "lr_stress", "task": "bigram",
+                       "steps": args.steps, "eval_every": max(1, args.steps // 10),
+                       "lr": "aggressive"}],
+    }))
+    print(f"calibrated degrading lr: {base.opt.lr:g}")
+    results = {"baseline": run_training(base), "guard": run_training(guard)}
 
     print(f"{'step':>6} {'baseline loss':>14} {'guard loss':>11}")
     for (step, base_loss, _), (_, guard_loss, _) in zip(

@@ -143,6 +143,16 @@ def cmd_report(args) -> int:
     return 0
 
 
+# Each subcommand, its help and the global flags it reads; it rejects the
+# others rather than ignore them. --quiet only silences progress, so all take it.
+_COMMANDS = {
+    "run": (cmd_run, "execute the config's single-run section", ("config", "out", "seed")),
+    "suite": (cmd_suite, "execute every scenario in the config", ("config", "out")),
+    "calibrate": (cmd_calibrate, "print the learning rate each scenario runs at", ("config",)),
+    "report": (cmd_report, "re-render the markdown report from an existing CSV", ("out",)),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="guardlab",
@@ -153,26 +163,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, metavar="N", help="seed override for run")
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("run", help="execute the config's single-run section")
-    sub.add_parser("suite", help="execute every scenario in the config")
-    sub.add_parser("calibrate", help="print the learning rate each scenario runs at")
-    sub.add_parser("report", help="re-render the markdown report from an existing CSV")
+    for name, (_, help_text, _) in _COMMANDS.items():
+        sub.add_parser(name, help=help_text)
     return parser
-
-
-# Each subcommand and the global flags it reads; it rejects the others rather
-# than ignore them. --quiet only silences progress lines, so all take it.
-_COMMANDS = {
-    "run": (cmd_run, ("config", "out", "seed")),
-    "suite": (cmd_suite, ("config", "out")),
-    "calibrate": (cmd_calibrate, ("config",)),
-    "report": (cmd_report, ("out",)),
-}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    command, takes = _COMMANDS[args.command]
+    command, _, takes = _COMMANDS[args.command]
     try:
         ignored = [f"--{flag}" for flag in ("config", "out", "seed")
                    if getattr(args, flag) is not None and flag not in takes]

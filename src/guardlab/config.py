@@ -307,35 +307,18 @@ def emit_config(cfg: SuiteConfig) -> dict:
     return doc
 
 
-def resolve_lr(
-    lr: Union[str, float], arms: Sequence[RunConfig], cache: Optional[dict] = None
-) -> float:
-    """Turn an lr preset into a concrete rate via divergence calibration.
+def resolve_lr(lr: Union[str, float], ladders: Iterable[Sequence[ProbeResult]]) -> float:
+    """A scenario's rate from its lr: a number as given, else a preset read
+    off ladders, the rungs of each of the scenario's probes (one per seed).
 
-    aggressive: the largest rate over arms (a scenario's, on each seed) whose
-    full-length baseline probe ends degraded, so it degrades every arm; each
-    preset divides it by its PRESET_BACKOFF factor. cache maps each probe to
-    its ladder's rungs, so arms with equal probes calibrate once.
+    aggressive is the largest degrading_lr over the ladders, so it degrades
+    every arm; each preset divides it by its PRESET_BACKOFF factor.
     """
     if not isinstance(lr, str):
         return float(lr)
     if lr not in LR_PRESETS:
         raise ConfigError(f"unknown lr preset: {lr!r} (expected one of {LR_PRESETS})")
-    cache = {} if cache is None else cache
-    rates = []
-    for arm in arms:
-        probe = probe_config(arm)
-        if probe not in cache:
-            cache[probe] = doubling_ladder(probe)
-        rates.append(degrading_lr(cache[probe]))
-    return max(rates) / PRESET_BACKOFF[lr]
-
-
-def _calibrate(probe: RunConfig) -> List[ProbeResult]:
-    """probe's ladder. parallel_map sends a worker this function by
-    reference, and it looks doubling_ladder up when called, so the worker
-    runs this module's doubling_ladder as the parent holds it."""
-    return doubling_ladder(probe)
+    return max(map(degrading_lr, ladders)) / PRESET_BACKOFF[lr]
 
 
 def _pairs(cfg: SuiteConfig, scen: ScenarioSpec,
@@ -370,8 +353,8 @@ def _preset_probes(cfg: SuiteConfig) -> Dict[RunConfig, List[str]]:
     return probes
 
 
-def calibration_record(cfg: SuiteConfig, cache: Dict[RunConfig, List[ProbeResult]]) -> List[dict]:
-    """One entry per distinct probe of cfg's preset scenarios in cache: the
+def calibration_record(cfg: SuiteConfig, ladders: Dict[RunConfig, List[ProbeResult]]) -> List[dict]:
+    """One entry per distinct probe of cfg's preset scenarios in ladders: the
     scenarios and seed it calibrates, its steps and injection, each rung's
     lr, initial and final loss and degraded flag, and its verdict lr."""
     return [
@@ -383,30 +366,31 @@ def calibration_record(cfg: SuiteConfig, cache: Dict[RunConfig, List[ProbeResult
             "rungs": [
                 {"lr": rung.lr, "initial_loss": rung.initial_loss, "final_loss": rung.final_loss,
                  "degraded": probe_degraded(rung)}
-                for rung in cache[probe]
+                for rung in ladders[probe]
             ],
-            "lr": degrading_lr(cache[probe]),
+            "lr": degrading_lr(ladders[probe]),
         }
-        for probe, uses in _preset_probes(cfg).items() if probe in cache
+        for probe, uses in _preset_probes(cfg).items()
     ]
 
 
 def expand_scenarios(
-    cfg: SuiteConfig, cache: Optional[dict] = None
+    cfg: SuiteConfig, ladders: Optional[dict] = None
 ) -> List[Tuple[str, RunConfig, RunConfig]]:
     """Expand every scenario into (scenario_id, baseline_cfg, guarded_cfg) pairs.
 
-    Every preset's distinct uncached probes are calibrated first, at once
-    through parallel_map; each scenario then resolves its rate from the cache.
+    The one place preset ladders run: every distinct preset probe is
+    calibrated first, at once through parallel_map, into ladders (probe ->
+    rungs); each scenario's resolve_lr then reads its own probes' ladders.
     """
-    cache = {} if cache is None else cache
-    probes = [probe for probe in _preset_probes(cfg) if probe not in cache]
-    cache.update(zip(probes, parallel_map(_calibrate, probes)))
+    ladders = {} if ladders is None else ladders
+    probes = _preset_probes(cfg)
+    ladders.update(zip(probes, parallel_map(doubling_ladder, list(probes))))
     pairs: List[Tuple[str, RunConfig, RunConfig]] = []
     for scen in cfg.scenarios:
-        arms = [base for _, base, _ in _pairs(cfg, scen, cfg.optimizer.lr)]
         try:
-            lr = resolve_lr(scen.lr, arms, cache)
+            lr = resolve_lr(scen.lr, (ladders[probe] for probe, uses in probes.items()
+                                      if scen.name in uses))
         except NotStressableError as exc:
             raise ConfigError(
                 f"scenario {scen.name!r}: lr preset {scen.lr!r} needs a rate that degrades task "

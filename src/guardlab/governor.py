@@ -184,10 +184,11 @@ def probe_rms(grads: np.ndarray) -> Optional[float]:
     arr = np.asarray(grads, dtype=float)
     if arr.size == 0:
         raise ValueError("probe_rms requires a nonempty gradient")
-    if not np.isfinite(arr).all():
-        return None
-    # np.mean's sum and division, without its wrapper.
-    rms = float(np.sqrt(np.add.reduce(arr * arr, axis=None) / arr.size))
+    # np.mean's sum and division, without its wrapper. It is also the
+    # finiteness check: a non-finite entry or an overflow makes it non-finite.
+    with np.errstate(over="ignore"):
+        sumsq = np.add.reduce(arr * arr, axis=None)
+    rms = math.sqrt(sumsq / arr.size)
     return rms if math.isfinite(rms) else None
 
 
@@ -282,11 +283,13 @@ def select_posture(
     regime: Regime,
     current: ControlPosture,
     cfg: GuardConfig,
-    loss_finite: bool,
+    inputs_finite: bool,
 ) -> ControlPosture:
     """Bounded scale transition: damp on spike/stress, release otherwise.
 
-    A neutral posture (scale C_MAX, no skip) is always NEUTRAL_POSTURE."""
+    An enabled guard skips iff not inputs_finite: in guarded_step, iff the
+    loss or the post-burst gradient is non-finite. A neutral posture (scale
+    C_MAX, no skip) is always NEUTRAL_POSTURE."""
     if not cfg.auto_enabled:
         return NEUTRAL_POSTURE
     if regime is Regime.SPIKE:
@@ -295,9 +298,9 @@ def select_posture(
         scale = max(cfg.c_min, current.scale * STRESS_DAMPING)
     else:
         scale = min(C_MAX, current.scale * (1.0 + cfg.recovery_fast))
-    if scale == C_MAX and loss_finite:
+    if scale == C_MAX and inputs_finite:
         return NEUTRAL_POSTURE
-    return ControlPosture(scale=scale, skip_step=not loss_finite)
+    return ControlPosture(scale=scale, skip_step=not inputs_finite)
 
 
 def apply_posture(

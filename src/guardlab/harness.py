@@ -429,19 +429,7 @@ def calibrate_divergence_lr(
     return degrading_lr(doubling_ladder(probe_config(arm)))
 
 
-def config_pair_diff(baseline: RunConfig, guarded: RunConfig) -> List[str]:
-    """Field names where a comparison pair differs.
-
-    Pairing integrity requires the diff to be a subset of the
-    governance/clipping fields {guard, clip, label}.
-    """
-    diffs = []
-    for f in dataclasses.fields(RunConfig):
-        if getattr(baseline, f.name) != getattr(guarded, f.name):
-            diffs.append(f.name)
-    return diffs
-
-
+# The RunConfig fields on which the two arms of a comparison pair may differ.
 GOVERNANCE_FIELDS = {"guard", "clip", "label"}
 
 
@@ -532,11 +520,10 @@ def run_suite(
     if not pairs:
         raise ValueError("run_suite requires at least one pair")
     for scenario, base_cfg, guard_cfg in pairs:
-        extra = set(config_pair_diff(base_cfg, guard_cfg)) - GOVERNANCE_FIELDS
+        extra = [f.name for f in dataclasses.fields(RunConfig) if f.name not in GOVERNANCE_FIELDS
+                 and getattr(base_cfg, f.name) != getattr(guard_cfg, f.name)]
         if extra:
-            raise ValueError(
-                f"pairing integrity violated in {scenario!r}: differs on {sorted(extra)}"
-            )
+            raise ValueError(f"pairing integrity violated in {scenario!r}: differs on {extra}")
     # A config shared by several pairs (a scenario's guard arm is paired with
     # each clip threshold) runs once.
     configs = list(dict.fromkeys(cfg for _, *arms in pairs for cfg in arms))

@@ -2,12 +2,14 @@
 
 import dataclasses
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from guardlab import config as config_module
+from guardlab import harness
 from guardlab.config import (
     LR_PRESETS,
     PRESET_BACKOFF,
@@ -23,7 +25,13 @@ from guardlab.config import (
     resolve_lr,
 )
 from guardlab.governor import GuardConfig
-from guardlab.harness import ProbeResult
+from guardlab.harness import (
+    LADDER_LRS,
+    NotStressableError,
+    ProbeResult,
+    doubling_ladder,
+    probe_config,
+)
 from guardlab.optim import ClipConfig
 
 SHIPPED = Path(__file__).resolve().parents[1] / "configs" / "default_suite.json"
@@ -121,11 +129,12 @@ def test_run_section_defaults_are_materialized():
 def test_unstressable_task_under_a_preset_is_a_config_error(monkeypatch, workers):
     built = []
 
-    def no_degrading_rung(probe):
+    def no_degrading_rung(probe, lrs):
         built.append(probe)
-        return [ProbeResult(lr=1e-4, initial_loss=1.0, final_loss=0.5, eval_trace=[], params=None)]
+        return [ProbeResult(lr=lr, initial_loss=1.0, final_loss=0.5, eval_trace=[], params=None)
+                for lr in lrs]
 
-    monkeypatch.setattr(config_module, "doubling_ladder", no_degrading_rung)
+    monkeypatch.setattr(harness, "run_probe_ladder", no_degrading_rung)
     scen = {**MINIMAL["scenarios"][0], "lr": "aggressive"}
     later = {**scen, "name": "later", "steps": 40}
     cfg = parse_config({**MINIMAL, "scenarios": [scen, later]})
@@ -175,53 +184,77 @@ def test_emit_parse_round_trip():
 QUAD_ARM = RunConfig(task=TaskSpec(kind="quadratic", dims={}), steps=100, batch_size=8, seed=7)
 
 
+def ladder(lr):
+    """A hand-built ladder whose verdict is lr: below it a rung degraded
+    mid-run only, with a finite eval, which is not a degraded rung."""
+    return [
+        ProbeResult(lr=lr / 2, initial_loss=1.0, final_loss=0.5,
+                    eval_trace=[(1, 3.0, 3.0)], params=None),
+        ProbeResult(lr=lr, initial_loss=1.0, final_loss=3.0, eval_trace=[], params=None),
+        ProbeResult(lr=lr * 2, initial_loss=1.0, final_loss=math.inf, eval_trace=[], params=None),
+    ]
+
+
 def test_resolve_lr_numeric_passthrough():
-    assert resolve_lr(0.03, [QUAD_ARM]) == 0.03
+    assert resolve_lr(0.03, []) == 0.03
+    assert resolve_lr(3, [ladder(1e-3)]) == 3.0
 
 
 def test_resolve_lr_rejects_unknown_preset():
-    with pytest.raises(ConfigError):
-        resolve_lr("ludicrous", [QUAD_ARM])
+    with pytest.raises(ConfigError, match="ludicrous"):
+        resolve_lr("ludicrous", [ladder(1e-3)])
+
+
+def test_resolve_lr_reads_each_preset_off_its_ladders():
+    # The aggressive rate is the largest verdict over the ladders, so it
+    # degrades every arm; each preset divides it by its backoff.
+    ladders = [ladder(8e-3), ladder(16e-3), ladder(4e-3)]
+    for preset, backoff in PRESET_BACKOFF.items():
+        assert resolve_lr(preset, ladders) == 16e-3 / backoff
+    with pytest.raises(NotStressableError):
+        resolve_lr("aggressive", [ladder(8e-3), ladder(8e-3)[:1]])
+
+
+# The worker counts of harness.parallel_map: 1 is the plain loop, 2 a forked
+# pool. The calibration tests below run under each in turn, keeping one name.
+WORKER_COUNTS = (1, 2)
 
 
 def fake_core(monkeypatch):
     """Replace the calibration ladder with one that records each probe and
-    degrades from a rate derived from its batch size."""
+    degrades from a rate derived from its batch size. A forked worker's
+    records never reach the returned list, but its rungs reach the ladders."""
     probes = []
 
-    def ladder(probe):
+    def fake_ladder(probe, lrs):
         probes.append(probe)
-        lr = 1e-3 * probe.batch_size
-        return [
-            # Degraded mid-run only, with a finite eval: not a degraded rung.
-            ProbeResult(lr=lr / 2, initial_loss=1.0, final_loss=0.5,
-                        eval_trace=[(1, 3.0, 3.0)], params=None),
-            ProbeResult(lr=lr, initial_loss=1.0, final_loss=3.0, eval_trace=[], params=None),
-        ]
+        return ladder(1e-3 * probe.batch_size)
 
-    monkeypatch.setattr(config_module, "doubling_ladder", ladder)
+    monkeypatch.setattr(harness, "run_probe_ladder", fake_ladder)
     return probes
 
 
 def test_resolve_lr_cache_keyed_on_batch_size(monkeypatch):
+    # expand_scenarios keys its ladders on the probe, of which batch_size is
+    # an input, and the base lr is not.
     probes = fake_core(monkeypatch)
-    cache = {}
-    rates = [
-        resolve_lr("aggressive", [replace(QUAD_ARM, batch_size=b)], cache) for b in (8, 16, 8)
-    ]
-    assert rates == [8e-3, 16e-3, 8e-3]
-    assert [p.batch_size for p in probes] == [8, 16]
-    # The base lr is not a probe input: it shares the cached rate.
-    assert resolve_lr("aggressive", [replace(QUAD_ARM, opt=OptimizerConfig(lr=0.5))], cache) == 8e-3
-    resolve_lr("aggressive", [replace(QUAD_ARM, opt=OptimizerConfig(beta2=0.99))], cache)
-    resolve_lr("aggressive", [replace(QUAD_ARM, schedule_kind=ScheduleKind.CONSTANT)], cache)
-    assert [p.batch_size for p in probes] == [8, 16, 8, 8]
+    assert probe_config(replace(QUAD_ARM, opt=OptimizerConfig(lr=0.5))) == probe_config(QUAD_ARM)
+    scen = {"kind": "lr_stress", "task": "toy", "steps": 20, "eval_every": 10,
+            "lr": "aggressive"}
+    cfg = parse_config({**MINIMAL, "seeds": [7], "optimizer": {"lr": 0.5}, "scenarios": [
+        {**scen, "name": f"b{i}", "batch_size": b} for i, b in enumerate((8, 16, 8))]})
+    for workers in WORKER_COUNTS:
+        monkeypatch.setattr(harness, "usable_cpus", lambda workers=workers: workers)
+        probes.clear()
+        ladders = {}
+        pairs = expand_scenarios(cfg, ladders)
+        assert [base.opt.lr for _, base, _ in pairs] == [8e-3, 16e-3, 8e-3]
+        assert [probe.batch_size for probe in ladders] == [8, 16]
+        assert len(probes) == (2 if workers == 1 else 0)
 
 
-def test_resolve_lr_cache_is_keyed_on_exactly_the_probe_inputs(monkeypatch):
-    probes = fake_core(monkeypatch)
-    cache = {}
-    resolve_lr("aggressive", [QUAD_ARM], cache)
+def test_resolve_lr_cache_is_keyed_on_exactly_the_probe_inputs():
+    probe = probe_config(QUAD_ARM)
     # Fields a probe normalises away share the one ladder.
     for arm in (
         replace(QUAD_ARM, eval_every=7),
@@ -230,10 +263,9 @@ def test_resolve_lr_cache_is_keyed_on_exactly_the_probe_inputs(monkeypatch):
         replace(QUAD_ARM, clip=ClipConfig(g=0.5)),
         replace(QUAD_ARM, opt=OptimizerConfig(lr=0.3)),
     ):
-        resolve_lr("aggressive", [arm], cache)
-    assert len(probes) == 1
+        assert probe_config(arm) == probe
     # Every probe input gets a ladder of its own.
-    for arm in (
+    probes = {probe_config(arm) for arm in (
         replace(QUAD_ARM, seed=8),
         replace(QUAD_ARM, min_lr=1e-4),
         replace(QUAD_ARM, batch_size=9),
@@ -243,41 +275,34 @@ def test_resolve_lr_cache_is_keyed_on_exactly_the_probe_inputs(monkeypatch):
         replace(QUAD_ARM, schedule_kind=ScheduleKind.CONSTANT),
         replace(QUAD_ARM, task=TaskSpec(kind="quadratic", dims={"dim": 4})),
         replace(QUAD_ARM, steps=50, eval_every=10),
-    ):
-        resolve_lr("aggressive", [arm], cache)
-    assert len(probes) == 10 == len(cache)
-    # A preset over several arms is the largest of their rates.
-    assert resolve_lr("aggressive", [QUAD_ARM, replace(QUAD_ARM, batch_size=9)], cache) == 1e-3 * 9
-    assert len(probes) == 10
+    )}
+    assert len(probes) == 9 and probe not in probes
 
 
 def test_probes_decay_to_the_suite_min_lr(monkeypatch):
-    import guardlab.harness as harness
-
-    probes = []
-
-    def fake_ladder(cfg, lrs):
-        probes.append((cfg.min_lr, list(lrs)))
+    def fake_ladder(probe, lrs):
         # The first rung ends degraded: final loss 3x the initial one.
-        return [harness.ProbeResult(lr=lr, initial_loss=1.0, final_loss=3.0 if i == 0 else 0.5,
-                                    eval_trace=[], params=None)
+        return [ProbeResult(lr=lr, initial_loss=1.0, final_loss=3.0 if i == 0 else 0.5,
+                            eval_trace=[], params=None)
                 for i, lr in enumerate(lrs)]
 
     monkeypatch.setattr(harness, "run_probe_ladder", fake_ladder)
-    doc = {**MINIMAL, "seeds": [7], "schedule": {"min_lr": 1e-3},
+    doc = {**MINIMAL, "seeds": [7, 8], "schedule": {"min_lr": 1e-3},
            "scenarios": [{"name": "hot", "kind": "lr_stress", "task": "toy",
                           "steps": 20, "lr": "aggressive", "eval_every": 10}]}
-    (_, base, _), = expand_scenarios(parse_config(doc))
-    assert probes[0][0] == base.min_lr == 1e-3
     # Rungs below min_lr are left off the ladder.
-    assert min(probes[0][1]) >= 1e-3
-    assert base.opt.lr == probes[0][1][0]
-
-    cache = {}
-    for min_lr in (0.0, 1e-3, 0.0):
-        resolve_lr("aggressive", [replace(QUAD_ARM, min_lr=min_lr)], cache)
-    assert [m for m, _ in probes[1:]] == [0.0, 1e-3]
-    assert probes[1][1][0] == 1e-4
+    lrs = [lr for lr in LADDER_LRS if lr >= 1e-3]
+    for workers in WORKER_COUNTS:
+        monkeypatch.setattr(harness, "usable_cpus", lambda workers=workers: workers)
+        ladders = {}
+        pairs = expand_scenarios(parse_config(doc), ladders)
+        assert len(ladders) == 2
+        for probe, rungs in ladders.items():
+            assert probe.min_lr == 1e-3 and [rung.lr for rung in rungs] == lrs
+        for _, base, _ in pairs:
+            assert base.min_lr == 1e-3 and base.opt.lr == lrs[0]
+    # At min_lr 0 the ladder starts at its lowest rate.
+    assert doubling_ladder(probe_config(QUAD_ARM))[0].lr == LADDER_LRS[0]
 
 
 def test_lr_presets_and_backoffs():
@@ -286,7 +311,7 @@ def test_lr_presets_and_backoffs():
 
 
 def test_expand_scenarios_pairs_share_everything_but_governance():
-    from guardlab.harness import GOVERNANCE_FIELDS, config_pair_diff
+    from guardlab.harness import GOVERNANCE_FIELDS
 
     cfg = parse_config(
         {
@@ -305,7 +330,7 @@ def test_expand_scenarios_pairs_share_everything_but_governance():
     for _, base, guard in pairs:
         assert base.guard is None and base.clip is not None
         assert guard.guard is not None and guard.clip is None
-        assert set(config_pair_diff(base, guard)) <= GOVERNANCE_FIELDS
+        assert replace(base, **{name: getattr(guard, name) for name in GOVERNANCE_FIELDS}) == guard
 
 
 SCEN = MINIMAL["scenarios"][0]
@@ -595,17 +620,22 @@ def test_shipped_config_parses_and_round_trips():
     assert parse_config(json.loads(json.dumps(emit_config(cfg)))) == cfg
 
 
-def test_shipped_config_expands_to_the_calibrated_scenarios(monkeypatch, one_worker):
+def test_shipped_config_expands_to_the_calibrated_scenarios(monkeypatch):
     probes = fake_core(monkeypatch)
-    pairs = expand_scenarios(parse_config(SHIPPED))
-    assert len(pairs) == 18
-    assert list(dict.fromkeys(scenario for scenario, _, _ in pairs)) == [
-        "lr-stress", "lr-moderate", "outlier-bursts/clip_g=1.0", "outlier-bursts/clip_g=0.5",
-        "long-budget", "benign-quadratic",
-    ]
-    # Three probe configs (1000 steps, with bursts, 5000 steps) on each of
-    # three seeds: lr-moderate reuses lr-stress's ladders.
-    assert len(probes) == 9 == len(set(probes))
+    for workers in WORKER_COUNTS:
+        monkeypatch.setattr(harness, "usable_cpus", lambda workers=workers: workers)
+        probes.clear()
+        ladders = {}
+        pairs = expand_scenarios(parse_config(SHIPPED), ladders)
+        assert len(pairs) == 18
+        assert list(dict.fromkeys(scenario for scenario, _, _ in pairs)) == [
+            "lr-stress", "lr-moderate", "outlier-bursts/clip_g=1.0", "outlier-bursts/clip_g=0.5",
+            "long-budget", "benign-quadratic",
+        ]
+        # Three probe configs (1000 steps, with bursts, 5000 steps) on each
+        # of three seeds: lr-moderate reuses lr-stress's ladders.
+        assert len(ladders) == 9
+        assert probes == (list(ladders) if workers == 1 else [])
 
 
 def test_every_rung_keeps_its_per_step_data_and_replays_the_baselines(one_worker):

@@ -93,8 +93,18 @@ def test_gradient_rms_rejects_empty_and_non_finite():
     # A non-finite entry or an overflowing mean square leaves no usable probe.
     for bad in (math.nan, math.inf, -math.inf):
         assert probe_rms(np.array([1.0, bad])) is None
-    with np.errstate(over="ignore"):
-        assert probe_rms(np.array([1e200, -1e200])) is None
+    assert probe_rms(np.array([1e200, -1e200])) is None
+
+
+def test_an_enabled_guard_logs_a_null_grad_rms_where_the_mean_square_overflows():
+    # Finite entries whose squares overflow: no RuntimeWarning (an error
+    # under this suite's filter), and the record says the probe is unusable.
+    gov = Governor(GuardConfig())
+    gov.observe(0, 1.0, np.array([1e200, -1e200]), 0.1, inputs_finite=True)
+    buf = io.StringIO()
+    gov.log.write_jsonl(buf)
+    assert gov.log.records[-1].grad_rms is None and not gov.log.records[-1].skipped
+    assert '"grad_rms": null' in buf.getvalue()
 
 
 # --------------------------------------------------------------------------
@@ -297,10 +307,10 @@ def test_posture_auto_disabled_is_identity():
 @given(
     regime=st.sampled_from(list(Regime)),
     scale=st.floats(0.05, 1.0),
-    loss_finite=st.booleans(),
+    inputs_finite=st.booleans(),
 )
-def test_posture_always_within_bounds(regime, scale, loss_finite):
-    posture = select_posture(regime, ControlPosture(scale=scale), CFG, loss_finite)
+def test_posture_always_within_bounds(regime, scale, inputs_finite):
+    posture = select_posture(regime, ControlPosture(scale=scale), CFG, inputs_finite)
     assert CFG.c_min <= posture.scale <= C_MAX
 
 
@@ -310,18 +320,18 @@ def test_posture_always_within_bounds(regime, scale, loss_finite):
     scale=st.one_of(st.sampled_from([1.0, 0.999, 0.5]), st.floats(0.05, 1.0)),
     auto_enabled=st.booleans(),
     recovery_fast=st.sampled_from([0.0, 0.005, 1.0]),
-    loss_finite=st.booleans(),
+    inputs_finite=st.booleans(),
 )
 def test_select_posture_shares_the_neutral_posture_exactly_when_neutral(
-    regime, scale, auto_enabled, recovery_fast, loss_finite
+    regime, scale, auto_enabled, recovery_fast, inputs_finite
 ):
     cfg = GuardConfig(auto_enabled=auto_enabled, recovery_fast=recovery_fast)
     current = ControlPosture(scale=scale)
-    posture = select_posture(regime, current, cfg, loss_finite)
+    posture = select_posture(regime, current, cfg, inputs_finite)
     neutral = posture.scale == C_MAX and not posture.skip_step
     assert (posture is NEUTRAL_POSTURE) == neutral
     if not neutral:
-        assert posture is not select_posture(regime, current, cfg, loss_finite)
+        assert posture is not select_posture(regime, current, cfg, inputs_finite)
 
 
 def test_the_neutral_posture_is_the_default_posture():

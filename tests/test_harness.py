@@ -22,7 +22,6 @@ from guardlab.harness import (
     TaskSpec,
     _next_batch,
     calibrate_divergence_lr,
-    config_pair_diff,
     degrading_lr,
     probe_degraded,
     run_probe_ladder,
@@ -128,19 +127,23 @@ def test_runconfig_rejects_empty_batches():
         RunConfig(task=MLP, batch_size=0)
 
 
-def test_config_pair_diff_only_governance_fields():
+def test_run_suite_runs_a_pair_that_differs_only_on_governance(tmp_path):
     baseline = tiny_run(label="baseline", clip=ClipConfig(g=1.0))
     guarded = tiny_run(label="guard", guard=GuardConfig())
-    diff = config_pair_diff(baseline, guarded)
-    assert set(diff) <= GOVERNANCE_FIELDS
-    assert "guard" in diff
+    assert {f.name for f in dataclasses.fields(RunConfig)
+            if getattr(baseline, f.name) != getattr(guarded, f.name)} == GOVERNANCE_FIELDS
+    (row,) = run_suite([("governed", baseline, guarded)], out_dir=tmp_path)
+    assert row.error is None
 
 
-def test_config_pair_diff_flags_non_governance_mismatch():
+@pytest.mark.parametrize("field, value", [("seed", 8), ("steps", 60), ("batch_size", 4)])
+def test_run_suite_names_the_field_a_pair_must_share(tmp_path, field, value):
     baseline = tiny_run(label="baseline")
-    guarded = tiny_run(label="guard", guard=GuardConfig(), seed=8)
-    diff = config_pair_diff(baseline, guarded)
-    assert "seed" in diff
+    guarded = replace(tiny_run(label="guard", guard=GuardConfig()), **{field: value})
+    with pytest.raises(ValueError, match=rf"pairing integrity violated in 'drift': "
+                                         rf"differs on \['{field}'\]"):
+        run_suite([("drift", baseline, guarded)], out_dir=tmp_path)
+    assert not any(tmp_path.iterdir())
 
 
 # --------------------------------------------------------------------------
