@@ -129,32 +129,30 @@ class StepRecord:
 _RECORD_KEYS = tuple(f.name for f in fields(StepRecord))
 _record_values = operator.attrgetter(*_RECORD_KEYS)
 
-# A JSONL line is this template filled with each field's JSON token, the text
-# json.dumps writes for the value, chosen by the value's exact type (so repr
-# is int.__repr__ or float.__repr__, as in json.dumps). A value of any other
-# type (an np.float64, say) or a non-finite float, which repr spells
-# otherwise, sends its line to json.dumps.
-_JSONL_TEMPLATE = "{" + ", ".join(f"{json.dumps(key)}: %s" for key in _RECORD_KEYS) + "}\n"
-_JSON_TOKEN = {
-    int: repr,
-    float: repr,
-    bool: ("false", "true").__getitem__,
-    type(None): {None: "null"}.__getitem__,
-    Regime: {r: json.dumps(r) for r in Regime}.__getitem__,
-}
-_NON_FINITE_REPRS = frozenset(repr(x) for x in (math.nan, math.inf, -math.inf))
+_REGIME_JSON = {r: json.dumps(r) for r in Regime}
 
 
 def _jsonl_line(rec: StepRecord) -> str:
-    """json.dumps of rec's fields as a dict, plus a newline."""
+    """json.dumps of rec's fields as a dict, plus a newline.
+
+    When every value has its field's exact type, the line is one f-string:
+    repr of an int or a float is the text json.dumps writes for it. A value
+    of any other type (an np.float64, say) or a non-finite float, which repr
+    spells nan or inf (text no other token of a line contains), sends the
+    line to json.dumps.
+    """
     values = _record_values(rec)
-    try:
-        tokens = tuple([_JSON_TOKEN[type(v)](v) for v in values])
-    except KeyError:
-        pass
-    else:
-        if _NON_FINITE_REPRS.isdisjoint(tokens):
-            return _JSONL_TEMPLATE % tokens
+    step, loss, loss_ema, regime, scale, active, skipped, grad_rms, lr = values
+    if (type(step) is int and type(loss) is type(loss_ema) is type(scale) is type(lr) is float
+            and type(regime) is Regime and type(active) is type(skipped) is bool
+            and (grad_rms is None or type(grad_rms) is float)):
+        line = (f'{{"step": {step!r}, "loss": {loss!r}, "loss_ema": {loss_ema!r}, '
+                f'"regime": {_REGIME_JSON[regime]}, "scale": {scale!r}, '
+                f'"active": {"true" if active else "false"}, '
+                f'"skipped": {"true" if skipped else "false"}, '
+                f'"grad_rms": {"null" if grad_rms is None else repr(grad_rms)}, "lr": {lr!r}}}\n')
+        if "inf" not in line and "nan" not in line:
+            return line
     return json.dumps(dict(zip(_RECORD_KEYS, values))) + "\n"
 
 
@@ -341,8 +339,9 @@ class StepLog:
         self.records.append(rec)
 
     def write_jsonl(self, fh: IO[str]) -> None:
-        # One write of every line; a Regime, being a str, is written as its value.
-        fh.write("".join(map(_jsonl_line, self.records)))
+        # Line by line, so the log is never one string; a Regime, being a
+        # str, is written as its value.
+        fh.writelines(map(_jsonl_line, self.records))
 
 
 def summarize_records(records: Sequence[StepRecord]) -> TelemetrySummary:

@@ -17,7 +17,8 @@ import time
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, TypeVar, Union
+from typing import (Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, TypeVar,
+                    Union)
 
 import numpy as np
 
@@ -50,6 +51,8 @@ DEGRADATION_FACTOR = 2.0
 LADDER_LRS = tuple(1e-4 * 2.0**k for k in range(21))
 
 _BATCH_STREAM = 0
+# Steps whose batches one Task.draw_batches call draws.
+_BATCH_CHUNK = 64
 
 
 class NotStressableError(RuntimeError):
@@ -198,27 +201,32 @@ class ComparisonRow:
     error: Optional[str] = None
 
 
-def _next_batch(
-    task: Task, cfg: RunConfig, step: int, stream: CounterStream
-) -> Tuple[Batch, float]:
-    """The step's batch and its burst, the scale on its gradient after the clip.
+def _batches(task: Task, cfg: RunConfig) -> Iterator[Tuple[Batch, float]]:
+    """Each step's batch and its burst, the scale on its gradient after the clip.
 
     On a step cfg's injection schedules, outlier_batch scales the batch's
     targets by its magnitude before the forward pass, and gradient_burst
-    returns the batch as drawn with its magnitude as the burst: a corruption
+    yields the batch as drawn with its magnitude as the burst: a corruption
     that enters past the clipping stage, so no clip can remove it. Every
     other step's burst is 1.0. Both depend only on (seed, step), never on
-    params or lr: the batch is drawn at counter step of the run's batch
-    stream, as sample_batch(task, StreamState(seed, _BATCH_STREAM, step), ...)
-    would, except that a full-batch task's one batch needs no stream.
+    params or lr: step's batch is the one at counter step of the run's
+    batch stream, as sample_batch(task, StreamState(seed, _BATCH_STREAM,
+    step), ...) would draw it. Batches are drawn _BATCH_CHUNK steps at a
+    time through Task.draw_batches.
     """
-    batch = task.draw_batch(None if task.full_batch else stream.at(step), cfg.batch_size)
+    stream = CounterStream(cfg.seed, _BATCH_STREAM)
     spec = cfg.injection
-    if spec is None or not spec.scheduled(step):
-        return batch, 1.0
-    if spec.mode == "outlier_batch":
-        return Batch(batch.inputs, np.asarray(batch.targets, dtype=float) * spec.magnitude), 1.0
-    return batch, spec.magnitude
+    for first in range(0, cfg.steps, _BATCH_CHUNK):
+        count = min(_BATCH_CHUNK, cfg.steps - first)
+        for step, batch in enumerate(task.draw_batches(stream, first, count, cfg.batch_size),
+                                     first):
+            if spec is None or not spec.scheduled(step):
+                yield batch, 1.0
+            elif spec.mode == "gradient_burst":
+                yield batch, spec.magnitude
+            else:
+                targets = np.asarray(batch.targets, dtype=float) * spec.magnitude
+                yield Batch(batch.inputs, targets), 1.0
 
 
 def run_training(cfg: RunConfig, out_dir: Optional[Path] = None) -> RunResult:
@@ -228,14 +236,12 @@ def run_training(cfg: RunConfig, out_dir: Optional[Path] = None) -> RunResult:
     opt_state = init_optimizer_state(task.n_params)
     gov = Governor(cfg.guard_or_disabled())
     sched = cfg.schedule()
-    stream = CounterStream(cfg.seed, _BATCH_STREAM)
 
     initial = evaluate(task, params)
     eval_trace: List[Tuple[int, float, float]] = []
     t0 = time.perf_counter()
-    for step in range(cfg.steps):
+    for step, (batch, burst) in enumerate(_batches(task, cfg)):
         lr_t = schedule_lr(step, sched)
-        batch, burst = _next_batch(task, cfg, step, stream)
         loss, grads = forward_backward(task, params, batch)
         params, opt_state, _ = guarded_step(
             gov, opt_state, params, grads, loss, step, lr_t, cfg.opt, cfg.clip,
@@ -311,15 +317,13 @@ def run_probe_ladder(cfg: RunConfig, lrs: Sequence[float]) -> List[ProbeResult]:
     initial = evaluate(task, task.init_params())
     params = np.tile(task.init_params(), (len(lrs), 1))
     opt_state = OptimizerState(m=np.zeros_like(params), v=np.zeros_like(params))
-    stream = CounterStream(cfg.seed, _BATCH_STREAM)
     traces: List[List[Tuple[int, float, float]]] = [[] for _ in lrs]
     loss_rows = np.empty((len(lrs), cfg.steps))
     rms_rows: List[List[Optional[float]]] = [[] for _ in lrs]
     max_sumsq = np.zeros(len(lrs))
     t0 = time.perf_counter()
-    for step in range(cfg.steps):
+    for step, (batch, burst) in enumerate(_batches(task, cfg)):
         lr_t = np.array([[schedule_lr(step, sched)] for sched in scheds])
-        batch, burst = _next_batch(task, cfg, step, stream)
         loss_rows[:, step], grads = task.loss_and_grad_rows(params, batch)
         # np.maximum propagates NaN; einsum neither warns nor copies.
         np.maximum(max_sumsq, np.einsum("ij,ij->i", grads, grads), out=max_sumsq)

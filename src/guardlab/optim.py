@@ -192,6 +192,10 @@ def guarded_step(
     inputs_finite is the step's one finiteness verdict on the gradient: an
     enabled guard skips unless it holds, so adamw_step runs unchecked here
     (a disabled guard lets a non-finite gradient through, as plain AdamW).
+    A finite entry whose square overflows (|g| above ~1.3e154) is not
+    skipped, and it makes AdamW's second moment inf: every later delta of
+    that parameter is 0, so the parameter stays frozen for the rest of the
+    run; the log shows no more than a grad_rms of None on a stats step.
     """
     grads = np.asarray(grads, dtype=float)
     inputs_finite = bool(math.isfinite(loss) and np.isfinite(grads).all())

@@ -55,6 +55,35 @@ class CounterStream:
         self._bits.state = self._state
         return self._rng
 
+    def integers_at(self, first: int, count: int, high: int, size: int) -> np.ndarray:
+        """A (count, size) int64 array whose row r is
+        at(first + r).integers(0, high, size=size), from one random_raw pass.
+
+        A Philox at counter c emits the four-word blocks of counters c + 1,
+        c + 2, ..., and integers reads each word's low, then high, uint32.
+        So row r is the size uint32s that start at block r of the pass, and
+        for 2 <= high < 2**32 each index is Lemire's (u32 * high) >> 32. A
+        row where Lemire would redraw (a product whose low half is below
+        (2**32 - high) % high) reads past its own uint32s, so it is drawn
+        again through at(); so is every row of a high that numpy bounds by
+        another algorithm.
+        """
+        if not 2 <= high < 2**32:
+            return np.array([self.at(first + r).integers(0, high, size=size)
+                             for r in range(count)], dtype=np.int64).reshape(count, size)
+        row_blocks = -(-size // 8)
+        words = self.at(first).bit_generator.random_raw(4 * (count + row_blocks - 1))
+        u32 = np.stack((words & 0xFFFFFFFF, words >> 32), axis=1).ravel()
+        draws = u32[np.add.outer(np.arange(0, 8 * count, 8), np.arange(size))]
+        product = draws * np.uint64(high)
+        out = (product >> 32).astype(np.int64)
+        threshold = (2**32 - high) % high
+        if threshold:
+            redraw = ((product & 0xFFFFFFFF) < threshold).any(axis=1)
+            for r in np.flatnonzero(redraw).tolist():
+                out[r] = self.at(first + r).integers(0, high, size=size)
+        return out
+
 
 def generator(state: StreamState) -> np.random.Generator:
     """Philox generator keyed by (seed, stream) at the given counter."""

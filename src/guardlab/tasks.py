@@ -10,6 +10,7 @@ fixed at construction and disjoint from the training stream.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .rngstream import StreamState, advance, generator
+from .rngstream import CounterStream, StreamState, advance, generator
 
 
 @dataclass
@@ -84,6 +85,16 @@ class Task:
 
     def draw_batch(self, rng: np.random.Generator, batch_size: int) -> Batch:
         raise NotImplementedError
+
+    def draw_batches(
+        self, stream: Optional[CounterStream], first: int, count: int, batch_size: int
+    ) -> List[Batch]:
+        """The batches of counters first .. first + count - 1 of stream; entry
+        r is draw_batch(stream.at(first + r), batch_size). A full-batch task
+        returns its one batch count times and needs no stream."""
+        if self.full_batch:
+            return [self.draw_batch(None, batch_size)] * count
+        return [self.draw_batch(stream.at(c), batch_size) for c in range(first, first + count)]
 
 
 class QuadraticTask(Task):
@@ -282,20 +293,21 @@ class BigramLmTask(Task):
     def loss_and_grad_rows(self, param_rows, batch):
         """Mean cross-entropy and its gradient for each row of (L, A*A) logits.
 
-        The L stacked A x A matrices are one (L*A, A) matrix of logit rows;
-        pair i of parameter row l reads its row l*A + prev[i]. The (L*n, A)
-        gather of those rows is softmaxed in place, and pair j of it reaches
-        its target entry through the flat index j*A + nxt[j mod n].
+        Pair i of parameter row l reads logit row prev[i] of the l-th A x A
+        matrix. One np.take along axis 1 gathers those rows as a C-ordered
+        (L, n, A) array; viewed as (L*n, A) it is softmaxed in place, and
+        pair j of it reaches its target entry through the flat index
+        j*A + nxt[j mod n]. The index arrays that depend only on (L, n, A)
+        come from _bigram_grids.
         """
         prev, nxt = batch.inputs, batch.targets
         a = self.alphabet
         n_rows, n = param_rows.shape[0], len(prev)
-        rows = np.add.outer(np.arange(0, n_rows * a, a), prev).ravel()
-        probs = param_rows.reshape(n_rows * a, a)[rows]
+        offsets, grid = _bigram_grids(n_rows, n, a)
+        probs = np.take(param_rows.reshape(n_rows, a, a), prev, axis=1).reshape(n_rows * n, a)
         probs -= np.maximum.reduce(probs, axis=1, keepdims=True)
         flat = probs.ravel()
-        targets = np.arange(0, n_rows * n * a, a).reshape(n_rows, n)
-        targets += nxt
+        targets = offsets + nxt
         # Each pair's target logit minus its row max, before exp overwrites it.
         picked = flat[targets]
         np.exp(probs, out=probs)
@@ -306,9 +318,9 @@ class BigramLmTask(Task):
         flat[targets] -= 1.0
         probs /= n
         # bincount adds each bin's entries in pair order, as np.add.at does.
-        # Pair j's A bins are its logit row's flat indices, rows[j]*A + k:
-        # the same gather, of the index grid.
-        bins = np.arange(n_rows * a * a).reshape(n_rows * a, a)[rows].ravel()
+        # Pair j of row l has as bins its logit row's flat indices
+        # (l*A + prev[j])*A + k: the same gather, of the index grid.
+        bins = np.take(grid, prev, axis=1).ravel()
         grad = np.bincount(bins, weights=flat, minlength=n_rows * a * a)
         return losses, grad.reshape(n_rows, a * a)
 
@@ -330,6 +342,24 @@ class BigramLmTask(Task):
         prev, nxt = self._train_pairs
         idx = rng.integers(0, len(prev), size=batch_size)
         return Batch(inputs=prev[idx], targets=nxt[idx])
+
+    def draw_batches(self, stream, first, count, batch_size):
+        prev, nxt = self._train_pairs
+        idx = stream.integers_at(first, count, len(prev), batch_size)
+        return [Batch(inputs=p, targets=t) for p, t in zip(prev[idx], nxt[idx])]
+
+
+@functools.lru_cache(maxsize=16)
+def _bigram_grids(n_rows: int, n: int, a: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The read-only index arrays of loss_and_grad_rows for n_rows parameter
+    rows, n pairs and alphabet a: the flat offset j*a of each pair's logit
+    row in the (n_rows*n, a) gather, as (n_rows, n), and the flat index of
+    every logit, as (n_rows, a, a)."""
+    offsets = np.arange(0, n_rows * n * a, a).reshape(n_rows, n)
+    grid = np.arange(n_rows * a * a).reshape(n_rows, a, a)
+    offsets.flags.writeable = False
+    grid.flags.writeable = False
+    return offsets, grid
 
 
 def _row_means(x: np.ndarray) -> np.ndarray:

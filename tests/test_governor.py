@@ -536,6 +536,32 @@ def test_write_jsonl_equals_json_dumps_line_for_line():
     assert buf.getvalue().splitlines(keepends=True) == _json_dumps_lines(records)
 
 
+# A record of the fields' own types, finite floats (-0.0 included); then at
+# most one field takes a non-finite float or a value of another type.
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+TYPED_RECORDS = st.fixed_dictionaries({
+    "step": st.integers(0, 2**70), "loss": FINITE, "loss_ema": FINITE,
+    "regime": st.sampled_from(Regime), "scale": FINITE, "active": st.booleans(),
+    "skipped": st.booleans(), "grad_rms": st.one_of(st.none(), FINITE), "lr": FINITE,
+})
+OFF_SCHEMA_VALUES = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf]),
+                              FINITE.map(np.float64), st.integers(-3, 3), st.none(),
+                              st.booleans(), st.just("stable"))
+
+
+@settings(max_examples=500)
+@given(values=TYPED_RECORDS,
+       off_type=st.one_of(st.none(), st.tuples(st.sampled_from(
+           [f.name for f in dataclasses.fields(StepRecord)]), OFF_SCHEMA_VALUES)))
+def test_a_jsonl_line_is_json_dumps_of_any_values(values, off_type):
+    if off_type is not None:
+        values = {**values, off_type[0]: off_type[1]}
+    rec = StepRecord(**values)
+    buf = io.StringIO()
+    StepLog(records=[rec, rec]).write_jsonl(buf)
+    assert buf.getvalue() == "".join(_json_dumps_lines([rec, rec]))
+
+
 def test_record_from_json_dict_rejects_a_missing_or_an_unknown_key():
     line = json.loads(json.dumps(dataclasses.asdict(_rec(3))))
     assert record_from_json_dict(line) == _rec(3)

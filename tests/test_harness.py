@@ -5,10 +5,12 @@ import io
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from guardlab.config import expand_scenarios, parse_config
 from guardlab.governor import GuardConfig
 from guardlab.harness import (
     GOVERNANCE_FIELDS,
@@ -20,7 +22,8 @@ from guardlab.harness import (
     ProbeResult,
     RunConfig,
     TaskSpec,
-    _next_batch,
+    _BATCH_CHUNK,
+    _batches,
     calibrate_divergence_lr,
     degrading_lr,
     probe_degraded,
@@ -31,10 +34,12 @@ from guardlab.harness import (
     severe_degradation,
     write_run_artifacts,
 )
-from guardlab.rngstream import CounterStream, StreamState
+from guardlab.optim import adamw_step, init_optimizer_state, schedule_lr
+from guardlab.rngstream import StreamState
 from guardlab.tasks import sample_batch
 
 
+SHIPPED = Path(__file__).resolve().parents[1] / "configs" / "default_suite.json"
 QUAD = TaskSpec(kind="quadratic", dims={"dim": 8, "condition": 100.0, "noise": 0.01})
 MLP = TaskSpec(kind="mlp_regression", dims={})
 
@@ -54,20 +59,24 @@ def tiny_run(label="run", seed=7, guard=None, **kw):
 
 
 # --------------------------------------------------------------------------
-# _next_batch: a step's batch and burst
+# _batches: each step's batch and burst
 # --------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("magnitude", [1.0, 50.0])
 @pytest.mark.parametrize("mode", ["outlier_batch", "gradient_burst"])
 def test_next_batch_injects_on_scheduled_steps_only(mode, magnitude):
-    # Step 0 is off the schedule, 7 an explicit step and 10 a period step.
-    cfg = tiny_run(injection=InjectionSpec(magnitude=magnitude, period=10, steps=(7,), mode=mode))
+    # Step 0 is off the schedule, 7 an explicit step and the multiples of 10
+    # period steps; the run ends partway into its third chunk of draws.
+    steps = 2 * _BATCH_CHUNK + 11
+    cfg = replace(tiny_run(injection=InjectionSpec(magnitude=magnitude, period=10, steps=(7,),
+                                                   mode=mode)), steps=steps)
     task = cfg.task.build(cfg.seed)
-    stream = CounterStream(cfg.seed, 0)
-    for step, scheduled in ((0, False), (7, True), (10, True)):
+    got = list(_batches(task, cfg))
+    assert len(got) == steps
+    for step, (batch, burst) in enumerate(got):
+        scheduled = step == 7 or (step > 0 and step % 10 == 0)
         drawn, _ = sample_batch(task, StreamState(cfg.seed, 0, step), cfg.batch_size)
-        batch, burst = _next_batch(task, cfg, step, stream)
         np.testing.assert_array_equal(batch.inputs, drawn.inputs)
         scale = magnitude if scheduled and mode == "outlier_batch" else 1.0
         np.testing.assert_array_equal(batch.targets, drawn.targets * scale)
@@ -225,6 +234,43 @@ def test_run_result_reports_finite_metrics():
     assert math.isfinite(result.final_loss)
     assert result.wall_seconds > 0
     assert len(result.eval_trace) >= 2
+
+
+# The README's calibrated rates for the shipped presets ("aggressive" on the
+# 1000-step probe, and on the probe with bursts).
+SHIPPED_STRESS_LRS = {"lr-stress": 13.1072, "outlier-bursts": 6.5536}
+
+
+@pytest.mark.parametrize("name", list(SHIPPED_STRESS_LRS))
+def test_a_guard_run_with_no_skip_is_adamw_on_its_logged_lr_schedule(name):
+    # The shipped guard arm, 200 steps long: its overlay is exactly a
+    # per-step scale on AdamW's delta. A hand loop of plain AdamW on batches
+    # drawn through sample_batch, with the burst applied and each delta
+    # scaled as apply_posture does (no multiply at scale 1.0), is the guard
+    # run bit for bit. It also holds the run's chunked draw to sample_batch.
+    doc = json.loads(SHIPPED.read_text(encoding="utf-8"))
+    doc["scenarios"] = [{**scen, "steps": 200, "lr": SHIPPED_STRESS_LRS[name]}
+                        for scen in doc["scenarios"] if scen["name"] == name]
+    _, _, cfg = expand_scenarios(parse_config(doc))[0]
+    result = run_training(cfg)
+    records = result.log.records
+    assert not any(rec.skipped for rec in records)
+    assert sum(rec.active for rec in records) > 150
+
+    task = cfg.task.build(cfg.seed)
+    params = task.init_params()
+    state = init_optimizer_state(task.n_params)
+    rng_state = StreamState(cfg.seed, 0)
+    for step, rec in enumerate(records):
+        batch, rng_state = sample_batch(task, rng_state, cfg.batch_size)
+        loss, grads = task.loss_and_grad(params, batch)
+        if cfg.injection is not None and cfg.injection.scheduled(step):
+            grads = grads * cfg.injection.magnitude
+        delta, state = adamw_step(state, params, grads, schedule_lr(step, cfg.schedule()),
+                                  cfg.opt)
+        params = params + (delta if rec.scale == 1.0 else rec.scale * delta)
+    assert params.tobytes() == result.params.tobytes()
+    assert task.eval_loss(params) == result.final_loss
 
 
 # --------------------------------------------------------------------------

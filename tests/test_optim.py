@@ -374,6 +374,24 @@ def test_guarded_step_survives_gradient_rms_overflow(auto_enabled):
     assert np.all(np.isfinite(params))
 
 
+def test_a_gradient_whose_square_overflows_freezes_its_parameter():
+    # Pinned as it is: 1e200 is finite, so an enabled guard does not skip,
+    # and its square makes AdamW's second moment inf. Every later delta of
+    # that parameter is m / inf = 0, so it stays where it was for the run.
+    gov = Governor(GuardConfig())
+    cfg = OptimizerConfig(lr=1e-2)
+    params = np.zeros(2)
+    state = init_optimizer_state(2)
+    with np.errstate(over="ignore"):
+        for step in range(50):
+            grads = np.array([1e200, 1.0]) if step == 0 else np.ones(2)
+            params, state, rec = guarded_step(gov, state, params, grads, 1.0, step, 1e-2, cfg)
+            assert not rec.skipped
+    assert gov.log.records[0].grad_rms is None
+    assert params[0] == 0.0 and state.v[0] == math.inf
+    assert params[1] < 0.0 and math.isfinite(state.v[1])
+
+
 # --------------------------------------------------------------------------
 # guarded_step: one finiteness verdict per step
 # --------------------------------------------------------------------------

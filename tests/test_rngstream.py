@@ -4,7 +4,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from guardlab import harness
@@ -122,6 +122,69 @@ def test_counter_stream_rejects_negative_counter():
         CounterStream(5, 0).at(-1)
 
 
+# --------------------------------------------------------------------------
+# integers_at: a chunk of counters' integer draws from one random_raw pass
+# --------------------------------------------------------------------------
+
+# A power of two and others (no Lemire redraw, rare, frequent: about half of
+# all uint32s are rejected for 2**31 + 11), then the highs numpy bounds by
+# other algorithms, which integers_at draws row by row through at().
+INTEGER_HIGHS = (4096, 1000, 3, 2**31 + 11, 2**32 - 1, 2**32, 2**32 + 5, 2**40, 1)
+
+
+def _rows(seed, stream, first, count, high, size):
+    """The per-counter draws integers_at stands for, spelled out."""
+    s = CounterStream(seed, stream)
+    return np.array([s.at(first + r).integers(0, high, size=size) for r in range(count)],
+                    dtype=np.int64).reshape(count, size)
+
+
+@settings(deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    stream=st.integers(0, 2**16),
+    first=st.integers(0, 2**40),
+    count=st.integers(0, 20),
+    high=st.sampled_from(INTEGER_HIGHS),
+    size=st.sampled_from([1, 7, 8, 9, 31, 32, 33]),
+)
+def test_integers_at_matches_row_by_row_draws(seed, stream, first, count, high, size):
+    got = CounterStream(seed, stream).integers_at(first, count, high, size)
+    want = _rows(seed, stream, first, count, high, size)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def _counting_stream(counters):
+    """A CounterStream class that appends the counter of each at() call to counters."""
+
+    class CountingStream(CounterStream):
+        def at(self, counter):
+            counters.append(counter)
+            return super().at(counter)
+
+    return CountingStream
+
+
+@pytest.mark.parametrize("high, redraws", [(4096, False), (2**31 + 11, True),
+                                           (2**32, None)])
+def test_integers_at_redraws_only_the_rows_lemire_rejects(high, redraws):
+    counters = []
+    got = _counting_stream(counters)(3, 0).integers_at(10, 40, high, 5)
+    assert got.tobytes() == _rows(3, 0, 10, 40, high, 5).tobytes()
+    if redraws is None:  # row by row
+        assert counters == list(range(10, 50))
+    else:
+        # One pass at the first counter, then one at() per redrawn row.
+        assert counters[0] == 10 and (len(counters) > 1) == redraws
+        assert counters[1:] == sorted(set(counters[1:]))
+
+
+def test_integers_at_rejects_a_negative_counter():
+    with pytest.raises(ValueError):
+        CounterStream(5, 0).integers_at(-1, 2, 4096, 3)
+
+
 RUN_TASKS = {
     "quadratic": TaskSpec(kind="quadratic", dims={"dim": 6, "condition": 50.0, "noise": 0.5}),
     "mlp_regression": TaskSpec(kind="mlp_regression", dims={}),
@@ -158,6 +221,19 @@ def test_run_training_matches_a_sample_batch_loop(kind):
     assert (result.params.tobytes(), log.getvalue()) == _sample_batch_loop(cfg)
 
 
+@pytest.mark.parametrize("kind", [*RUN_TASKS, "full_batch"])
+def test_draw_batches_equal_per_counter_draw_batch(kind):
+    task = RUN_TASKS.get(kind, TaskSpec(kind="quadratic", dims={})).build(4)
+    assert task.full_batch == (kind == "full_batch")
+    got = task.draw_batches(CounterStream(4, 0), 5, 70, 9)
+    assert len(got) == 70
+    stream = CounterStream(4, 0)
+    for counter, batch in enumerate(got, 5):
+        want = task.draw_batch(None if task.full_batch else stream.at(counter), 9)
+        for a, b in ((batch.inputs, want.inputs), (batch.targets, want.targets)):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 # --------------------------------------------------------------------------
 # Full-batch tasks draw no stream
 # --------------------------------------------------------------------------
@@ -183,14 +259,8 @@ def test_only_a_noisy_quadratic_run_positions_its_stream(monkeypatch, noise):
                     steps=30, batch_size=8, eval_every=10, seed=4)
     want = _sample_batch_loop(cfg)
     counters = []
-
-    class CountingStream(CounterStream):
-        def at(self, counter):
-            counters.append(counter)
-            return super().at(counter)
-
     # The run's batch stream only: a task build draws through generator.
-    monkeypatch.setattr(harness, "CounterStream", CountingStream)
+    monkeypatch.setattr(harness, "CounterStream", _counting_stream(counters))
     result = run_training(cfg)
     log = io.StringIO()
     result.log.write_jsonl(log)

@@ -9,6 +9,7 @@ from guardlab.rngstream import StreamState, advance
 from guardlab.tasks import (
     TASK_CLASSES,
     QuadraticTask,
+    _bigram_grids,
     evaluate,
     forward_backward,
     make_task,
@@ -277,6 +278,18 @@ def _per_pair_eval_losses(task, param_rows):
 
 
 SMALL_BIGRAM_DIMS = {"alphabet": 8, "corpus_len": 256, "eval_len": 64}
+
+
+def test_bigram_index_grids_are_cached_and_read_only():
+    offsets, grid = _bigram_grids(3, 5, 4)
+    again = _bigram_grids(3, 5, 4)
+    assert again[0] is offsets and again[1] is grid
+    np.testing.assert_array_equal(offsets, np.arange(0, 60, 4).reshape(3, 5))
+    np.testing.assert_array_equal(grid, np.arange(48).reshape(3, 4, 4))
+    for arr in (offsets, grid):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] += 1
 
 
 @pytest.mark.parametrize("dims", [{}, SMALL_BIGRAM_DIMS], ids=["default", "small"])
