@@ -28,7 +28,7 @@ from .governor import (
     StepLog,
     TelemetrySample,
     TelemetrySummary,
-    probe_rms,
+    probe_rms_rows,
     summarize_records,
 )
 from .optim import (
@@ -41,6 +41,7 @@ from .optim import (
     guarded_step,
     init_optimizer_state,
     schedule_lr,
+    schedule_rates,
 )
 from .rngstream import CounterStream
 from .tasks import TASK_CLASSES, Batch, Task, evaluate, evaluate_rows, forward_backward, make_task
@@ -212,9 +213,10 @@ def _batches(task: Task, cfg: RunConfig) -> Iterator[Tuple[Batch, float]]:
     params or lr: step's batch is the one at counter step of the run's
     batch stream, as sample_batch(task, StreamState(seed, _BATCH_STREAM,
     step), ...) would draw it. Batches are drawn _BATCH_CHUNK steps at a
-    time through Task.draw_batches.
+    time through Task.draw_batches; a full-batch task, which draws nothing,
+    gets no stream.
     """
-    stream = CounterStream(cfg.seed, _BATCH_STREAM)
+    stream = None if task.full_batch else CounterStream(cfg.seed, _BATCH_STREAM)
     spec = cfg.injection
     for first in range(0, cfg.steps, _BATCH_CHUNK):
         count = min(_BATCH_CHUNK, cfg.steps - first)
@@ -301,37 +303,41 @@ def run_probe_ladder(cfg: RunConfig, lrs: Sequence[float]) -> List[ProbeResult]:
 
     Rung l is bitwise equal to run_training(cfg with opt.lr = lrs[l]) in its
     params, eval trace and losses: the task is built and each batch drawn
-    once for every rung (neither depends on lr), params and AdamW moments
-    are stacked as (L, n) rows through the elementwise adamw_step, and all
-    rungs are evaluated in one eval_loss_rows call. The governor is left
+    once for every rung (neither depends on lr), each step's rates are one
+    (L, 1) schedule_rates column, params and AdamW moments are stacked as
+    (L, n) rows through the elementwise adamw_step, and all rungs are
+    evaluated in one eval_loss_rows call. The governor is left
     out: with the guard off and no clip it is the identity on the update.
     What its log reads is kept instead, each step's loss and, on the
     disabled guard's stats steps, what sense takes of each rung's gradient
-    after the burst, so replay_rung can write the rung's telemetry.
+    after the burst, so replay_rung can write the rung's telemetry. An empty
+    lrs is an empty ladder.
     """
     guard = cfg.guard_or_disabled()
     if guard.auto_enabled or cfg.clip is not None:
         raise ValueError("a probe ladder runs baseline arms: guard disabled, no clip")
+    if not lrs:
+        return []
     scheds = [replace(cfg, opt=replace(cfg.opt, lr=lr)).schedule() for lr in lrs]
+    rates = np.array([[sched.base_lr] for sched in scheds])
     task = cfg.task.build(cfg.seed)
     initial = evaluate(task, task.init_params())
     params = np.tile(task.init_params(), (len(lrs), 1))
     opt_state = OptimizerState(m=np.zeros_like(params), v=np.zeros_like(params))
     traces: List[List[Tuple[int, float, float]]] = [[] for _ in lrs]
     loss_rows = np.empty((len(lrs), cfg.steps))
-    rms_rows: List[List[Optional[float]]] = [[] for _ in lrs]
+    rms_steps: List[List[Optional[float]]] = []
     max_sumsq = np.zeros(len(lrs))
     t0 = time.perf_counter()
     for step, (batch, burst) in enumerate(_batches(task, cfg)):
-        lr_t = np.array([[schedule_lr(step, sched)] for sched in scheds])
+        lr_t = schedule_rates(step, scheds[0], rates)
         loss_rows[:, step], grads = task.loss_and_grad_rows(params, batch)
         # np.maximum propagates NaN; einsum neither warns nor copies.
         np.maximum(max_sumsq, np.einsum("ij,ij->i", grads, grads), out=max_sumsq)
         if burst != 1.0:
             grads = grads * burst
         if step % guard.stats_freq == 0:
-            for rms, row in zip(rms_rows, grads):
-                rms.append(probe_rms(row))
+            rms_steps.append(probe_rms_rows(grads))
         delta, opt_state = adamw_step(
             opt_state, params, grads, lr_t, cfg.opt, check_finite=False
         )
@@ -349,12 +355,12 @@ def run_probe_ladder(cfg: RunConfig, lrs: Sequence[float]) -> List[ProbeResult]:
             params=row,
             final_perplexity=final.perplexity,
             losses=losses,
-            grad_rms=rms,
+            grad_rms=list(rms),
             max_grad_sumsq=float(sumsq),
             wall_seconds=share,
         )
         for lr, trace, row, final, losses, rms, sumsq in zip(
-            lrs, traces, params, evaluate_rows(task, params), loss_rows, rms_rows, max_sumsq
+            lrs, traces, params, evaluate_rows(task, params), loss_rows, zip(*rms_steps), max_sumsq
         )
     ]
 
@@ -401,8 +407,7 @@ def doubling_ladder(probe: RunConfig) -> List[ProbeResult]:
     through run_probe_ladder. Probes decay to their min_lr, as the runs they
     calibrate do; rungs below min_lr are left off the ladder, since no
     schedule decays upwards."""
-    lrs = [lr for lr in LADDER_LRS if lr >= probe.min_lr]
-    return run_probe_ladder(probe, lrs) if lrs else []
+    return run_probe_ladder(probe, [lr for lr in LADDER_LRS if lr >= probe.min_lr])
 
 
 def degrading_lr(rungs: Sequence[ProbeResult]) -> float:

@@ -155,13 +155,25 @@ def clip_global_norm(grads: np.ndarray, g: float) -> Tuple[np.ndarray, float]:
 
 
 def schedule_lr(step: int, cfg: ScheduleConfig) -> float:
+    return schedule_rates(step, cfg, cfg.base_lr)
+
+
+def schedule_rates(
+    step: int, cfg: ScheduleConfig, base_lrs: float | np.ndarray
+) -> float | np.ndarray:
+    """schedule_lr(step, cfg) with base_lrs in place of cfg.base_lr.
+
+    An array of base rates goes through the same IEEE operations entry by
+    entry, with the cosine factor evaluated once, so each entry is bitwise
+    the float schedule_lr returns for cfg with that base rate.
+    """
     if step < 0:
         raise ValueError("step must be >= 0")
     if cfg.kind is ScheduleKind.CONSTANT:
-        return cfg.base_lr
+        return base_lrs
     if step > cfg.total_steps:
         return cfg.min_lr
-    return cfg.min_lr + 0.5 * (cfg.base_lr - cfg.min_lr) * (
+    return cfg.min_lr + 0.5 * (base_lrs - cfg.min_lr) * (
         1.0 + math.cos(math.pi * step / cfg.total_steps)
     )
 

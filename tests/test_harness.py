@@ -34,9 +34,9 @@ from guardlab.harness import (
     severe_degradation,
     write_run_artifacts,
 )
-from guardlab.optim import adamw_step, init_optimizer_state, schedule_lr
+from guardlab.optim import ScheduleKind, adamw_step, init_optimizer_state, schedule_lr
 from guardlab.rngstream import StreamState
-from guardlab.tasks import sample_batch
+from guardlab.tasks import TASK_CLASSES, sample_batch
 
 
 SHIPPED = Path(__file__).resolve().parents[1] / "configs" / "default_suite.json"
@@ -344,29 +344,42 @@ def _same(a: float, b: float) -> bool:
     return a == b or (math.isnan(a) and math.isnan(b))
 
 
+# (schedule kind, min_lr) of each schedule a ladder case runs; the cosine
+# schedule decaying to 0 is the suite's default and adds no suffix to the id.
+SCHEDULES = {
+    "": (ScheduleKind.COSINE, 0.0),
+    "-constant": (ScheduleKind.CONSTANT, 0.0),
+    "-min_lr": (ScheduleKind.COSINE, 0.01),
+}
 # bigram_lm has integer targets, so outlier_batch does not apply to it.
 LADDER_CASES = [
-    (task, injection)
+    (task, injection, schedule)
     for task in (SMALL_BIGRAM, QUAD, MLP)
     for injection in INJECTIONS
     if not (task.kind == "bigram_lm" and injection == "outlier_batch")
+    for schedule in SCHEDULES
 ]
 
 
 @pytest.mark.parametrize(
-    "task,injection", LADDER_CASES, ids=[f"{t.kind}-{i}" for t, i in LADDER_CASES]
+    "task,injection,schedule", LADDER_CASES, ids=[f"{t.kind}-{i}{s}" for t, i, s in LADDER_CASES]
 )
-def test_probe_ladder_rows_bitwise_equal_scalar_runs(task, injection):
+def test_probe_ladder_rows_bitwise_equal_scalar_runs(task, injection, schedule):
+    kind, min_lr = SCHEDULES[schedule]
     cfg = RunConfig(
-        task=task, steps=40, batch_size=16, eval_every=8,
+        task=task, schedule_kind=kind, min_lr=min_lr, steps=40, batch_size=16, eval_every=8,
         seed=3, injection=INJECTIONS[injection], label="probe",
     )
+    lrs = [lr for lr in LADDER_LRS if lr >= min_lr]
+    stats_freq = cfg.guard_or_disabled().stats_freq
     with np.errstate(all="ignore"):
-        rungs = run_probe_ladder(cfg, LADDER_LRS)
-        for rung, lr in zip(rungs, LADDER_LRS):
+        rungs = run_probe_ladder(cfg, lrs)
+        for rung, lr in zip(rungs, lrs):
             ref = run_training(replace(cfg, opt=replace(cfg.opt, lr=lr)))
             assert rung.lr == lr
             assert rung.params.tobytes() == ref.params.tobytes()
+            assert rung.losses.tobytes() == np.array([r.loss for r in ref.log.records]).tobytes()
+            assert rung.grad_rms == [r.grad_rms for r in ref.log.records[::stats_freq]]
             assert _same(rung.initial_loss, ref.initial_loss)
             assert _same(rung.final_loss, ref.final_loss)
             assert [s for s, _, _ in rung.eval_trace] == [s for s, _, _ in ref.eval_trace]
@@ -374,6 +387,15 @@ def test_probe_ladder_rows_bitwise_equal_scalar_runs(task, injection):
                 assert _same(loss, ref_loss) and _same(ppl, ref_ppl)
     # The ladder spans healthy and degraded rungs.
     assert not probe_degraded(rungs[0]) and probe_degraded(rungs[-1])
+
+
+@pytest.mark.parametrize("kind", sorted(TASK_CLASSES))
+def test_an_empty_rate_list_is_an_empty_ladder(kind, monkeypatch):
+    def unbuilt(spec, seed):
+        raise AssertionError("an empty ladder builds no task")
+
+    monkeypatch.setattr(TaskSpec, "build", unbuilt)
+    assert run_probe_ladder(RunConfig(task=TaskSpec(kind=kind), steps=20, eval_every=10), []) == []
 
 
 def test_probe_ladder_rejects_governed_arms():
