@@ -44,7 +44,7 @@ from .optim import (
     schedule_rates,
 )
 from .rngstream import CounterStream
-from .tasks import TASK_CLASSES, Batch, Task, evaluate, evaluate_rows, forward_backward, make_task
+from .tasks import Batch, Task, evaluate, evaluate_rows, forward_backward, make_task
 
 # The multiple of the initial eval loss above which severe_degradation flags a loss.
 DEGRADATION_FACTOR = 2.0
@@ -74,20 +74,21 @@ class TaskSpec:
 
 @dataclass(frozen=True)
 class InjectionSpec:
-    """Deterministic outlier schedule: periodic and/or explicit step indices."""
+    """Deterministic gradient-burst schedule: periodic and/or explicit step
+    indices. mode names the one injection kind, a burst after the clip."""
 
     magnitude: float = 50.0
     period: Optional[int] = 100
     steps: Tuple[int, ...] = ()
-    mode: str = "outlier_batch"
+    mode: str = "gradient_burst"
 
     def __post_init__(self):
         if self.magnitude < 1.0:
             raise ValueError("injection magnitude must be >= 1")
         if self.period is not None and self.period < 1:
             raise ValueError("injection period must be >= 1")
-        if self.mode not in ("outlier_batch", "gradient_burst"):
-            raise ValueError(f"unknown injection mode: {self.mode!r}")
+        if self.mode != "gradient_burst":
+            raise ValueError(f"injection mode must be 'gradient_burst', got {self.mode!r}")
 
     def scheduled(self, step: int) -> bool:
         if step in self.steps:
@@ -126,13 +127,6 @@ class RunConfig:
             if not injection.steps and (period is None or period >= self.steps):
                 raise ValueError(f"injection schedules no step: it has no explicit steps "
                                  f"and no period below steps ({self.steps})")
-            # An unknown kind is left to TaskSpec.build, which names it.
-            if (injection.mode == "outlier_batch"
-                    and TASK_CLASSES.get(self.task.kind, Task).integer_targets):
-                raise ValueError(
-                    f"injection mode 'outlier_batch' scales batch targets, and task kind "
-                    f"{self.task.kind!r} has integer targets; use 'gradient_burst'"
-                )
 
     def schedule(self) -> ScheduleConfig:
         return ScheduleConfig(
@@ -205,11 +199,9 @@ class ComparisonRow:
 def _batches(task: Task, cfg: RunConfig) -> Iterator[Tuple[Batch, float]]:
     """Each step's batch and its burst, the scale on its gradient after the clip.
 
-    On a step cfg's injection schedules, outlier_batch scales the batch's
-    targets by its magnitude before the forward pass, and gradient_burst
-    yields the batch as drawn with its magnitude as the burst: a corruption
-    that enters past the clipping stage, so no clip can remove it. Every
-    other step's burst is 1.0. Both depend only on (seed, step), never on
+    On a step cfg's injection schedules, the burst is its magnitude: a
+    corruption that enters past the clipping stage, so no clip can remove it.
+    Every other step's burst is 1.0. Both depend only on (seed, step), never on
     params or lr: step's batch is the one at counter step of the run's
     batch stream, as sample_batch(task, StreamState(seed, _BATCH_STREAM,
     step), ...) would draw it. Batches are drawn _BATCH_CHUNK steps at a
@@ -222,13 +214,7 @@ def _batches(task: Task, cfg: RunConfig) -> Iterator[Tuple[Batch, float]]:
         count = min(_BATCH_CHUNK, cfg.steps - first)
         for step, batch in enumerate(task.draw_batches(stream, first, count, cfg.batch_size),
                                      first):
-            if spec is None or not spec.scheduled(step):
-                yield batch, 1.0
-            elif spec.mode == "gradient_burst":
-                yield batch, spec.magnitude
-            else:
-                targets = np.asarray(batch.targets, dtype=float) * spec.magnitude
-                yield Batch(batch.inputs, targets), 1.0
+            yield batch, spec.magnitude if spec is not None and spec.scheduled(step) else 1.0
 
 
 def run_training(cfg: RunConfig, out_dir: Optional[Path] = None) -> RunResult:

@@ -50,9 +50,6 @@ class Task:
     n_params: int
     # The constructor's dims with their defaults; task_dims casts to each default's type.
     default_dims: Dict[str, object]
-    # Batches carry integer targets (token ids), which outlier_batch
-    # injection cannot scale.
-    integer_targets = False
     # Every batch is one full batch built at construction, with read-only
     # arrays: draw_batch ignores its rng, so a run loop passes None and
     # positions no stream.
@@ -100,9 +97,8 @@ class Task:
 class QuadraticTask(Task):
     """Ill-conditioned bowl: loss = 0.5 x'Hx - b'x + c, with H diagonal.
 
-    The constant c shifts the minimum to exactly zero. Batches carry the
-    (optionally noise-perturbed) linear term b as their target, so target
-    injection produces a consistent gradient bias direction.
+    The constant c shifts the minimum, at x = b / h, to exactly zero. Batches
+    carry the (optionally noise-perturbed) linear term b as their target.
     """
 
     kind = "quadratic"
@@ -151,17 +147,13 @@ class QuadraticTask(Task):
             return self._batch
         return Batch(inputs=np.zeros(0), targets=self.b + self.noise * rng.normal(size=self.dim))
 
-    def minimizer(self) -> np.ndarray:
-        return self.b / self.h
-
 
 class MlpRegressionTask(Task):
     """One-hidden-layer tanh network fit to a synthetic teacher.
 
     Student parameters are the flat vector [W1, b1, W2, b2]. Loss is the
     mean squared error over all batch entries. The teacher output bias is
-    offset away from zero so scaled-target injection has a consistent
-    direction.
+    offset by 0.5, so the targets are not centred on zero.
     """
 
     kind = "mlp_regression"
@@ -187,7 +179,7 @@ class MlpRegressionTask(Task):
         self.n_params = d_hidden * (d_in + 1) + d_out * (d_hidden + 1)
         rng = generator(StreamState(seed=seed, stream=100))
         self._teacher = rng.normal(size=self.n_params)
-        # Push the teacher output bias off zero: injection bias direction.
+        # Shift the teacher output bias off its draw's zero mean.
         w1, b1, w2, b2 = self._unpack(self._teacher)
         b2 += 0.5
         self._teacher = self._pack(w1, b1, w2, b2)
@@ -257,7 +249,6 @@ class BigramLmTask(Task):
     """
 
     kind = "bigram_lm"
-    integer_targets = True
     default_dims = {"alphabet": 32, "corpus_len": 4096, "eval_len": 512, "concentration": 2.0}
 
     def __init__(

@@ -590,18 +590,18 @@ def test_clip_g_belongs_to_the_kinds_that_clip(kind):
         parse_config({**MINIMAL, "scenarios": [{**scen, "clip_g": [] if clips else [0.05]}]})
 
 
-@pytest.mark.parametrize("injection", [{"period": 5}, {"mode": "outlier_batch", "period": 5}])
-def test_outlier_batch_on_integer_targets_is_a_config_error(injection):
+def test_gradient_burst_is_the_one_injection_mode():
+    # An injection with no mode bursts the gradient, on integer targets too.
     doc = {**MINIMAL,
            "tasks": {"tokens": {"kind": "bigram_lm", "dims": {"alphabet": 8}}},
            "scenarios": [{**SCEN, "name": "spiky", "kind": "injection", "task": "tokens",
-                          "injection": injection}]}
+                          "injection": {"period": 5}}]}
+    assert parse_config(doc).scenarios[0].injection.mode == "gradient_burst"
+    doc["scenarios"][0]["injection"] = {"period": 5, "mode": "outlier_batch"}
     with pytest.raises(ConfigError) as info:
         parse_config(doc)
-    for part in ("'scenarios[0]'", "'bigram_lm'", "'outlier_batch'"):
+    for part in ("scenarios[0].injection", "'outlier_batch'"):
         assert part in str(info.value)
-    doc["scenarios"][0]["injection"] = {**injection, "mode": "gradient_burst"}
-    assert parse_config(doc).scenarios[0].injection.mode == "gradient_burst"
 
 
 @pytest.mark.parametrize("injection", [{"period": None}, {}, {"period": 20}])
@@ -681,6 +681,10 @@ def test_every_field_set_away_from_its_default_round_trips():
     scen = cfg.scenarios[0]
     for obj in (cfg.guard, cfg.optimizer, scen, scen.injection, cfg.run):
         for f in dataclasses.fields(obj):
+            # InjectionSpec.mode takes one value, so it cannot be set away from
+            # its default; FULL still spells it for the round trip below.
+            if obj is scen.injection and f.name == "mode":
+                continue
             if f.default is not dataclasses.MISSING:
                 assert getattr(obj, f.name) != f.default, f.name
     assert cfg.schedule.kind is ScheduleKind.CONSTANT and cfg.schedule.min_lr == 1e-4

@@ -64,13 +64,12 @@ def tiny_run(label="run", seed=7, guard=None, **kw):
 
 
 @pytest.mark.parametrize("magnitude", [1.0, 50.0])
-@pytest.mark.parametrize("mode", ["outlier_batch", "gradient_burst"])
-def test_next_batch_injects_on_scheduled_steps_only(mode, magnitude):
+def test_batches_burst_on_scheduled_steps_only(magnitude):
     # Step 0 is off the schedule, 7 an explicit step and the multiples of 10
     # period steps; the run ends partway into its third chunk of draws.
     steps = 2 * _BATCH_CHUNK + 11
-    cfg = replace(tiny_run(injection=InjectionSpec(magnitude=magnitude, period=10, steps=(7,),
-                                                   mode=mode)), steps=steps)
+    cfg = replace(tiny_run(injection=InjectionSpec(magnitude=magnitude, period=10, steps=(7,))),
+                  steps=steps)
     task = cfg.task.build(cfg.seed)
     got = list(_batches(task, cfg))
     assert len(got) == steps
@@ -78,9 +77,8 @@ def test_next_batch_injects_on_scheduled_steps_only(mode, magnitude):
         scheduled = step == 7 or (step > 0 and step % 10 == 0)
         drawn, _ = sample_batch(task, StreamState(cfg.seed, 0, step), cfg.batch_size)
         np.testing.assert_array_equal(batch.inputs, drawn.inputs)
-        scale = magnitude if scheduled and mode == "outlier_batch" else 1.0
-        np.testing.assert_array_equal(batch.targets, drawn.targets * scale)
-        assert burst == (magnitude if scheduled and mode == "gradient_burst" else 1.0)
+        np.testing.assert_array_equal(batch.targets, drawn.targets)
+        assert burst == (magnitude if scheduled else 1.0)
 
 
 def test_injection_spec_rejects_magnitude_below_one():
@@ -118,15 +116,6 @@ def test_runconfig_rejects_an_injection_that_schedules_no_step(period):
         tiny_run(injection=spec)
     tiny_run(injection=replace(spec, steps=(39,)))
     tiny_run(injection=replace(spec, period=39))
-
-
-def test_runconfig_rejects_outlier_batch_on_integer_targets():
-    # Checked when the run is configured, not at its first scheduled step.
-    bigram = TaskSpec(kind="bigram_lm", dims={"alphabet": 8})
-    spec = InjectionSpec(period=10)
-    with pytest.raises(ValueError, match="'outlier_batch'.*'bigram_lm'"):
-        replace(tiny_run(), task=bigram, injection=spec)
-    replace(tiny_run(), task=bigram, injection=replace(spec, mode="gradient_burst"))
 
 
 def test_runconfig_rejects_empty_batches():
@@ -336,7 +325,6 @@ NOISELESS_QUAD = TaskSpec(kind="quadratic", dims={"dim": 4, "condition": 100.0, 
 INJECTIONS = {
     None: None,
     "gradient_burst": InjectionSpec(magnitude=50.0, period=10, mode="gradient_burst"),
-    "outlier_batch": InjectionSpec(magnitude=20.0, period=10, mode="outlier_batch"),
 }
 
 
@@ -351,12 +339,10 @@ SCHEDULES = {
     "-constant": (ScheduleKind.CONSTANT, 0.0),
     "-min_lr": (ScheduleKind.COSINE, 0.01),
 }
-# bigram_lm has integer targets, so outlier_batch does not apply to it.
 LADDER_CASES = [
     (task, injection, schedule)
     for task in (SMALL_BIGRAM, QUAD, MLP)
     for injection in INJECTIONS
-    if not (task.kind == "bigram_lm" and injection == "outlier_batch")
     for schedule in SCHEDULES
 ]
 

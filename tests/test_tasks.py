@@ -97,7 +97,7 @@ def test_quadratic_gradient_closed_form():
 
 def test_quadratic_minimizer_is_stationary_with_zero_loss():
     task = QuadraticTask(dim=6, condition=1e3, seed=9, noise=0.0)
-    theta_star = task.minimizer()
+    theta_star = task.b / task.h
     batch = task.draw_batch(np.random.default_rng(0), 4)
     loss, grad = forward_backward(task, theta_star, batch)
     assert abs(loss) < 1e-12
