@@ -590,18 +590,20 @@ def test_clip_g_belongs_to_the_kinds_that_clip(kind):
         parse_config({**MINIMAL, "scenarios": [{**scen, "clip_g": [] if clips else [0.05]}]})
 
 
-def test_gradient_burst_is_the_one_injection_mode():
-    # An injection with no mode bursts the gradient, on integer targets too.
+@pytest.mark.parametrize("injection", [{"period": 5}, {"mode": "outlier_batch", "period": 5}])
+def test_outlier_batch_on_integer_targets_is_a_config_error(injection):
+    # outlier_batch is no injection mode any more, so naming it fails; an
+    # injection with no mode bursts the gradient, on integer targets too.
     doc = {**MINIMAL,
            "tasks": {"tokens": {"kind": "bigram_lm", "dims": {"alphabet": 8}}},
            "scenarios": [{**SCEN, "name": "spiky", "kind": "injection", "task": "tokens",
-                          "injection": {"period": 5}}]}
-    assert parse_config(doc).scenarios[0].injection.mode == "gradient_burst"
-    doc["scenarios"][0]["injection"] = {"period": 5, "mode": "outlier_batch"}
+                          "injection": {**injection, "mode": "outlier_batch"}}]}
     with pytest.raises(ConfigError) as info:
         parse_config(doc)
     for part in ("scenarios[0].injection", "'outlier_batch'"):
         assert part in str(info.value)
+    doc["scenarios"][0]["injection"] = {"period": injection["period"]}
+    assert parse_config(doc).scenarios[0].injection.mode == "gradient_burst"
 
 
 @pytest.mark.parametrize("injection", [{"period": None}, {}, {"period": 20}])
