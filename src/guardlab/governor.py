@@ -175,6 +175,16 @@ def update_ema(prev: float, value: float, decay: float) -> float:
     return decay * prev + (1.0 - decay) * value
 
 
+def all_finite(x: np.ndarray) -> bool:
+    """Whether every entry of x is finite, as bool(np.isfinite(x).all()).
+
+    A finite sum of squares proves every entry finite, so only a NaN or
+    infinite sum (a non-finite entry, or finite squares whose sum overflows)
+    pays for the entry scan. np.vdot does not warn when that sum overflows;
+    ndarray.dot, np.dot, np.inner and @ do."""
+    return math.isfinite(np.vdot(x, x)) or bool(np.isfinite(x).all())
+
+
 def probe_rms(grads: np.ndarray) -> Optional[float]:
     """What sense takes of a probe step's gradient: the root mean square of
     a nonempty gradient, or None when an entry is non-finite or the mean
@@ -314,12 +324,15 @@ def apply_posture(
 ) -> np.ndarray:
     """Scale the update elementwise; a skipped step becomes the zero delta.
 
-    At scale C_MAX the checked delta itself is returned: 1.0 * x is x bit
-    for bit."""
+    check_finite (guarded_step passes it for an enabled guard) rejects a
+    non-finite delta of a step that is not skipped, by all_finite: one
+    np.vdot sum of squares, with the entry scan only when that sum is not
+    finite. At scale C_MAX the checked delta itself is returned: 1.0 * x is
+    x bit for bit."""
     delta = np.asarray(update_delta, dtype=float)
     if posture.skip_step:
         return np.zeros_like(delta)
-    if check_finite and not np.isfinite(delta).all():
+    if check_finite and not all_finite(delta):
         raise TelemetryError("actuation on non-finite update")
     if posture.scale == C_MAX:
         return delta

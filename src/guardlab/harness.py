@@ -171,8 +171,9 @@ class ProbeResult:
     RMS that sense takes on every stats_freq step of the probe's disabled
     guard (None where it is non-finite or overflows). max_grad_sumsq is the
     largest sum of squares of a step's gradient before any burst (NaN or inf
-    if one was non-finite), so a clip threshold above its root never fired.
-    wall_seconds is the rung's share of the ladder's step loop.
+    if one was non-finite), so a clip threshold above its root never fired;
+    it stays inf, "a clip may have fired", on a ladder that does not track
+    it. wall_seconds is the rung's share of the ladder's step loop.
     """
 
     lr: float
@@ -284,7 +285,8 @@ def probe_degraded(result: Union[RunResult, ProbeResult]) -> bool:
                for loss in [*checkpoints, result.final_loss])
 
 
-def run_probe_ladder(cfg: RunConfig, lrs: Sequence[float]) -> List[ProbeResult]:
+def run_probe_ladder(cfg: RunConfig, lrs: Sequence[float],
+                     track_sumsq: bool = False) -> List[ProbeResult]:
     """Baseline runs of cfg at each of lrs, as one program over an lr axis.
 
     Rung l is bitwise equal to run_training(cfg with opt.lr = lrs[l]) in its
@@ -296,8 +298,10 @@ def run_probe_ladder(cfg: RunConfig, lrs: Sequence[float]) -> List[ProbeResult]:
     out: with the guard off and no clip it is the identity on the update.
     What its log reads is kept instead, each step's loss and, on the
     disabled guard's stats steps, what sense takes of each rung's gradient
-    after the burst, so replay_rung can write the rung's telemetry. An empty
-    lrs is an empty ladder.
+    after the burst, so replay_rung can write the rung's telemetry. With
+    track_sumsq, each rung also keeps its max_grad_sumsq, which only a clip
+    arm's ladder_rung reads; without it the pass is not taken and the field
+    stays inf. An empty lrs is an empty ladder.
     """
     guard = cfg.guard_or_disabled()
     if guard.auto_enabled or cfg.clip is not None:
@@ -313,13 +317,14 @@ def run_probe_ladder(cfg: RunConfig, lrs: Sequence[float]) -> List[ProbeResult]:
     traces: List[List[Tuple[int, float, float]]] = [[] for _ in lrs]
     loss_rows = np.empty((len(lrs), cfg.steps))
     rms_steps: List[List[Optional[float]]] = []
-    max_sumsq = np.zeros(len(lrs))
+    max_sumsq = np.zeros(len(lrs)) if track_sumsq else np.full(len(lrs), math.inf)
     t0 = time.perf_counter()
     for step, (batch, burst) in enumerate(_batches(task, cfg)):
         lr_t = schedule_rates(step, scheds[0], rates)
         loss_rows[:, step], grads = task.loss_and_grad_rows(params, batch)
-        # np.maximum propagates NaN; einsum neither warns nor copies.
-        np.maximum(max_sumsq, np.einsum("ij,ij->i", grads, grads), out=max_sumsq)
+        if track_sumsq:
+            # np.maximum propagates NaN; einsum neither warns nor copies.
+            np.maximum(max_sumsq, np.einsum("ij,ij->i", grads, grads), out=max_sumsq)
         if burst != 1.0:
             grads = grads * burst
         if step % guard.stats_freq == 0:
@@ -388,12 +393,13 @@ def probe_config(arm: RunConfig) -> RunConfig:
     )
 
 
-def doubling_ladder(probe: RunConfig) -> List[ProbeResult]:
+def doubling_ladder(probe: RunConfig, track_sumsq: bool = False) -> List[ProbeResult]:
     """probe's rungs at the LADDER_LRS rates, lowest first, all run at once
-    through run_probe_ladder. Probes decay to their min_lr, as the runs they
-    calibrate do; rungs below min_lr are left off the ladder, since no
-    schedule decays upwards."""
-    return run_probe_ladder(probe, [lr for lr in LADDER_LRS if lr >= probe.min_lr])
+    through run_probe_ladder (track_sumsq as there). Probes decay to their
+    min_lr, as the runs they calibrate do; rungs below min_lr are left off
+    the ladder, since no schedule decays upwards."""
+    return run_probe_ladder(probe, [lr for lr in LADDER_LRS if lr >= probe.min_lr],
+                            track_sumsq)
 
 
 def degrading_lr(rungs: Sequence[ProbeResult]) -> float:

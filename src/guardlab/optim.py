@@ -18,6 +18,7 @@ from .governor import (
     Governor,
     NonFiniteGradientError,
     StepRecord,
+    all_finite,
     apply_posture,
 )
 
@@ -99,7 +100,7 @@ def adamw_step(
     governed path skips before reaching here).
     """
     grads = np.asarray(grads, dtype=float)
-    if check_finite and not np.isfinite(grads).all():
+    if check_finite and not all_finite(grads):
         raise NonFiniteGradientError("adamw_step on non-finite gradient")
     t = state.t + 1
     # The textbook expression
@@ -201,24 +202,33 @@ def guarded_step(
     sensing stage still observes the corrupted gradient, and a burst that
     overflows it to non-finite skips the step.
 
-    inputs_finite is the step's one finiteness verdict on the gradient: an
-    enabled guard skips unless it holds, so adamw_step runs unchecked here
-    (a disabled guard lets a non-finite gradient through, as plain AdamW).
+    inputs_finite is the step's one finiteness verdict on the loss and
+    gradient, by all_finite (one np.vdot sum of squares, with the entry scan
+    only when that sum is not finite). It is taken only where it is read: an
+    enabled guard skips unless it holds (taken again after a burst), and a
+    clip clips only finite inputs. A disabled guard with no clip takes none,
+    since its select_posture returns NEUTRAL_POSTURE whatever it is passed
+    and its apply_posture runs unchecked. adamw_step runs unchecked here (a
+    disabled guard lets a non-finite gradient through, as plain AdamW).
     A finite entry whose square overflows (|g| above ~1.3e154) is not
     skipped, and it makes AdamW's second moment inf: every later delta of
     that parameter is 0, so the parameter stays frozen for the rest of the
     run; the log shows no more than a grad_rms of None on a stats step.
     """
     grads = np.asarray(grads, dtype=float)
-    inputs_finite = bool(math.isfinite(loss) and np.isfinite(grads).all())
+    enabled = gov.cfg.auto_enabled
+    inputs_finite = True
+    if enabled or clip is not None:
+        inputs_finite = math.isfinite(loss) and all_finite(grads)
     if clip is not None and inputs_finite:
         grads, _ = clip_global_norm(grads, clip.g)
     if grad_scale != 1.0:
         grads = grads * grad_scale
-        inputs_finite = inputs_finite and bool(np.isfinite(grads).all())
+        if enabled and inputs_finite:
+            inputs_finite = all_finite(grads)
     posture = gov.observe(step, loss, grads, lr_t, inputs_finite)
     if posture.skip_step:
         return params, opt_state, gov.log.records[-1]
     delta, new_state = adamw_step(opt_state, params, grads, lr_t, opt_cfg, check_finite=False)
-    scaled = apply_posture(delta, posture, check_finite=gov.cfg.auto_enabled)
+    scaled = apply_posture(delta, posture, check_finite=enabled)
     return params + scaled, new_state, gov.log.records[-1]

@@ -25,6 +25,7 @@ from guardlab.governor import (
     TelemetryError,
     TelemetrySample,
     TelemetrySummary,
+    all_finite,
     apply_posture,
     classify_regime,
     probe_rms,
@@ -95,6 +96,21 @@ def test_gradient_rms_rejects_empty_and_non_finite():
     for bad in (math.nan, math.inf, -math.inf):
         assert probe_rms(np.array([1.0, bad])) is None
     assert probe_rms(np.array([1e200, -1e200])) is None
+
+
+# Signed zeros, the smallest subnormal, non-finite values, and finite values
+# whose squares (1e200) or whose sum of squares (1e308, twice) overflow.
+FINITENESS_SPECIALS = [-0.0, 0.0, 5e-324, math.inf, -math.inf, math.nan, 1e200, -1e200, 1e308]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(FINITENESS_SPECIALS),
+                          st.floats(allow_nan=False, allow_infinity=False)),
+                max_size=64))
+def test_all_finite_is_isfinite_all_and_never_warns(values):
+    # Run under tier-1's error::RuntimeWarning filter, so a warning fails it.
+    x = np.array(values, dtype=float)
+    assert all_finite(x) is bool(np.isfinite(x).all())
 
 
 @pytest.mark.parametrize("n", [1, 7, 20, 1024, 1031])

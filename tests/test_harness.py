@@ -553,7 +553,7 @@ def test_a_rung_keeps_the_largest_pre_burst_gradient_sum_of_squares(monkeypatch)
                     injection=INJECTIONS["gradient_burst"], label="probe")
     lrs = [1e-3, 0.1, 13.1072]
     real = optim.clip_global_norm
-    for lr, rung in zip(lrs, run_probe_ladder(cfg, lrs)):
+    for lr, rung in zip(lrs, run_probe_ladder(cfg, lrs, track_sumsq=True)):
         norms = []
 
         def recording(grads, g):
@@ -567,8 +567,30 @@ def test_a_rung_keeps_the_largest_pre_burst_gradient_sum_of_squares(monkeypatch)
         assert len(norms) == cfg.steps
         assert math.isclose(rung.max_grad_sumsq, max(norms) ** 2, rel_tol=1e-12), lr
     with np.errstate(all="ignore"):
-        (dead,) = run_probe_ladder(replace(cfg, task=NOISELESS_QUAD, injection=None), [1e300])
+        (dead,) = run_probe_ladder(replace(cfg, task=NOISELESS_QUAD, injection=None), [1e300],
+                                   track_sumsq=True)
     assert not math.isfinite(dead.max_grad_sumsq)
+
+
+def test_an_untracked_rung_holds_an_inf_sum_of_squares_and_replays_no_clip_arm():
+    from guardlab.harness import ladder_rung, probe_config
+
+    arm = RunConfig(task=TaskSpec(**TAKEN_BIGRAM), opt=OptimizerConfig(lr=1e-3),
+                    clip=ClipConfig(g=10.0), steps=30, batch_size=8, eval_every=3, seed=3,
+                    label="x-clip")
+    probe = probe_config(arm)
+    untracked, tracked = (run_probe_ladder(probe, [1e-3], track_sumsq=track)[0]
+                          for track in (False, True))
+    assert untracked.max_grad_sumsq == math.inf
+    assert math.isfinite(tracked.max_grad_sumsq)
+    # Everything else a rung holds is the same either way.
+    assert untracked.losses.tobytes() == tracked.losses.tobytes()
+    assert untracked.params.tobytes() == tracked.params.tobytes()
+    assert untracked.grad_rms == tracked.grad_rms
+    # inf reads as "the clip may have fired": the arm runs, and the tracked rung replays it.
+    assert ladder_rung(arm, {probe: [untracked]}) is None
+    assert ladder_rung(arm, {probe: [tracked]}) is tracked
+    assert ladder_rung(replace(arm, clip=None), {probe: [untracked]}) is untracked
 
 
 @pytest.mark.parametrize("sumsq, replays", [

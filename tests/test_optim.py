@@ -494,3 +494,41 @@ def test_an_enabled_guard_never_steps_adamw_on_a_non_finite_gradient(
     overflows = clip is None and burst != 1.0
     assert rec.skipped == (not (math.isfinite(loss) and math.isfinite(grad)) or overflows)
     assert len(calls) == (0 if rec.skipped else 1)
+
+
+@pytest.mark.parametrize("auto_enabled, clip, burst, skip, calls", [
+    (False, None, 1.0, False, 0),
+    (False, None, 50.0, False, 0),
+    (False, ClipConfig(g=1.0), 1.0, False, 1),
+    (False, ClipConfig(g=1.0), 50.0, False, 1),
+    (True, None, 1.0, False, 2),
+    (True, None, 50.0, False, 3),
+    (True, ClipConfig(g=1.0), 50.0, False, 3),
+    (True, None, 1e308, True, 2),
+], ids=["off", "off-burst", "off-clip", "off-clip-burst", "on", "on-burst", "on-clip-burst",
+        "on-burst-overflow"])
+def test_the_finiteness_verdict_is_taken_only_where_it_is_read(
+    monkeypatch, auto_enabled, clip, burst, skip, calls
+):
+    # With a finite loss: none for a disabled guard without a clip, one for a
+    # disabled clip arm (the clip reads it), and for an enabled guard one,
+    # one more after a burst, and one in apply_posture unless the step skips.
+    import guardlab.governor as governor
+
+    counted = []
+    real = governor.all_finite
+
+    def counting(x):
+        counted.append(x)
+        return real(x)
+
+    monkeypatch.setattr(governor, "all_finite", counting)
+    monkeypatch.setattr(optim, "all_finite", counting)
+    with np.errstate(over="ignore"):
+        _, _, rec = guarded_step(
+            Governor(GuardConfig(auto_enabled=auto_enabled)), init_optimizer_state(2),
+            np.zeros(2), np.array([3.0, 5.0]), 1.0, 0, 0.1, OptimizerConfig(lr=0.1), clip,
+            grad_scale=burst,
+        )
+    assert rec.skipped == skip
+    assert len(counted) == calls
