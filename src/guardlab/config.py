@@ -201,6 +201,12 @@ def _scenario_fields(scen: ScenarioSpec, tasks: Dict[str, TaskSpec]) -> dict:
                 eval_every=scen.eval_every, injection=scen.injection)
 
 
+def _suite_fields(cfg: SuiteConfig, lr: float) -> dict:
+    """The RunConfig fields that cfg's optimizer and schedule sections set, at rate lr."""
+    return dict(opt=replace(cfg.optimizer, lr=lr), schedule_kind=cfg.schedule.kind,
+                min_lr=cfg.schedule.min_lr)
+
+
 def _scenario_lr(value) -> Union[str, float]:
     """A preset name as given, or a rate, which must be a positive number."""
     if isinstance(value, str):
@@ -255,9 +261,7 @@ def run_config(cfg: SuiteConfig, seed: int) -> RunConfig:
         raise ConfigError(f"run.task references unknown task {run.task!r}")
     return RunConfig(
         task=cfg.tasks[run.task],
-        opt=cfg.optimizer if run.lr is None else replace(cfg.optimizer, lr=run.lr),
-        schedule_kind=cfg.schedule.kind,
-        min_lr=cfg.schedule.min_lr,
+        **_suite_fields(cfg, cfg.optimizer.lr if run.lr is None else run.lr),
         guard=cfg.guard if run.arm == "guard" else None,
         clip=None if run.clip_g is None else ClipConfig(g=run.clip_g),
         steps=run.steps,
@@ -328,9 +332,8 @@ def _pairs(cfg: SuiteConfig, scen: ScenarioSpec,
     against the guard arm."""
     pairs = []
     for seed in cfg.seeds:
-        base = RunConfig(opt=replace(cfg.optimizer, lr=lr), schedule_kind=cfg.schedule.kind,
-                         min_lr=cfg.schedule.min_lr, seed=seed,
-                         label=f"{scen.name}-baseline", **_scenario_fields(scen, cfg.tasks))
+        base = RunConfig(seed=seed, label=f"{scen.name}-baseline", **_suite_fields(cfg, lr),
+                         **_scenario_fields(scen, cfg.tasks))
         guard = replace(base, guard=cfg.guard, label=f"{scen.name}-guard")
         if scen.kind in CLIP_KINDS:
             pairs += [(f"{scen.name}/clip_g={g}",

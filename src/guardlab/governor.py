@@ -35,10 +35,6 @@ class TelemetryError(ValueError):
     """Telemetry input rejected (non-finite where finite is required)."""
 
 
-class NonFiniteGradientError(TelemetryError):
-    """A gradient entry is NaN or infinite."""
-
-
 class Regime(str, Enum):
     STABLE = "stable"
     STRESS = "stress"

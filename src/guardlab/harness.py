@@ -329,9 +329,7 @@ def run_probe_ladder(cfg: RunConfig, lrs: Sequence[float],
             grads = grads * burst
         if step % guard.stats_freq == 0:
             rms_steps.append(probe_rms_rows(grads))
-        delta, opt_state = adamw_step(
-            opt_state, params, grads, lr_t, cfg.opt, check_finite=False
-        )
+        delta, opt_state = adamw_step(opt_state, params, grads, lr_t, cfg.opt)
         params += delta
         if (step + 1) % cfg.eval_every == 0:
             for trace, ev in zip(traces, evaluate_rows(task, params)):
@@ -444,7 +442,7 @@ Out = TypeVar("Out")
 
 
 def parallel_map(fn: Callable[[Item], Out], items: Sequence[Item],
-                 steps: Callable[[Item], int] = lambda item: item.steps) -> List[Out]:
+                 steps: Callable[[Item], int]) -> List[Out]:
     """[fn(item) for item in items], run on one forked worker per usable CPU.
 
     Items start most steps(item) first, so a long one does not finish last

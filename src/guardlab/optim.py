@@ -14,13 +14,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .governor import (
-    Governor,
-    NonFiniteGradientError,
-    StepRecord,
-    all_finite,
-    apply_posture,
-)
+from .governor import Governor, StepRecord, all_finite, apply_posture
 
 
 @dataclass(frozen=True)
@@ -91,17 +85,13 @@ def adamw_step(
     grads: np.ndarray,
     lr_t: float,
     cfg: OptimizerConfig,
-    check_finite: bool = True,
 ) -> Tuple[np.ndarray, OptimizerState]:
     """One AdamW step; returns the delta, does not apply it.
 
-    With check_finite=False a non-finite gradient propagates through the
-    moments and delta (baseline arms emulate an ungoverned optimizer; the
-    governed path skips before reaching here).
+    Plain AdamW, with no finiteness check: a non-finite gradient propagates
+    through the moments and delta.
     """
     grads = np.asarray(grads, dtype=float)
-    if check_finite and not all_finite(grads):
-        raise NonFiniteGradientError("adamw_step on non-finite gradient")
     t = state.t + 1
     # The textbook expression
     #   -lr_t * (m_hat / (sqrt(v_hat) + eps) + weight_decay * params)
@@ -132,21 +122,18 @@ def adamw_step(
 def clip_global_norm(grads: np.ndarray, g: float) -> Tuple[np.ndarray, float]:
     """Rescale so the global L2 norm does not exceed g; direction preserved.
 
-    Returns (grads, pre_norm), grads itself when the clip does not fire. A
-    NaN or infinite entry raises NonFiniteGradientError.
+    Returns (grads, pre_norm), grads itself when the clip does not fire or
+    an entry is NaN or infinite: a non-finite gradient passes through.
     """
     if g <= 0.0:
         raise ValueError("clip threshold g must be > 0")
     grads = np.asarray(grads, dtype=float)
-    # np.linalg.norm's own arithmetic, without its wrapper.
+    # np.linalg.norm's arithmetic (the same sum in memory order), by np.vdot,
+    # which does not warn when the sum of squares overflows.
     flat = grads.ravel(order="K")
-    pre_norm = math.sqrt(flat.dot(flat))
-    # A finite norm proves every entry finite, so only an infinite or NaN
-    # norm (a non-finite entry, or finite squares whose sum overflows) pays
-    # for the entry scan.
-    if not math.isfinite(pre_norm) and not np.isfinite(grads).all():
-        raise NonFiniteGradientError("clip_global_norm on non-finite gradient")
-    if pre_norm <= g:
+    pre_norm = math.sqrt(np.vdot(flat, flat))
+    # A finite norm proves every entry finite: only a non-finite one pays for the entry scan.
+    if pre_norm <= g or not (math.isfinite(pre_norm) or np.isfinite(grads).all()):
         return grads, pre_norm
     if math.isinf(pre_norm):
         # The sum of squares overflows: take the direction from a copy divided by max|g|.
@@ -202,14 +189,14 @@ def guarded_step(
     sensing stage still observes the corrupted gradient, and a burst that
     overflows it to non-finite skips the step.
 
-    inputs_finite is the step's one finiteness verdict on the loss and
-    gradient, by all_finite (one np.vdot sum of squares, with the entry scan
-    only when that sum is not finite). It is taken only where it is read: an
-    enabled guard skips unless it holds (taken again after a burst), and a
-    clip clips only finite inputs. A disabled guard with no clip takes none,
-    since its select_posture returns NEUTRAL_POSTURE whatever it is passed
-    and its apply_posture runs unchecked. adamw_step runs unchecked here (a
-    disabled guard lets a non-finite gradient through, as plain AdamW).
+    inputs_finite is the step's one finiteness verdict, all_finite (one
+    np.vdot sum of squares, the entry scan only when that sum is not finite)
+    on the loss and the gradient after the clip and burst, taken only for an
+    enabled guard, which skips unless it holds; a disabled guard's posture
+    is neutral whatever it is passed. A clip runs only beside a finite loss.
+    A non-finite gradient stays non-finite through the clip and any burst,
+    and adamw_step takes no verdict (a disabled guard lets it through, as
+    plain AdamW).
     A finite entry whose square overflows (|g| above ~1.3e154) is not
     skipped, and it makes AdamW's second moment inf: every later delta of
     that parameter is 0, so the parameter stays frozen for the rest of the
@@ -217,18 +204,14 @@ def guarded_step(
     """
     grads = np.asarray(grads, dtype=float)
     enabled = gov.cfg.auto_enabled
-    inputs_finite = True
-    if enabled or clip is not None:
-        inputs_finite = math.isfinite(loss) and all_finite(grads)
-    if clip is not None and inputs_finite:
+    if clip is not None and math.isfinite(loss):
         grads, _ = clip_global_norm(grads, clip.g)
     if grad_scale != 1.0:
         grads = grads * grad_scale
-        if enabled and inputs_finite:
-            inputs_finite = all_finite(grads)
+    inputs_finite = not enabled or (math.isfinite(loss) and all_finite(grads))
     posture = gov.observe(step, loss, grads, lr_t, inputs_finite)
     if posture.skip_step:
         return params, opt_state, gov.log.records[-1]
-    delta, new_state = adamw_step(opt_state, params, grads, lr_t, opt_cfg, check_finite=False)
+    delta, new_state = adamw_step(opt_state, params, grads, lr_t, opt_cfg)
     scaled = apply_posture(delta, posture, check_finite=enabled)
     return params + scaled, new_state, gov.log.records[-1]

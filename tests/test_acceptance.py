@@ -246,8 +246,7 @@ def test_c04_off_switch_equivalence():
             params_a, state_a, _ = guarded_step(
                 gov, state_a, params_a, grads, loss, step, lr_t, opt
             )
-            delta, state_b = adamw_step(state_b, params_b, grads, lr_t, opt,
-                                        check_finite=False)
+            delta, state_b = adamw_step(state_b, params_b, grads, lr_t, opt)
             params_b = params_b + delta
             if not np.array_equal(params_a, params_b):
                 mismatched.append((kind, step))

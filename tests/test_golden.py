@@ -22,13 +22,16 @@ kept its per-step data.
 import csv
 import hashlib
 import json
+import re
 from pathlib import Path
 
-from guardlab import harness
+from guardlab import cli, harness
 from guardlab.cli import main
 
 GOLDEN_SUITE_SHA256 = "1881e2ff97a4b6255d98d3b76dce09750ce2313f29b84167d1e51524e34ed415"
-SHIPPED = Path(__file__).resolve().parents[1] / "configs" / "default_suite.json"
+ROOT = Path(__file__).resolve().parents[1]
+SHIPPED = ROOT / "configs" / "default_suite.json"
+README = ROOT / "README.md"
 SHIPPED_SUITE_SHA256 = "61ef9f52f71a8d961b765176bd3e1a9343d6bc784a3b3f6aa90851530caf557d"
 
 TINY_SUITE = {
@@ -88,7 +91,21 @@ def test_tiny_suite_outputs_match_the_golden_digest(tmp_path, workers, monkeypat
         assert not {"lr-stress-baseline", "lr-moderate-baseline", "long-baseline"} & set(ran)
 
 
-def test_shipped_suite_outputs_match_the_golden_digest(tmp_path):
+def test_shipped_suite_outputs_match_the_golden_digest(tmp_path, monkeypatch):
+    # The suite's expand_scenarios also gives the map `guardlab calibrate`
+    # prints (test_cli ties the two), which must stay the one README documents.
+    rates = {}
+    real = cli.expand_scenarios
+
+    def recording(cfg, ladders=None):
+        pairs = real(cfg, ladders)
+        rates.update((scenario, base.opt.lr) for scenario, base, _ in pairs)
+        return pairs
+
+    monkeypatch.setattr(cli, "expand_scenarios", recording)
     out = tmp_path / "out"
     assert main(["--config", str(SHIPPED), "--out", str(out), "--quiet", "suite"]) == 0
     assert suite_digest(out) == SHIPPED_SUITE_SHA256
+    readme = README.read_text(encoding="utf-8")
+    block = re.search(r"configs/default_suite\.json calibrate\n((?:#.*\n)+)", readme).group(1)
+    assert rates == json.loads("".join(line[1:] for line in block.splitlines()))
