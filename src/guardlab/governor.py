@@ -39,7 +39,6 @@ class Regime(str, Enum):
     STABLE = "stable"
     STRESS = "stress"
     SPIKE = "spike"
-    RECOVERY = "recovery"
 
 
 @dataclass(frozen=True)
@@ -54,7 +53,6 @@ class GuardConfig:
     recovery_fast: float = 0.005
     ema_decay: float = 0.98
     c_min: float = 0.05
-    recovery_confirm: int = 3
 
     def __post_init__(self):
         if self.stats_freq < 1:
@@ -69,8 +67,6 @@ class GuardConfig:
             raise ValueError("ema_decay must lie in (0, 1)")
         if not 0.0 < self.c_min <= C_MAX:
             raise ValueError("c_min must lie in (0, C_MAX]")
-        if self.recovery_confirm < 1:
-            raise ValueError("recovery_confirm must be >= 1")
 
 
 # The values a step passes between the governor's functions are NamedTuples,
@@ -91,8 +87,6 @@ class TelemetrySample(NamedTuple):
 class AnalyzerState(NamedTuple):
     loss_ema: float = 0.0
     rms_ema: Optional[float] = None
-    regime: Regime = Regime.STABLE
-    improving_streak: int = 0
     initialized: bool = False
 
 
@@ -226,31 +220,22 @@ def classify_regime(
     sample: TelemetrySample,
     state: AnalyzerState,
     cfg: GuardConfig,
-    current_scale: float = 1.0,
 ) -> tuple:
     """Assign an operating regime and advance the analyzer state.
 
-    Ratio triggers: r = loss / loss_ema (spike/stress), rho = grad_rms /
-    rms_ema (stress, probe steps only). Recovery requires
-    ``recovery_confirm`` consecutive improving observations (r <= 1) and
-    holds while the scale has not yet been released back to C_MAX; once the
-    bound is reached the regime returns to Stable. Non-finite losses are
-    classified Spike and never enter the EMA.
+    Spike when r = loss / loss_ema reaches spike_threshold or the loss is
+    non-finite; stress when r, or rho = grad_rms / rms_ema (probe steps
+    only), reaches stress_threshold; stable otherwise. Non-finite losses
+    never enter the EMA.
     """
     loss = sample.loss
     finite = math.isfinite(loss)
 
     if not state.initialized:
         if not finite:
-            return Regime.SPIKE, state._replace(regime=Regime.SPIKE, improving_streak=0)
-        new = AnalyzerState(
-            loss_ema=loss,
-            rms_ema=sample.grad_rms,
-            regime=Regime.STABLE,
-            improving_streak=0,
-            initialized=True,
-        )
-        return Regime.STABLE, new
+            return Regime.SPIKE, state
+        return Regime.STABLE, AnalyzerState(loss_ema=loss, rms_ema=sample.grad_rms,
+                                            initialized=True)
 
     r = loss / max(state.loss_ema, _EMA_FLOOR) if finite else math.inf
     rho = None
@@ -259,17 +244,10 @@ def classify_regime(
 
     if not finite or r >= cfg.spike_threshold:
         regime = Regime.SPIKE
-        streak = 0
     elif r >= cfg.stress_threshold or (rho is not None and rho >= cfg.stress_threshold):
         regime = Regime.STRESS
-        streak = 0
     else:
-        streak = state.improving_streak + 1 if r <= 1.0 else 0
-        released = current_scale >= C_MAX - ACTIVE_SCALE_TOLERANCE
-        if not released and (streak >= cfg.recovery_confirm or state.regime is Regime.RECOVERY):
-            regime = Regime.RECOVERY
-        else:
-            regime = Regime.STABLE
+        regime = Regime.STABLE
 
     loss_ema = update_ema(state.loss_ema, loss, cfg.ema_decay) if finite else state.loss_ema
     rms_ema = state.rms_ema
@@ -279,14 +257,7 @@ def classify_regime(
             if rms_ema is None
             else update_ema(rms_ema, sample.grad_rms, cfg.ema_decay)
         )
-    new = AnalyzerState(
-        loss_ema=loss_ema,
-        rms_ema=rms_ema,
-        regime=regime,
-        improving_streak=streak,
-        initialized=True,
-    )
-    return regime, new
+    return regime, AnalyzerState(loss_ema=loss_ema, rms_ema=rms_ema, initialized=True)
 
 
 def select_posture(
@@ -402,9 +373,7 @@ class Governor:
     def govern(self, sample: TelemetrySample, inputs_finite: bool) -> ControlPosture:
         """observe's passes after sense: classify the sample, select the
         posture and log the step."""
-        regime, self.state = classify_regime(
-            sample, self.state, self.cfg, current_scale=self.posture.scale
-        )
+        regime, self.state = classify_regime(sample, self.state, self.cfg)
         self.posture = posture = select_posture(regime, self.posture, self.cfg, inputs_finite)
         self.log.append(StepRecord(
             step=sample.step,

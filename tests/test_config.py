@@ -87,13 +87,15 @@ def test_preset_below_min_lr_is_a_config_error(monkeypatch):
 
 def test_guard_keys_are_exact():
     keys = {f.name for f in dataclasses.fields(GuardConfig)}
-    assert len(keys) == 8
+    assert len(keys) == 7
     assert set(emit_config(parse_config(MINIMAL))["guard"]) == keys
 
 
 def test_removed_use_max_rms_is_an_unknown_key():
-    with pytest.raises(ConfigError, match="unknown key 'use_max_rms' in section 'guard'"):
-        parse_config({**MINIMAL, "guard": {"use_max_rms": True}})
+    # Each removed guard knob: a config that still sets it is rejected.
+    for key, value in (("use_max_rms", True), ("recovery_confirm", 3)):
+        with pytest.raises(ConfigError, match=f"unknown key '{key}' in section 'guard'"):
+            parse_config({**MINIMAL, "guard": {key: value}})
 
 
 def test_scenario_run_limits_are_checked_at_parse_time():
@@ -407,7 +409,7 @@ def test_unknown_task_kinds_and_dims_are_rejected_at_parse_time(task, message):
 INTEGERS = {
     "seeds": [7],
     "tasks": {"toy": {"kind": "quadratic", "dims": {"dim": 4}}},
-    "guard": {"stats_freq": 10, "recovery_confirm": 3},
+    "guard": {"stats_freq": 10},
     "scenarios": [
         {"name": "demo", "kind": "injection", "task": "toy", "steps": 20, "lr": 0.01,
          "batch_size": 8, "eval_every": 10, "injection": {"period": 5, "steps": [3]}},
@@ -420,7 +422,6 @@ INTEGERS = {
     (("seeds", 0), "root"),
     (("tasks", "toy", "dims", "dim"), "tasks.toy"),
     (("guard", "stats_freq"), "guard"),
-    (("guard", "recovery_confirm"), "guard"),
     (("scenarios", 0, "steps"), "scenarios[0]"),
     (("scenarios", 0, "batch_size"), "scenarios[0]"),
     (("scenarios", 0, "eval_every"), "scenarios[0]"),
@@ -685,7 +686,7 @@ FULL = {
     "schedule": {"kind": "constant", "min_lr": 1e-4},
     "guard": {"auto_enabled": False, "stats_freq": 5, "stress_threshold": 1.5,
               "spike_threshold": 2.5, "recovery_fast": 0.01, "ema_decay": 0.9,
-              "c_min": 0.1, "recovery_confirm": 2},
+              "c_min": 0.1},
     "scenarios": [
         {"name": "inj", "kind": "injection", "task": "q", "steps": 40, "lr": "safe",
          "batch_size": 4, "eval_every": 8, "clip_g": [2.0],

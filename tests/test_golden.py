@@ -17,6 +17,11 @@ The shipped configuration's digest pins the full default suite the same way,
 on every usable CPU. It was recorded with numpy 2.4.6, before suite runs came
 back from their workers as summary rows and before every calibration rung
 kept its per-step data.
+
+Both digests were re-recorded when the recovery regime was deleted. The only
+change was the JSONL regime labels, each "recovery" now "stable", and with
+them the regime_switches of each summary and suite.csv row; every other
+byte was unchanged.
 """
 
 import csv
@@ -28,11 +33,11 @@ from pathlib import Path
 from guardlab import cli, harness
 from guardlab.cli import main
 
-GOLDEN_SUITE_SHA256 = "1881e2ff97a4b6255d98d3b76dce09750ce2313f29b84167d1e51524e34ed415"
+GOLDEN_SUITE_SHA256 = "4d43675ec28906c0987462bcf476fe2f25852fe706078141760689326e48ec32"
 ROOT = Path(__file__).resolve().parents[1]
 SHIPPED = ROOT / "configs" / "default_suite.json"
 README = ROOT / "README.md"
-SHIPPED_SUITE_SHA256 = "61ef9f52f71a8d961b765176bd3e1a9343d6bc784a3b3f6aa90851530caf557d"
+SHIPPED_SUITE_SHA256 = "c95574bb0a8e06a3dfc171307dfaf7ea05f15b84e0947d51e3db3deafa3def6e"
 
 TINY_SUITE = {
     "seeds": [7],

@@ -185,11 +185,8 @@ def test_sense_rejects_negative_step():
 # --------------------------------------------------------------------------
 
 
-def _initialized_state(loss_ema=1.0, regime=Regime.STABLE, streak=0):
-    return AnalyzerState(
-        loss_ema=loss_ema, rms_ema=None, regime=regime,
-        improving_streak=streak, initialized=True,
-    )
+def _initialized_state(loss_ema=1.0):
+    return AnalyzerState(loss_ema=loss_ema, rms_ema=None, initialized=True)
 
 
 def _sample(loss, step=1, grad_rms=None):
@@ -218,10 +215,7 @@ def test_classify_stress_on_loss_ratio():
 
 
 def test_classify_stress_on_gradient_ratio():
-    state = AnalyzerState(
-        loss_ema=1.0, rms_ema=1.0, regime=Regime.STABLE,
-        improving_streak=0, initialized=True,
-    )
+    state = AnalyzerState(loss_ema=1.0, rms_ema=1.0, initialized=True)
     regime, _ = classify_regime(_sample(1.0, step=0, grad_rms=2.0), state, CFG)
     assert regime is Regime.STRESS
 
@@ -237,35 +231,6 @@ def test_classify_first_non_finite_observation_is_spike():
     regime, state = classify_regime(_sample(math.nan, step=0), AnalyzerState(), CFG)
     assert regime is Regime.SPIKE
     assert not state.initialized
-
-
-def test_classify_streak_resets_on_spike_and_stress():
-    state = _initialized_state(1.0, streak=2)
-    _, after_spike = classify_regime(_sample(5.0), state, CFG)
-    assert after_spike.improving_streak == 0
-    _, after_stress = classify_regime(_sample(1.3), state, CFG)
-    assert after_stress.improving_streak == 0
-
-
-def test_classify_recovery_after_confirmed_improvement():
-    # After a spike, recovery_confirm consecutive improving observations
-    # enter Recovery while the scale is still below C_MAX.
-    cfg = GuardConfig(recovery_confirm=3)
-    state = _initialized_state(1.0, regime=Regime.SPIKE)
-    regimes = []
-    for _ in range(4):
-        regime, state = classify_regime(_sample(0.5), state, cfg, current_scale=0.5)
-        regimes.append(regime)
-    assert regimes[:2] == [Regime.STABLE, Regime.STABLE]
-    assert regimes[2] is Regime.RECOVERY
-    assert regimes[3] is Regime.RECOVERY
-
-
-def test_classify_recovery_ends_when_scale_released():
-    cfg = GuardConfig(recovery_confirm=1)
-    state = _initialized_state(1.0, regime=Regime.RECOVERY, streak=5)
-    regime, _ = classify_regime(_sample(0.5), state, cfg, current_scale=1.0)
-    assert regime is Regime.STABLE
 
 
 def test_classify_non_finite_never_enters_ema():
@@ -289,17 +254,11 @@ def test_classify_ema_updates_after_classification():
     loss_ema=st.floats(-1e6, 1e6),
     grad_rms=st.one_of(st.none(), st.floats(0, 1e9)),
     rms_ema=st.one_of(st.none(), st.floats(0, 1e9)),
-    regime=st.sampled_from(list(Regime)),
-    streak=st.integers(0, 10),
-    scale=st.floats(0.05, 1.0),
 )
-def test_classify_regime_totality(loss, loss_ema, grad_rms, rms_ema, regime, streak, scale):
-    state = AnalyzerState(
-        loss_ema=loss_ema, rms_ema=rms_ema, regime=regime,
-        improving_streak=streak, initialized=True,
-    )
+def test_classify_regime_totality(loss, loss_ema, grad_rms, rms_ema):
+    state = AnalyzerState(loss_ema=loss_ema, rms_ema=rms_ema, initialized=True)
     sample = TelemetrySample(step=0, loss=loss, grad_rms=grad_rms, lr=0.1)
-    out, new_state = classify_regime(sample, state, CFG, current_scale=scale)
+    out, new_state = classify_regime(sample, state, CFG)
     assert out in list(Regime)
     assert math.isfinite(new_state.loss_ema)
 
@@ -320,8 +279,9 @@ def test_posture_stable_identity_at_bound():
 
 
 def test_posture_recovery_release():
+    # Release runs at recovery_fast in the stable regime.
     cfg = GuardConfig(recovery_fast=0.1)
-    posture = select_posture(Regime.RECOVERY, ControlPosture(scale=0.5), cfg, True)
+    posture = select_posture(Regime.STABLE, ControlPosture(scale=0.5), cfg, True)
     assert posture.scale == pytest.approx(0.55, rel=1e-12)
 
 
@@ -494,7 +454,7 @@ def test_finalize_skipped_contributes_one():
 
 def test_regime_switch_count():
     log = StepLog()
-    regimes = [Regime.STABLE, Regime.SPIKE, Regime.SPIKE, Regime.RECOVERY]
+    regimes = [Regime.STABLE, Regime.SPIKE, Regime.SPIKE, Regime.STRESS]
     for i, r in enumerate(regimes):
         log.append(_rec(i, regime=r))
     assert summarize_records(log.records).regime_switches == 2
@@ -562,7 +522,7 @@ def test_write_jsonl_equals_json_dumps_line_for_line():
     floats = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 0.1, 1e16, 1e22, 1 / 3,
               -2.5e-308, 1.7976931348623157e308, 123456789.125]
     records = []
-    for i, (x, regime) in enumerate(zip(floats * 4, list(Regime) * 13)):
+    for i, (x, regime) in enumerate(zip(floats * 4, list(Regime) * 18)):
         records.append(StepRecord(
             step=i, loss=x, loss_ema=floats[-1 - i % len(floats)], regime=regime,
             scale=x if i % 3 else 0.05, active=bool(i % 2), skipped=not i % 5,
@@ -574,7 +534,7 @@ def test_write_jsonl_equals_json_dumps_line_for_line():
     records.append(StepRecord(step=10**30 + 1, loss=np.float64(0.1), loss_ema=np.float64(math.nan),
                               regime="stable", scale=1, active=False, skipped=False,
                               grad_rms=np.float64(2.0), lr=7))
-    records.append(StepRecord(step=10**30 + 2, loss=-0, loss_ema=True, regime=Regime.RECOVERY,
+    records.append(StepRecord(step=10**30 + 2, loss=-0, loss_ema=True, regime=Regime.STRESS,
                               scale=np.float64(-0.0), active=True, skipped=True, grad_rms=0,
                               lr=np.float64(1e22)))
     buf = io.StringIO()
@@ -637,8 +597,7 @@ _REQUIRED = object()
 @pytest.mark.parametrize("cls, defaults", [
     (TelemetrySample, {"step": _REQUIRED, "loss": _REQUIRED, "grad_rms": _REQUIRED,
                        "lr": _REQUIRED}),
-    (AnalyzerState, {"loss_ema": 0.0, "rms_ema": None, "regime": Regime.STABLE,
-                     "improving_streak": 0, "initialized": False}),
+    (AnalyzerState, {"loss_ema": 0.0, "rms_ema": None, "initialized": False}),
     (ControlPosture, {"scale": 1.0, "skip_step": False}),
 ], ids=lambda x: getattr(x, "__name__", ""))
 def test_governor_values_are_immutable_with_their_fields_and_defaults(cls, defaults):
@@ -668,7 +627,7 @@ def test_governor_values_are_immutable_with_their_fields_and_defaults(cls, defau
         {"ema_decay": 1.0},
         {"c_min": 1.5},
         {"c_min": 0.0},
-        {"recovery_confirm": 0},
+        {"ema_decay": 0.0},
     ],
 )
 def test_guard_config_rejects_invalid(kwargs):

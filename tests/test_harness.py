@@ -183,7 +183,7 @@ def test_write_run_artifacts_paths(tmp_path):
 
 
 # Each GuardConfig field moved away from its default. A field missing here
-# fails its case below, so a new knob must show an effect to ship.
+# fails its case below, so a new knob must move the params to ship.
 GUARD_FIELD_AWAY = {
     "auto_enabled": False,
     "stats_freq": 3,
@@ -192,11 +192,11 @@ GUARD_FIELD_AWAY = {
     "recovery_fast": 0.05,
     "ema_decay": 0.9,
     "c_min": 0.9,
-    "recovery_confirm": 1,
 }
 
 
-def _guard_jsonl(guard: GuardConfig) -> str:
+def _guard_run(guard: GuardConfig) -> tuple:
+    """A bursty bigram run's JSONL text and final params bytes."""
     cfg = RunConfig(
         task=TaskSpec(kind="bigram_lm", dims={"alphabet": 8, "corpus_len": 256, "eval_len": 64}),
         opt=OptimizerConfig(lr=1.0),
@@ -206,15 +206,48 @@ def _guard_jsonl(guard: GuardConfig) -> str:
         seed=7,
         injection=InjectionSpec(magnitude=50.0, period=25, mode="gradient_burst"),
     )
+    result = run_training(cfg)
     buf = io.StringIO()
-    run_training(cfg).log.write_jsonl(buf)
-    return buf.getvalue()
+    result.log.write_jsonl(buf)
+    return buf.getvalue(), result.params.tobytes()
 
 
 @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(GuardConfig)])
 def test_every_guard_config_field_changes_the_telemetry(name):
-    away = GuardConfig(**{name: GUARD_FIELD_AWAY[name]})
-    assert _guard_jsonl(away) != _guard_jsonl(GuardConfig())
+    # A knob that only relabels the log changes the JSONL but not the run:
+    # the final params must differ too.
+    away_jsonl, away_params = _guard_run(GuardConfig(**{name: GUARD_FIELD_AWAY[name]}))
+    jsonl, params = _guard_run(GuardConfig())
+    assert away_jsonl != jsonl
+    assert away_params != params
+
+
+def test_the_jsonl_explains_every_posture():
+    # Folding select_posture over each line's logged regime and finiteness,
+    # from the neutral posture, gives every line's scale and skip: the log
+    # alone says why the governor acted. The run visits all three regimes.
+    from guardlab.governor import (NEUTRAL_POSTURE, Regime, record_from_json_dict,
+                                   select_posture)
+
+    guard = GuardConfig()
+    cfg = RunConfig(
+        task=TaskSpec(kind="bigram_lm"),
+        opt=OptimizerConfig(lr=13.1072),
+        guard=guard,
+        steps=200,
+        eval_every=200,
+        seed=7,
+        injection=InjectionSpec(magnitude=50.0, period=25, mode="gradient_burst"),
+    )
+    buf = io.StringIO()
+    run_training(cfg).log.write_jsonl(buf)
+    records = [record_from_json_dict(json.loads(ln)) for ln in buf.getvalue().splitlines()]
+    assert len(records) == 200
+    assert {rec.regime for rec in records} == set(Regime)
+    posture = NEUTRAL_POSTURE
+    for rec in records:
+        posture = select_posture(rec.regime, posture, guard, not rec.skipped)
+        assert (posture.scale, posture.skip_step) == (rec.scale, rec.skipped), rec.step
 
 
 def test_run_result_reports_finite_metrics():
