@@ -36,7 +36,7 @@ def main() -> int:
     results = {"baseline": run_training(base), "guard": run_training(guard)}
 
     print(f"{'step':>6} {'baseline loss':>14} {'guard loss':>11}")
-    for (step, base_loss, _), (_, guard_loss, _) in zip(
+    for (step, base_loss), (_, guard_loss) in zip(
         results["baseline"].eval_trace, results["guard"].eval_trace
     ):
         print(f"{step:>6} {base_loss:>14.4f} {guard_loss:>11.4f}")

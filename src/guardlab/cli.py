@@ -18,6 +18,7 @@ from .config import (
 )
 from .harness import run_suite, run_training
 from .report import (
+    perplexity,
     read_suite_csv,
     render_report_from_csv,
     result_csv_row,
@@ -89,7 +90,7 @@ def cmd_run(args) -> int:
                     "label": run_cfg.label,
                     "seed": result.seed,
                     "final_loss": result.final_loss,
-                    "final_perplexity": result.final_perplexity,
+                    "final_perplexity": perplexity(result.final_loss),
                     "control_active_steps": result.summary.control_active_steps,
                 }
             )

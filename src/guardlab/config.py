@@ -377,11 +377,6 @@ def calibration_record(cfg: SuiteConfig, ladders: Dict[RunConfig, List[ProbeResu
     ]
 
 
-def _ladder(item: Tuple[RunConfig, bool]) -> List[ProbeResult]:
-    """doubling_ladder of a (probe, track_sumsq) item."""
-    return doubling_ladder(*item)
-
-
 def expand_scenarios(
     cfg: SuiteConfig, ladders: Optional[dict] = None
 ) -> List[Tuple[str, RunConfig, RunConfig]]:
@@ -390,15 +385,11 @@ def expand_scenarios(
     The one place preset ladders run: every distinct preset probe is
     calibrated first, at once through parallel_map, into ladders (probe ->
     rungs); each scenario's resolve_lr then reads its own probes' ladders.
-    Only the probe of a clip arm tracks its rungs' max_grad_sumsq, the one
-    thing ladder_rung reads of a rung for a clip arm alone.
     """
     ladders = {} if ladders is None else ladders
     probes = _preset_probes(cfg)
-    clipped = {probe_config(base) for scen in cfg.scenarios if scen.kind in CLIP_KINDS
-               for _, base, _ in _pairs(cfg, scen, cfg.optimizer.lr)}
-    items = [(probe, probe in clipped) for probe in probes]
-    ladders.update(zip(probes, parallel_map(_ladder, items, steps=lambda item: item[0].steps)))
+    ladders.update(zip(probes, parallel_map(doubling_ladder, list(probes),
+                                            steps=lambda probe: probe.steps)))
     pairs: List[Tuple[str, RunConfig, RunConfig]] = []
     for scen in cfg.scenarios:
         try:

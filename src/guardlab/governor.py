@@ -284,22 +284,17 @@ def select_posture(
     return ControlPosture(scale=scale, skip_step=not inputs_finite)
 
 
-def apply_posture(
-    update_delta: np.ndarray,
-    posture: ControlPosture,
-    check_finite: bool = True,
-) -> np.ndarray:
+def apply_posture(update_delta: np.ndarray, posture: ControlPosture) -> np.ndarray:
     """Scale the update elementwise; a skipped step becomes the zero delta.
 
-    check_finite (guarded_step passes it for an enabled guard) rejects a
-    non-finite delta of a step that is not skipped, by all_finite: one
-    np.vdot sum of squares, with the entry scan only when that sum is not
-    finite. At scale C_MAX the checked delta itself is returned: 1.0 * x is
-    x bit for bit."""
+    A non-finite delta of a step that is not skipped is rejected, by
+    all_finite: one np.vdot sum of squares, with the entry scan only when
+    that sum is not finite. At scale C_MAX the checked delta itself is
+    returned: 1.0 * x is x bit for bit."""
     delta = np.asarray(update_delta, dtype=float)
     if posture.skip_step:
         return np.zeros_like(delta)
-    if check_finite and not all_finite(delta):
+    if not all_finite(delta):
         raise TelemetryError("actuation on non-finite update")
     if posture.scale == C_MAX:
         return delta

@@ -44,7 +44,7 @@ from .optim import (
     schedule_rates,
 )
 from .rngstream import CounterStream
-from .tasks import Batch, Task, evaluate, evaluate_rows, forward_backward, make_task
+from .tasks import Batch, Task, evaluate, forward_backward, make_task
 
 # The multiple of the initial eval loss above which severe_degradation flags a loss.
 DEGRADATION_FACTOR = 2.0
@@ -150,14 +150,13 @@ class RunRow:
     seed: int
     initial_loss: float
     final_loss: float
-    final_perplexity: float
     wall_seconds: float
     summary: TelemetrySummary
 
 
 @dataclass
 class RunResult(RunRow):
-    eval_trace: List[Tuple[int, float, float]]
+    eval_trace: List[Tuple[int, float]]
     log: StepLog
     params: np.ndarray
 
@@ -172,16 +171,15 @@ class ProbeResult:
     guard (None where it is non-finite or overflows). max_grad_sumsq is the
     largest sum of squares of a step's gradient before any burst (NaN or inf
     if one was non-finite), so a clip threshold above its root never fired;
-    it stays inf, "a clip may have fired", on a ladder that does not track
-    it. wall_seconds is the rung's share of the ladder's step loop.
+    a rung built by hand holds inf, "a clip may have fired". wall_seconds is
+    the rung's share of the ladder's step loop.
     """
 
     lr: float
     initial_loss: float
     final_loss: float
-    eval_trace: List[Tuple[int, float, float]]
+    eval_trace: List[Tuple[int, float]]
     params: Optional[np.ndarray]
-    final_perplexity: float = math.nan
     losses: Optional[np.ndarray] = None
     grad_rms: List[Optional[float]] = field(default_factory=list)
     max_grad_sumsq: float = math.inf
@@ -226,8 +224,8 @@ def run_training(cfg: RunConfig, out_dir: Optional[Path] = None) -> RunResult:
     gov = Governor(cfg.guard_or_disabled())
     sched = cfg.schedule()
 
-    initial = evaluate(task, params)
-    eval_trace: List[Tuple[int, float, float]] = []
+    initial_loss = evaluate(task, params)
+    eval_trace: List[Tuple[int, float]] = []
     t0 = time.perf_counter()
     for step, (batch, burst) in enumerate(_batches(task, cfg)):
         lr_t = schedule_lr(step, sched)
@@ -237,14 +235,12 @@ def run_training(cfg: RunConfig, out_dir: Optional[Path] = None) -> RunResult:
             grad_scale=burst,
         )
         if (step + 1) % cfg.eval_every == 0:
-            ev = evaluate(task, params)
-            eval_trace.append((step + 1, ev.eval_loss, ev.perplexity))
+            eval_trace.append((step + 1, evaluate(task, params)))
     wall = time.perf_counter() - t0
 
-    final = evaluate(task, params)
-    return _run_result(cfg, gov, out_dir, initial_loss=initial.eval_loss,
-                       final_loss=final.eval_loss, final_perplexity=final.perplexity,
-                       wall_seconds=wall, eval_trace=eval_trace, params=params)
+    return _run_result(cfg, gov, out_dir, initial_loss=initial_loss,
+                       final_loss=evaluate(task, params), wall_seconds=wall,
+                       eval_trace=eval_trace, params=params)
 
 
 def _run_result(cfg: RunConfig, gov: Governor, out_dir: Optional[Path], **fields) -> RunResult:
@@ -280,13 +276,12 @@ def severe_degradation(loss: float, initial_loss: float) -> bool:
 def probe_degraded(result: Union[RunResult, ProbeResult]) -> bool:
     """The one calibration rule: the final eval is severely degraded, or an
     eval went non-finite on the way (the run is already dead)."""
-    checkpoints = [loss for _, loss, _ in result.eval_trace if not math.isfinite(loss)]
+    checkpoints = [loss for _, loss in result.eval_trace if not math.isfinite(loss)]
     return any(severe_degradation(loss, result.initial_loss)
                for loss in [*checkpoints, result.final_loss])
 
 
-def run_probe_ladder(cfg: RunConfig, lrs: Sequence[float],
-                     track_sumsq: bool = False) -> List[ProbeResult]:
+def run_probe_ladder(cfg: RunConfig, lrs: Sequence[float]) -> List[ProbeResult]:
     """Baseline runs of cfg at each of lrs, as one program over an lr axis.
 
     Rung l is bitwise equal to run_training(cfg with opt.lr = lrs[l]) in its
@@ -298,10 +293,9 @@ def run_probe_ladder(cfg: RunConfig, lrs: Sequence[float],
     out: with the guard off and no clip it is the identity on the update.
     What its log reads is kept instead, each step's loss and, on the
     disabled guard's stats steps, what sense takes of each rung's gradient
-    after the burst, so replay_rung can write the rung's telemetry. With
-    track_sumsq, each rung also keeps its max_grad_sumsq, which only a clip
-    arm's ladder_rung reads; without it the pass is not taken and the field
-    stays inf. An empty lrs is an empty ladder.
+    after the burst, so replay_rung can write the rung's telemetry. Each
+    rung also keeps its max_grad_sumsq, which a clip arm's ladder_rung
+    reads. An empty lrs is an empty ladder.
     """
     guard = cfg.guard_or_disabled()
     if guard.auto_enabled or cfg.clip is not None:
@@ -311,20 +305,19 @@ def run_probe_ladder(cfg: RunConfig, lrs: Sequence[float],
     scheds = [replace(cfg, opt=replace(cfg.opt, lr=lr)).schedule() for lr in lrs]
     rates = np.array([[sched.base_lr] for sched in scheds])
     task = cfg.task.build(cfg.seed)
-    initial = evaluate(task, task.init_params())
+    initial_loss = evaluate(task, task.init_params())
     params = np.tile(task.init_params(), (len(lrs), 1))
     opt_state = OptimizerState(m=np.zeros_like(params), v=np.zeros_like(params))
-    traces: List[List[Tuple[int, float, float]]] = [[] for _ in lrs]
+    traces: List[List[Tuple[int, float]]] = [[] for _ in lrs]
     loss_rows = np.empty((len(lrs), cfg.steps))
     rms_steps: List[List[Optional[float]]] = []
-    max_sumsq = np.zeros(len(lrs)) if track_sumsq else np.full(len(lrs), math.inf)
+    max_sumsq = np.zeros(len(lrs))
     t0 = time.perf_counter()
     for step, (batch, burst) in enumerate(_batches(task, cfg)):
         lr_t = schedule_rates(step, scheds[0], rates)
         loss_rows[:, step], grads = task.loss_and_grad_rows(params, batch)
-        if track_sumsq:
-            # np.maximum propagates NaN; einsum neither warns nor copies.
-            np.maximum(max_sumsq, np.einsum("ij,ij->i", grads, grads), out=max_sumsq)
+        # np.maximum propagates NaN; einsum neither warns nor copies.
+        np.maximum(max_sumsq, np.einsum("ij,ij->i", grads, grads), out=max_sumsq)
         if burst != 1.0:
             grads = grads * burst
         if step % guard.stats_freq == 0:
@@ -332,24 +325,24 @@ def run_probe_ladder(cfg: RunConfig, lrs: Sequence[float],
         delta, opt_state = adamw_step(opt_state, params, grads, lr_t, cfg.opt)
         params += delta
         if (step + 1) % cfg.eval_every == 0:
-            for trace, ev in zip(traces, evaluate_rows(task, params)):
-                trace.append((step + 1, ev.eval_loss, ev.perplexity))
+            for trace, loss in zip(traces, task.eval_loss_rows(params).tolist()):
+                trace.append((step + 1, loss))
     share = (time.perf_counter() - t0) / len(lrs)
     return [
         ProbeResult(
             lr=float(lr),
-            initial_loss=initial.eval_loss,
-            final_loss=final.eval_loss,
+            initial_loss=initial_loss,
+            final_loss=final_loss,
             eval_trace=trace,
             params=row,
-            final_perplexity=final.perplexity,
             losses=losses,
             grad_rms=list(rms),
             max_grad_sumsq=float(sumsq),
             wall_seconds=share,
         )
-        for lr, trace, row, final, losses, rms, sumsq in zip(
-            lrs, traces, params, evaluate_rows(task, params), loss_rows, zip(*rms_steps), max_sumsq
+        for lr, trace, row, final_loss, losses, rms, sumsq in zip(
+            lrs, traces, params, task.eval_loss_rows(params).tolist(), loss_rows,
+            zip(*rms_steps), max_sumsq
         )
     ]
 
@@ -371,9 +364,8 @@ def replay_rung(cfg: RunConfig, rung: ProbeResult, out_dir: Optional[Path] = Non
         # inputs_finite does not reach the log: a disabled guard never skips.
         gov.govern(TelemetrySample(step, loss, grad_rms, schedule_lr(step, sched)), True)
     return _run_result(cfg, gov, out_dir, initial_loss=rung.initial_loss,
-                       final_loss=rung.final_loss, final_perplexity=rung.final_perplexity,
-                       wall_seconds=rung.wall_seconds, eval_trace=rung.eval_trace,
-                       params=rung.params)
+                       final_loss=rung.final_loss, wall_seconds=rung.wall_seconds,
+                       eval_trace=rung.eval_trace, params=rung.params)
 
 
 def probe_config(arm: RunConfig) -> RunConfig:
@@ -391,13 +383,12 @@ def probe_config(arm: RunConfig) -> RunConfig:
     )
 
 
-def doubling_ladder(probe: RunConfig, track_sumsq: bool = False) -> List[ProbeResult]:
+def doubling_ladder(probe: RunConfig) -> List[ProbeResult]:
     """probe's rungs at the LADDER_LRS rates, lowest first, all run at once
-    through run_probe_ladder (track_sumsq as there). Probes decay to their
-    min_lr, as the runs they calibrate do; rungs below min_lr are left off
-    the ladder, since no schedule decays upwards."""
-    return run_probe_ladder(probe, [lr for lr in LADDER_LRS if lr >= probe.min_lr],
-                            track_sumsq)
+    through run_probe_ladder. Probes decay to their min_lr, as the runs they
+    calibrate do; rungs below min_lr are left off the ladder, since no
+    schedule decays upwards."""
+    return run_probe_ladder(probe, [lr for lr in LADDER_LRS if lr >= probe.min_lr])
 
 
 def degrading_lr(rungs: Sequence[ProbeResult]) -> float:

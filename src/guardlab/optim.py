@@ -195,8 +195,9 @@ def guarded_step(
     enabled guard, which skips unless it holds; a disabled guard's posture
     is neutral whatever it is passed. A clip runs only beside a finite loss.
     A non-finite gradient stays non-finite through the clip and any burst,
-    and adamw_step takes no verdict (a disabled guard lets it through, as
-    plain AdamW).
+    and adamw_step takes no verdict: a disabled guard adds its delta as
+    plain AdamW does, and only an enabled guard's delta goes through
+    apply_posture, which rejects it if non-finite.
     A finite entry whose square overflows (|g| above ~1.3e154) is not
     skipped, and it makes AdamW's second moment inf: every later delta of
     that parameter is 0, so the parameter stays frozen for the rest of the
@@ -213,5 +214,6 @@ def guarded_step(
     if posture.skip_step:
         return params, opt_state, gov.log.records[-1]
     delta, new_state = adamw_step(opt_state, params, grads, lr_t, opt_cfg)
-    scaled = apply_posture(delta, posture, check_finite=enabled)
-    return params + scaled, new_state, gov.log.records[-1]
+    if enabled:
+        delta = apply_posture(delta, posture)
+    return params + delta, new_state, gov.log.records[-1]

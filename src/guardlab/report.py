@@ -33,6 +33,14 @@ CSV_COLUMNS = tuple(CSV_SCHEMA)
 _ERROR_ROW = {col: math.nan if kind is float else kind() for col, kind in CSV_SCHEMA.items()}
 
 
+def perplexity(loss: float) -> float:
+    """exp(loss), inf where it overflows: the one place a loss becomes a perplexity."""
+    try:
+        return math.exp(loss)
+    except OverflowError:
+        return math.inf
+
+
 def verdict(final_loss: float, initial_loss: float) -> str:
     if severe_degradation(final_loss, initial_loss):
         return "severe degradation"
@@ -48,7 +56,7 @@ def result_csv_row(scenario: str, arm: str, res: RunRow) -> Dict[str, object]:
         "seed": res.seed,
         "initial_loss": res.initial_loss,
         "final_loss": res.final_loss,
-        "final_ppl": res.final_perplexity,
+        "final_ppl": perplexity(res.final_loss),
         "wall_s": res.wall_seconds,
         "active_steps": res.summary.control_active_steps,
         "regime_switches": res.summary.regime_switches,

@@ -27,21 +27,6 @@ class Batch:
     targets: np.ndarray
 
 
-@dataclass(frozen=True)
-class EvalResult:
-    eval_loss: float
-    perplexity: float
-
-
-def _eval_result(loss: float) -> EvalResult:
-    loss = float(loss)
-    try:
-        ppl = math.exp(loss)
-    except OverflowError:
-        ppl = math.inf
-    return EvalResult(eval_loss=loss, perplexity=ppl)
-
-
 class Task:
     """Immutable after construction; shareable across concurrent runs."""
 
@@ -458,14 +443,9 @@ def forward_backward(task: Task, params: np.ndarray, batch: Batch):
     return task.loss_and_grad(np.asarray(params, dtype=float), batch)
 
 
-def evaluate(task: Task, params: np.ndarray) -> EvalResult:
-    """Mean loss over the fixed eval set; perplexity = exp(loss)."""
-    return _eval_result(task.eval_loss(np.asarray(params, dtype=float)))
-
-
-def evaluate_rows(task: Task, param_rows: np.ndarray) -> List[EvalResult]:
-    """evaluate for each row of an (L, n_params) stack, in one eval_loss_rows call."""
-    return [_eval_result(loss) for loss in task.eval_loss_rows(param_rows)]
+def evaluate(task: Task, params: np.ndarray) -> float:
+    """Mean loss over the fixed eval set."""
+    return float(task.eval_loss(np.asarray(params, dtype=float)))
 
 
 def sample_batch(

@@ -12,6 +12,7 @@ from guardlab import harness
 from guardlab.cli import main
 from guardlab.config import expand_scenarios, parse_config
 from guardlab.harness import LADDER_LRS, TaskSpec, calibrate_divergence_lr
+from guardlab.report import perplexity, read_suite_csv
 
 
 def write_config(tmp_path: Path, extra: dict = None) -> Path:
@@ -45,6 +46,16 @@ def test_run_writes_csv_and_echo(tmp_path, capsys):
     assert rows[0]["arm"] == "guard"
     payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert payload["label"] == "demo"
+
+
+def test_run_prints_the_perplexity_of_its_final_loss_as_its_csv_row_does(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "runout"
+    assert main(["--config", str(cfg), "--out", str(out), "run"]) == 0
+    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    (row,) = read_suite_csv(out / "demo_seed7.csv")
+    assert payload["final_loss"] == row["final_loss"]
+    assert payload["final_perplexity"] == perplexity(payload["final_loss"]) == row["final_ppl"]
 
 
 def test_run_deterministic_modulo_wall_time(tmp_path):

@@ -131,7 +131,7 @@ def test_run_section_defaults_are_materialized():
 def test_unstressable_task_under_a_preset_is_a_config_error(monkeypatch, workers):
     built = []
 
-    def no_degrading_rung(probe, lrs, track_sumsq=False):
+    def no_degrading_rung(probe, lrs):
         built.append(probe)
         return [ProbeResult(lr=lr, initial_loss=1.0, final_loss=0.5, eval_trace=[], params=None)
                 for lr in lrs]
@@ -191,7 +191,7 @@ def ladder(lr):
     mid-run only, with a finite eval, which is not a degraded rung."""
     return [
         ProbeResult(lr=lr / 2, initial_loss=1.0, final_loss=0.5,
-                    eval_trace=[(1, 3.0, 3.0)], params=None),
+                    eval_trace=[(1, 3.0)], params=None),
         ProbeResult(lr=lr, initial_loss=1.0, final_loss=3.0, eval_trace=[], params=None),
         ProbeResult(lr=lr * 2, initial_loss=1.0, final_loss=math.inf, eval_trace=[], params=None),
     ]
@@ -228,7 +228,7 @@ def fake_core(monkeypatch):
     records never reach the returned list, but its rungs reach the ladders."""
     probes = []
 
-    def fake_ladder(probe, lrs, track_sumsq=False):
+    def fake_ladder(probe, lrs):
         probes.append(probe)
         return ladder(1e-3 * probe.batch_size)
 
@@ -282,7 +282,7 @@ def test_resolve_lr_cache_is_keyed_on_exactly_the_probe_inputs():
 
 
 def test_probes_decay_to_the_suite_min_lr(monkeypatch):
-    def fake_ladder(probe, lrs, track_sumsq=False):
+    def fake_ladder(probe, lrs):
         # The first rung ends degraded: final loss 3x the initial one.
         return [ProbeResult(lr=lr, initial_loss=1.0, final_loss=3.0 if i == 0 else 0.5,
                             eval_trace=[], params=None)
@@ -305,27 +305,6 @@ def test_probes_decay_to_the_suite_min_lr(monkeypatch):
             assert base.min_lr == 1e-3 and base.opt.lr == lrs[0]
     # At min_lr 0 the ladder starts at its lowest rate.
     assert doubling_ladder(probe_config(QUAD_ARM))[0].lr == LADDER_LRS[0]
-
-
-def test_only_a_clip_arms_probe_tracks_its_rungs_sum_of_squares(monkeypatch):
-    tracked = {}
-
-    def fake_ladder(probe, lrs, track_sumsq=False):
-        tracked[probe.batch_size] = track_sumsq
-        return ladder(1e-3)
-
-    monkeypatch.setattr(harness, "run_probe_ladder", fake_ladder)
-    monkeypatch.setattr(harness, "usable_cpus", lambda: 1)
-    scen = {"task": "toy", "steps": 20, "eval_every": 10, "lr": "aggressive"}
-    cfg = parse_config({**MINIMAL, "seeds": [7], "scenarios": [
-        {**scen, "name": "plain", "kind": "lr_stress", "batch_size": 8},
-        {**scen, "name": "clipped", "kind": "clip_baseline", "batch_size": 16},
-        # A clip arm at a numeric rate can replay from the probe it shares.
-        {**scen, "name": "hot", "kind": "lr_stress", "batch_size": 32},
-        {**scen, "name": "hot-clip", "kind": "clip_baseline", "batch_size": 32, "lr": 1e-3},
-    ]})
-    expand_scenarios(cfg)
-    assert tracked == {8: False, 16: True, 32: True}
 
 
 def test_lr_presets_and_backoffs():

@@ -401,9 +401,7 @@ def test_probe_ladder_rows_bitwise_equal_scalar_runs(task, injection, schedule):
             assert rung.grad_rms == [r.grad_rms for r in ref.log.records[::stats_freq]]
             assert _same(rung.initial_loss, ref.initial_loss)
             assert _same(rung.final_loss, ref.final_loss)
-            assert [s for s, _, _ in rung.eval_trace] == [s for s, _, _ in ref.eval_trace]
-            for (_, loss, ppl), (_, ref_loss, ref_ppl) in zip(rung.eval_trace, ref.eval_trace):
-                assert _same(loss, ref_loss) and _same(ppl, ref_ppl)
+            assert _trace_same(rung.eval_trace, ref.eval_trace)
     # The ladder spans healthy and degraded rungs.
     assert not probe_degraded(rungs[0]) and probe_degraded(rungs[-1])
 
@@ -457,7 +455,7 @@ def test_calibrate_floor_already_degrades_matches_scalar():
     # The first rung died mid-run, a non-finite eval, though its final eval
     # is finite and low: the ladder stops at its first rate.
     rungs = _rungs(lambda i: i >= 5)
-    rungs[0].eval_trace = [(1, math.inf, math.inf)]
+    rungs[0].eval_trace = [(1, math.inf)]
     assert degrading_lr(rungs) == _scalar_ladder(rungs) == LADDER_LRS[0]
 
 
@@ -465,7 +463,7 @@ def test_calibrate_not_stressable_matches_scalar():
     # A finite mid-run excursion that the final eval recovers from does not
     # degrade a rung, so no rung of this ladder degrades.
     rungs = _rungs(lambda i: False)
-    rungs[-1].eval_trace = [(1, 3.0, 3.0)]
+    rungs[-1].eval_trace = [(1, 3.0)]
     assert _scalar_ladder(rungs) is None
     with pytest.raises(NotStressableError, match="not stressable"):
         degrading_lr(rungs)
@@ -496,8 +494,7 @@ RUN_SCENARIOS = [
 
 def _trace_same(a, b) -> bool:
     return len(a) == len(b) and all(
-        s == t and _same(loss, ref_loss) and _same(ppl, ref_ppl)
-        for (s, loss, ppl), (t, ref_loss, ref_ppl) in zip(a, b)
+        s == t and _same(loss, ref_loss) for (s, loss), (t, ref_loss) in zip(a, b)
     )
 
 
@@ -544,7 +541,7 @@ def test_suite_replays_baseline_arms_from_their_ladder_rungs(tmp_path, monkeypat
                 assert ((tmp_path / "runs" / f"{stem}{suffix}").read_bytes()
                         == (tmp_path / "ref" / f"{stem}{suffix}").read_bytes()), stem
             assert res.summary == ref.summary, label
-            for name in ("initial_loss", "final_loss", "final_perplexity"):
+            for name in ("initial_loss", "final_loss"):
                 assert _same(getattr(res, name), getattr(ref, name)), (label, name)
             if label in taken:
                 rung = harness.ladder_rung(arms[label], ladders)
@@ -586,7 +583,7 @@ def test_a_rung_keeps_the_largest_pre_burst_gradient_sum_of_squares(monkeypatch)
                     injection=INJECTIONS["gradient_burst"], label="probe")
     lrs = [1e-3, 0.1, 13.1072]
     real = optim.clip_global_norm
-    for lr, rung in zip(lrs, run_probe_ladder(cfg, lrs, track_sumsq=True)):
+    for lr, rung in zip(lrs, run_probe_ladder(cfg, lrs)):
         norms = []
 
         def recording(grads, g):
@@ -600,30 +597,8 @@ def test_a_rung_keeps_the_largest_pre_burst_gradient_sum_of_squares(monkeypatch)
         assert len(norms) == cfg.steps
         assert math.isclose(rung.max_grad_sumsq, max(norms) ** 2, rel_tol=1e-12), lr
     with np.errstate(all="ignore"):
-        (dead,) = run_probe_ladder(replace(cfg, task=NOISELESS_QUAD, injection=None), [1e300],
-                                   track_sumsq=True)
+        (dead,) = run_probe_ladder(replace(cfg, task=NOISELESS_QUAD, injection=None), [1e300])
     assert not math.isfinite(dead.max_grad_sumsq)
-
-
-def test_an_untracked_rung_holds_an_inf_sum_of_squares_and_replays_no_clip_arm():
-    from guardlab.harness import ladder_rung, probe_config
-
-    arm = RunConfig(task=TaskSpec(**TAKEN_BIGRAM), opt=OptimizerConfig(lr=1e-3),
-                    clip=ClipConfig(g=10.0), steps=30, batch_size=8, eval_every=3, seed=3,
-                    label="x-clip")
-    probe = probe_config(arm)
-    untracked, tracked = (run_probe_ladder(probe, [1e-3], track_sumsq=track)[0]
-                          for track in (False, True))
-    assert untracked.max_grad_sumsq == math.inf
-    assert math.isfinite(tracked.max_grad_sumsq)
-    # Everything else a rung holds is the same either way.
-    assert untracked.losses.tobytes() == tracked.losses.tobytes()
-    assert untracked.params.tobytes() == tracked.params.tobytes()
-    assert untracked.grad_rms == tracked.grad_rms
-    # inf reads as "the clip may have fired": the arm runs, and the tracked rung replays it.
-    assert ladder_rung(arm, {probe: [untracked]}) is None
-    assert ladder_rung(arm, {probe: [tracked]}) is tracked
-    assert ladder_rung(replace(arm, clip=None), {probe: [untracked]}) is untracked
 
 
 @pytest.mark.parametrize("sumsq, replays", [
@@ -682,8 +657,8 @@ def test_run_suite_self_comparison_zero_reduction(tmp_path):
     assert len(rows) == 1
     row = rows[0]
     assert row.error is None
-    # Identical trajectories under the off switch: perplexities match exactly.
-    assert row.guarded.final_perplexity == row.baseline.final_perplexity
+    # Identical trajectories under the off switch: final losses match exactly.
+    assert row.guarded.final_loss == row.baseline.final_loss
 
 
 def test_run_suite_captures_errors_as_rows(tmp_path):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from guardlab.report import perplexity
 from guardlab.rngstream import StreamState, advance
 from guardlab.tasks import (
     TASK_CLASSES,
@@ -54,9 +55,7 @@ def test_make_task_deterministic_in_seed(kind):
     a = make_task(kind, seed=3)
     b = make_task(kind, seed=3)
     np.testing.assert_array_equal(a.init_params(), b.init_params())
-    res_a = evaluate(a, a.init_params())
-    res_b = evaluate(b, b.init_params())
-    assert res_a.eval_loss == res_b.eval_loss
+    assert evaluate(a, a.init_params()) == evaluate(b, b.init_params())
 
 
 def test_make_task_different_seeds_differ():
@@ -112,9 +111,9 @@ def test_quadratic_minimizer_is_stationary_with_zero_loss():
 def test_bigram_zero_params_gives_uniform_loss():
     # [DERIVED] all-zero logits are a uniform model: CE = ln(alphabet).
     task = make_task("bigram_lm", {"alphabet": 32}, seed=4)
-    res = evaluate(task, task.init_params())
-    assert res.eval_loss == pytest.approx(math.log(32), rel=1e-12)
-    assert res.perplexity == pytest.approx(32.0, rel=1e-9)
+    loss = evaluate(task, task.init_params())
+    assert loss == pytest.approx(math.log(32), rel=1e-12)
+    assert perplexity(loss) == pytest.approx(32.0, rel=1e-9)
 
 
 def test_evaluate_is_pure():
@@ -122,23 +121,25 @@ def test_evaluate_is_pure():
     params = task.init_params() + 0.1
     first = evaluate(task, params)
     second = evaluate(task, params)
-    assert first.eval_loss == second.eval_loss
-    assert first.perplexity == second.perplexity
+    assert first == second
+    assert perplexity(first) == perplexity(second)
 
 
 def test_perplexity_is_exp_of_loss():
     task = make_task("mlp_regression", seed=2)
     params = task.init_params()
-    res = evaluate(task, params)
-    assert res.perplexity == pytest.approx(math.exp(res.eval_loss), rel=1e-12)
+    loss = evaluate(task, params)
+    assert perplexity(loss) == pytest.approx(math.exp(loss), rel=1e-12)
 
 
 def test_evaluate_overflow_yields_non_finite_not_exception():
     task = make_task("quadratic", seed=0)
     params = np.full(task.init_params().size, 1e200)
     with pytest.warns(RuntimeWarning, match="overflow"):
-        res = evaluate(task, params)
-    assert not math.isfinite(res.perplexity) or res.perplexity == math.inf
+        loss = evaluate(task, params)
+    assert perplexity(loss) == math.inf
+    # A finite loss whose exp overflows is inf too, not an OverflowError.
+    assert perplexity(1000.0) == math.inf
 
 
 # --------------------------------------------------------------------------
