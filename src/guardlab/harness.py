@@ -168,11 +168,8 @@ class ProbeResult:
 
     losses holds the training loss of every step, and grad_rms the gradient
     RMS that sense takes on every stats_freq step of the probe's disabled
-    guard (None where it is non-finite or overflows). max_grad_sumsq is the
-    largest sum of squares of a step's gradient before any burst (NaN or inf
-    if one was non-finite), so a clip threshold above its root never fired;
-    a rung built by hand holds inf, "a clip may have fired". wall_seconds is
-    the rung's share of the ladder's step loop.
+    guard (None where it is non-finite or overflows). wall_seconds is the
+    rung's share of the ladder's step loop.
     """
 
     lr: float
@@ -182,7 +179,6 @@ class ProbeResult:
     params: Optional[np.ndarray]
     losses: Optional[np.ndarray] = None
     grad_rms: List[Optional[float]] = field(default_factory=list)
-    max_grad_sumsq: float = math.inf
     wall_seconds: float = 0.0
 
 
@@ -293,9 +289,8 @@ def run_probe_ladder(cfg: RunConfig, lrs: Sequence[float]) -> List[ProbeResult]:
     out: with the guard off and no clip it is the identity on the update.
     What its log reads is kept instead, each step's loss and, on the
     disabled guard's stats steps, what sense takes of each rung's gradient
-    after the burst, so replay_rung can write the rung's telemetry. Each
-    rung also keeps its max_grad_sumsq, which a clip arm's ladder_rung
-    reads. An empty lrs is an empty ladder.
+    after the burst, so replay_rung can write the rung's telemetry. An
+    empty lrs is an empty ladder.
     """
     guard = cfg.guard_or_disabled()
     if guard.auto_enabled or cfg.clip is not None:
@@ -311,13 +306,10 @@ def run_probe_ladder(cfg: RunConfig, lrs: Sequence[float]) -> List[ProbeResult]:
     traces: List[List[Tuple[int, float]]] = [[] for _ in lrs]
     loss_rows = np.empty((len(lrs), cfg.steps))
     rms_steps: List[List[Optional[float]]] = []
-    max_sumsq = np.zeros(len(lrs))
     t0 = time.perf_counter()
     for step, (batch, burst) in enumerate(_batches(task, cfg)):
         lr_t = schedule_rates(step, scheds[0], rates)
         loss_rows[:, step], grads = task.loss_and_grad_rows(params, batch)
-        # np.maximum propagates NaN; einsum neither warns nor copies.
-        np.maximum(max_sumsq, np.einsum("ij,ij->i", grads, grads), out=max_sumsq)
         if burst != 1.0:
             grads = grads * burst
         if step % guard.stats_freq == 0:
@@ -337,22 +329,19 @@ def run_probe_ladder(cfg: RunConfig, lrs: Sequence[float]) -> List[ProbeResult]:
             params=row,
             losses=losses,
             grad_rms=list(rms),
-            max_grad_sumsq=float(sumsq),
             wall_seconds=share,
         )
-        for lr, trace, row, final_loss, losses, rms, sumsq in zip(
-            lrs, traces, params, task.eval_loss_rows(params).tolist(), loss_rows,
-            zip(*rms_steps), max_sumsq
+        for lr, trace, row, final_loss, losses, rms in zip(
+            lrs, traces, params, task.eval_loss_rows(params).tolist(), loss_rows, zip(*rms_steps)
         )
     ]
 
 
 def replay_rung(cfg: RunConfig, rung: ProbeResult, out_dir: Optional[Path] = None) -> RunResult:
     """run_training(cfg, out_dir)'s result, from the ladder rung that already
-    ran cfg (see ladder_rung; a clip that never fired there changes nothing):
-    the rung's losses, gradient RMS and scheduled lr go through cfg's disabled
-    governor, which logs them as the run's own would. The run's wall_seconds
-    is the rung's share of its ladder's loop.
+    ran cfg (see ladder_rung): the rung's losses, gradient RMS and scheduled
+    lr go through cfg's disabled governor, which logs them as the run's own
+    would. The run's wall_seconds is the rung's share of its ladder's loop.
     """
     gov = Governor(cfg.guard_or_disabled())
     if gov.cfg.auto_enabled:
@@ -461,22 +450,13 @@ def parallel_map(fn: Callable[[Item], Out], items: Sequence[Item],
 def ladder_rung(cfg: RunConfig,
                 ladders: Mapping[RunConfig, List[ProbeResult]]) -> Optional[ProbeResult]:
     """The rung of cfg's probe in ladders (probe -> rungs) that already ran
-    cfg, if any: cfg is its probe but for its optimizer, label and clip (a
-    baseline arm with no guard that evaluates every tenth of its run), the
-    probe's ladder has a rung at cfg's rate, and cfg's clip, if any, never
-    fired on that rung, so clipping left every gradient as it was.
-
-    The clip compares np.linalg.norm's 1-D dot product with its threshold g,
-    and the rung kept a row reduce that may round differently, so a clip arm
-    replays only when the rung's largest sum of squares is below
-    (g * (1 - 1e-12))**2: an arm whose clip could have fired always runs."""
+    cfg, if any: cfg is its probe but for its optimizer and label (a baseline
+    arm, with no guard and no clip, that evaluates every tenth of its run),
+    and the probe's ladder has a rung at cfg's rate."""
     probe = probe_config(cfg)
-    if probe not in ladders or replace(probe, opt=cfg.opt, label=cfg.label, clip=cfg.clip) != cfg:
+    if probe not in ladders or replace(probe, opt=cfg.opt, label=cfg.label) != cfg:
         return None
-    rung = next((rung for rung in ladders[probe] if rung.lr == cfg.opt.lr), None)
-    if rung is None or cfg.clip is None:
-        return rung
-    return rung if rung.max_grad_sumsq < (cfg.clip.g * (1.0 - 1e-12)) ** 2 else None
+    return next((rung for rung in ladders[probe] if rung.lr == cfg.opt.lr), None)
 
 
 def _run_or_error(

@@ -35,6 +35,8 @@ class Task:
     n_params: int
     # The constructor's dims with their defaults; task_dims casts to each default's type.
     default_dims: Dict[str, object]
+    # Each dim's range as (">=" or ">", bound); task_dims checks it, the constructor does not.
+    dim_bounds: Dict[str, Tuple[str, float]]
     # Every batch is one full batch built at construction, with read-only
     # arrays: draw_batch ignores its rng, so a run loop passes None and
     # positions no stream.
@@ -88,14 +90,9 @@ class QuadraticTask(Task):
 
     kind = "quadratic"
     default_dims = {"dim": 20, "condition": 1e3, "noise": 0.0}
+    dim_bounds = {"dim": (">=", 2), "condition": (">=", 1.0), "noise": (">=", 0.0)}
 
     def __init__(self, dim: int, condition: float, seed: int, noise: float):
-        if dim < 2:
-            raise ValueError("quadratic dim must be >= 2")
-        if condition < 1.0:
-            raise ValueError("condition number must be >= 1")
-        if noise < 0.0:
-            raise ValueError("noise must be >= 0")
         self.seed = seed
         self.dim = dim
         self.noise = noise
@@ -143,6 +140,8 @@ class MlpRegressionTask(Task):
 
     kind = "mlp_regression"
     default_dims = {"d_in": 5, "d_hidden": 8, "d_out": 2, "noise": 0.02}
+    dim_bounds = {"d_in": (">=", 1), "d_hidden": (">=", 1), "d_out": (">=", 1),
+                  "noise": (">=", 0.0)}
     # Rows in the fixed eval set.
     eval_size = 128
 
@@ -154,10 +153,6 @@ class MlpRegressionTask(Task):
         seed: int,
         noise: float,
     ):
-        if min(d_in, d_hidden, d_out) < 1:
-            raise ValueError("mlp dims must be >= 1")
-        if noise < 0.0:
-            raise ValueError("noise must be >= 0")
         self.seed = seed
         self.d_in, self.d_hidden, self.d_out = d_in, d_hidden, d_out
         self.noise = noise
@@ -235,6 +230,8 @@ class BigramLmTask(Task):
 
     kind = "bigram_lm"
     default_dims = {"alphabet": 32, "corpus_len": 4096, "eval_len": 512, "concentration": 2.0}
+    dim_bounds = {"alphabet": (">=", 2), "corpus_len": (">=", 1), "eval_len": (">=", 1),
+                  "concentration": (">", 0.0)}
 
     def __init__(
         self,
@@ -244,10 +241,6 @@ class BigramLmTask(Task):
         eval_len: int,
         concentration: float,
     ):
-        if alphabet < 2:
-            raise ValueError("alphabet must be >= 2")
-        if concentration <= 0.0:
-            raise ValueError("concentration must be > 0")
         self.seed = seed
         self.alphabet = alphabet
         self.n_params = alphabet * alphabet
@@ -416,11 +409,12 @@ def strict_float(value) -> float:
 def task_dims(kind: str, dims: Optional[Dict] = None) -> Dict:
     """kind's default dims updated by dims, each converted to its default's
     type (an int dim through strict_int, a float one through strict_float);
-    raises ValueError for an unknown kind, an unknown dim or an unconvertible
-    value. Builds nothing."""
+    raises ValueError for an unknown kind, an unknown dim, an unconvertible
+    value or one outside its kind's dim_bounds. Builds nothing."""
     if kind not in TASK_CLASSES:
         raise ValueError(f"unknown task kind: {kind!r}")
-    merged = dict(TASK_CLASSES[kind].default_dims)
+    cls = TASK_CLASSES[kind]
+    merged = dict(cls.default_dims)
     for key, value in (dims or {}).items():
         if key not in merged:
             raise ValueError(f"unknown dim {key!r} for task kind {kind!r}")
@@ -429,6 +423,9 @@ def task_dims(kind: str, dims: Optional[Dict] = None) -> Dict:
             merged[key] = convert(value)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"dim {key!r}: {exc}") from exc
+    for key, (op, bound) in cls.dim_bounds.items():
+        if not (merged[key] >= bound if op == ">=" else merged[key] > bound):
+            raise ValueError(f"dim {key!r} must be {op} {bound}, got {merged[key]!r}")
     return merged
 
 

@@ -33,6 +33,7 @@ from guardlab.harness import (
     probe_config,
 )
 from guardlab.optim import ClipConfig
+from guardlab.tasks import TASK_CLASSES
 
 SHIPPED = Path(__file__).resolve().parents[1] / "configs" / "default_suite.json"
 
@@ -377,8 +378,25 @@ def test_malformed_values_are_config_errors(patch, message):
     ({"kind": "quadratic", "dims": {"dim": "four"}}, "'four'"),
     ({"kind": "quadratic", "dims": [1]}, "tasks.toy"),
     ({"dims": {}}, "'kind'"),
+    # Out-of-range dims: each bound of each kind, checked without a task built.
+    ({"kind": "quadratic", "dims": {"dim": 1}}, "dim 'dim' must be >= 2, got 1"),
+    ({"kind": "quadratic", "dims": {"condition": 0.5}}, "dim 'condition' must be >= 1.0"),
+    ({"kind": "quadratic", "dims": {"noise": -0.1}}, "dim 'noise' must be >= 0.0"),
+    ({"kind": "mlp_regression", "dims": {"d_in": 0}}, "dim 'd_in' must be >= 1, got 0"),
+    ({"kind": "mlp_regression", "dims": {"d_hidden": 0}}, "dim 'd_hidden' must be >= 1"),
+    ({"kind": "mlp_regression", "dims": {"d_out": 0}}, "dim 'd_out' must be >= 1"),
+    ({"kind": "mlp_regression", "dims": {"noise": -1}}, "dim 'noise' must be >= 0.0"),
+    ({"kind": "bigram_lm", "dims": {"alphabet": 1}}, "dim 'alphabet' must be >= 2, got 1"),
+    ({"kind": "bigram_lm", "dims": {"corpus_len": 0}}, "dim 'corpus_len' must be >= 1, got 0"),
+    ({"kind": "bigram_lm", "dims": {"eval_len": 0}}, "dim 'eval_len' must be >= 1, got 0"),
+    ({"kind": "bigram_lm", "dims": {"concentration": 0}}, "dim 'concentration' must be > 0.0"),
 ])
-def test_unknown_task_kinds_and_dims_are_rejected_at_parse_time(task, message):
+def test_unknown_task_kinds_and_dims_are_rejected_at_parse_time(task, message, monkeypatch):
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("parsing builds no task")
+
+    for cls in TASK_CLASSES.values():
+        monkeypatch.setattr(cls, "__init__", unbuilt)
     with pytest.raises(ConfigError, match="tasks.toy") as info:
         parse_config({**MINIMAL, "tasks": {"toy": task}})
     assert message in str(info.value)

@@ -111,6 +111,13 @@ def test_shipped_suite_outputs_match_the_golden_digest(tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert main(["--config", str(SHIPPED), "--out", str(out), "--quiet", "suite"]) == 0
     assert suite_digest(out) == SHIPPED_SUITE_SHA256
+    # README: the bigram's clips at 1.0 and 0.5 never fire, so the two arms
+    # run the same plain AdamW steps and write the same bytes.
+    for seed in json.loads(SHIPPED.read_text(encoding="utf-8"))["seeds"]:
+        for suffix in (".jsonl", "_summary.json"):
+            clip1, clip05 = (out / "runs" / f"outlier-bursts-clip{g}_seed{seed}{suffix}"
+                             for g in (1.0, 0.5))
+            assert clip1.read_bytes() == clip05.read_bytes(), (seed, suffix)
     readme = README.read_text(encoding="utf-8")
     block = re.search(r"configs/default_suite\.json calibrate\n((?:#.*\n)+)", readme).group(1)
     assert rates == json.loads("".join(line[1:] for line in block.splitlines()))

@@ -476,15 +476,15 @@ def test_calibrate_not_stressable_matches_scalar():
 TAKEN_BIGRAM = {"kind": "bigram_lm", "dims": {"alphabet": 8, "corpus_len": 256, "eval_len": 64}}
 BURSTS = {"magnitude": 50.0, "period": 10, "mode": "gradient_burst"}
 # The baseline arms these scenarios replay from a rung, and those that run.
-# The bigram gradient's norm stays below 1.0, so that clip never fires and its
-# arm replays; a clip at 1e-3 fires and its arm runs.
+# Only an arm with no guard and no clip replays: each clip arm runs, one whose
+# clip never fires (1.0; the bigram gradient's norm stays below it) as well as
+# one whose clip fires (1e-3).
 TAKEN_SCENARIOS = [
     {"name": "hot", "kind": "lr_stress", "lr": "aggressive"},
     {"name": "hot-bursts", "kind": "lr_stress", "lr": "aggressive", "injection": BURSTS},
     {"name": "long", "kind": "long_budget", "lr": "aggressive", "steps": 80, "eval_every": 8},
     {"name": "mild", "kind": "lr_stress", "lr": "moderate"},
 ]
-TAKEN_CLIP_ARMS = ["clipped-clip1.0"]
 RUN_SCENARIOS = [
     {"name": "clipped", "kind": "clip_baseline", "lr": "aggressive", "clip_g": [1.0, 1e-3]},
     {"name": "sparse-evals", "kind": "lr_stress", "lr": "aggressive", "eval_every": 5},
@@ -522,13 +522,14 @@ def test_suite_replays_baseline_arms_from_their_ladder_rungs(tmp_path, monkeypat
         rows = run_suite(pairs, out_dir=tmp_path / "runs", ladders=ladders)
         monkeypatch.setattr(harness, "run_training", real)
         assert all(row.error is None for row in rows)
-        taken = {f"{scen['name']}-baseline" for scen in TAKEN_SCENARIOS} | set(TAKEN_CLIP_ARMS)
+        taken = {f"{scen['name']}-baseline" for scen in TAKEN_SCENARIOS}
         if workers == 1:
             # A forked worker's calls never reach this process's list; with
             # two, the replays run on the workers and the bytes below check them.
             assert sorted(ran) == sorted(
                 [f"{scen['name']}-guard" for scen in TAKEN_SCENARIOS + RUN_SCENARIOS]
-                + ["clipped-clip0.001", "sparse-evals-baseline", "off-ladder-baseline"]
+                + ["clipped-clip1.0", "clipped-clip0.001", "sparse-evals-baseline",
+                   "off-ladder-baseline"]
             )
         arms = {arm.label: arm for _, *pair in pairs for arm in pair}
         assert arms["mild-baseline"].opt.lr == arms["hot-baseline"].opt.lr / 32
@@ -576,51 +577,19 @@ def test_a_rung_logs_a_null_grad_rms_where_sense_does(lr, injection, why):
     assert '"grad_rms": null' in text.getvalue()
 
 
-def test_a_rung_keeps_the_largest_pre_burst_gradient_sum_of_squares(monkeypatch):
-    import guardlab.optim as optim
-
-    cfg = RunConfig(task=TaskSpec(**TAKEN_BIGRAM), steps=30, batch_size=8, eval_every=3, seed=3,
-                    injection=INJECTIONS["gradient_burst"], label="probe")
-    lrs = [1e-3, 0.1, 13.1072]
-    real = optim.clip_global_norm
-    for lr, rung in zip(lrs, run_probe_ladder(cfg, lrs)):
-        norms = []
-
-        def recording(grads, g):
-            clipped, norm = real(grads, g)
-            norms.append(norm)
-            return clipped, norm
-
-        monkeypatch.setattr(optim, "clip_global_norm", recording)
-        # A clip too large to fire sees each gradient before its burst.
-        run_training(replace(cfg, opt=OptimizerConfig(lr=lr), clip=ClipConfig(g=1e300)))
-        assert len(norms) == cfg.steps
-        assert math.isclose(rung.max_grad_sumsq, max(norms) ** 2, rel_tol=1e-12), lr
-    with np.errstate(all="ignore"):
-        (dead,) = run_probe_ladder(replace(cfg, task=NOISELESS_QUAD, injection=None), [1e300])
-    assert not math.isfinite(dead.max_grad_sumsq)
-
-
-@pytest.mark.parametrize("sumsq, replays", [
-    (0.0, True),
-    ((0.5 * (1 - 2e-12)) ** 2, True),
-    ((0.5 * (1 - 1e-12)) ** 2, False),
-    (0.25, False),
-    (math.inf, False),
-    (math.nan, False),
-])
-def test_a_clip_arm_replays_only_a_rung_its_clip_never_fired_on(sumsq, replays):
+def test_only_a_baseline_arm_replays_its_probe_rung():
     from guardlab.harness import ladder_rung, probe_config
 
-    arm = RunConfig(task=QUAD, opt=OptimizerConfig(lr=0.0128), clip=ClipConfig(g=0.5),
-                    steps=40, batch_size=8, eval_every=4, seed=3, label="x-clip0.5")
-    rung = ProbeResult(lr=0.0128, initial_loss=1.0, final_loss=1.0, eval_trace=[],
-                       params=None, max_grad_sumsq=sumsq)
+    arm = RunConfig(task=QUAD, opt=OptimizerConfig(lr=0.0128), steps=40, batch_size=8,
+                    eval_every=4, seed=3, label="x-baseline")
+    rung = ProbeResult(lr=0.0128, initial_loss=1.0, final_loss=1.0, eval_trace=[], params=None)
     ladders = {probe_config(arm): [rung]}
-    assert (ladder_rung(arm, ladders) is rung) == replays
-    assert ladder_rung(replace(arm, clip=None), ladders) is rung
+    assert ladder_rung(arm, ladders) is rung
     assert ladder_rung(replace(arm, guard=GuardConfig(auto_enabled=False)), ladders) is None
     assert ladder_rung(replace(arm, eval_every=5), ladders) is None
+    # A clip arm runs, however large its threshold.
+    for g in (0.5, 1e300):
+        assert ladder_rung(replace(arm, clip=ClipConfig(g=g), label=f"x-clip{g}"), ladders) is None
 
 
 # --------------------------------------------------------------------------
