@@ -577,19 +577,39 @@ def test_a_rung_logs_a_null_grad_rms_where_sense_does(lr, injection, why):
     assert '"grad_rms": null' in text.getvalue()
 
 
-def test_only_a_baseline_arm_replays_its_probe_rung():
+# Each case is a largest gradient sum of squares that a ladder once recorded
+# for a rung, against a clip at g = 0.5, and whether ladder_rung then replayed
+# the clip arm from that rung: only below g² by a rounding margin, so it ran
+# the arm at and near the threshold and on a non-finite figure. The ladder
+# records no such figure now. A clip arm replays no rung, so none its clip
+# fired on; it runs, and its clip lets each of these gradients through as it
+# is, also those where the old rule ran the arm.
+@pytest.mark.parametrize("sumsq, replays", [
+    (0.0, True),
+    (0.24999999999900002, True),
+    (0.2499999999995, False),
+    (0.25, False),
+    (math.inf, False),
+    (math.nan, False),
+])
+def test_a_clip_arm_replays_only_a_rung_its_clip_never_fired_on(sumsq, replays):
     from guardlab.harness import ladder_rung, probe_config
+    from guardlab.optim import clip_global_norm
 
-    arm = RunConfig(task=QUAD, opt=OptimizerConfig(lr=0.0128), steps=40, batch_size=8,
-                    eval_every=4, seed=3, label="x-baseline")
+    arm = RunConfig(task=QUAD, opt=OptimizerConfig(lr=0.0128), clip=ClipConfig(g=0.5),
+                    steps=40, batch_size=8, eval_every=4, seed=3, label="x-clip0.5")
     rung = ProbeResult(lr=0.0128, initial_loss=1.0, final_loss=1.0, eval_trace=[], params=None)
     ladders = {probe_config(arm): [rung]}
-    assert ladder_rung(arm, ladders) is rung
+    # A clip arm runs, however large its threshold; its baseline twin replays.
+    for g in (0.5, 1e300):
+        assert ladder_rung(replace(arm, clip=ClipConfig(g=g)), ladders) is None, replays
+    assert ladder_rung(replace(arm, clip=None), ladders) is rung
     assert ladder_rung(replace(arm, guard=GuardConfig(auto_enabled=False)), ladders) is None
     assert ladder_rung(replace(arm, eval_every=5), ladders) is None
-    # A clip arm runs, however large its threshold.
-    for g in (0.5, 1e300):
-        assert ladder_rung(replace(arm, clip=ClipConfig(g=g), label=f"x-clip{g}"), ladders) is None
+    grads = np.array([math.sqrt(sumsq)])
+    clipped, norm = clip_global_norm(grads, arm.clip.g)
+    assert clipped is grads
+    assert math.isnan(norm) if math.isnan(sumsq) else norm * norm == sumsq
 
 
 # --------------------------------------------------------------------------
