@@ -74,7 +74,8 @@ class GuardConfig:
 # object.__setattr__ per field, and every step builds a sample and an analyzer
 # state. StepRecord, the logged value, stays a slotted dataclass (its fields
 # are the JSONL schema, and replace/asdict read it) but is not frozen, for the
-# same cost.
+# same cost. The per-step values are built positionally, in field order (for
+# StepRecord, the JSONL key order): keyword arguments cost a lookup each.
 class TelemetrySample(NamedTuple):
     """Per-step sensor output. grad_rms is present only on probe steps."""
 
@@ -213,7 +214,7 @@ def sense(
     if step < 0:
         raise ValueError("step must be non-negative")
     grad_rms = probe_rms(grads) if grads is not None and step % cfg.stats_freq == 0 else None
-    return TelemetrySample(step=step, loss=float(loss), grad_rms=grad_rms, lr=float(lr))
+    return TelemetrySample(step, float(loss), grad_rms, float(lr))
 
 
 def classify_regime(
@@ -234,8 +235,7 @@ def classify_regime(
     if not state.initialized:
         if not finite:
             return Regime.SPIKE, state
-        return Regime.STABLE, AnalyzerState(loss_ema=loss, rms_ema=sample.grad_rms,
-                                            initialized=True)
+        return Regime.STABLE, AnalyzerState(loss, sample.grad_rms, True)
 
     r = loss / max(state.loss_ema, _EMA_FLOOR) if finite else math.inf
     rho = None
@@ -257,7 +257,7 @@ def classify_regime(
             if rms_ema is None
             else update_ema(rms_ema, sample.grad_rms, cfg.ema_decay)
         )
-    return regime, AnalyzerState(loss_ema=loss_ema, rms_ema=rms_ema, initialized=True)
+    return regime, AnalyzerState(loss_ema, rms_ema, True)
 
 
 def select_posture(
@@ -370,15 +370,10 @@ class Governor:
         posture and log the step."""
         regime, self.state = classify_regime(sample, self.state, self.cfg)
         self.posture = posture = select_posture(regime, self.posture, self.cfg, inputs_finite)
+        scale, skipped = float(posture.scale), posture.skip_step
+        # step, loss, loss_ema, regime, scale, active, skipped, grad_rms, lr
         self.log.append(StepRecord(
-            step=sample.step,
-            loss=sample.loss,
-            loss_ema=self.state.loss_ema,
-            regime=regime,
-            scale=float(posture.scale),
-            active=posture.scale < 1.0 - ACTIVE_SCALE_TOLERANCE or posture.skip_step,
-            skipped=posture.skip_step,
-            grad_rms=sample.grad_rms,
-            lr=sample.lr,
+            sample.step, sample.loss, self.state.loss_ema, regime, scale,
+            scale < 1.0 - ACTIVE_SCALE_TOLERANCE or skipped, skipped, sample.grad_rms, sample.lr,
         ))
         return posture

@@ -44,7 +44,7 @@ from .optim import (
     schedule_rates,
 )
 from .rngstream import CounterStream
-from .tasks import Batch, Task, evaluate, forward_backward, make_task
+from .tasks import Batch, Task, evaluate, make_task
 
 # The multiple of the initial eval loss above which severe_degradation flags a loss.
 DEGRADATION_FACTOR = 2.0
@@ -225,7 +225,8 @@ def run_training(cfg: RunConfig, out_dir: Optional[Path] = None) -> RunResult:
     t0 = time.perf_counter()
     for step, (batch, burst) in enumerate(_batches(task, cfg)):
         lr_t = schedule_lr(step, sched)
-        loss, grads = forward_backward(task, params, batch)
+        # params is always a float64 array built here: no forward_backward coercion.
+        loss, grads = task.loss_and_grad(params, batch)
         params, opt_state, _ = guarded_step(
             gov, opt_state, params, grads, loss, step, lr_t, cfg.opt, cfg.clip,
             grad_scale=burst,

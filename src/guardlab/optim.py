@@ -99,16 +99,19 @@ def adamw_step(
     # and one scratch buffer for the products added to them (bitwise equal,
     # fewer temporaries). Inputs are never written. The weight-decay pass
     # runs even at weight_decay 0, where it can turn a -0.0 delta into +0.0.
-    # A Python-float operand goes through an explicit out= call: the same
-    # operation as += or *=, without the operator's dispatch overhead.
-    scratch = np.multiply(1.0 - cfg.beta1, grads)
+    # Each call takes the form measured cheapest for it: a fresh array with a
+    # Python-float operand takes the operator (a product with the float on the
+    # left); an in-place update with a Python float goes through an explicit
+    # out= call (the same operation as += or *=, without the operator's
+    # dispatch overhead); an in-place update between arrays takes the operator.
+    scratch = (1.0 - cfg.beta1) * grads
     m = cfg.beta1 * state.m
     m += scratch
     np.multiply(1.0 - cfg.beta2, grads, out=scratch)
     scratch *= grads
     v = cfg.beta2 * state.v
     v += scratch
-    den = np.divide(v, 1.0 - cfg.beta2 ** t)
+    den = v / (1.0 - cfg.beta2 ** t)
     np.sqrt(den, out=den)
     np.add(den, cfg.eps, out=den)
     delta = m / (1.0 - cfg.beta1 ** t)

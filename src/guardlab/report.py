@@ -103,12 +103,15 @@ def _f(x: float) -> str:
 
 def render_report_from_csv(csv_rows: Sequence[Dict[str, object]]) -> str:
     """Markdown report: per-scenario comparison tables plus seed aggregates,
-    from rows typed by CSV_SCHEMA (as read_suite_csv returns them)."""
+    from rows typed by CSV_SCHEMA (as read_suite_csv returns them).
+
+    Each (scenario, seed) must be exactly one error row or one baseline row
+    and one guard row; any other group is a ValueError naming it."""
     if not csv_rows:
         raise ValueError("report requires at least one row")
-    by_scenario: Dict[str, Dict[int, Dict[str, dict]]] = defaultdict(lambda: defaultdict(dict))
+    by_scenario: Dict[str, Dict[int, List[dict]]] = defaultdict(lambda: defaultdict(list))
     for row in csv_rows:
-        by_scenario[row["scenario"]][row["seed"]][row["arm"]] = row
+        by_scenario[row["scenario"]][row["seed"]].append(row)
 
     lines = ["# Stress suite report", ""]
     for scenario in sorted(by_scenario):
@@ -120,11 +123,15 @@ def render_report_from_csv(csv_rows: Sequence[Dict[str, object]]) -> str:
         lines.append("|---|---|---|---|---|---|")
         per_arm: Dict[str, List[float]] = defaultdict(list)
         for seed in sorted(by_scenario[scenario]):
-            arms = by_scenario[scenario][seed]
-            if "error" in arms:
+            group = sorted(by_scenario[scenario][seed], key=lambda row: row["arm"])
+            arms = [row["arm"] for row in group]
+            if arms == ["error"]:
                 lines.append(f"| {seed} | run error | | | | |")
                 continue
-            base, guard = arms["baseline"], arms["guard"]
+            if arms != ["baseline", "guard"]:
+                raise ValueError(f"scenario {scenario!r} seed {seed}: expected one error row or "
+                                 f"one baseline and one guard row, found arms {arms}")
+            base, guard = group
             b_ppl, g_ppl = base["final_ppl"], guard["final_ppl"]
             if math.isfinite(b_ppl) and math.isfinite(g_ppl) and b_ppl > 0:
                 reduction = f"{100.0 * (1.0 - g_ppl / b_ppl):.1f}%"

@@ -12,7 +12,7 @@ from guardlab import harness
 from guardlab.cli import main
 from guardlab.config import expand_scenarios, parse_config
 from guardlab.harness import LADDER_LRS, TaskSpec, calibrate_divergence_lr
-from guardlab.report import perplexity, read_suite_csv
+from guardlab.report import perplexity, read_suite_csv, write_csv_rows
 
 
 def write_config(tmp_path: Path, extra: dict = None) -> Path:
@@ -128,6 +128,29 @@ def test_report_errors_on_missing_csv(tmp_path, capsys):
     assert main(["--out", str(tmp_path), "report"]) == 1
     err = json.loads(capsys.readouterr().err.strip())
     assert "error" in err and "message" in err
+
+
+def _arm_row(arm: str) -> dict:
+    return {"scenario": "s", "arm": arm, "seed": 7, "initial_loss": 2.0, "final_loss": 1.0,
+            "final_ppl": math.e, "wall_s": 0.0, "active_steps": 0, "regime_switches": 0,
+            "control_energy": 0.0}
+
+
+@pytest.mark.parametrize("arms", [
+    ["baseline"],
+    ["baseline", "guard", "clip"],
+    ["baseline", "guard", "guard"],
+])
+def test_report_rejects_an_incomplete_or_extra_pair(tmp_path, capsys, arms):
+    write_csv_rows([_arm_row(arm) for arm in arms], tmp_path / "suite.csv")
+    assert main(["--out", str(tmp_path), "report"]) == 1
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    err = json.loads(line)
+    assert err["error"] == "ValueError"
+    assert "'s'" in err["message"] and "seed 7" in err["message"]
+    assert str(sorted(arms)) in err["message"]
+    assert not (tmp_path / "report.md").exists()
 
 
 def test_unknown_run_key_errors(tmp_path, capsys):

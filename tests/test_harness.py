@@ -577,6 +577,48 @@ def test_a_rung_logs_a_null_grad_rms_where_sense_does(lr, injection, why):
     assert '"grad_rms": null' in text.getvalue()
 
 
+def _replayed_baseline():
+    from guardlab.harness import replay_rung
+
+    cfg = RunConfig(task=SMALL_BIGRAM, opt=OptimizerConfig(lr=0.4), steps=100, eval_every=10,
+                    seed=7, injection=InjectionSpec(magnitude=50.0, period=25),
+                    label="baseline")
+    (rung,) = run_probe_ladder(cfg, [cfg.opt.lr])
+    return replay_rung(cfg, rung)
+
+
+BURSTS = InjectionSpec(magnitude=50.0, period=25)
+LOGGED_RUNS = {
+    "bigram-guard": lambda: run_training(RunConfig(
+        task=SMALL_BIGRAM, opt=OptimizerConfig(lr=1.0), guard=GuardConfig(), steps=100,
+        eval_every=100, seed=7, injection=BURSTS)),
+    "bigram-clip-bursts": lambda: run_training(RunConfig(
+        task=SMALL_BIGRAM, opt=OptimizerConfig(lr=1.0), clip=ClipConfig(g=1.0), steps=100,
+        eval_every=100, seed=7, injection=BURSTS)),
+    "quadratic-guard": lambda: run_training(replace(
+        tiny_run(guard=GuardConfig()), task=QUAD, steps=100, eval_every=100)),
+    "replayed-baseline": _replayed_baseline,
+}
+
+
+@pytest.mark.parametrize("name", list(LOGGED_RUNS))
+def test_every_logged_record_has_its_fields_exact_types(name):
+    # _jsonl_line writes a line as one f-string only when every value has its
+    # field's exact type; an np.float64 writes the same bytes through the
+    # slower json.dumps path, so no digest would catch it.
+    from guardlab.governor import Regime
+
+    records = LOGGED_RUNS[name]().log.records
+    assert len(records) == 100
+    for rec in records:
+        assert type(rec.step) is int, rec
+        assert type(rec.loss) is type(rec.loss_ema) is type(rec.scale) is type(rec.lr) is float, rec
+        assert type(rec.regime) is Regime, rec
+        assert type(rec.active) is type(rec.skipped) is bool, rec
+        assert rec.grad_rms is None or type(rec.grad_rms) is float, rec
+    assert any(rec.grad_rms is not None for rec in records)
+
+
 # Each case is a largest gradient sum of squares that a ladder once recorded
 # for a rung, against a clip at g = 0.5, and whether ladder_rung then replayed
 # the clip arm from that rung: only below g² by a rounding margin, so it ran
