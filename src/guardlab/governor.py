@@ -59,10 +59,10 @@ class GuardConfig:
             raise ValueError("stats_freq must be >= 1")
         if not self.stress_threshold > 1.0:
             raise ValueError("stress_threshold must be > 1")
-        if not self.spike_threshold > self.stress_threshold:
-            raise ValueError("spike_threshold must be > stress_threshold")
-        if self.recovery_fast < 0.0:
-            raise ValueError("recovery_fast must be >= 0")
+        if not self.stress_threshold < self.spike_threshold < math.inf:
+            raise ValueError("spike_threshold must be > stress_threshold and finite")
+        if not 0.0 <= self.recovery_fast < math.inf:
+            raise ValueError("recovery_fast must be >= 0 and finite")
         if not 0.0 < self.ema_decay < 1.0:
             raise ValueError("ema_decay must lie in (0, 1)")
         if not 0.0 < self.c_min <= C_MAX:

@@ -83,8 +83,8 @@ class InjectionSpec:
     mode: str = "gradient_burst"
 
     def __post_init__(self):
-        if self.magnitude < 1.0:
-            raise ValueError("injection magnitude must be >= 1")
+        if not 1.0 <= self.magnitude < math.inf:
+            raise ValueError("injection magnitude must be >= 1 and finite")
         if self.period is not None and self.period < 1:
             raise ValueError("injection period must be >= 1")
         if self.mode != "gradient_burst":

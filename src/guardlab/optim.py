@@ -26,16 +26,17 @@ class OptimizerConfig:
     weight_decay: float = 0.0
 
     def __post_init__(self):
-        if self.lr <= 0.0:
-            raise ValueError("lr must be > 0")
+        # Each check is written so that NaN fails it.
+        if not 0.0 < self.lr < math.inf:
+            raise ValueError("lr must be > 0 and finite")
         if not 0.0 < self.beta1 < 1.0:
             raise ValueError("beta1 must lie in (0, 1)")
         if not 0.0 < self.beta2 < 1.0:
             raise ValueError("beta2 must lie in (0, 1)")
-        if self.eps <= 0.0:
-            raise ValueError("eps must be > 0")
-        if self.weight_decay < 0.0:
-            raise ValueError("weight_decay must be >= 0")
+        if not 0.0 < self.eps < math.inf:
+            raise ValueError("eps must be > 0 and finite")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise ValueError("weight_decay must be >= 0 and finite")
 
 
 @dataclass
@@ -54,8 +55,8 @@ class ClipConfig:
     g: float = 1.0
 
     def __post_init__(self):
-        if self.g <= 0.0:
-            raise ValueError("clip threshold g must be > 0")
+        if not 0.0 < self.g < math.inf:
+            raise ValueError("clip threshold g must be > 0 and finite")
 
 
 class ScheduleKind(str, Enum):
@@ -71,9 +72,9 @@ class ScheduleConfig:
     kind: ScheduleKind = ScheduleKind.COSINE
 
     def __post_init__(self):
-        if self.base_lr <= 0.0:
-            raise ValueError("base_lr must be > 0")
-        if self.min_lr < 0.0 or self.min_lr > self.base_lr:
+        if not 0.0 < self.base_lr < math.inf:
+            raise ValueError("base_lr must be > 0 and finite")
+        if not 0.0 <= self.min_lr <= self.base_lr:
             raise ValueError("min_lr must lie in [0, base_lr]")
         if self.total_steps < 1:
             raise ValueError("total_steps must be >= 1")
@@ -97,8 +98,12 @@ def adamw_step(
     #   -lr_t * (m_hat / (sqrt(v_hat) + eps) + weight_decay * params)
     # evaluated op by op in the same order, in fresh buffers updated in place
     # and one scratch buffer for the products added to them (bitwise equal,
-    # fewer temporaries). Inputs are never written. The weight-decay pass
-    # runs even at weight_decay 0, where it can turn a -0.0 delta into +0.0.
+    # fewer temporaries). Inputs are never written. The weight-decay pass is
+    # skipped at weight_decay 0: there a zero entry of the delta may have the
+    # other sign than the textbook's (it adds 0.0 * params, which turns a -0.0
+    # into +0.0 beside a param >= +0.0), and params + delta is the same bits
+    # for every finite param. Only a param already at +-inf differs: the
+    # textbook's 0.0 * inf makes its delta NaN.
     # Each call takes the form measured cheapest for it: a fresh array with a
     # Python-float operand takes the operator (a product with the float on the
     # left); an in-place update with a Python float goes through an explicit
@@ -116,8 +121,9 @@ def adamw_step(
     np.add(den, cfg.eps, out=den)
     delta = m / (1.0 - cfg.beta1 ** t)
     delta /= den
-    np.multiply(cfg.weight_decay, params, out=scratch)
-    delta += scratch
+    if cfg.weight_decay:
+        np.multiply(cfg.weight_decay, params, out=scratch)
+        delta += scratch
     np.multiply(delta, -lr_t, out=delta)
     return delta, OptimizerState(m=m, v=v, t=t)
 

@@ -113,8 +113,13 @@ class QuadraticTask(Task):
         return self._x0.copy()
 
     def _loss(self, x: np.ndarray, hx: np.ndarray, b: np.ndarray) -> float:
-        """The loss at x, given hx = h * x."""
-        return float(0.5 * np.dot(x, hx) - np.dot(b, x) + self.offset)
+        """The loss at x, given hx = h * x.
+
+        The two dot products are taken as Python floats: the same IEEE
+        operations in the same order as on np.float64 scalars, without the
+        boxes. An overflow gives the same inf or NaN, without numpy's
+        scalar warning."""
+        return 0.5 * float(x.dot(hx)) - float(b.dot(x)) + self.offset
 
     def loss_and_grad(self, params, batch):
         b = batch.targets

@@ -1,11 +1,13 @@
 """Optimizer-engine tests: AdamW oracle, clipping contract, schedule, guarded step."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from guardlab import optim
 from guardlab.governor import (
@@ -14,7 +16,9 @@ from guardlab.governor import (
     Governor,
     GuardConfig,
     Regime,
+    TelemetryError,
 )
+from guardlab.harness import InjectionSpec
 from guardlab.optim import (
     ClipConfig,
     OptimizerConfig,
@@ -127,6 +131,69 @@ def test_adamw_bitwise_equal_to_one_expression_and_pure(shape, weight_decay):
         ref_params, ref_state = ref_params + ref_delta, ref_next
 
 
+# Finite entries a zero weight decay must pass through bit for bit: signed
+# zeros, subnormals, and magnitudes whose square overflows (v -> inf).
+EDGE_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, -1e-310, 2.2e-308, 1e154, -1e200, 1.7e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+# Rates a schedule gives, the cosine's final 0.0 included.
+RATES = st.sampled_from([0.0, 1e-3, 0.1, 1.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), shape=st.sampled_from([(3,), (21, 3)]), t=st.integers(0, 50))
+def test_zero_weight_decay_steps_params_as_the_textbook_bitwise(data, shape, t):
+    # Without the weight-decay pass a zero entry of the delta may differ in
+    # sign from the textbook's, but params + delta may not, for any finite
+    # param: adding +-0.0 to a param >= +0.0 gives the same bits.
+    cfg = OptimizerConfig(lr=0.1)
+    params, grads, m = (data.draw(arrays(np.float64, shape, elements=EDGE_ENTRIES))
+                        for _ in range(3))
+    v = data.draw(arrays(np.float64, shape, elements=st.one_of(
+        st.sampled_from([0.0, 5e-324, math.inf]), st.floats(0.0, allow_nan=False))))
+    if len(shape) == 2:
+        lr_t = data.draw(arrays(np.float64, (shape[0], 1), elements=RATES))
+    else:
+        lr_t = data.draw(RATES)
+    state = OptimizerState(m=m, v=v, t=t)
+    with np.errstate(all="ignore"):
+        delta, new_state = adamw_step(state, params, grads, lr_t, cfg)
+        textbook, want_state = _one_expression_adamw(state, params, grads, lr_t, cfg)
+        assert (params + delta).tobytes() == (params + textbook).tobytes()
+    assert _bits(new_state.m, new_state.v) == _bits(want_state.m, want_state.v)
+    assert new_state.t == want_state.t == t + 1
+    if len(shape) == 2:
+        return
+    # The same through an enabled guard, at a neutral and a damped posture.
+    for scale in (1.0, 0.5):
+        gov = Governor(GuardConfig())
+        gov.state = AnalyzerState(loss_ema=1.0, initialized=True)
+        gov.posture = ControlPosture(scale=scale)
+        with np.errstate(all="ignore"):
+            if not np.isfinite(textbook).all():
+                with pytest.raises(TelemetryError):
+                    guarded_step(gov, state, params, grads, 1.0, 1, lr_t, cfg)
+                continue
+            new_params, _, rec = guarded_step(gov, state, params, grads, 1.0, 1, lr_t, cfg)
+            assert new_params.tobytes() == (params + rec.scale * textbook).tobytes()
+        assert not rec.skipped and (rec.scale == 1.0) == (scale == 1.0)
+
+
+def test_zero_weight_decay_keeps_an_infinite_param_where_the_textbook_makes_it_nan():
+    # The one departure from the textbook expression at weight_decay 0: a
+    # param already at +-inf, reached only after an update overflows. The
+    # textbook adds 0.0 * inf = NaN to its delta; adamw_step adds nothing.
+    cfg = OptimizerConfig(lr=0.1)
+    params = np.array([math.inf, -math.inf, 1.0])
+    grads = np.array([0.5, -0.5, 0.5])
+    delta, _ = adamw_step(init_optimizer_state(3), params, grads, 0.1, cfg)
+    with np.errstate(invalid="ignore"):
+        textbook, _ = _one_expression_adamw(init_optimizer_state(3), params, grads, 0.1, cfg)
+    assert np.isnan(textbook[:2]).all() and np.isfinite(delta).all()
+    assert (params + delta).tolist() == [math.inf, -math.inf, (params + textbook)[2]]
+
+
 def test_adamw_t_advances_by_one():
     cfg = OptimizerConfig(lr=0.1)
     state = init_optimizer_state(2)
@@ -148,6 +215,27 @@ def test_adamw_t_advances_by_one():
 def test_optimizer_config_rejects_invalid(kwargs):
     with pytest.raises(ValueError):
         OptimizerConfig(**kwargs)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("build, field", [
+    (OptimizerConfig, "lr"),
+    (OptimizerConfig, "eps"),
+    (OptimizerConfig, "weight_decay"),
+    (partial(ScheduleConfig, base_lr=0.1, total_steps=10), "base_lr"),
+    (partial(ScheduleConfig, base_lr=0.1, total_steps=10), "min_lr"),
+    (ClipConfig, "g"),
+    (GuardConfig, "recovery_fast"),
+    (GuardConfig, "spike_threshold"),
+    (InjectionSpec, "magnitude"),
+], ids=["OptimizerConfig.lr", "OptimizerConfig.eps", "OptimizerConfig.weight_decay",
+        "ScheduleConfig.base_lr", "ScheduleConfig.min_lr", "ClipConfig.g",
+        "GuardConfig.recovery_fast", "GuardConfig.spike_threshold", "InjectionSpec.magnitude"])
+def test_configs_built_directly_reject_non_finite_values(build, field, value):
+    # As the config file's strict_float does: a NaN passes a bare "x <= 0"
+    # check, and an inf passes a check with one bound.
+    with pytest.raises(ValueError, match=field):
+        build(**{field: value})
 
 
 # --------------------------------------------------------------------------

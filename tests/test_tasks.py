@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from guardlab.report import perplexity
 from guardlab.rngstream import StreamState, advance
 from guardlab.tasks import (
     TASK_CLASSES,
+    Batch,
     QuadraticTask,
     _bigram_grids,
     evaluate,
@@ -101,6 +105,32 @@ def test_quadratic_minimizer_is_stationary_with_zero_loss():
     loss, grad = forward_backward(task, theta_star, batch)
     assert abs(loss) < 1e-12
     assert float(np.max(np.abs(grad))) < 1e-10
+
+
+QUAD = QuadraticTask(dim=4, condition=1e3, seed=9, noise=0.0)
+# Signed zeros, subnormals, entries whose products overflow, and non-finite ones.
+QUAD_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -1e-310, 1e154, -1e200, 1.7e308, math.inf, math.nan]),
+    st.floats(-1e3, 1e3),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=arrays(np.float64, 4, elements=QUAD_ENTRIES),
+       b=arrays(np.float64, 4, elements=QUAD_ENTRIES))
+def test_quadratic_loss_is_the_float64_scalar_expression_bitwise(x, b):
+    # The old loss, on np.float64 scalars; it warns where a product overflows.
+    with np.errstate(all="ignore"):
+        hx = QUAD.h * x
+        want = float(0.5 * np.dot(x, hx) - np.dot(b, x) + QUAD.offset)
+        want_eval = float(0.5 * np.dot(x, hx) - np.dot(QUAD.b, x) + QUAD.offset)
+        loss, grad = QUAD.loss_and_grad(x, Batch(inputs=np.zeros(0), targets=b))
+        eval_loss = QUAD.eval_loss(x)
+        want_grad = hx - b
+    assert type(loss) is float and type(eval_loss) is float
+    assert np.float64(loss).tobytes() == np.float64(want).tobytes()
+    assert np.float64(eval_loss).tobytes() == np.float64(want_eval).tobytes()
+    assert grad.tobytes() == want_grad.tobytes()
 
 
 # --------------------------------------------------------------------------
