@@ -36,10 +36,17 @@ from .harness import (
 from .optim import ClipConfig, ScheduleKind
 from .tasks import strict_bool, strict_float, strict_int, strict_str, task_dims
 
-SCENARIO_KINDS = ("lr_stress", "clip_baseline", "injection", "long_budget", "seed_sweep")
-# The kinds whose baseline arms clip, one per clip_g threshold; clip_g
-# defaults to (1.0, 0.5) for them and must stay empty for any other kind.
-CLIP_KINDS = ("clip_baseline", "injection")
+# Each scenario kind and the ScenarioSpec defaults it picks. A kind clips,
+# one baseline arm per clip_g threshold, exactly when its defaults hold a
+# clip_g; any other kind's clip_g must stay empty.
+KIND_DEFAULTS = {
+    "lr_stress": {},
+    "clip_baseline": {"clip_g": (1.0, 0.5)},
+    "injection": {"clip_g": (1.0, 0.5), "injection": {}},
+    "long_budget": {"steps": 5000},
+    "seed_sweep": {},
+}
+SCENARIO_KINDS = tuple(KIND_DEFAULTS)
 # Each lr preset's backoff factor from the calibrated aggressive rate. With
 # the doubling grid these land well inside (moderate) and far inside (safe)
 # the trainable region observed during calibration.
@@ -128,13 +135,14 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.kind not in SCENARIO_KINDS:
             raise ValueError(f"kind must be one of {SCENARIO_KINDS}, got {self.kind!r}")
-        if not isinstance(self.lr, (int, float)) and self.lr not in LR_PRESETS:
-            raise ValueError(f"lr must be a number or one of {LR_PRESETS}, got {self.lr!r}")
+        if not (self.lr in LR_PRESETS if isinstance(self.lr, str) else self.lr > 0.0):
+            raise ValueError(f"'lr' must be one of {LR_PRESETS} or a number > 0, got {self.lr!r}")
         for g in self.clip_g:
             ClipConfig(g=g)
-        if bool(self.clip_g) != (self.kind in CLIP_KINDS):
-            rule = "must hold a threshold" if self.kind in CLIP_KINDS else "must be empty"
-            raise ValueError(f"clip_g {rule} for kind {self.kind!r}; only {CLIP_KINDS} clip")
+        clips = "clip_g" in KIND_DEFAULTS[self.kind]
+        if bool(self.clip_g) != clips:
+            rule = "must hold a threshold" if clips else "must be empty"
+            raise ValueError(f"clip_g {rule} for kind {self.kind!r}")
         _check_file_stem("name", self.name)
 
 
@@ -184,15 +192,14 @@ def _parse_seeds(seeds) -> Tuple[int, ...]:
 
 
 def _parse_task(name: str, data) -> TaskSpec:
-    """The task, holding its given dims as converted, so that its echo, its
-    cache key and the task it builds agree."""
+    """The task with every dim, its kind's defaults included, as converted:
+    equal tasks share one calibration, and the echo shows every dim."""
     spec = _build(
         f"tasks.{name}", TaskSpec, data, kind=strict_str,
         dims=lambda dims: _object(f"tasks.{name}.dims", dims),
         validate=lambda t: task_dims(t.kind, t.dims),
     )
-    dims = task_dims(spec.kind, spec.dims)
-    return replace(spec, dims={key: dims[key] for key in spec.dims})
+    return replace(spec, dims=task_dims(spec.kind, spec.dims))
 
 
 def _scenario_fields(scen: ScenarioSpec, tasks: Dict[str, TaskSpec]) -> dict:
@@ -207,26 +214,12 @@ def _suite_fields(cfg: SuiteConfig, lr: float) -> dict:
                 min_lr=cfg.schedule.min_lr)
 
 
-def _scenario_lr(value) -> Union[str, float]:
-    """A preset name as given, or a rate, which must be a positive number."""
-    if isinstance(value, str):
-        return value
-    lr = strict_float(value)
-    if lr <= 0.0:
-        raise ValueError(f"lr must be > 0, got {value!r}")
-    return lr
-
-
 def _parse_scenario(idx: int, data, tasks: Dict[str, TaskSpec]) -> ScenarioSpec:
     section = f"scenarios[{idx}]"
     kind, task = _object(section, data).get("kind"), data.get("task")
-    defaults = {"name": f"{kind}-{task}"}
-    if kind == "long_budget":
-        defaults["steps"] = 5000
-    if kind in CLIP_KINDS:
-        defaults["clip_g"] = (1.0, 0.5)
-    if kind == "injection":
-        defaults["injection"] = {}
+    # A kind that is no string is strict_str's error, not an unhashable key.
+    defaults = {"name": f"{kind}-{task}",
+                **(KIND_DEFAULTS.get(kind, {}) if isinstance(kind, str) else {})}
 
     def validate(scen: ScenarioSpec) -> None:
         if scen.task not in tasks:
@@ -235,7 +228,8 @@ def _parse_scenario(idx: int, data, tasks: Dict[str, TaskSpec]) -> ScenarioSpec:
 
     return _build(
         section, ScenarioSpec, {**defaults, **data}, validate=validate,
-        name=strict_str, kind=strict_str, task=strict_str, lr=_scenario_lr,
+        name=strict_str, kind=strict_str, task=strict_str,
+        lr=lambda lr: lr if isinstance(lr, str) else strict_float(lr),
         clip_g=lambda g: _unique("clip_g", (strict_float(x) for x in g)),
         injection=lambda d: _build(f"{section}.injection", InjectionSpec, d,
                                    period=_optional(strict_int),
@@ -328,14 +322,14 @@ def resolve_lr(lr: Union[str, float], ladders: Iterable[Sequence[ProbeResult]]) 
 def _pairs(cfg: SuiteConfig, scen: ScenarioSpec,
            lr: float) -> List[Tuple[str, RunConfig, RunConfig]]:
     """scen's (scenario_id, baseline_cfg, guarded_cfg) pairs at rate lr, seed
-    by seed: each clip arm under CLIP_KINDS, else the plain baseline arm,
-    against the guard arm."""
+    by seed: each clip arm, one per clip_g threshold, else the plain
+    baseline arm, against the guard arm."""
     pairs = []
     for seed in cfg.seeds:
         base = RunConfig(seed=seed, label=f"{scen.name}-baseline", **_suite_fields(cfg, lr),
                          **_scenario_fields(scen, cfg.tasks))
         guard = replace(base, guard=cfg.guard, label=f"{scen.name}-guard")
-        if scen.kind in CLIP_KINDS:
+        if scen.clip_g:
             pairs += [(f"{scen.name}/clip_g={g}",
                        replace(base, clip=ClipConfig(g=g), label=f"{scen.name}-clip{g}"), guard)
                       for g in scen.clip_g]

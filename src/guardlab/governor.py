@@ -55,7 +55,7 @@ class GuardConfig:
     c_min: float = 0.05
 
     def __post_init__(self):
-        if self.stats_freq < 1:
+        if not self.stats_freq >= 1:
             raise ValueError("stats_freq must be >= 1")
         if not self.stress_threshold > 1.0:
             raise ValueError("stress_threshold must be > 1")

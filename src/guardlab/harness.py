@@ -85,7 +85,7 @@ class InjectionSpec:
     def __post_init__(self):
         if not 1.0 <= self.magnitude < math.inf:
             raise ValueError("injection magnitude must be >= 1 and finite")
-        if self.period is not None and self.period < 1:
+        if self.period is not None and not self.period >= 1:
             raise ValueError("injection period must be >= 1")
         if self.mode != "gradient_burst":
             raise ValueError(f"injection mode must be 'gradient_burst', got {self.mode!r}")
@@ -112,11 +112,12 @@ class RunConfig:
     label: str = "run"
 
     def __post_init__(self):
-        if self.steps < 1:
+        # Each check is written so that NaN fails it.
+        if not self.steps >= 1:
             raise ValueError("steps must be >= 1")
-        if self.batch_size < 1:
+        if not self.batch_size >= 1:
             raise ValueError("batch_size must be >= 1")
-        if self.eval_every < 1 or self.eval_every > self.steps:
+        if not 1 <= self.eval_every <= self.steps:
             raise ValueError("eval_every must lie in [1, steps]")
         injection = self.injection
         if injection is not None:
@@ -399,6 +400,7 @@ def calibrate_divergence_lr(
 ) -> float:
     """degrading_lr of the probe for a probe_steps-long baseline run with
     RunConfig's defaults."""
+    # eval_every only keeps a short arm valid: probe_config sets the probe's own.
     arm = RunConfig(
         task=task,
         steps=probe_steps,

@@ -76,7 +76,7 @@ class ScheduleConfig:
             raise ValueError("base_lr must be > 0 and finite")
         if not 0.0 <= self.min_lr <= self.base_lr:
             raise ValueError("min_lr must lie in [0, base_lr]")
-        if self.total_steps < 1:
+        if not self.total_steps >= 1:
             raise ValueError("total_steps must be >= 1")
 
 
@@ -134,7 +134,7 @@ def clip_global_norm(grads: np.ndarray, g: float) -> Tuple[np.ndarray, float]:
     Returns (grads, pre_norm), grads itself when the clip does not fire or
     an entry is NaN or infinite: a non-finite gradient passes through.
     """
-    if g <= 0.0:
+    if not g > 0.0:
         raise ValueError("clip threshold g must be > 0")
     grads = np.asarray(grads, dtype=float)
     # np.linalg.norm's arithmetic (the same sum in memory order), by np.vdot,

@@ -22,7 +22,7 @@ class StreamState:
     counter: int = 0
 
     def __post_init__(self):
-        if self.counter < 0:
+        if not self.counter >= 0:
             raise ValueError("counter must be non-negative")
 
 

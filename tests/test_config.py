@@ -659,6 +659,50 @@ def test_shipped_config_expands_to_the_calibrated_scenarios(monkeypatch):
         assert probes == (list(ladders) if workers == 1 else [])
 
 
+def test_one_task_under_two_names_is_calibrated_once_per_seed(monkeypatch):
+    # dims {} and {"alphabet": 32} are the same task: its default alphabet is 32.
+    probes = fake_core(monkeypatch)
+    scen = {"kind": "lr_stress", "steps": 20, "eval_every": 10, "lr": "aggressive"}
+    cfg = parse_config({
+        "seeds": [7, 42],
+        "tasks": {"plain": {"kind": "bigram_lm", "dims": {}},
+                  "spelled": {"kind": "bigram_lm", "dims": {"alphabet": 32}}},
+        "scenarios": [{**scen, "name": "a", "task": "plain"},
+                      {**scen, "name": "b", "task": "spelled"}],
+    })
+    assert cfg.tasks["plain"] == cfg.tasks["spelled"]
+    for workers in WORKER_COUNTS:
+        monkeypatch.setattr(harness, "usable_cpus", lambda workers=workers: workers)
+        probes.clear()
+        ladders = {}
+        pairs = expand_scenarios(cfg, ladders)
+        assert len(pairs) == 4
+        assert len(ladders) == 2
+        assert probes == (list(ladders) if workers == 1 else [])
+    assert [entry["scenarios"] for entry in config_module.calibration_record(cfg, ladders)] == [
+        ["a", "b"], ["a", "b"]]
+
+
+def test_the_echo_holds_every_dim_of_each_task():
+    doc = emit_config(parse_config(SHIPPED))
+    for name, task in doc["tasks"].items():
+        assert task["dims"] == TASK_CLASSES[task["kind"]].default_dims, name
+    assert parse_config(doc) == parse_config(SHIPPED)
+    assert parse_config(json.loads(json.dumps(doc))) == parse_config(SHIPPED)
+
+
+@pytest.mark.parametrize("kind", config_module.SCENARIO_KINDS)
+def test_a_kind_picks_its_defaults_from_the_kinds_table(kind):
+    scen = parse_config({**MINIMAL, "scenarios": [{"kind": kind, "task": "toy"}]}).scenarios[0]
+    picked = dict(config_module.KIND_DEFAULTS[kind])
+    if "injection" in picked:
+        picked["injection"] = InjectionSpec(**picked["injection"])
+    defaults = {f.name: f.default for f in dataclasses.fields(scen)
+                if f.default is not dataclasses.MISSING}
+    assert {key: getattr(scen, key) for key in defaults} == {**defaults, **picked}
+    assert scen.name == f"{kind}-toy"
+
+
 def test_every_rung_keeps_its_per_step_data_and_replays_the_baselines(one_worker):
     from test_golden import TINY_SUITE
 

@@ -18,7 +18,7 @@ from guardlab.governor import (
     Regime,
     TelemetryError,
 )
-from guardlab.harness import InjectionSpec
+from guardlab.harness import InjectionSpec, RunConfig, TaskSpec
 from guardlab.optim import (
     ClipConfig,
     OptimizerConfig,
@@ -31,6 +31,7 @@ from guardlab.optim import (
     init_optimizer_state,
     schedule_lr,
 )
+from guardlab.rngstream import StreamState
 from reference_impl import reference_adamw_trajectory
 
 
@@ -238,6 +239,24 @@ def test_configs_built_directly_reject_non_finite_values(build, field, value):
         build(**{field: value})
 
 
+@pytest.mark.parametrize("build, field", [
+    (partial(RunConfig, task=TaskSpec("quadratic")), "steps"),
+    (partial(RunConfig, task=TaskSpec("quadratic")), "batch_size"),
+    (partial(RunConfig, task=TaskSpec("quadratic")), "eval_every"),
+    (InjectionSpec, "period"),
+    (GuardConfig, "stats_freq"),
+    (partial(ScheduleConfig, base_lr=0.1), "total_steps"),
+    (partial(StreamState, seed=0), "counter"),
+], ids=["RunConfig.steps", "RunConfig.batch_size", "RunConfig.eval_every",
+        "InjectionSpec.period", "GuardConfig.stats_freq", "ScheduleConfig.total_steps",
+        "StreamState.counter"])
+def test_int_fields_built_directly_reject_nan(build, field):
+    # As the config file's strict_int does: a NaN passes a bare "x < 1"
+    # check, and a NaN period or eval_every would never fire.
+    with pytest.raises(ValueError, match=field):
+        build(**{field: math.nan})
+
+
 # --------------------------------------------------------------------------
 # clip_global_norm
 # --------------------------------------------------------------------------
@@ -256,6 +275,10 @@ def test_clip_under_threshold_unchanged():
         # A clip that does not fire returns its input array itself.
         assert clipped is grads
         assert pre_norm == 0.5
+    # NaN is no threshold, as a non-positive g is not.
+    for g in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="clip threshold g must be > 0"):
+            clip_global_norm(grads, g)
 
 
 def test_clip_zero_vector():
