@@ -34,7 +34,7 @@ from .harness import (
     probe_degraded,
 )
 from .optim import ClipConfig, ScheduleKind
-from .tasks import strict_bool, strict_float, strict_int, strict_str, task_dims
+from .tasks import strict_bool, strict_float, strict_int, strict_str
 
 # Each scenario kind and the ScenarioSpec defaults it picks. A kind clips,
 # one baseline arm per clip_g threshold, exactly when its defaults hold a
@@ -192,14 +192,9 @@ def _parse_seeds(seeds) -> Tuple[int, ...]:
 
 
 def _parse_task(name: str, data) -> TaskSpec:
-    """The task with every dim, its kind's defaults included, as converted:
-    equal tasks share one calibration, and the echo shows every dim."""
-    spec = _build(
-        f"tasks.{name}", TaskSpec, data, kind=strict_str,
-        dims=lambda dims: _object(f"tasks.{name}.dims", dims),
-        validate=lambda t: task_dims(t.kind, t.dims),
-    )
-    return replace(spec, dims=task_dims(spec.kind, spec.dims))
+    """The task with every dim, so the echo shows every dim (see TaskSpec)."""
+    return _build(f"tasks.{name}", TaskSpec, data, kind=strict_str,
+                  dims=lambda dims: _object(f"tasks.{name}.dims", dims))
 
 
 def _scenario_fields(scen: ScenarioSpec, tasks: Dict[str, TaskSpec]) -> dict:

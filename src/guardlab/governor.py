@@ -2,8 +2,9 @@
 
 The control loop is sense -> classify -> select posture -> actuate -> log.
 Every transition is a pure function over explicit state values; the
-``Governor`` class is a thin bundle of (config, analyzer state, posture, log)
-for callers that want a stateful handle.
+``Governor`` class is a thin bundle of (config, analyzer state, scale, log)
+for callers that want a stateful handle. The posture is the update scale
+alone; optim.guarded_step decides a step's skip.
 """
 
 from __future__ import annotations
@@ -91,16 +92,6 @@ class AnalyzerState(NamedTuple):
     initialized: bool = False
 
 
-class ControlPosture(NamedTuple):
-    scale: float = 1.0
-    skip_step: bool = False
-
-
-# The neutral posture: full scale, no skip. select_posture returns this one
-# instance whenever the posture is neutral.
-NEUTRAL_POSTURE = ControlPosture()
-
-
 @dataclass(slots=True)
 class StepRecord:
     """One step of telemetry. Its fields, in declaration order, are the keys
@@ -172,7 +163,8 @@ def all_finite(x: np.ndarray) -> bool:
     A finite sum of squares proves every entry finite, so only a NaN or
     infinite sum (a non-finite entry, or finite squares whose sum overflows)
     pays for the entry scan. np.vdot does not warn when that sum overflows;
-    ndarray.dot, np.dot, np.inner and @ do."""
+    ndarray.dot, np.dot, np.inner and @ do. guarded_step's skip verdict is
+    the stricter test, the finite sum alone."""
     return math.isfinite(np.vdot(x, x)) or bool(np.isfinite(x).all())
 
 
@@ -260,45 +252,30 @@ def classify_regime(
     return regime, AnalyzerState(loss_ema, rms_ema, True)
 
 
-def select_posture(
-    regime: Regime,
-    current: ControlPosture,
-    cfg: GuardConfig,
-    inputs_finite: bool,
-) -> ControlPosture:
-    """Bounded scale transition: damp on spike/stress, release otherwise.
-
-    An enabled guard skips iff not inputs_finite: in guarded_step, iff the
-    loss or the post-burst gradient is non-finite. A neutral posture (scale
-    C_MAX, no skip) is always NEUTRAL_POSTURE."""
+def select_posture(regime: Regime, scale: float, cfg: GuardConfig) -> float:
+    """The next update scale from the current one: damp on spike/stress,
+    release otherwise, within [c_min, C_MAX]; C_MAX for a disabled guard."""
     if not cfg.auto_enabled:
-        return NEUTRAL_POSTURE
+        return C_MAX
     if regime is Regime.SPIKE:
-        scale = max(cfg.c_min, current.scale * SPIKE_DAMPING)
-    elif regime is Regime.STRESS:
-        scale = max(cfg.c_min, current.scale * STRESS_DAMPING)
-    else:
-        scale = min(C_MAX, current.scale * (1.0 + cfg.recovery_fast))
-    if scale == C_MAX and inputs_finite:
-        return NEUTRAL_POSTURE
-    return ControlPosture(scale=scale, skip_step=not inputs_finite)
+        return max(cfg.c_min, scale * SPIKE_DAMPING)
+    if regime is Regime.STRESS:
+        return max(cfg.c_min, scale * STRESS_DAMPING)
+    return min(C_MAX, scale * (1.0 + cfg.recovery_fast))
 
 
-def apply_posture(update_delta: np.ndarray, posture: ControlPosture) -> np.ndarray:
-    """Scale the update elementwise; a skipped step becomes the zero delta.
+def apply_posture(update_delta: np.ndarray, scale: float) -> np.ndarray:
+    """Scale the update elementwise.
 
-    A non-finite delta of a step that is not skipped is rejected, by
-    all_finite: one np.vdot sum of squares, with the entry scan only when
-    that sum is not finite. At scale C_MAX the checked delta itself is
-    returned: 1.0 * x is x bit for bit."""
+    A non-finite delta is rejected, by all_finite: one np.vdot sum of
+    squares, with the entry scan only when that sum is not finite. At scale
+    C_MAX the checked delta itself is returned: 1.0 * x is x bit for bit."""
     delta = np.asarray(update_delta, dtype=float)
-    if posture.skip_step:
-        return np.zeros_like(delta)
     if not all_finite(delta):
         raise TelemetryError("actuation on non-finite update")
-    if posture.scale == C_MAX:
+    if scale == C_MAX:
         return delta
-    return posture.scale * delta
+    return scale * delta
 
 
 def record_from_json_dict(d: dict) -> StepRecord:
@@ -346,12 +323,12 @@ def summarize_records(records: Sequence[StepRecord]) -> TelemetrySummary:
 
 
 class Governor:
-    """Stateful handle bundling analyzer state, posture, and the step log."""
+    """Stateful handle bundling analyzer state, update scale, and the step log."""
 
     def __init__(self, cfg: GuardConfig):
         self.cfg = cfg
         self.state = AnalyzerState()
-        self.posture = NEUTRAL_POSTURE
+        self.scale = C_MAX
         self.log = StepLog()
 
     def observe(
@@ -361,19 +338,21 @@ class Governor:
         grads: Optional[np.ndarray],
         lr: float,
         inputs_finite: bool,
-    ) -> ControlPosture:
-        """One governance pass: sense, classify, and select the posture."""
+    ) -> float:
+        """One governance pass: sense, classify, and select the scale."""
         return self.govern(sense(step, loss, grads, lr, self.cfg), inputs_finite)
 
-    def govern(self, sample: TelemetrySample, inputs_finite: bool) -> ControlPosture:
+    def govern(self, sample: TelemetrySample, inputs_finite: bool) -> float:
         """observe's passes after sense: classify the sample, select the
-        posture and log the step."""
+        scale and log the step, which an enabled guard skips unless
+        inputs_finite (guarded_step's verdict)."""
         regime, self.state = classify_regime(sample, self.state, self.cfg)
-        self.posture = posture = select_posture(regime, self.posture, self.cfg, inputs_finite)
-        scale, skipped = float(posture.scale), posture.skip_step
+        # A float for the log, also where a config built in code gives c_min as an int.
+        self.scale = scale = float(select_posture(regime, self.scale, self.cfg))
+        skipped = self.cfg.auto_enabled and not inputs_finite
         # step, loss, loss_ema, regime, scale, active, skipped, grad_rms, lr
         self.log.append(StepRecord(
             sample.step, sample.loss, self.state.loss_ema, regime, scale,
             scale < 1.0 - ACTIVE_SCALE_TOLERANCE or skipped, skipped, sample.grad_rms, sample.lr,
         ))
-        return posture
+        return scale

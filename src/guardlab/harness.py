@@ -44,7 +44,7 @@ from .optim import (
     schedule_rates,
 )
 from .rngstream import CounterStream
-from .tasks import Batch, Task, evaluate, make_task
+from .tasks import Batch, Task, evaluate, make_task, task_dims
 
 # The multiple of the initial eval loss above which severe_degradation flags a loss.
 DEGRADATION_FACTOR = 2.0
@@ -62,14 +62,20 @@ class NotStressableError(RuntimeError):
 
 @dataclass(frozen=True)
 class TaskSpec:
+    """A task kind and every one of its dims, the kind's defaults included,
+    as task_dims converts them: equal tasks share one calibration."""
+
     kind: str
     dims: Dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "dims", task_dims(self.kind, self.dims))
 
     def __hash__(self):
         return hash((self.kind, tuple(sorted(self.dims.items()))))
 
     def build(self, seed: int) -> Task:
-        return make_task(self.kind, dict(self.dims), seed)
+        return make_task(self.kind, self.dims, seed)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .governor import Governor, StepRecord, all_finite, apply_posture
+from .governor import Governor, StepRecord, apply_posture
 
 
 @dataclass(frozen=True)
@@ -189,40 +189,39 @@ def guarded_step(
 ) -> Tuple[np.ndarray, OptimizerState, StepRecord]:
     """Composed pipeline: clip, sense, classify, posture, actuate, log.
 
-    A skipped step (non-finite loss or gradient under an enabled guard)
-    leaves params and moments untouched, including the step counter t.
-    With the guard disabled the arithmetic path is exactly plain AdamW.
+    A skipped step leaves params and moments untouched, including the step
+    counter t. With the guard disabled the arithmetic path is exactly plain
+    AdamW.
 
     grad_scale models a gradient corruption entering the optimizer after
     the clipping stage (so magnitude clipping cannot remove it); the
-    sensing stage still observes the corrupted gradient, and a burst that
-    overflows it to non-finite skips the step.
+    sensing stage still observes the corrupted gradient. The burst multiply
+    does not warn when it overflows.
 
-    inputs_finite is the step's one finiteness verdict, all_finite (one
-    np.vdot sum of squares, the entry scan only when that sum is not finite)
-    on the loss and the gradient after the clip and burst, taken only for an
-    enabled guard, which skips unless it holds; a disabled guard's posture
-    is neutral whatever it is passed. A clip runs only beside a finite loss.
-    A non-finite gradient stays non-finite through the clip and any burst,
-    and adamw_step takes no verdict: a disabled guard adds its delta as
-    plain AdamW does, and only an enabled guard's delta goes through
+    inputs_finite is the step's one skip verdict, taken only for an enabled
+    guard, which skips unless the loss and the np.vdot sum of squares of the
+    gradient after the clip and burst are finite. A finite sum proves every
+    entry finite; it also skips a finite gradient whose squares overflow
+    (|g| above ~1.3e154), which would make AdamW's second moment inf and
+    freeze its parameter for the rest of the run. A clip runs only beside a
+    finite loss. A non-finite gradient stays non-finite through the clip
+    and any burst, and adamw_step takes no verdict: a disabled guard adds
+    its delta as plain AdamW does (an overflowing square freezes its
+    parameter), and only an enabled guard's delta goes through
     apply_posture, which rejects it if non-finite.
-    A finite entry whose square overflows (|g| above ~1.3e154) is not
-    skipped, and it makes AdamW's second moment inf: every later delta of
-    that parameter is 0, so the parameter stays frozen for the rest of the
-    run; the log shows no more than a grad_rms of None on a stats step.
     """
     grads = np.asarray(grads, dtype=float)
     enabled = gov.cfg.auto_enabled
     if clip is not None and math.isfinite(loss):
         grads, _ = clip_global_norm(grads, clip.g)
     if grad_scale != 1.0:
-        grads = grads * grad_scale
-    inputs_finite = not enabled or (math.isfinite(loss) and all_finite(grads))
-    posture = gov.observe(step, loss, grads, lr_t, inputs_finite)
-    if posture.skip_step:
+        with np.errstate(over="ignore"):
+            grads = grads * grad_scale
+    inputs_finite = not enabled or (math.isfinite(loss) and math.isfinite(np.vdot(grads, grads)))
+    scale = gov.observe(step, loss, grads, lr_t, inputs_finite)
+    if not inputs_finite:
         return params, opt_state, gov.log.records[-1]
     delta, new_state = adamw_step(opt_state, params, grads, lr_t, opt_cfg)
     if enabled:
-        delta = apply_posture(delta, posture)
+        delta = apply_posture(delta, scale)
     return params + delta, new_state, gov.log.records[-1]

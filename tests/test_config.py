@@ -717,6 +717,24 @@ def test_every_rung_keeps_its_per_step_data_and_replays_the_baselines(one_worker
         "lr-stress-baseline", "lr-moderate-baseline", "long-baseline"]
 
 
+def test_a_code_built_arm_on_default_dims_finds_its_rung_in_the_parsed_ladders(one_worker):
+    # A TaskSpec holds every dim of its kind, built in code or parsed, so a
+    # baseline arm built on dims {} is the parsed suite's arm and replays its rung.
+    from guardlab.harness import ladder_rung
+
+    ladders = {}
+    cfg = parse_config({"seeds": [7], "tasks": {"bigram": {"kind": "bigram_lm"}},
+                        "scenarios": [{"name": "s", "kind": "lr_stress", "task": "bigram",
+                                       "steps": 40, "lr": "aggressive", "eval_every": 4}]})
+    ((_, base, _),) = expand_scenarios(cfg, ladders)
+    arm = RunConfig(task=TaskSpec("bigram_lm", {}), opt=base.opt, steps=40, eval_every=4,
+                    seed=7, label="code-built")
+    assert arm.task == base.task and arm.task.dims == TASK_CLASSES["bigram_lm"].default_dims
+    assert probe_config(arm) == probe_config(base)
+    rung = ladder_rung(arm, ladders)
+    assert rung is not None and rung is ladder_rung(base, ladders)
+
+
 # Every field of GuardConfig, OptimizerConfig, InjectionSpec and ScenarioSpec,
 # the schedule and the run section, each away from its default.
 FULL = {

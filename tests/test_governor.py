@@ -14,9 +14,7 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 from guardlab.governor import (
     ACTIVE_SCALE_TOLERANCE,
     C_MAX,
-    NEUTRAL_POSTURE,
     AnalyzerState,
-    ControlPosture,
     Governor,
     GuardConfig,
     Regime,
@@ -269,99 +267,81 @@ def test_classify_regime_totality(loss, loss_ema, grad_rms, rms_ema):
 
 
 def test_posture_spike_halves():
-    posture = select_posture(Regime.SPIKE, ControlPosture(scale=1.0), CFG, True)
-    assert posture.scale == 0.5
+    assert select_posture(Regime.SPIKE, 1.0, CFG) == 0.5
 
 
 def test_posture_stable_identity_at_bound():
-    posture = select_posture(Regime.STABLE, ControlPosture(scale=1.0), CFG, True)
-    assert posture.scale == 1.0
+    assert select_posture(Regime.STABLE, 1.0, CFG) == 1.0
 
 
 def test_posture_recovery_release():
     # Release runs at recovery_fast in the stable regime.
     cfg = GuardConfig(recovery_fast=0.1)
-    posture = select_posture(Regime.STABLE, ControlPosture(scale=0.5), cfg, True)
-    assert posture.scale == pytest.approx(0.55, rel=1e-12)
+    assert select_posture(Regime.STABLE, 0.5, cfg) == pytest.approx(0.55, rel=1e-12)
 
 
 def test_posture_stress_damps():
-    posture = select_posture(Regime.STRESS, ControlPosture(scale=1.0), CFG, True)
-    assert posture.scale == pytest.approx(0.9, rel=1e-12)
+    assert select_posture(Regime.STRESS, 1.0, CFG) == pytest.approx(0.9, rel=1e-12)
 
 
 def test_posture_clamps_to_bounds():
-    cfg = GuardConfig(c_min=0.4)
-    low = select_posture(Regime.SPIKE, ControlPosture(scale=0.5), cfg, True)
-    assert low.scale == 0.4
-    high = select_posture(Regime.STABLE, ControlPosture(scale=0.999), GuardConfig(recovery_fast=1.0), True)
-    assert high.scale == 1.0
+    assert select_posture(Regime.SPIKE, 0.5, GuardConfig(c_min=0.4)) == 0.4
+    assert select_posture(Regime.STABLE, 0.999, GuardConfig(recovery_fast=1.0)) == 1.0
+    # A spike clamped to an int c_min, as a config built in code may give it,
+    # still logs a float scale.
+    gov = Governor(GuardConfig(c_min=1))
+    for step, loss in enumerate((1.0, 5.0)):
+        gov.observe(step, loss, None, 0.1, inputs_finite=True)
+    assert gov.log.records[-1].regime is Regime.SPIKE
+    assert type(gov.log.records[-1].scale) is float and gov.log.records[-1].scale == 1.0
 
 
 def test_posture_skip_only_on_non_finite():
-    assert not select_posture(Regime.SPIKE, ControlPosture(), CFG, True).skip_step
-    assert select_posture(Regime.SPIKE, ControlPosture(), CFG, False).skip_step
+    # The skip is the log's, from the verdict observe is passed, whatever the regime.
+    for inputs_finite in (True, False):
+        gov = Governor(CFG)
+        gov.state = AnalyzerState(loss_ema=1.0, initialized=True)
+        gov.observe(1, 5.0, None, 0.1, inputs_finite=inputs_finite)
+        rec = gov.log.records[-1]
+        assert rec.regime is Regime.SPIKE and rec.skipped is (not inputs_finite)
 
 
 def test_posture_auto_disabled_is_identity():
-    posture = select_posture(Regime.SPIKE, ControlPosture(scale=0.3), GuardConfig(auto_enabled=False), False)
-    assert posture.scale == 1.0
-    assert not posture.skip_step
+    cfg = GuardConfig(auto_enabled=False)
+    assert select_posture(Regime.SPIKE, 0.3, cfg) == C_MAX
+    # A disabled guard never skips, whatever verdict it is passed.
+    gov = Governor(cfg)
+    assert gov.observe(0, math.nan, np.array([0.1]), 0.1, inputs_finite=False) == C_MAX
+    assert not gov.log.records[-1].skipped and not gov.log.records[-1].active
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     regime=st.sampled_from(list(Regime)),
     scale=st.floats(0.05, 1.0),
-    inputs_finite=st.booleans(),
 )
-def test_posture_always_within_bounds(regime, scale, inputs_finite):
-    posture = select_posture(regime, ControlPosture(scale=scale), CFG, inputs_finite)
-    assert CFG.c_min <= posture.scale <= C_MAX
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    regime=st.sampled_from(list(Regime)),
-    scale=st.one_of(st.sampled_from([1.0, 0.999, 0.5]), st.floats(0.05, 1.0)),
-    auto_enabled=st.booleans(),
-    recovery_fast=st.sampled_from([0.0, 0.005, 1.0]),
-    inputs_finite=st.booleans(),
-)
-def test_select_posture_shares_the_neutral_posture_exactly_when_neutral(
-    regime, scale, auto_enabled, recovery_fast, inputs_finite
-):
-    cfg = GuardConfig(auto_enabled=auto_enabled, recovery_fast=recovery_fast)
-    current = ControlPosture(scale=scale)
-    posture = select_posture(regime, current, cfg, inputs_finite)
-    neutral = posture.scale == C_MAX and not posture.skip_step
-    assert (posture is NEUTRAL_POSTURE) == neutral
-    if not neutral:
-        assert posture is not select_posture(regime, current, cfg, inputs_finite)
-
-
-def test_the_neutral_posture_is_the_default_posture():
-    assert NEUTRAL_POSTURE == ControlPosture()
-    assert Governor(CFG).posture is NEUTRAL_POSTURE
+def test_posture_always_within_bounds(regime, scale):
+    out = select_posture(regime, scale, CFG)
+    assert type(out) is float and CFG.c_min <= out <= C_MAX
 
 
 def test_monotone_damping_and_release():
     # Uninterrupted Spikes: scale non-increasing. Uninterrupted Stables:
     # non-decreasing and released within the advertised step bound.
     cfg = GuardConfig(recovery_fast=0.02)
-    posture = ControlPosture(scale=1.0)
+    scale = 1.0
     scales = []
     for _ in range(20):
-        posture = select_posture(Regime.SPIKE, posture, cfg, True)
-        scales.append(posture.scale)
+        scale = select_posture(Regime.SPIKE, scale, cfg)
+        scales.append(scale)
     assert all(b <= a for a, b in zip(scales, scales[1:]))
-    s0 = posture.scale
+    s0 = scale
     bound = math.ceil(math.log(C_MAX / s0) / math.log(1.0 + cfg.recovery_fast))
     for i in range(bound):
-        prev = posture.scale
-        posture = select_posture(Regime.STABLE, posture, cfg, True)
-        assert posture.scale >= prev
-    assert posture.scale == C_MAX
+        prev = scale
+        scale = select_posture(Regime.STABLE, scale, cfg)
+        assert scale >= prev
+    assert scale == C_MAX
 
 
 # --------------------------------------------------------------------------
@@ -371,23 +351,17 @@ def test_monotone_damping_and_release():
 
 def test_apply_posture_identity_and_scaling():
     delta = np.array([-0.1, 0.2])
-    np.testing.assert_array_equal(apply_posture(delta, ControlPosture(scale=1.0)), delta)
+    np.testing.assert_array_equal(apply_posture(delta, 1.0), delta)
     # At scale 1.0 the checked delta itself comes back: 1.0 * x is x, -0.0 included.
     signed_zero = np.array([-0.0, 0.25])
-    assert apply_posture(signed_zero, NEUTRAL_POSTURE) is signed_zero
-    np.testing.assert_allclose(
-        apply_posture(delta, ControlPosture(scale=0.5)), [-0.05, 0.1], rtol=1e-12
-    )
-
-
-def test_apply_posture_skip_zeroes():
-    out = apply_posture(np.array([math.nan, 1.0]), ControlPosture(skip_step=True))
-    np.testing.assert_array_equal(out, [0.0, 0.0])
+    assert apply_posture(signed_zero, C_MAX) is signed_zero
+    np.testing.assert_allclose(apply_posture(delta, 0.5), [-0.05, 0.1], rtol=1e-12)
 
 
 def test_apply_posture_rejects_non_finite_without_skip():
-    with pytest.raises(TelemetryError):
-        apply_posture(np.array([math.nan]), ControlPosture(skip_step=False))
+    for scale in (C_MAX, 0.5):
+        with pytest.raises(TelemetryError):
+            apply_posture(np.array([math.nan]), scale)
 
 
 @settings(max_examples=100, deadline=None)
@@ -397,7 +371,7 @@ def test_apply_posture_rejects_non_finite_without_skip():
 )
 def test_apply_posture_never_amplifies_or_redirects(delta, scale):
     delta = np.array(delta)
-    out = apply_posture(delta, ControlPosture(scale=scale))
+    out = apply_posture(delta, scale)
     assert np.all(np.abs(out) <= np.abs(delta) + 1e-15)
     assert np.all(out * delta >= 0.0)  # direction preserved elementwise
 
@@ -598,7 +572,6 @@ _REQUIRED = object()
     (TelemetrySample, {"step": _REQUIRED, "loss": _REQUIRED, "grad_rms": _REQUIRED,
                        "lr": _REQUIRED}),
     (AnalyzerState, {"loss_ema": 0.0, "rms_ema": None, "initialized": False}),
-    (ControlPosture, {"scale": 1.0, "skip_step": False}),
 ], ids=lambda x: getattr(x, "__name__", ""))
 def test_governor_values_are_immutable_with_their_fields_and_defaults(cls, defaults):
     assert cls._fields == tuple(defaults)
@@ -637,12 +610,14 @@ def test_guard_config_rejects_invalid(kwargs):
 
 def test_governor_skip_on_non_finite_inputs():
     gov = Governor(GuardConfig())
+    assert gov.scale == C_MAX
     gov.observe(0, 1.0, np.array([0.1]), 0.1, inputs_finite=True)
-    posture = gov.observe(1, math.nan, np.array([0.1]), 0.1, inputs_finite=False)
-    assert posture.skip_step
+    scale = gov.observe(1, math.nan, np.array([0.1]), 0.1, inputs_finite=False)
     rec = gov.log.records[-1]
     assert rec.skipped and rec.active
     assert rec.regime is Regime.SPIKE
+    # The skipped step's spike still damps the scale the next step starts from.
+    assert scale == gov.scale == rec.scale == 0.5
 
 
 def test_governor_stable_run_is_inactive():
@@ -696,18 +671,23 @@ class GuardedStepMachine(RuleBasedStateMachine):
         # grad_fill lands on one entry (or, at N_PARAMS, on all of them).
         grads = np.full(N_PARAMS, 0.5)
         grads[grad_at if grad_at < N_PARAMS else slice(None)] = grad_fill
-        # The skip oracle reads the gradient after the burst. A clipped
-        # gradient has norm <= 1, so only an unclipped one can overflow.
-        with np.errstate(over="ignore", invalid="ignore"):
-            seen = grads if self.clip is not None else grads * burst
-        finite = math.isfinite(loss) and bool(np.isfinite(seen).all())
+        # The skip oracle reads the sum of squares of the gradient after the
+        # burst. A clipped gradient has norm <= 1, so its sum is finite iff
+        # its entries are; only an unclipped one can overflow.
+        if self.clip is not None:
+            finite = bool(np.isfinite(grads).all())
+        else:
+            with np.errstate(over="ignore"):
+                seen = grads * burst
+            finite = math.isfinite(np.vdot(seen, seen))
+        finite = finite and math.isfinite(loss)
         before = (self.params.tobytes(), self.opt_state.m.tobytes(),
                   self.opt_state.v.tobytes(), self.opt_state.t)
-        with np.errstate(over="ignore"):
-            self.params, self.opt_state, rec = guarded_step(
-                self.gov, self.opt_state, self.params, grads, loss, self.step, 0.01,
-                self.opt_cfg, self.clip, grad_scale=burst,
-            )
+        # No np.errstate: an enabled guard's step never warns.
+        self.params, self.opt_state, rec = guarded_step(
+            self.gov, self.opt_state, self.params, grads, loss, self.step, 0.01,
+            self.opt_cfg, self.clip, grad_scale=burst,
+        )
         after = (self.params.tobytes(), self.opt_state.m.tobytes(),
                  self.opt_state.v.tobytes(), self.opt_state.t)
         self.step += 1

@@ -223,11 +223,10 @@ def test_every_guard_config_field_changes_the_telemetry(name):
 
 
 def test_the_jsonl_explains_every_posture():
-    # Folding select_posture over each line's logged regime and finiteness,
-    # from the neutral posture, gives every line's scale and skip: the log
-    # alone says why the governor acted. The run visits all three regimes.
-    from guardlab.governor import (NEUTRAL_POSTURE, Regime, record_from_json_dict,
-                                   select_posture)
+    # Folding select_posture over each line's logged regime, from C_MAX,
+    # gives every line's scale: the log alone says why the governor acted.
+    # The run visits all three regimes.
+    from guardlab.governor import C_MAX, Regime, record_from_json_dict, select_posture
 
     guard = GuardConfig()
     cfg = RunConfig(
@@ -244,10 +243,10 @@ def test_the_jsonl_explains_every_posture():
     records = [record_from_json_dict(json.loads(ln)) for ln in buf.getvalue().splitlines()]
     assert len(records) == 200
     assert {rec.regime for rec in records} == set(Regime)
-    posture = NEUTRAL_POSTURE
+    scale = C_MAX
     for rec in records:
-        posture = select_posture(rec.regime, posture, guard, not rec.skipped)
-        assert (posture.scale, posture.skip_step) == (rec.scale, rec.skipped), rec.step
+        scale = select_posture(rec.regime, scale, guard)
+        assert scale == rec.scale, rec.step
 
 
 def test_run_result_reports_finite_metrics():
@@ -693,13 +692,11 @@ def test_run_suite_self_comparison_zero_reduction(tmp_path):
 
 
 def test_run_suite_captures_errors_as_rows(tmp_path):
-    baseline = tiny_run(label="baseline")
-    bad_task = TaskSpec(kind="mlp_regression", dims={"bogus": 1})
-    baseline = RunConfig(**{**baseline.__dict__, "task": bad_task})
-    bad_guard = tiny_run(label="guard", guard=GuardConfig())
-    bad_guard = RunConfig(**{**bad_guard.__dict__, "task": bad_task})
+    # A min_lr above the arms' lr passes RunConfig, and the run's schedule rejects it.
+    baseline = tiny_run(label="baseline", min_lr=0.1)
+    bad_guard = tiny_run(label="guard", guard=GuardConfig(), min_lr=0.1)
     rows = run_suite([("broken", baseline, bad_guard)], out_dir=tmp_path)
-    assert rows[0].error is not None
+    assert "min_lr" in rows[0].error
 
 
 def test_run_suite_rows_hold_summary_rows_recomputable_from_their_jsonl(tmp_path, workers):

@@ -12,7 +12,6 @@ from hypothesis.extra.numpy import arrays
 from guardlab import optim
 from guardlab.governor import (
     AnalyzerState,
-    ControlPosture,
     Governor,
     GuardConfig,
     Regime,
@@ -167,11 +166,17 @@ def test_zero_weight_decay_steps_params_as_the_textbook_bitwise(data, shape, t):
     if len(shape) == 2:
         return
     # The same through an enabled guard, at a neutral and a damped posture.
+    # It skips a gradient whose sum of squares overflows.
     for scale in (1.0, 0.5):
         gov = Governor(GuardConfig())
         gov.state = AnalyzerState(loss_ema=1.0, initialized=True)
-        gov.posture = ControlPosture(scale=scale)
+        gov.scale = scale
         with np.errstate(all="ignore"):
+            if not math.isfinite(np.vdot(grads, grads)):
+                new_params, new_state, rec = guarded_step(gov, state, params, grads, 1.0, 1,
+                                                          lr_t, cfg)
+                assert rec.skipped and new_params is params and new_state is state
+                continue
             if not np.isfinite(textbook).all():
                 with pytest.raises(TelemetryError):
                     guarded_step(gov, state, params, grads, 1.0, 1, lr_t, cfg)
@@ -472,16 +477,34 @@ def test_guarded_step_survives_gradient_rms_overflow(auto_enabled):
             grads = np.full(3, 1e200 if step == 0 else 1.0)
             params, state, rec = guarded_step(gov, state, params, grads, 1.0, step, 0.1, cfg)
             records.append(rec)
-    assert records[0].grad_rms is None and not records[0].skipped
+    # An enabled guard skips the step: the sum of squares overflows too.
+    assert records[0].grad_rms is None and records[0].skipped is auto_enabled
     assert records[10].grad_rms == 1.0 and records[20].grad_rms == 1.0
     assert np.all(np.isfinite(params))
 
 
-def test_a_gradient_whose_square_overflows_freezes_its_parameter():
-    # Pinned as it is: 1e200 is finite, so an enabled guard does not skip,
-    # and its square makes AdamW's second moment inf. Every later delta of
-    # that parameter is m / inf = 0, so it stays where it was for the run.
+@pytest.mark.parametrize("grads, burst", [([1e200, -1e200], 1.0), ([1e307, 1.0], 50.0)],
+                         ids=["square-overflow", "burst-overflow"])
+def test_an_enabled_guard_skips_a_gradient_whose_square_overflows(grads, burst):
+    # Finite entries whose sum of squares overflows, with no RuntimeWarning
+    # (an error under this suite's filter): the step is skipped, and params,
+    # moments and t are untouched.
     gov = Governor(GuardConfig())
+    params = np.array([0.5, -0.5])
+    state = OptimizerState(m=np.array([0.1, -0.2]), v=np.array([0.01, 0.04]), t=3)
+    new_params, new_state, rec = guarded_step(gov, state, params, np.array(grads), 1.0, 0, 1e-2,
+                                              OptimizerConfig(lr=1e-2), grad_scale=burst)
+    assert rec.skipped and rec.active
+    assert new_params is params and new_state is state
+    assert (params.tolist(), state.m.tolist(), state.v.tolist(), state.t) == (
+        [0.5, -0.5], [0.1, -0.2], [0.01, 0.04], 3)
+
+
+def test_a_gradient_whose_square_overflows_freezes_its_parameter():
+    # Past a disabled guard, plain AdamW: 1e200 is finite, and its square
+    # makes AdamW's second moment inf. Every later delta of that parameter
+    # is m / inf = 0, so it stays where it was for the run.
+    gov = Governor(GuardConfig(auto_enabled=False))
     cfg = OptimizerConfig(lr=1e-2)
     params = np.zeros(2)
     state = init_optimizer_state(2)
@@ -534,16 +557,16 @@ def test_guarded_step_is_the_textbook_composition_byte_for_byte(
     loss, grads, auto_enabled, clip, burst, weight_decay, scale, t
 ):
     # The textbook step: clip a finite gradient beside a finite loss, apply
-    # the burst, skip if an enabled guard sees a non-finite loss or
-    # gradient, else take params + scale * adamw_step (a disabled guard lets
-    # a non-finite gradient through, as plain AdamW).
+    # the burst, skip if an enabled guard sees a non-finite loss or gradient
+    # sum of squares, else take params + scale * adamw_step (a disabled
+    # guard lets a non-finite gradient through, as plain AdamW).
     grads = np.array(grads)
     cfg = OptimizerConfig(lr=0.1, weight_decay=weight_decay)
     gov = Governor(GuardConfig(auto_enabled=auto_enabled))
     # The step's posture moves from this one: at scale 1.0 a finite loss at
     # or below the EMA keeps it neutral, and a spike damps it.
     gov.state = AnalyzerState(loss_ema=1.0, initialized=True)
-    gov.posture = ControlPosture(scale=scale)
+    gov.scale = scale
     params = np.array([1.0, -0.5, -0.0])
     state = OptimizerState(m=np.array([0.1, -0.2, -0.0]), v=np.array([0.01, 0.04, 0.0]), t=t)
     with np.errstate(all="ignore"):
@@ -551,7 +574,7 @@ def test_guarded_step_is_the_textbook_composition_byte_for_byte(
         seen = clip_global_norm(grads, clip)[0] if clip is not None and finite else grads
         if burst != 1.0:
             seen = seen * burst
-        finite = finite and bool(np.isfinite(seen).all())
+        finite = finite and math.isfinite(np.vdot(seen, seen))
         new_params, new_state, rec = guarded_step(
             gov, state, params, grads, loss, 0, 0.1, cfg,
             None if clip is None else ClipConfig(g=clip), grad_scale=burst,
@@ -590,12 +613,12 @@ def test_an_enabled_guard_never_steps_adamw_on_a_non_finite_gradient(
         return unchecked(state, params, grads, *args, **kwargs)
 
     monkeypatch.setattr(optim, "adamw_step", finite_only)
-    with np.errstate(over="ignore"):
-        _, _, rec = guarded_step(
-            Governor(GuardConfig()), init_optimizer_state(2), np.zeros(2),
-            np.array([grad, 0.5]), loss, 0, 0.1, OptimizerConfig(lr=0.1), clip,
-            grad_scale=burst,
-        )
+    # No np.errstate: an overflowing burst does not warn.
+    _, _, rec = guarded_step(
+        Governor(GuardConfig()), init_optimizer_state(2), np.zeros(2),
+        np.array([grad, 0.5]), loss, 0, 0.1, OptimizerConfig(lr=0.1), clip,
+        grad_scale=burst,
+    )
     # A clipped gradient has norm <= 1, so only an unclipped one overflows.
     overflows = clip is None and burst != 1.0
     assert rec.skipped == (not (math.isfinite(loss) and math.isfinite(grad)) or overflows)
@@ -605,36 +628,33 @@ def test_an_enabled_guard_never_steps_adamw_on_a_non_finite_gradient(
 @pytest.mark.parametrize("auto_enabled, clip, burst, skip, calls", [
     (False, None, 1.0, False, 0),
     (False, None, 50.0, False, 0),
-    (False, ClipConfig(g=1.0), 1.0, False, 0),
-    (False, ClipConfig(g=1.0), 50.0, False, 0),
+    (False, ClipConfig(g=1.0), 1.0, False, 1),
+    (False, ClipConfig(g=1.0), 50.0, False, 1),
     (True, None, 1.0, False, 2),
     (True, None, 50.0, False, 2),
-    (True, ClipConfig(g=1.0), 50.0, False, 2),
+    (True, ClipConfig(g=1.0), 50.0, False, 3),
     (True, None, 1e308, True, 1),
 ], ids=["off", "off-burst", "off-clip", "off-clip-burst", "on", "on-burst", "on-clip-burst",
         "on-burst-overflow"])
 def test_the_finiteness_verdict_is_taken_only_where_it_is_read(
     monkeypatch, auto_enabled, clip, burst, skip, calls
 ):
-    # With a finite loss: none for a disabled guard, clipped or not, and for
-    # an enabled guard one on the post-burst inputs and one in apply_posture
-    # unless the step skips.
-    import guardlab.governor as governor
-
+    # The np.vdot sums of squares a step takes, with a finite loss: one for
+    # the clip's norm when it clips; none else for a disabled guard; and for
+    # an enabled guard the skip verdict on the post-burst gradient and
+    # apply_posture's check of the delta, unless the step skips.
     counted = []
-    real = governor.all_finite
+    real = np.vdot
 
-    def counting(x):
-        counted.append(x)
-        return real(x)
+    def counting(a, b):
+        counted.append(a)
+        return real(a, b)
 
-    monkeypatch.setattr(governor, "all_finite", counting)
-    monkeypatch.setattr(optim, "all_finite", counting)
-    with np.errstate(over="ignore"):
-        _, _, rec = guarded_step(
-            Governor(GuardConfig(auto_enabled=auto_enabled)), init_optimizer_state(2),
-            np.zeros(2), np.array([3.0, 5.0]), 1.0, 0, 0.1, OptimizerConfig(lr=0.1), clip,
-            grad_scale=burst,
-        )
+    monkeypatch.setattr(np, "vdot", counting)
+    _, _, rec = guarded_step(
+        Governor(GuardConfig(auto_enabled=auto_enabled)), init_optimizer_state(2),
+        np.zeros(2), np.array([3.0, 5.0]), 1.0, 0, 0.1, OptimizerConfig(lr=0.1), clip,
+        grad_scale=burst,
+    )
     assert rec.skipped == skip
     assert len(counted) == calls

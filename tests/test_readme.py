@@ -1,0 +1,50 @@
+"""Every name README.md cites as `module.attr` exists in guardlab.
+
+The README names the lab's functions and constants, and a rename or a
+deletion that misses it leaves a stale name behind. This reads each
+backticked span of the README for `<module>.<attr>` references to the
+guardlab modules (file names such as `governor.py` or `report.md` aside)
+and resolves each by getattr on guardlab.<module>.
+"""
+
+import importlib
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = ("cli", "config", "governor", "harness", "optim", "report", "rngstream", "tasks")
+FILE_SUFFIXES = {"py", "md", "json", "jsonl", "csv"}
+REFERENCE = re.compile(rf"(?<![\w./])(?:guardlab\.)?({'|'.join(MODULES)})\.([A-Za-z_]\w*)")
+
+
+def module_references(text: str) -> list:
+    """The distinct (module, attr) pairs that text's backticked spans cite, sorted."""
+    refs = set()
+    for span in re.findall(r"`([^`\n]+)`", text):
+        refs.update(m.groups() for m in REFERENCE.finditer(span)
+                    if m.group(2) not in FILE_SUFFIXES)
+    return sorted(refs)
+
+
+def unresolved(refs) -> list:
+    """The "module.attr" of each reference that guardlab.<module> lacks."""
+    return [f"{mod}.{attr}" for mod, attr in refs
+            if not hasattr(importlib.import_module(f"guardlab.{mod}"), attr)]
+
+
+def test_the_check_sees_a_stale_name():
+    assert sorted(path.stem for path in (ROOT / "src" / "guardlab").glob("*.py")
+                  if path.stem != "__init__") == list(MODULES)
+    text = ("`governor.select_posture` and `x = harness.ladder_rung(cfg)`; "
+            "`governor.py`, `report.md`, `perfbench/tracing.py`, plain governor.GONE,\n"
+            "`optim.GONE`, `guardlab.tasks.strict_int` and `guardlab.optim.GONE_TOO`\n")
+    refs = module_references(text)
+    assert refs == [("governor", "select_posture"), ("harness", "ladder_rung"),
+                    ("optim", "GONE"), ("optim", "GONE_TOO"), ("tasks", "strict_int")]
+    assert unresolved(refs) == ["optim.GONE", "optim.GONE_TOO"]
+
+
+def test_every_module_name_the_readme_cites_exists():
+    refs = module_references((ROOT / "README.md").read_text(encoding="utf-8"))
+    assert refs
+    assert unresolved(refs) == []
