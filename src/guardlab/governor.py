@@ -21,6 +21,7 @@ import numpy as np
 # A step counts as control-active when scale < 1 - tolerance; strict
 # inequality with a tolerance keeps floating noise out of the counter.
 ACTIVE_SCALE_TOLERANCE = 1e-9
+_ACTIVE_BELOW = 1.0 - ACTIVE_SCALE_TOLERANCE
 
 # Upper bound of the update scale: the governor only ever attenuates.
 C_MAX = 1.0
@@ -40,6 +41,12 @@ class Regime(str, Enum):
     STABLE = "stable"
     STRESS = "stress"
     SPIKE = "spike"
+
+
+# The members as module names, bound once: on Python 3.11 a Regime.X read is an
+# Enum class-attribute lookup of ~0.1 us, and classify_regime and
+# select_posture would take up to three a step.
+_STABLE, _STRESS, _SPIKE = Regime.STABLE, Regime.STRESS, Regime.SPIKE
 
 
 @dataclass(frozen=True)
@@ -221,47 +228,54 @@ def classify_regime(
     only), reaches stress_threshold; stable otherwise. Non-finite losses
     never enter the EMA.
     """
-    loss = sample.loss
+    _, loss, grad_rms, _ = sample
+    loss_ema, rms_ema, initialized = state
     finite = math.isfinite(loss)
 
-    if not state.initialized:
+    if not initialized:
         if not finite:
-            return Regime.SPIKE, state
-        return Regime.STABLE, AnalyzerState(loss, sample.grad_rms, True)
+            return _SPIKE, state
+        return _STABLE, AnalyzerState(loss, grad_rms, True)
 
-    r = loss / max(state.loss_ema, _EMA_FLOOR) if finite else math.inf
+    # Each EMA is floored as max(ema, _EMA_FLOOR) is, by one comparison
+    # without the builtin's call: the EMA unless the floor exceeds it.
+    r = loss / (_EMA_FLOOR if _EMA_FLOOR > loss_ema else loss_ema) if finite else math.inf
     rho = None
-    if sample.grad_rms is not None and state.rms_ema is not None:
-        rho = sample.grad_rms / max(state.rms_ema, _EMA_FLOOR)
+    if grad_rms is not None and rms_ema is not None:
+        rho = grad_rms / (_EMA_FLOOR if _EMA_FLOOR > rms_ema else rms_ema)
 
     if not finite or r >= cfg.spike_threshold:
-        regime = Regime.SPIKE
+        regime = _SPIKE
     elif r >= cfg.stress_threshold or (rho is not None and rho >= cfg.stress_threshold):
-        regime = Regime.STRESS
+        regime = _STRESS
     else:
-        regime = Regime.STABLE
+        regime = _STABLE
 
-    loss_ema = update_ema(state.loss_ema, loss, cfg.ema_decay) if finite else state.loss_ema
-    rms_ema = state.rms_ema
-    if sample.grad_rms is not None:
-        rms_ema = (
-            sample.grad_rms
-            if rms_ema is None
-            else update_ema(rms_ema, sample.grad_rms, cfg.ema_decay)
-        )
+    if finite:
+        loss_ema = update_ema(loss_ema, loss, cfg.ema_decay)
+    if grad_rms is not None:
+        rms_ema = grad_rms if rms_ema is None else update_ema(rms_ema, grad_rms, cfg.ema_decay)
     return regime, AnalyzerState(loss_ema, rms_ema, True)
 
 
 def select_posture(regime: Regime, scale: float, cfg: GuardConfig) -> float:
     """The next update scale from the current one: damp on spike/stress,
-    release otherwise, within [c_min, C_MAX]; C_MAX for a disabled guard."""
+    release otherwise, within [c_min, C_MAX]; C_MAX for a disabled guard.
+
+    Each clamp is max(c_min, scale) or min(C_MAX, scale) as one comparison,
+    without the builtin's call, and with its tie rule: the bound wins a tie,
+    so an int c_min comes back as the int."""
     if not cfg.auto_enabled:
         return C_MAX
-    if regime is Regime.SPIKE:
-        return max(cfg.c_min, scale * SPIKE_DAMPING)
-    if regime is Regime.STRESS:
-        return max(cfg.c_min, scale * STRESS_DAMPING)
-    return min(C_MAX, scale * (1.0 + cfg.recovery_fast))
+    if regime is _SPIKE:
+        scale *= SPIKE_DAMPING
+    elif regime is _STRESS:
+        scale *= STRESS_DAMPING
+    else:
+        scale *= 1.0 + cfg.recovery_fast
+        return scale if scale < C_MAX else C_MAX
+    c_min = cfg.c_min
+    return scale if scale > c_min else c_min
 
 
 def apply_posture(update_delta: np.ndarray, scale: float) -> np.ndarray:
@@ -303,15 +317,33 @@ class StepLog:
 
 
 def summarize_records(records: Sequence[StepRecord]) -> TelemetrySummary:
-    active = sum(1 for r in records if r.active)
-    skipped = sum(1 for r in records if r.skipped)
-    switches = sum(
-        1 for a, b in zip(records, records[1:]) if a.regime is not b.regime
-    )
-    energy = sum(
-        1.0 if r.skipped else (1.0 - r.scale) ** 2 for r in records
-    )
-    min_scale = min((r.scale for r in records), default=1.0)
+    """The log's counts, regime switches, control energy and first minimum
+    scale (1.0 for an empty log), in one pass.
+
+    The energy is added left to right from the int 0, one term per record:
+    1.0 for a skipped step, (1.0 - scale) ** 2 otherwise. That is what sum()
+    does on Python 3.11, but sum() adds floats with Neumaier compensation on
+    3.12 and later, which could change the last bits; this loop gives the
+    same bits on every version. An empty log gives the int 0.
+    """
+    active = skipped = switches = 0
+    energy = 0
+    min_scale = records[0].scale if records else 1.0
+    prev = records[0].regime if records else None
+    for r in records:
+        scale = r.scale
+        if r.active:
+            active += 1
+        if r.skipped:
+            skipped += 1
+            energy += 1.0
+        else:
+            energy += (1.0 - scale) ** 2
+        if scale < min_scale:
+            min_scale = scale
+        if r.regime is not prev:
+            switches += 1
+            prev = r.regime
     return TelemetrySummary(
         total_steps=len(records),
         control_active_steps=active,
@@ -346,13 +378,16 @@ class Governor:
         """observe's passes after sense: classify the sample, select the
         scale and log the step, which an enabled guard skips unless
         inputs_finite (guarded_step's verdict)."""
-        regime, self.state = classify_regime(sample, self.state, self.cfg)
+        cfg = self.cfg
+        step, loss, grad_rms, lr = sample
+        regime, state = classify_regime(sample, self.state, cfg)
+        self.state = state
         # A float for the log, also where a config built in code gives c_min as an int.
-        self.scale = scale = float(select_posture(regime, self.scale, self.cfg))
-        skipped = self.cfg.auto_enabled and not inputs_finite
+        self.scale = scale = float(select_posture(regime, self.scale, cfg))
+        skipped = cfg.auto_enabled and not inputs_finite
         # step, loss, loss_ema, regime, scale, active, skipped, grad_rms, lr
         self.log.append(StepRecord(
-            sample.step, sample.loss, self.state.loss_ema, regime, scale,
-            scale < 1.0 - ACTIVE_SCALE_TOLERANCE or skipped, skipped, sample.grad_rms, sample.lr,
+            step, loss, state.loss_ema, regime, scale,
+            scale < _ACTIVE_BELOW or skipped, skipped, grad_rms, lr,
         ))
         return scale

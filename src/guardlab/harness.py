@@ -229,16 +229,19 @@ def run_training(cfg: RunConfig, out_dir: Optional[Path] = None) -> RunResult:
 
     initial_loss = evaluate(task, params)
     eval_trace: List[Tuple[int, float]] = []
+    # Loop invariants as locals. params is always a float64 array built
+    # here: no forward_backward coercion.
+    loss_and_grad = task.loss_and_grad
+    opt_cfg, clip, eval_every = cfg.opt, cfg.clip, cfg.eval_every
     t0 = time.perf_counter()
     for step, (batch, burst) in enumerate(_batches(task, cfg)):
         lr_t = schedule_lr(step, sched)
-        # params is always a float64 array built here: no forward_backward coercion.
-        loss, grads = task.loss_and_grad(params, batch)
+        loss, grads = loss_and_grad(params, batch)
         params, opt_state, _ = guarded_step(
-            gov, opt_state, params, grads, loss, step, lr_t, cfg.opt, cfg.clip,
+            gov, opt_state, params, grads, loss, step, lr_t, opt_cfg, clip,
             grad_scale=burst,
         )
-        if (step + 1) % cfg.eval_every == 0:
+        if (step + 1) % eval_every == 0:
             eval_trace.append((step + 1, evaluate(task, params)))
     wall = time.perf_counter() - t0
 

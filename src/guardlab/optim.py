@@ -64,6 +64,11 @@ class ScheduleKind(str, Enum):
     CONSTANT = "constant"
 
 
+# Bound once, as governor binds its regimes: an Enum class-attribute lookup
+# costs ~0.1 us on Python 3.11, and every run and ladder step reads it.
+_CONSTANT = ScheduleKind.CONSTANT
+
+
 @dataclass(frozen=True)
 class ScheduleConfig:
     base_lr: float
@@ -125,7 +130,7 @@ def adamw_step(
         np.multiply(cfg.weight_decay, params, out=scratch)
         delta += scratch
     np.multiply(delta, -lr_t, out=delta)
-    return delta, OptimizerState(m=m, v=v, t=t)
+    return delta, OptimizerState(m, v, t)
 
 
 def clip_global_norm(grads: np.ndarray, g: float) -> Tuple[np.ndarray, float]:
@@ -166,7 +171,7 @@ def schedule_rates(
     """
     if step < 0:
         raise ValueError("step must be >= 0")
-    if cfg.kind is ScheduleKind.CONSTANT:
+    if cfg.kind is _CONSTANT:
         return base_lrs
     if step > cfg.total_steps:
         return cfg.min_lr

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
@@ -34,7 +34,9 @@ from guardlab.governor import (
     summarize_records,
     update_ema,
 )
+from guardlab.governor import _EMA_FLOOR
 from guardlab.optim import ClipConfig, OptimizerConfig, guarded_step, init_optimizer_state
+from reference_impl import reference_classify_regime, reference_select_posture, reference_summary
 
 CFG = GuardConfig()
 
@@ -345,6 +347,74 @@ def test_monotone_damping_and_release():
 
 
 # --------------------------------------------------------------------------
+# the control transitions against an independent oracle
+# --------------------------------------------------------------------------
+
+
+def _bits(value):
+    """A value as its type and repr: equal exactly when the two are the same
+    type and, for floats, the same bits (-0.0 and NaN included)."""
+    return type(value), repr(value)
+
+
+def _around(x):
+    """x and its two float neighbours."""
+    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+
+
+_LOSSES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, 1.25, 1.8]),
+)
+_EMA_EDGES = _around(_EMA_FLOOR) + [0.0, -0.0]
+
+
+@st.composite
+def _c_min_and_scale(draw):
+    """c_min as a code-built config may give it (the int 1) or a float, and a
+    scale at, just above or just below either bound, where a damping lands
+    on c_min (a tie, which c_min wins), or anywhere in [0, 1]."""
+    c_min = draw(st.one_of(st.just(1), st.floats(1e-6, 1.0)))
+    edges = _around(c_min) + _around(C_MAX) + [2 * c_min, c_min / 0.9]
+    return c_min, draw(st.one_of(st.sampled_from(edges), st.floats(0.0, 1.0)))
+
+
+_TIE = dict(initialized=True, enabled=True, recovery_fast=0.005, bounds=(1, 2))
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    loss=_LOSSES,
+    grad_rms=st.one_of(st.none(), st.floats(0.0, 1e6), st.sampled_from(_EMA_EDGES)),
+    loss_ema=st.one_of(st.floats(-1e6, 1e6), st.sampled_from(_EMA_EDGES + [1.0])),
+    rms_ema=st.one_of(st.none(), st.floats(0.0, 1e6), st.sampled_from(_EMA_EDGES + [1.0])),
+    initialized=st.booleans(),
+    enabled=st.booleans(),
+    recovery_fast=st.sampled_from([0.0, 0.005, 0.1]),
+    bounds=_c_min_and_scale(),
+)
+# r, then rho, exactly at a threshold.
+@example(loss=1.8, grad_rms=None, loss_ema=1.0, rms_ema=None, **_TIE)
+@example(loss=1.25, grad_rms=None, loss_ema=1.0, rms_ema=None, **_TIE)
+@example(loss=1.0, grad_rms=1.25, loss_ema=1.0, rms_ema=1.0, **_TIE)
+def test_control_transitions_match_the_reference_bit_for_bit(
+    loss, grad_rms, loss_ema, rms_ema, initialized, enabled, recovery_fast, bounds
+):
+    c_min, scale = bounds
+    cfg = GuardConfig(auto_enabled=enabled, recovery_fast=recovery_fast, c_min=c_min)
+    sample = TelemetrySample(7, loss, grad_rms, 0.1)
+    regime, after = classify_regime(sample, AnalyzerState(loss_ema, rms_ema, initialized), cfg)
+    want_regime, want_after = reference_classify_regime(
+        loss, grad_rms, loss_ema, rms_ema, initialized, cfg
+    )
+    assert regime is want_regime
+    assert type(after) is AnalyzerState
+    assert [_bits(v) for v in after] == [_bits(v) for v in want_after]
+    for r in Regime:
+        assert _bits(select_posture(r, scale, cfg)) == _bits(reference_select_posture(r, scale, cfg))
+
+
+# --------------------------------------------------------------------------
 # apply_posture
 # --------------------------------------------------------------------------
 
@@ -454,10 +524,45 @@ def test_summary_matches_independent_recount(scales, skip_mask, regimes):
     )
     energy = 0.0
     for r in records:
-        energy += 1.0 if r.skipped else (1.0 - r.scale) * (1.0 - r.scale)
+        energy += 1.0 if r.skipped else (1.0 - r.scale) ** 2
     assert summary.control_active_steps == active
     assert summary.regime_switches == switches
-    assert summary.control_energy == pytest.approx(energy, rel=1e-12, abs=1e-15)
+    assert summary.control_energy == energy
+
+
+_S, _T, _P = Regime.STABLE, Regime.STRESS, Regime.SPIKE
+
+
+# rows are (scale, active, skipped, regime); active and skipped count by truthiness.
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.sampled_from([1.0, 1, 0.9999999999, 0.5, 0.05, 0.0, -0.0]),
+            st.sampled_from([True, False, 1, 0]),
+            st.sampled_from([True, False, 1, 0]),
+            st.sampled_from(list(Regime)),
+        ),
+        max_size=30,
+    )
+)
+@example(rows=[])
+@example(rows=[(1, False, False, _S), (1.0, False, False, _S)])
+@example(rows=[(1.0, False, False, _S), (1, False, False, _S)])
+@example(rows=[(0.0, True, False, _T), (-0.0, True, False, _T), (0.5, True, True, _P)])
+@example(rows=[(0.5, True, True, _S), (0.25, True, False, _P)] * 3 + [(1.0, False, False, _T)])
+def test_summary_equals_the_five_pass_reference_exactly(rows):
+    records = [
+        StepRecord(i, 1.0, 1.0, regime, scale, active, skipped, None, 0.1)
+        for i, (scale, active, skipped, regime) in enumerate(rows)
+    ]
+    summary = summarize_records(records)
+    got = {f.name: getattr(summary, f.name) for f in dataclasses.fields(summary)}
+    want = reference_summary(records)
+    assert got == want
+    assert type(got["control_energy"]) is type(want["control_energy"])
+    # The first minimum: an int and a float scale, or 0.0 and -0.0, tie.
+    assert _bits(got["min_scale"]) == _bits(want["min_scale"])
 
 
 def test_jsonl_round_trip():
