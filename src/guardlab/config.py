@@ -226,9 +226,7 @@ def _parse_scenario(idx: int, data, tasks: Dict[str, TaskSpec]) -> ScenarioSpec:
         name=strict_str, kind=strict_str, task=strict_str,
         lr=lambda lr: lr if isinstance(lr, str) else strict_float(lr),
         clip_g=lambda g: _unique("clip_g", (strict_float(x) for x in g)),
-        injection=lambda d: _build(f"{section}.injection", InjectionSpec, d,
-                                   period=_optional(strict_int),
-                                   steps=lambda s: tuple(strict_int(step) for step in s)),
+        injection=lambda d: _build(f"{section}.injection", InjectionSpec, d),
     )
 
 

@@ -80,26 +80,23 @@ class TaskSpec:
 
 @dataclass(frozen=True)
 class InjectionSpec:
-    """Deterministic gradient-burst schedule: periodic and/or explicit step
-    indices. mode names the one injection kind, a burst after the clip."""
+    """A gradient burst of magnitude, after the clip, on every period-th step
+    after step 0. mode names the one injection kind."""
 
     magnitude: float = 50.0
-    period: Optional[int] = 100
-    steps: Tuple[int, ...] = ()
+    period: int = 100
     mode: str = "gradient_burst"
 
     def __post_init__(self):
         if not 1.0 <= self.magnitude < math.inf:
             raise ValueError("injection magnitude must be >= 1 and finite")
-        if self.period is not None and not self.period >= 1:
-            raise ValueError("injection period must be >= 1")
+        if not (isinstance(self.period, int) and self.period >= 1):
+            raise ValueError(f"injection period must be an int >= 1, got {self.period!r}")
         if self.mode != "gradient_burst":
             raise ValueError(f"injection mode must be 'gradient_burst', got {self.mode!r}")
 
     def scheduled(self, step: int) -> bool:
-        if step in self.steps:
-            return True
-        return self.period is not None and step > 0 and step % self.period == 0
+        return step > 0 and step % self.period == 0
 
 
 @dataclass(frozen=True)
@@ -125,15 +122,8 @@ class RunConfig:
             raise ValueError("batch_size must be >= 1")
         if not 1 <= self.eval_every <= self.steps:
             raise ValueError("eval_every must lie in [1, steps]")
-        injection = self.injection
-        if injection is not None:
-            bad = [s for s in injection.steps if not 0 <= s < self.steps]
-            if bad:
-                raise ValueError(f"injection steps outside [0, steps): {bad}")
-            period = injection.period
-            if not injection.steps and (period is None or period >= self.steps):
-                raise ValueError(f"injection schedules no step: it has no explicit steps "
-                                 f"and no period below steps ({self.steps})")
+        if self.injection is not None and not self.injection.period < self.steps:
+            raise ValueError(f"injection schedules no step: period >= steps ({self.steps})")
 
     def schedule(self) -> ScheduleConfig:
         return ScheduleConfig(

@@ -33,8 +33,10 @@ class CounterStream:
     are bit-identical to a Philox freshly built at counter c. Repositioning
     resets the whole bit-generator state (counter, output buffer, cached
     uint32), so what was drawn at the previous counter never leaks into
-    the next: a draw can span several counter blocks, so merely advancing
-    one long-lived generator would overlap consecutive counters' draws.
+    the next: a draw can span several counter blocks (a 32-index bigram batch
+    spans about 4), so advancing one long-lived generator would overlap
+    consecutive counters' draws. at() costs ~2 us, a new Philox ~12 us: its
+    constructor draws OS entropy for a seed sequence the key then overrides.
     """
 
     def __init__(self, seed: int, stream: int = 0):
@@ -66,7 +68,9 @@ class CounterStream:
         row where Lemire would redraw (a product whose low half is below
         (2**32 - high) % high) reads past its own uint32s, so it is drawn
         again through at(); so is every row of a high that numpy bounds by
-        another algorithm.
+        another algorithm. A 3 000-step bigram run's indices take ~1.5 ms this
+        way, against 5-11 us a step through integers, which also pays numpy's
+        Python-level np.prod(size) on every call.
         """
         if not 2 <= high < 2**32:
             return np.array([self.at(first + r).integers(0, high, size=size)

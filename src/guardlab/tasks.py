@@ -278,10 +278,12 @@ class BigramLmTask(Task):
         a = self.alphabet
         n_rows, n = param_rows.shape[0], len(prev)
         offsets, grid = _bigram_grids(n_rows, n, a)
-        # ndarray.take, not np.take, whose Python wrapper costs ~1 us a call.
+        # ndarray.take, not np.take, whose Python wrapper costs ~1 us a call;
+        # [:, prev] would give a strided result for L > 1 that the reshape copies.
         probs = param_rows.reshape(n_rows, a, a).take(prev, axis=1).reshape(n_rows * n, a)
         # Each row's max from a transposed copy: A passes of length L*n instead
-        # of L*n passes of length A. A max is exact, so the values are the same.
+        # of L*n passes of length A (56 -> 37 us at L = 21, 3.9 -> 3.2 us at
+        # L = 1). A max is exact, so the values are the same.
         probs -= np.maximum.reduce(np.ascontiguousarray(probs.T), axis=0)[:, None]
         flat = probs.ravel()
         targets = offsets + nxt

@@ -6,12 +6,16 @@ unlikely to hide in both implementations.
 """
 
 import functools
+import json
 import math
 import operator
 
 import numpy as np
 
-from guardlab.governor import Regime
+from guardlab.governor import GuardConfig, Regime, TelemetryError
+from guardlab.optim import ScheduleKind
+from guardlab.rngstream import StreamState
+from guardlab.tasks import sample_batch
 
 
 def reference_adamw_trajectory(params0, grad_seq, lr_seq, beta1, beta2, eps, wd):
@@ -170,3 +174,126 @@ def reference_summary(records):
         "min_scale": min((r.scale for r in records), default=1.0),
         "skipped_steps": sum(1 for r in records if r.skipped),
     }
+
+
+# A step is control-active when its scale is below 1 by more than this, or it is skipped.
+ACTIVE_TOLERANCE = 1e-9
+
+
+def _reference_loss_and_grad(task, theta, targets, prev=None):
+    """(loss, grad list) of a bigram_lm or quadratic task at params theta.
+
+    The bigram loss is reference_bigram_ce_and_grad over the pairs
+    (prev, targets). The quadratic loss is 0.5 x'Hx - b'x + c with b the
+    targets, its two dot products taken by np.dot as the library takes them;
+    its gradient is h * x - b, entry by entry."""
+    if task.kind == "bigram_lm":
+        a = task.alphabet
+        loss, grad = reference_bigram_ce_and_grad(np.array(theta).reshape(a, a), prev, targets)
+        return float(loss), grad.tolist()
+    b = targets.tolist()
+    hx = [h * x for h, x in zip(task.h.tolist(), theta)]
+    loss = 0.5 * float(np.dot(theta, hx)) - float(np.dot(b, theta)) + task.offset
+    return loss, [v - bi for v, bi in zip(hx, b)]
+
+
+def _reference_clip(grads, g):
+    """grads rescaled to global norm g when their norm (np.vdot's sum of
+    squares) exceeds it and every entry is finite; a sum of squares that
+    overflows takes the direction from grads divided by their largest |entry|."""
+    if not all(math.isfinite(x) for x in grads):
+        return grads
+    norm = math.sqrt(float(np.vdot(grads, grads)))
+    if norm <= g:
+        return grads
+    if math.isinf(norm):
+        biggest = max(abs(x) for x in grads)
+        grads = [x / biggest for x in grads]
+        norm = math.sqrt(float(np.dot(grads, grads)))
+    return [x * (g / norm) for x in grads]
+
+
+def reference_run(cfg):
+    """A whole run of cfg (a bigram_lm or quadratic task), one scalar step at
+    a time, as (params list, final eval loss, JSONL text).
+
+    Each step, in order:
+    - draw the batch with sample_batch at counter step of stream 0 of the
+      run's seed, and take the loss and gradient;
+    - clip to cfg.clip.g, only beside a finite loss; then burst: multiply
+      the gradient by the injection's magnitude on every step > 0 that is a
+      multiple of its period;
+    - skip rule: an enabled guard skips the step unless the loss and the
+      gradient's sum of squares are finite; a skipped step leaves params,
+      moments and the AdamW counter t as they were;
+    - one AdamW step per unskipped step, each entry as the one expression
+      -lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * theta);
+    - the governor: the gradient RMS on every stats_freq-th step (None when
+      its sum of squares is not finite), reference_classify_regime, then
+      reference_select_posture; an unskipped step's delta is scaled by the
+      new scale, and an enabled guard rejects a delta with a non-finite
+      entry: the run raises TelemetryError, as the README's actuation does;
+    - one json.dumps line of the step's record.
+
+    A run without a guard is governed by a disabled one with the default
+    fields. The schedule is constant, or cosine from the base rate to min_lr
+    over cfg.steps.
+    """
+    task = cfg.task.build(cfg.seed)
+    guard = cfg.guard if cfg.guard is not None else GuardConfig(auto_enabled=False)
+    opt, spec = cfg.opt, cfg.injection
+    theta = task.init_params().tolist()
+    n = len(theta)
+    m, v, t = [0.0] * n, [0.0] * n, 0
+    loss_ema, rms_ema, initialized, scale = 0.0, None, False, 1.0
+    lines = []
+    for step in range(cfg.steps):
+        batch, _ = sample_batch(task, StreamState(cfg.seed, 0, step), cfg.batch_size)
+        loss, grads = _reference_loss_and_grad(task, theta, batch.targets, batch.inputs)
+        if cfg.clip is not None and math.isfinite(loss):
+            grads = _reference_clip(grads, cfg.clip.g)
+        if spec is not None and step > 0 and step % spec.period == 0:
+            grads = [x * spec.magnitude for x in grads]
+        skipped = guard.auto_enabled and not (
+            math.isfinite(loss) and math.isfinite(float(np.vdot(grads, grads))))
+        if cfg.schedule_kind is ScheduleKind.CONSTANT:
+            lr = opt.lr
+        else:
+            lr = cfg.min_lr + 0.5 * (opt.lr - cfg.min_lr) * (
+                1.0 + math.cos(math.pi * step / cfg.steps))
+
+        grad_rms = None
+        if step % guard.stats_freq == 0:
+            sumsq = float(np.add.reduce(np.array([x * x for x in grads])))
+            if math.isfinite(sumsq):
+                grad_rms = math.sqrt(sumsq / n)
+        regime, (loss_ema, rms_ema, initialized) = reference_classify_regime(
+            loss, grad_rms, loss_ema, rms_ema, initialized, guard)
+        scale = reference_select_posture(regime, scale, guard)
+
+        if not skipped:
+            t += 1
+            bc1 = 1.0 - opt.beta1 ** t
+            bc2 = 1.0 - opt.beta2 ** t
+            deltas = []
+            for i in range(n):
+                g = grads[i]
+                m[i] = opt.beta1 * m[i] + (1.0 - opt.beta1) * g
+                v[i] = opt.beta2 * v[i] + (1.0 - opt.beta2) * g * g
+                deltas.append(-lr * (m[i] / bc1 / (math.sqrt(v[i] / bc2) + opt.eps)
+                                     + opt.weight_decay * theta[i]))
+            if guard.auto_enabled and not all(math.isfinite(d) for d in deltas):
+                raise TelemetryError(f"step {step}: actuation on non-finite update")
+            theta = [x + (d if scale == 1.0 else scale * d) for x, d in zip(theta, deltas)]
+        lines.append(json.dumps({
+            "step": step, "loss": loss, "loss_ema": loss_ema, "regime": regime.value,
+            "scale": scale, "active": scale < 1.0 - ACTIVE_TOLERANCE or skipped,
+            "skipped": skipped, "grad_rms": grad_rms, "lr": lr,
+        }) + "\n")
+
+    if task.kind == "bigram_lm":
+        prev, nxt = task._eval_pairs
+        final_loss, _ = _reference_loss_and_grad(task, theta, nxt, prev)
+    else:
+        final_loss, _ = _reference_loss_and_grad(task, theta, task.b)
+    return theta, final_loss, "".join(lines)

@@ -11,7 +11,8 @@ from guardlab import config as config_module
 from guardlab import harness
 from guardlab.cli import main
 from guardlab.config import expand_scenarios, parse_config
-from guardlab.harness import LADDER_LRS, TaskSpec, calibrate_divergence_lr
+from guardlab.harness import (LADDER_LRS, InjectionSpec, TaskSpec, calibrate_divergence_lr,
+                              probe_config)
 from guardlab.report import perplexity, read_suite_csv, write_csv_rows
 
 
@@ -235,9 +236,16 @@ def test_suite_writes_the_ladders_it_calibrated_to_calibration_json(tmp_path):
     entries = json.loads((out / "calibration.json").read_text())
     assert [(e["scenarios"], e["seed"], e["steps"], e["injection"]) for e in entries] == [
         (["hot", "mild"], 7, 40, None), (["hot", "mild"], 42, 40, None),
-        (["bursts"], 7, 40, {**burst, "steps": []}), (["bursts"], 42, 40, {**burst, "steps": []}),
+        (["bursts"], 7, 40, burst), (["bursts"], 42, 40, burst),
     ]
+    pairs = expand_scenarios(parse_config(cfg))
+    # Each entry's injection rebuilds the spec of the probe it calibrated.
+    probe_injections = {(s.split("/")[0], base.seed): probe_config(base).injection
+                        for s, base, _ in pairs}
     for entry in entries:
+        spec = entry["injection"]
+        assert (spec if spec is None else InjectionSpec(**spec)) == probe_injections[
+            entry["scenarios"][0], entry["seed"]]
         rungs = entry["rungs"]
         assert [r["lr"] for r in rungs] == list(LADDER_LRS)
         # The verdict is the lowest rung whose run ends degraded.
@@ -247,7 +255,7 @@ def test_suite_writes_the_ladders_it_calibrated_to_calibration_json(tmp_path):
             assert r["degraded"] == (not math.isfinite(final) or final > 2 * r["initial_loss"])
     with open(out / "suite.csv") as fh:
         rows = [row for row in csv.DictReader(fh) if row["arm"] == "baseline"]
-    rates = {s: base.opt.lr for s, base, _ in expand_scenarios(parse_config(cfg))}
+    rates = {s: base.opt.lr for s, base, _ in pairs}
     for row in rows:
         if row["scenario"] in ("hot", "mild"):
             # The baseline was replayed from its rung: the same losses, bit for bit.

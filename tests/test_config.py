@@ -341,8 +341,6 @@ SCEN = MINIMAL["scenarios"][0]
 
 @pytest.mark.parametrize("patch, message", [
     pytest.param({"scenarios": [{**SCEN, "clip_g": 3}]}, "'clip_g' in section 'scenarios[0]'", id="clip_g-number"),
-    pytest.param({"scenarios": [{**SCEN, "kind": "injection", "injection": {"steps": 3}}]},
-                 "'steps' in section 'scenarios[0].injection'", id="injection-steps-number"),
     pytest.param({"schedule": 5}, "'schedule' must be an object", id="schedule-number"),
     pytest.param({"scenarios": [{**SCEN, "steps": "x"}]}, "'steps' in section 'scenarios[0]'", id="steps-string"),
     pytest.param({"guard": "x"}, "'guard' must be an object", id="guard-string"),
@@ -409,7 +407,7 @@ INTEGERS = {
     "guard": {"stats_freq": 10},
     "scenarios": [
         {"name": "demo", "kind": "injection", "task": "toy", "steps": 20, "lr": 0.01,
-         "batch_size": 8, "eval_every": 10, "injection": {"period": 5, "steps": [3]}},
+         "batch_size": 8, "eval_every": 10, "injection": {"period": 5}},
     ],
     "run": {"task": "toy", "steps": 20, "batch_size": 8, "eval_every": 10},
 }
@@ -423,7 +421,6 @@ INTEGERS = {
     (("scenarios", 0, "batch_size"), "scenarios[0]"),
     (("scenarios", 0, "eval_every"), "scenarios[0]"),
     (("scenarios", 0, "injection", "period"), "scenarios[0].injection"),
-    (("scenarios", 0, "injection", "steps", 0), "scenarios[0].injection"),
     (("run", "steps"), "run"),
     (("run", "batch_size"), "run"),
     (("run", "eval_every"), "run"),
@@ -625,14 +622,27 @@ def test_outlier_batch_on_integer_targets_is_a_config_error(injection):
     assert parse_config(doc).scenarios[0].injection.mode == "gradient_burst"
 
 
-@pytest.mark.parametrize("injection", [{"period": None}, {}, {"period": 20}])
+@pytest.mark.parametrize("injection", [{}, {"period": 20}])
 def test_an_injection_that_schedules_no_step_is_a_config_error(injection):
-    # SCEN runs 20 steps: no explicit step and no period below 20 never fires.
+    # SCEN runs 20 steps: a period of 20 or more never fires.
     doc = {**MINIMAL, "scenarios": [{**SCEN, "kind": "injection", "injection": injection}]}
     with pytest.raises(ConfigError, match=r"'scenarios\[0\]': injection schedules no step"):
         parse_config(doc)
-    doc["scenarios"][0]["injection"] = {**injection, "steps": [19]}
-    assert parse_config(doc).scenarios[0].injection.steps == (19,)
+    doc["scenarios"][0]["injection"] = {**injection, "period": 19}
+    assert parse_config(doc).scenarios[0].injection.period == 19
+
+
+@pytest.mark.parametrize("injection, message", [
+    ({"period": 5, "steps": [3]}, "unknown key 'steps' in section 'scenarios[0].injection'"),
+    ({"period": None}, "invalid 'period' in section 'scenarios[0].injection'"),
+], ids=["explicit-steps", "null-period"])
+def test_bursts_run_on_a_period_only(injection, message):
+    # A burst schedule is a magnitude and a period: explicit burst steps and
+    # a null period are gone from the format.
+    doc = {**MINIMAL, "scenarios": [{**SCEN, "kind": "injection", "injection": injection}]}
+    with pytest.raises(ConfigError) as info:
+        parse_config(doc)
+    assert message in str(info.value)
 
 
 def test_shipped_config_parses_and_round_trips():
@@ -749,8 +759,7 @@ FULL = {
     "scenarios": [
         {"name": "inj", "kind": "injection", "task": "q", "steps": 40, "lr": "safe",
          "batch_size": 4, "eval_every": 8, "clip_g": [2.0],
-         "injection": {"magnitude": 10.0, "period": 7, "steps": [3, 5],
-                       "mode": "gradient_burst"}},
+         "injection": {"magnitude": 10.0, "period": 7, "mode": "gradient_burst"}},
     ],
     "run": {"task": "q", "arm": "baseline", "lr": 0.1, "steps": 20, "batch_size": 4,
             "eval_every": 5, "clip_g": 1.0, "label": "solo"},
