@@ -21,6 +21,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .governor import GuardConfig
 from .harness import (
+    PROBE_LR,
     InjectionSpec,
     NotStressableError,
     OptimizerConfig,
@@ -33,7 +34,7 @@ from .harness import (
     probe_config,
     probe_degraded,
 )
-from .optim import ClipConfig, ScheduleKind
+from .optim import ClipConfig, Schedule, ScheduleKind
 from .tasks import strict_bool, strict_float, strict_int, strict_str
 
 # Each scenario kind and the ScenarioSpec defaults it picks. A kind clips,
@@ -167,18 +168,12 @@ class RunSection:
 
 
 @dataclass(frozen=True)
-class ScheduleSection:
-    kind: ScheduleKind = ScheduleKind.COSINE
-    min_lr: float = 0.0
-
-
-@dataclass(frozen=True)
 class SuiteConfig:
     out_dir: str = "results"
     seeds: Tuple[int, ...] = (7, 42, 123)
     tasks: Dict[str, TaskSpec] = field(default_factory=dict)
     optimizer: OptimizerConfig = OptimizerConfig()
-    schedule: ScheduleSection = ScheduleSection()
+    schedule: Schedule = Schedule()
     guard: GuardConfig = GuardConfig()
     scenarios: Tuple[ScenarioSpec, ...] = ()
     run: Optional[RunSection] = None
@@ -205,8 +200,7 @@ def _scenario_fields(scen: ScenarioSpec, tasks: Dict[str, TaskSpec]) -> dict:
 
 def _suite_fields(cfg: SuiteConfig, lr: float) -> dict:
     """The RunConfig fields that cfg's optimizer and schedule sections set, at rate lr."""
-    return dict(opt=replace(cfg.optimizer, lr=lr), schedule_kind=cfg.schedule.kind,
-                min_lr=cfg.schedule.min_lr)
+    return dict(opt=replace(cfg.optimizer, lr=lr), schedule=cfg.schedule)
 
 
 def _parse_scenario(idx: int, data, tasks: Dict[str, TaskSpec]) -> ScenarioSpec:
@@ -235,7 +229,7 @@ def _parse_run(data, cfg: SuiteConfig) -> RunSection:
     label = f"run-{_object('run', data).get('task')}-{data.get('arm', RunSection.arm)}"
     return _build(
         "run", RunSection, {"label": label, **data},
-        validate=lambda run: run_config(replace(cfg, run=run), seed=0).schedule(),
+        validate=lambda run: run_config(replace(cfg, run=run), seed=0),
         task=strict_str, label=strict_str, lr=_optional(strict_float),
         clip_g=_optional(strict_float),
     )
@@ -274,7 +268,7 @@ def parse_config(source: Union[str, Path, dict]) -> SuiteConfig:
         "root", SuiteConfig, doc,
         seeds=_parse_seeds,
         optimizer=lambda d: _build("optimizer", OptimizerConfig, d),
-        schedule=lambda d: _build("schedule", ScheduleSection, d,
+        schedule=lambda d: _build("schedule", Schedule, d,
                                   kind=lambda k: ScheduleKind(strict_str(k))),
         guard=lambda d: _build("guard", GuardConfig, d),
         scenarios=lambda raw: _unique(
@@ -337,7 +331,7 @@ def _preset_probes(cfg: SuiteConfig) -> Dict[RunConfig, List[str]]:
     probes: Dict[RunConfig, List[str]] = {}
     for scen in cfg.scenarios:
         if isinstance(scen.lr, str):
-            arms = (base for _, base, _ in _pairs(cfg, scen, cfg.optimizer.lr))
+            arms = (base for _, base, _ in _pairs(cfg, scen, PROBE_LR))
             for probe in dict.fromkeys(map(probe_config, arms)):
                 probes.setdefault(probe, []).append(scen.name)
     return probes

@@ -13,6 +13,7 @@ import dataclasses
 import json
 import math
 import os
+import sys
 import time
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -35,13 +36,11 @@ from .optim import (
     ClipConfig,
     OptimizerConfig,
     OptimizerState,
-    ScheduleConfig,
-    ScheduleKind,
+    Schedule,
     adamw_step,
     guarded_step,
     init_optimizer_state,
     schedule_lr,
-    schedule_rates,
 )
 from .rngstream import CounterStream
 from .tasks import Batch, Task, evaluate, make_task, task_dims
@@ -50,6 +49,10 @@ from .tasks import Batch, Task, evaluate, make_task, task_dims
 DEGRADATION_FACTOR = 2.0
 # The calibration grid: 1e-4 * 2**k for k = 0..20, lowest first.
 LADDER_LRS = tuple(1e-4 * 2.0**k for k in range(21))
+# The base lr of a probe, and of a preset scenario's arms before calibration
+# sets their rate: at or above every finite min_lr, and read by no arithmetic
+# (each ladder rung runs at its own rate).
+PROBE_LR = sys.float_info.max
 
 _BATCH_STREAM = 0
 # Steps whose batches one Task.draw_batches call draws.
@@ -103,8 +106,7 @@ class InjectionSpec:
 class RunConfig:
     task: TaskSpec
     opt: OptimizerConfig = OptimizerConfig()
-    schedule_kind: ScheduleKind = ScheduleKind.COSINE
-    min_lr: float = 0.0
+    schedule: Schedule = Schedule()
     guard: Optional[GuardConfig] = None
     clip: Optional[ClipConfig] = None
     steps: int = 1000
@@ -124,14 +126,9 @@ class RunConfig:
             raise ValueError("eval_every must lie in [1, steps]")
         if self.injection is not None and not self.injection.period < self.steps:
             raise ValueError(f"injection schedules no step: period >= steps ({self.steps})")
-
-    def schedule(self) -> ScheduleConfig:
-        return ScheduleConfig(
-            base_lr=self.opt.lr,
-            total_steps=self.steps,
-            min_lr=self.min_lr,
-            kind=self.schedule_kind,
-        )
+        if not self.schedule.min_lr <= self.opt.lr:
+            raise ValueError(f"schedule min_lr {self.schedule.min_lr:g} exceeds lr "
+                             f"{self.opt.lr:g}; no schedule decays upwards")
 
     def guard_or_disabled(self) -> GuardConfig:
         if self.guard is not None:
@@ -215,7 +212,6 @@ def run_training(cfg: RunConfig, out_dir: Optional[Path] = None) -> RunResult:
     params = task.init_params()
     opt_state = init_optimizer_state(task.n_params)
     gov = Governor(cfg.guard_or_disabled())
-    sched = cfg.schedule()
 
     initial_loss = evaluate(task, params)
     eval_trace: List[Tuple[int, float]] = []
@@ -223,9 +219,10 @@ def run_training(cfg: RunConfig, out_dir: Optional[Path] = None) -> RunResult:
     # here: no forward_backward coercion.
     loss_and_grad = task.loss_and_grad
     opt_cfg, clip, eval_every = cfg.opt, cfg.clip, cfg.eval_every
+    steps, schedule, base_lr = cfg.steps, cfg.schedule, cfg.opt.lr
     t0 = time.perf_counter()
     for step, (batch, burst) in enumerate(_batches(task, cfg)):
-        lr_t = schedule_lr(step, sched)
+        lr_t = schedule_lr(step, steps, schedule, base_lr)
         loss, grads = loss_and_grad(params, batch)
         params, opt_state, _ = guarded_step(
             gov, opt_state, params, grads, loss, step, lr_t, opt_cfg, clip,
@@ -284,9 +281,9 @@ def run_probe_ladder(cfg: RunConfig, lrs: Sequence[float]) -> List[ProbeResult]:
     Rung l is bitwise equal to run_training(cfg with opt.lr = lrs[l]) in its
     params, eval trace and losses: the task is built and each batch drawn
     once for every rung (neither depends on lr), each step's rates are one
-    (L, 1) schedule_rates column, params and AdamW moments are stacked as
-    (L, n) rows through the elementwise adamw_step, and all rungs are
-    evaluated in one eval_loss_rows call. The governor is left
+    schedule_lr call on the (L, 1) column of lrs, params and AdamW moments
+    are stacked as (L, n) rows through the elementwise adamw_step, and all
+    rungs are evaluated in one eval_loss_rows call. The governor is left
     out: with the guard off and no clip it is the identity on the update.
     What its log reads is kept instead, each step's loss and, on the
     disabled guard's stats steps, what sense takes of each rung's gradient
@@ -298,8 +295,8 @@ def run_probe_ladder(cfg: RunConfig, lrs: Sequence[float]) -> List[ProbeResult]:
         raise ValueError("a probe ladder runs baseline arms: guard disabled, no clip")
     if not lrs:
         return []
-    scheds = [replace(cfg, opt=replace(cfg.opt, lr=lr)).schedule() for lr in lrs]
-    rates = np.array([[sched.base_lr] for sched in scheds])
+    # Each rung's rate, checked as the rate of its rung's RunConfig.
+    rates = np.array([[replace(cfg, opt=replace(cfg.opt, lr=lr)).opt.lr] for lr in lrs])
     task = cfg.task.build(cfg.seed)
     initial_loss = evaluate(task, task.init_params())
     params = np.tile(task.init_params(), (len(lrs), 1))
@@ -309,7 +306,7 @@ def run_probe_ladder(cfg: RunConfig, lrs: Sequence[float]) -> List[ProbeResult]:
     rms_steps: List[List[Optional[float]]] = []
     t0 = time.perf_counter()
     for step, (batch, burst) in enumerate(_batches(task, cfg)):
-        lr_t = schedule_rates(step, scheds[0], rates)
+        lr_t = schedule_lr(step, cfg.steps, cfg.schedule, rates)
         loss_rows[:, step], grads = task.loss_and_grad_rows(params, batch)
         if burst != 1.0:
             grads = grads * burst
@@ -347,12 +344,12 @@ def replay_rung(cfg: RunConfig, rung: ProbeResult, out_dir: Optional[Path] = Non
     gov = Governor(cfg.guard_or_disabled())
     if gov.cfg.auto_enabled:
         raise ValueError("a rung replays a baseline arm: guard disabled")
-    sched = cfg.schedule()
     stats_freq = gov.cfg.stats_freq
     for step, loss in enumerate(rung.losses.tolist()):
         grad_rms = rung.grad_rms[step // stats_freq] if step % stats_freq == 0 else None
         # inputs_finite does not reach the log: a disabled guard never skips.
-        gov.govern(TelemetrySample(step, loss, grad_rms, schedule_lr(step, sched)), True)
+        lr_t = schedule_lr(step, cfg.steps, cfg.schedule, cfg.opt.lr)
+        gov.govern(TelemetrySample(step, loss, grad_rms, lr_t), True)
     return _run_result(cfg, gov, out_dir, initial_loss=rung.initial_loss,
                        final_loss=rung.final_loss, wall_seconds=rung.wall_seconds,
                        eval_trace=rung.eval_trace, params=rung.params)
@@ -360,12 +357,12 @@ def replay_rung(cfg: RunConfig, rung: ProbeResult, out_dir: Optional[Path] = Non
 
 def probe_config(arm: RunConfig) -> RunConfig:
     """The baseline probe that calibrates arm's rate: arm with guard and clip
-    off, eval every tenth of the run, label "calibrate" and a placeholder base
-    lr (each ladder rung sets its own). What is left is what a probe's verdict
+    off, eval every tenth of the run, label "calibrate" and base lr PROBE_LR
+    (each ladder rung sets its own). What is left is what a probe's verdict
     depends on, so arms with equal probes share a calibration."""
     return replace(
         arm,
-        opt=replace(arm.opt, lr=1.0),
+        opt=replace(arm.opt, lr=PROBE_LR),
         guard=None,
         clip=None,
         eval_every=max(1, arm.steps // 10),
@@ -375,10 +372,10 @@ def probe_config(arm: RunConfig) -> RunConfig:
 
 def doubling_ladder(probe: RunConfig) -> List[ProbeResult]:
     """probe's rungs at the LADDER_LRS rates, lowest first, all run at once
-    through run_probe_ladder. Probes decay to their min_lr, as the runs they
-    calibrate do; rungs below min_lr are left off the ladder, since no
-    schedule decays upwards."""
-    return run_probe_ladder(probe, [lr for lr in LADDER_LRS if lr >= probe.min_lr])
+    through run_probe_ladder. Probes decay to their schedule's min_lr, as the
+    runs they calibrate do; rungs below min_lr are left off the ladder, since
+    no schedule decays upwards."""
+    return run_probe_ladder(probe, [lr for lr in LADDER_LRS if lr >= probe.schedule.min_lr])
 
 
 def degrading_lr(rungs: Sequence[ProbeResult]) -> float:

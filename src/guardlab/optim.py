@@ -70,19 +70,17 @@ _CONSTANT = ScheduleKind.CONSTANT
 
 
 @dataclass(frozen=True)
-class ScheduleConfig:
-    base_lr: float
-    total_steps: int
-    min_lr: float = 0.0
+class Schedule:
+    """A run's rate schedule: cosine from its base rate down to min_lr over
+    its steps, or constant at the base rate. The base rate and the steps are
+    the run's own (OptimizerConfig.lr, RunConfig.steps)."""
+
     kind: ScheduleKind = ScheduleKind.COSINE
+    min_lr: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 < self.base_lr < math.inf:
-            raise ValueError("base_lr must be > 0 and finite")
-        if not 0.0 <= self.min_lr <= self.base_lr:
-            raise ValueError("min_lr must lie in [0, base_lr]")
-        if not self.total_steps >= 1:
-            raise ValueError("total_steps must be >= 1")
+        if not 0.0 <= self.min_lr < math.inf:
+            raise ValueError("min_lr must be >= 0 and finite")
 
 
 def adamw_step(
@@ -157,27 +155,23 @@ def clip_global_norm(grads: np.ndarray, g: float) -> Tuple[np.ndarray, float]:
     return grads * (g / pre_norm), pre_norm
 
 
-def schedule_lr(step: int, cfg: ScheduleConfig) -> float:
-    return schedule_rates(step, cfg, cfg.base_lr)
-
-
-def schedule_rates(
-    step: int, cfg: ScheduleConfig, base_lrs: float | np.ndarray
+def schedule_lr(
+    step: int, total_steps: int, schedule: Schedule, base_lr: float | np.ndarray
 ) -> float | np.ndarray:
-    """schedule_lr(step, cfg) with base_lrs in place of cfg.base_lr.
+    """The rate at step of a total_steps-long run at base_lr under schedule.
 
-    An array of base rates goes through the same IEEE operations entry by
-    entry, with the cosine factor evaluated once, so each entry is bitwise
-    the float schedule_lr returns for cfg with that base rate.
+    An (L, 1) column of base rates goes through the same IEEE operations
+    entry by entry, with the cosine factor evaluated once, so each entry is
+    bitwise the float this returns for that base rate.
     """
     if step < 0:
         raise ValueError("step must be >= 0")
-    if cfg.kind is _CONSTANT:
-        return base_lrs
-    if step > cfg.total_steps:
-        return cfg.min_lr
-    return cfg.min_lr + 0.5 * (base_lrs - cfg.min_lr) * (
-        1.0 + math.cos(math.pi * step / cfg.total_steps)
+    if schedule.kind is _CONSTANT:
+        return base_lr
+    if step > total_steps:
+        return schedule.min_lr
+    return schedule.min_lr + 0.5 * (base_lr - schedule.min_lr) * (
+        1.0 + math.cos(math.pi * step / total_steps)
     )
 
 

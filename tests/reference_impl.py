@@ -236,8 +236,8 @@ def reference_run(cfg):
     - one json.dumps line of the step's record.
 
     A run without a guard is governed by a disabled one with the default
-    fields. The schedule is constant, or cosine from the base rate to min_lr
-    over cfg.steps.
+    fields. The schedule is constant, or cosine from the base rate to its
+    min_lr over cfg.steps.
     """
     task = cfg.task.build(cfg.seed)
     guard = cfg.guard if cfg.guard is not None else GuardConfig(auto_enabled=False)
@@ -256,10 +256,10 @@ def reference_run(cfg):
             grads = [x * spec.magnitude for x in grads]
         skipped = guard.auto_enabled and not (
             math.isfinite(loss) and math.isfinite(float(np.vdot(grads, grads))))
-        if cfg.schedule_kind is ScheduleKind.CONSTANT:
+        if cfg.schedule.kind is ScheduleKind.CONSTANT:
             lr = opt.lr
         else:
-            lr = cfg.min_lr + 0.5 * (opt.lr - cfg.min_lr) * (
+            lr = cfg.schedule.min_lr + 0.5 * (opt.lr - cfg.schedule.min_lr) * (
                 1.0 + math.cos(math.pi * step / cfg.steps))
 
         grad_rms = None

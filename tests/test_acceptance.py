@@ -237,10 +237,10 @@ def test_c04_off_switch_equivalence():
         state_b = init_optimizer_state(task.n_params)
         gov = Governor(GuardConfig(auto_enabled=False))
         opt = OptimizerConfig(lr=1e-3)
-        sched = RunConfig(task=TaskSpec(kind=kind, dims={}), steps=1000).schedule()
+        sched = RunConfig(task=TaskSpec(kind=kind, dims={}), steps=1000).schedule
         batch_state = StreamState(seed=7, stream=0)
         for step in range(1000):
-            lr_t = schedule_lr(step, sched)
+            lr_t = schedule_lr(step, 1000, sched, opt.lr)
             batch, batch_state = sample_batch(task, batch_state, 32)
             loss, grads = forward_backward(task, params_a, batch)
             params_a, state_a, _ = guarded_step(

@@ -185,6 +185,17 @@ def test_suite_with_a_preset_below_min_lr_exits_nonzero(tmp_path, capsys, monkey
     assert not (out / "suite.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["suite", "run"])
+def test_a_negative_min_lr_exits_before_anything_runs(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, extra={"schedule": {"min_lr": -0.1}})
+    out = tmp_path / "never"
+    assert main(["--config", str(cfg), "--out", str(out), "--quiet", command]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ConfigError" and "section 'schedule'" in err["message"]
+    # Rejected as it is parsed: not even the config echo is written.
+    assert not out.exists()
+
+
 def test_calibrate_outputs_json(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["--config", str(cfg), "calibrate"]) == 0

@@ -32,7 +32,7 @@ from guardlab.harness import (
     doubling_ladder,
     probe_config,
 )
-from guardlab.optim import ClipConfig
+from guardlab.optim import ClipConfig, Schedule
 from guardlab.tasks import TASK_CLASSES
 
 SHIPPED = Path(__file__).resolve().parents[1] / "configs" / "default_suite.json"
@@ -78,12 +78,35 @@ def test_unknown_run_key_named_in_error():
 
 def test_preset_below_min_lr_is_a_config_error(monkeypatch):
     # An aggressive rate of 0.4 backs off to 0.4 / 512 for "safe", below the
-    # schedule's min_lr: every pair would fail in ScheduleConfig.
+    # schedule's min_lr: no pair's RunConfig would build.
     monkeypatch.setattr(config_module, "degrading_lr", lambda *a, **k: 0.4)
     doc = {**MINIMAL, "schedule": {"min_lr": 0.05},
            "scenarios": [{**MINIMAL["scenarios"][0], "lr": "safe"}]}
     with pytest.raises(ConfigError, match=r"'demo'.*0\.00078125.*min_lr 0\.05"):
         expand_scenarios(parse_config(doc))
+
+
+@pytest.mark.parametrize("min_lr", [-0.1, math.inf], ids=["negative", "inf"])
+def test_a_negative_or_infinite_min_lr_is_a_config_error(min_lr):
+    # The schedule checks its own floor as it is parsed, before any pair.
+    with pytest.raises(ConfigError, match="section 'schedule'.*finite"):
+        parse_config({**MINIMAL, "schedule": {"min_lr": min_lr}})
+
+
+def test_a_floor_above_the_optimizer_rate_still_calibrates_presets():
+    # min_lr 2.0 lies above the optimizer's rate and every rung up to 1.6384:
+    # the probe and the arms it calibrates still build, and the ladder starts
+    # at the lowest rung at or above the floor.
+    cfg = parse_config({
+        "seeds": [7], "tasks": {"b": {"kind": "bigram_lm", "dims": {"alphabet": 8}}},
+        "schedule": {"min_lr": 2.0},
+        "scenarios": [{"name": "s", "kind": "lr_stress", "task": "b", "steps": 20,
+                       "lr": "aggressive", "eval_every": 2}]})
+    ladders = {}
+    ((_, base, guard),) = expand_scenarios(cfg, ladders)
+    ((probe, rungs),) = ladders.items()
+    assert probe.schedule.min_lr == 2.0 and rungs[0].lr == 3.2768
+    assert base.opt.lr == guard.opt.lr == 6.5536
 
 
 def test_guard_keys_are_exact():
@@ -112,7 +135,7 @@ def test_run_section_limits_are_checked_at_parse_time():
     with pytest.raises(ConfigError, match=r"'run'.*lr must be > 0"):
         parse_config({**MINIMAL, "run": {"task": "toy", "lr": -1.0}})
     # No schedule decays to a run lr below schedule.min_lr.
-    with pytest.raises(ConfigError, match=r"'run'.*min_lr must lie in \[0, base_lr\]"):
+    with pytest.raises(ConfigError, match=r"'run'.*min_lr 0\.05 exceeds lr 0\.01"):
         parse_config({**MINIMAL, "schedule": {"min_lr": 0.05}, "run": {"task": "toy", "lr": 0.01}})
     with pytest.raises(ConfigError, match="run.task references unknown task 'missing'"):
         parse_config({**MINIMAL, "run": {"task": "missing"}})
@@ -270,12 +293,12 @@ def test_resolve_lr_cache_is_keyed_on_exactly_the_probe_inputs():
     # Every probe input gets a ladder of its own.
     probes = {probe_config(arm) for arm in (
         replace(QUAD_ARM, seed=8),
-        replace(QUAD_ARM, min_lr=1e-4),
+        replace(QUAD_ARM, schedule=Schedule(min_lr=1e-4)),
         replace(QUAD_ARM, batch_size=9),
         replace(QUAD_ARM, injection=InjectionSpec(period=10)),
         replace(QUAD_ARM, opt=OptimizerConfig(beta1=0.8)),
         replace(QUAD_ARM, opt=OptimizerConfig(beta2=0.99)),
-        replace(QUAD_ARM, schedule_kind=ScheduleKind.CONSTANT),
+        replace(QUAD_ARM, schedule=Schedule(kind=ScheduleKind.CONSTANT)),
         replace(QUAD_ARM, task=TaskSpec(kind="quadratic", dims={"dim": 4})),
         replace(QUAD_ARM, steps=50, eval_every=10),
     )}
@@ -301,9 +324,9 @@ def test_probes_decay_to_the_suite_min_lr(monkeypatch):
         pairs = expand_scenarios(parse_config(doc), ladders)
         assert len(ladders) == 2
         for probe, rungs in ladders.items():
-            assert probe.min_lr == 1e-3 and [rung.lr for rung in rungs] == lrs
+            assert probe.schedule.min_lr == 1e-3 and [rung.lr for rung in rungs] == lrs
         for _, base, _ in pairs:
-            assert base.min_lr == 1e-3 and base.opt.lr == lrs[0]
+            assert base.schedule.min_lr == 1e-3 and base.opt.lr == lrs[0]
     # At min_lr 0 the ladder starts at its lowest rate.
     assert doubling_ladder(probe_config(QUAD_ARM))[0].lr == LADDER_LRS[0]
 

@@ -38,6 +38,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SHIPPED = ROOT / "configs" / "default_suite.json"
 README = ROOT / "README.md"
 SHIPPED_SUITE_SHA256 = "c95574bb0a8e06a3dfc171307dfaf7ea05f15b84e0947d51e3db3deafa3def6e"
+SHIPPED_RUN_SHA256 = "776236a349d32326cc90d90556ee5d99591ee04fc21a4788c868dfd876f86616"
 
 TINY_SUITE = {
     "seeds": [7],
@@ -63,12 +64,17 @@ TINY_SUITE = {
 }
 
 
-def suite_digest(out) -> str:
-    h = hashlib.sha256()
-    with open(out / "suite.csv", newline="", encoding="utf-8") as fh:
+def hash_csv_rows(h, path) -> None:
+    """Feed h each row of the CSV at path, without its wall_s."""
+    with open(path, newline="", encoding="utf-8") as fh:
         for row in csv.DictReader(fh):
             del row["wall_s"]
             h.update(json.dumps(row).encode("utf-8"))
+
+
+def suite_digest(out) -> str:
+    h = hashlib.sha256()
+    hash_csv_rows(h, out / "suite.csv")
     for path in sorted((out / "runs").iterdir()):
         h.update(path.name.encode("utf-8"))
         h.update(path.read_bytes())
@@ -121,3 +127,15 @@ def test_shipped_suite_outputs_match_the_golden_digest(tmp_path, monkeypatch):
     readme = README.read_text(encoding="utf-8")
     block = re.search(r"configs/default_suite\.json calibrate\n((?:#.*\n)+)", readme).group(1)
     assert rates == json.loads("".join(line[1:] for line in block.splitlines()))
+
+
+def test_shipped_run_section_outputs_match_the_golden_digest(tmp_path):
+    # README's first command: the shipped run section at the first seed. The
+    # digest covers its JSONL, its summary and its CSV row without wall_s.
+    out = tmp_path / "out"
+    assert main(["--config", str(SHIPPED), "--out", str(out), "--quiet", "run"]) == 0
+    h = hashlib.sha256()
+    for name in ("demo_seed7.jsonl", "demo_seed7_summary.json"):
+        h.update((out / name).read_bytes())
+    hash_csv_rows(h, out / "demo_seed7.csv")
+    assert h.hexdigest() == SHIPPED_RUN_SHA256

@@ -15,6 +15,7 @@ from guardlab.governor import GuardConfig
 from guardlab.harness import (
     GOVERNANCE_FIELDS,
     LADDER_LRS,
+    PROBE_LR,
     ClipConfig,
     InjectionSpec,
     NotStressableError,
@@ -34,7 +35,7 @@ from guardlab.harness import (
     severe_degradation,
     write_run_artifacts,
 )
-from guardlab.optim import ScheduleKind, adamw_step, init_optimizer_state, schedule_lr
+from guardlab.optim import Schedule, ScheduleKind, adamw_step, init_optimizer_state, schedule_lr
 from guardlab.rngstream import StreamState
 from guardlab.tasks import TASK_CLASSES, sample_batch
 
@@ -280,8 +281,8 @@ def test_a_guard_run_with_no_skip_is_adamw_on_its_logged_lr_schedule(name):
         loss, grads = task.loss_and_grad(params, batch)
         if cfg.injection is not None and cfg.injection.scheduled(step):
             grads = grads * cfg.injection.magnitude
-        delta, state = adamw_step(state, params, grads, schedule_lr(step, cfg.schedule()),
-                                  cfg.opt)
+        lr_t = schedule_lr(step, cfg.steps, cfg.schedule, cfg.opt.lr)
+        delta, state = adamw_step(state, params, grads, lr_t, cfg.opt)
         params = params + (delta if rec.scale == 1.0 else rec.scale * delta)
     assert params.tobytes() == result.params.tobytes()
     assert task.eval_loss(params) == result.final_loss
@@ -357,12 +358,12 @@ def _same(a: float, b: float) -> bool:
     return a == b or (math.isnan(a) and math.isnan(b))
 
 
-# (schedule kind, min_lr) of each schedule a ladder case runs; the cosine
-# schedule decaying to 0 is the suite's default and adds no suffix to the id.
+# The schedule each ladder case runs; the cosine schedule decaying to 0 is
+# the suite's default and adds no suffix to the id.
 SCHEDULES = {
-    "": (ScheduleKind.COSINE, 0.0),
-    "-constant": (ScheduleKind.CONSTANT, 0.0),
-    "-min_lr": (ScheduleKind.COSINE, 0.01),
+    "": Schedule(),
+    "-constant": Schedule(kind=ScheduleKind.CONSTANT),
+    "-min_lr": Schedule(min_lr=0.01),
 }
 LADDER_CASES = [
     (task, injection, schedule)
@@ -376,12 +377,12 @@ LADDER_CASES = [
     "task,injection,schedule", LADDER_CASES, ids=[f"{t.kind}-{i}{s}" for t, i, s in LADDER_CASES]
 )
 def test_probe_ladder_rows_bitwise_equal_scalar_runs(task, injection, schedule):
-    kind, min_lr = SCHEDULES[schedule]
+    # The arm's own rate sits at or above every floor; each rung sets its own.
     cfg = RunConfig(
-        task=task, schedule_kind=kind, min_lr=min_lr, steps=40, batch_size=16, eval_every=8,
-        seed=3, injection=INJECTIONS[injection], label="probe",
+        task=task, opt=OptimizerConfig(lr=PROBE_LR), schedule=SCHEDULES[schedule], steps=40,
+        batch_size=16, eval_every=8, seed=3, injection=INJECTIONS[injection], label="probe",
     )
-    lrs = [lr for lr in LADDER_LRS if lr >= min_lr]
+    lrs = [lr for lr in LADDER_LRS if lr >= cfg.schedule.min_lr]
     stats_freq = cfg.guard_or_disabled().stats_freq
     with np.errstate(all="ignore"):
         rungs = run_probe_ladder(cfg, lrs)
@@ -685,11 +686,17 @@ def test_run_suite_self_comparison_zero_reduction(tmp_path):
 
 
 def test_run_suite_captures_errors_as_rows(tmp_path):
-    # A min_lr above the arms' lr passes RunConfig, and the run's schedule rejects it.
-    baseline = tiny_run(label="baseline", min_lr=0.1)
-    bad_guard = tiny_run(label="guard", guard=GuardConfig(), min_lr=0.1)
-    rows = run_suite([("broken", baseline, bad_guard)], out_dir=tmp_path)
-    assert "min_lr" in rows[0].error
+    # From a finite loss and gradient, this rate and weight decay overflow
+    # AdamW's update: the baseline runs on to a NaN loss, and the enabled
+    # guard's actuation rejects the non-finite update, which stops its run.
+    baseline = RunConfig(task=TaskSpec("bigram_lm"),
+                         opt=OptimizerConfig(lr=1e300, weight_decay=0.01),
+                         steps=2, eval_every=2, label="baseline")
+    guard = replace(baseline, guard=GuardConfig(), label="guard")
+    with np.errstate(all="ignore"):
+        rows = run_suite([("overflow", baseline, guard)], out_dir=tmp_path)
+    assert rows[0].error == "TelemetryError: actuation on non-finite update"
+    assert rows[0].baseline is None and rows[0].guarded is None
 
 
 def test_run_suite_rows_hold_summary_rows_recomputable_from_their_jsonl(tmp_path, workers):

@@ -22,7 +22,7 @@ from guardlab.optim import (
     ClipConfig,
     OptimizerConfig,
     OptimizerState,
-    ScheduleConfig,
+    Schedule,
     ScheduleKind,
     adamw_step,
     clip_global_norm,
@@ -228,14 +228,13 @@ def test_optimizer_config_rejects_invalid(kwargs):
     (OptimizerConfig, "lr"),
     (OptimizerConfig, "eps"),
     (OptimizerConfig, "weight_decay"),
-    (partial(ScheduleConfig, base_lr=0.1, total_steps=10), "base_lr"),
-    (partial(ScheduleConfig, base_lr=0.1, total_steps=10), "min_lr"),
+    (Schedule, "min_lr"),
     (ClipConfig, "g"),
     (GuardConfig, "recovery_fast"),
     (GuardConfig, "spike_threshold"),
     (InjectionSpec, "magnitude"),
 ], ids=["OptimizerConfig.lr", "OptimizerConfig.eps", "OptimizerConfig.weight_decay",
-        "ScheduleConfig.base_lr", "ScheduleConfig.min_lr", "ClipConfig.g",
+        "Schedule.min_lr", "ClipConfig.g",
         "GuardConfig.recovery_fast", "GuardConfig.spike_threshold", "InjectionSpec.magnitude"])
 def test_configs_built_directly_reject_non_finite_values(build, field, value):
     # As the config file's strict_float does: a NaN passes a bare "x <= 0"
@@ -250,11 +249,9 @@ def test_configs_built_directly_reject_non_finite_values(build, field, value):
     (partial(RunConfig, task=TaskSpec("quadratic")), "eval_every"),
     (InjectionSpec, "period"),
     (GuardConfig, "stats_freq"),
-    (partial(ScheduleConfig, base_lr=0.1), "total_steps"),
     (partial(StreamState, seed=0), "counter"),
 ], ids=["RunConfig.steps", "RunConfig.batch_size", "RunConfig.eval_every",
-        "InjectionSpec.period", "GuardConfig.stats_freq", "ScheduleConfig.total_steps",
-        "StreamState.counter"])
+        "InjectionSpec.period", "GuardConfig.stats_freq", "StreamState.counter"])
 def test_int_fields_built_directly_reject_nan(build, field):
     # As the config file's strict_int does: a NaN passes a bare "x < 1"
     # check, and a NaN period or eval_every would never fire.
@@ -339,32 +336,35 @@ def test_clip_contract(vec, g):
 
 
 def test_schedule_boundaries_exact():
-    cfg = ScheduleConfig(base_lr=0.5, total_steps=100, min_lr=0.01)
-    assert schedule_lr(0, cfg) == 0.5
-    assert schedule_lr(100, cfg) == pytest.approx(0.01, abs=1e-18)
+    cfg = Schedule(min_lr=0.01)
+    assert schedule_lr(0, 100, cfg, 0.5) == 0.5
+    assert schedule_lr(100, 100, cfg, 0.5) == pytest.approx(0.01, abs=1e-18)
 
 
 def test_schedule_midpoint():
-    cfg = ScheduleConfig(base_lr=0.5, total_steps=100, min_lr=0.0)
-    assert schedule_lr(50, cfg) == pytest.approx(0.25, rel=1e-12)
+    cfg = Schedule(min_lr=0.0)
+    assert schedule_lr(50, 100, cfg, 0.5) == pytest.approx(0.25, rel=1e-12)
 
 
 def test_schedule_clamps_past_total():
-    cfg = ScheduleConfig(base_lr=0.5, total_steps=100, min_lr=0.01)
-    assert schedule_lr(101, cfg) == 0.01
+    cfg = Schedule(min_lr=0.01)
+    assert schedule_lr(101, 100, cfg, 0.5) == 0.01
 
 
 def test_schedule_constant():
-    cfg = ScheduleConfig(base_lr=0.5, total_steps=100, kind=ScheduleKind.CONSTANT)
+    cfg = Schedule(kind=ScheduleKind.CONSTANT)
     for step in (0, 50, 100):
-        assert schedule_lr(step, cfg) == 0.5
+        assert schedule_lr(step, 100, cfg, 0.5) == 0.5
 
 
 def test_schedule_config_rejects_invalid():
-    with pytest.raises(ValueError):
-        ScheduleConfig(base_lr=0.1, total_steps=100, min_lr=0.2)
-    with pytest.raises(ValueError):
-        ScheduleConfig(base_lr=0.1, total_steps=0)
+    with pytest.raises(ValueError, match="min_lr"):
+        Schedule(min_lr=-0.1)
+    # No schedule decays upwards: a RunConfig whose floor exceeds its rate
+    # does not build.
+    with pytest.raises(ValueError, match="min_lr 0.2 exceeds lr 0.1"):
+        RunConfig(task=TaskSpec("quadratic"), opt=OptimizerConfig(lr=0.1),
+                  schedule=Schedule(min_lr=0.2), steps=100, eval_every=10)
 
 
 # --------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from guardlab.governor import GuardConfig, TelemetryError
 from guardlab.harness import (InjectionSpec, RunConfig, TaskSpec, replay_rung, run_probe_ladder,
                               run_training)
-from guardlab.optim import ClipConfig, OptimizerConfig, ScheduleKind
+from guardlab.optim import ClipConfig, OptimizerConfig, Schedule, ScheduleKind
 from reference_impl import reference_run
 
 TASKS = st.one_of(
@@ -50,8 +50,8 @@ def run_configs(draw):
     return RunConfig(
         task=draw(TASKS),
         opt=OptimizerConfig(lr=lr, weight_decay=draw(st.sampled_from([0.0, 0.01]))),
-        schedule_kind=draw(st.sampled_from(list(ScheduleKind))),
-        min_lr=draw(st.sampled_from([0.0, lr / 10])),
+        schedule=Schedule(kind=draw(st.sampled_from(list(ScheduleKind))),
+                          min_lr=draw(st.sampled_from([0.0, lr / 10]))),
         guard=draw(st.none() | guard_configs()),
         clip=draw(st.none() | st.builds(ClipConfig, st.sampled_from([0.1, 1.0, 10.0]))),
         steps=steps,

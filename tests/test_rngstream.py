@@ -204,7 +204,8 @@ def _sample_batch_loop(cfg):
         batch, state = sample_batch(task, state, cfg.batch_size)
         loss, grads = task.loss_and_grad(params, batch)
         params, opt_state, _ = guarded_step(
-            gov, opt_state, params, grads, loss, step, schedule_lr(step, cfg.schedule()), cfg.opt
+            gov, opt_state, params, grads, loss, step,
+            schedule_lr(step, cfg.steps, cfg.schedule, cfg.opt.lr), cfg.opt,
         )
     log = io.StringIO()
     gov.log.write_jsonl(log)
