@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
@@ -14,7 +15,6 @@ from .config import (
     emit_config,
     expand_scenarios,
     parse_config,
-    run_config,
 )
 from .harness import run_suite, run_training
 from .report import (
@@ -72,29 +72,35 @@ def _write_report(out: Path) -> Path:
 
 
 def cmd_run(args) -> int:
+    """One arm of one scenario, as the suite builds it, at --seed (default the
+    config's first seed): its JSONL, summary and one-row CSV."""
     cfg = _load_config(args)
-    if cfg.run is None:
-        raise CliError("config has no 'run' section for the run subcommand")
+    scenarios = {scen.name: scen for scen in cfg.scenarios}
+    if args.scenario not in scenarios:
+        raise CliError(f"run needs --scenario, one of {list(scenarios)}; got {args.scenario!r}")
+    # Cut to that scenario, the config calibrates only its preset probes,
+    # on every seed, so the arm runs at the rate the suite gives it.
+    pairs = expand_scenarios(replace(cfg, scenarios=(scenarios[args.scenario],)))
+    arms = {run.label: run for _, *pair in pairs for run in pair}
+    arm = args.arm or "guard"
+    label = f"{args.scenario}-{arm}"
+    if label not in arms:
+        names = [name[len(args.scenario) + 1:] for name in arms]
+        raise CliError(f"scenario {args.scenario!r} has no arm {arm!r}; its arms are {names}")
+    run_cfg = replace(arms[label], seed=cfg.seeds[0] if args.seed is None else args.seed)
     out = _out_dir(args, cfg)
     _echo_config(cfg, out, args.quiet)
-    run_cfg = run_config(cfg, cfg.seeds[0] if args.seed is None else args.seed)
     result = run_training(run_cfg, out_dir=out)
-    write_csv_rows(
-        [result_csv_row(run_cfg.label, cfg.run.arm, result)],
-        out / f"{run_cfg.label}_seed{result.seed}.csv",
-    )
+    write_csv_rows([result_csv_row(args.scenario, arm, result)],
+                   out / f"{label}_seed{result.seed}.csv")
     if not args.quiet:
-        print(
-            json.dumps(
-                {
-                    "label": run_cfg.label,
-                    "seed": result.seed,
-                    "final_loss": result.final_loss,
-                    "final_perplexity": perplexity(result.final_loss),
-                    "control_active_steps": result.summary.control_active_steps,
-                }
-            )
-        )
+        print(f"{label} at lr {run_cfg.opt.lr:g}, seed {result.seed}")
+        print(f"{'step':>6} {'eval loss':>10}")
+        for step, loss in result.eval_trace:
+            print(f"{step:>6} {loss:>10.4f}")
+        print(json.dumps({"label": label, "seed": result.seed, "final_loss": result.final_loss,
+                          "final_perplexity": perplexity(result.final_loss),
+                          "control_active_steps": result.summary.control_active_steps}))
     return 0
 
 
@@ -144,10 +150,20 @@ def cmd_report(args) -> int:
     return 0
 
 
-# Each subcommand, its help and the global flags it reads; it rejects the
-# others rather than ignore them. --quiet only silences progress, so all take it.
+# The flags, each with its argparse keywords.
+_FLAGS = {
+    "config": dict(metavar="PATH", help="suite configuration JSON"),
+    "out": dict(metavar="DIR", help="output directory"),
+    "scenario": dict(metavar="NAME", help="the scenario whose arm run runs"),
+    "arm": dict(metavar="ARM", help="the arm run runs, a suite run-file suffix: "
+                                    "guard (default), baseline, clip1.0, ..."),
+    "seed": dict(type=int, metavar="N", help="the seed run runs at (default the config's first)"),
+}
+# Each subcommand, its help and the flags it reads; it rejects the others
+# rather than ignore them. --quiet only silences progress, so all take it.
 _COMMANDS = {
-    "run": (cmd_run, "execute the config's single-run section", ("config", "out", "seed")),
+    "run": (cmd_run, "run one arm of one scenario as the suite does",
+            ("config", "out", "scenario", "arm", "seed")),
     "suite": (cmd_suite, "execute every scenario in the config", ("config", "out")),
     "calibrate": (cmd_calibrate, "print the learning rate each scenario runs at", ("config",)),
     "report": (cmd_report, "re-render the markdown report from an existing CSV", ("out",)),
@@ -155,17 +171,21 @@ _COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Every flag goes before the subcommand, and each flag a subcommand
+    takes also after it."""
     parser = argparse.ArgumentParser(
         prog="guardlab",
         description="Bounded training-control governance stress laboratory",
     )
-    parser.add_argument("--config", metavar="PATH", help="suite configuration JSON")
-    parser.add_argument("--out", metavar="DIR", help="output directory")
-    parser.add_argument("--seed", type=int, metavar="N", help="seed override for run")
+    for flag, kwargs in _FLAGS.items():
+        parser.add_argument(f"--{flag}", **kwargs)
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, _) in _COMMANDS.items():
-        sub.add_parser(name, help=help_text)
+    for name, (_, help_text, takes) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for flag in takes:
+            # SUPPRESS: a flag not given here keeps its value from before the name.
+            command.add_argument(f"--{flag}", default=argparse.SUPPRESS, **_FLAGS[flag])
     return parser
 
 
@@ -173,7 +193,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     command, _, takes = _COMMANDS[args.command]
     try:
-        ignored = [f"--{flag}" for flag in ("config", "out", "seed")
+        ignored = [f"--{flag}" for flag in _FLAGS
                    if getattr(args, flag) is not None and flag not in takes]
         if ignored:
             raise CliError(f"{args.command!r} does not take {', '.join(ignored)}")

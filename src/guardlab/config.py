@@ -101,11 +101,6 @@ def _build(section: str, cls, data, validate=None, **convert):
         raise ConfigError(f"invalid section {section!r}: {exc}") from exc
 
 
-def _optional(convert):
-    """convert, passing None through."""
-    return lambda value: None if value is None else convert(value)
-
-
 def _unique(what: str, values: Iterable, key=lambda value: value) -> tuple:
     values = tuple(values)
     keys = [key(value) for value in values]
@@ -113,12 +108,6 @@ def _unique(what: str, values: Iterable, key=lambda value: value) -> tuple:
         if k in keys[:i]:
             raise ConfigError(f"duplicate {what}: {k!r}")
     return values
-
-
-def _check_file_stem(what: str, value: str) -> None:
-    """value goes into run file names, so it must not leave the runs directory."""
-    if "/" in value or "\\" in value:
-        raise ValueError(f"{what} must not contain '/' or '\\', got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -144,27 +133,9 @@ class ScenarioSpec:
         if bool(self.clip_g) != clips:
             rule = "must hold a threshold" if clips else "must be empty"
             raise ValueError(f"clip_g {rule} for kind {self.kind!r}")
-        _check_file_stem("name", self.name)
-
-
-@dataclass(frozen=True)
-class RunSection:
-    """The run `guardlab run` executes. lr None is the optimizer's rate, and
-    clip_g None runs unclipped."""
-
-    task: str
-    label: str
-    arm: str = "guard"
-    lr: Optional[float] = None
-    steps: int = RunConfig.steps
-    batch_size: int = RunConfig.batch_size
-    eval_every: int = RunConfig.eval_every
-    clip_g: Optional[float] = None
-
-    def __post_init__(self):
-        if self.arm not in ("guard", "baseline"):
-            raise ValueError(f"arm must be 'guard' or 'baseline', got {self.arm!r}")
-        _check_file_stem("label", self.label)
+        # The name goes into run file names, which must stay in the runs directory.
+        if "/" in self.name or "\\" in self.name:
+            raise ValueError(f"name must not contain '/' or '\\', got {self.name!r}")
 
 
 @dataclass(frozen=True)
@@ -176,7 +147,6 @@ class SuiteConfig:
     schedule: Schedule = Schedule()
     guard: GuardConfig = GuardConfig()
     scenarios: Tuple[ScenarioSpec, ...] = ()
-    run: Optional[RunSection] = None
 
 
 def _parse_seeds(seeds) -> Tuple[int, ...]:
@@ -196,11 +166,6 @@ def _scenario_fields(scen: ScenarioSpec, tasks: Dict[str, TaskSpec]) -> dict:
     """The RunConfig fields that every arm of scen shares."""
     return dict(task=tasks[scen.task], steps=scen.steps, batch_size=scen.batch_size,
                 eval_every=scen.eval_every, injection=scen.injection)
-
-
-def _suite_fields(cfg: SuiteConfig, lr: float) -> dict:
-    """The RunConfig fields that cfg's optimizer and schedule sections set, at rate lr."""
-    return dict(opt=replace(cfg.optimizer, lr=lr), schedule=cfg.schedule)
 
 
 def _parse_scenario(idx: int, data, tasks: Dict[str, TaskSpec]) -> ScenarioSpec:
@@ -224,35 +189,6 @@ def _parse_scenario(idx: int, data, tasks: Dict[str, TaskSpec]) -> ScenarioSpec:
     )
 
 
-def _parse_run(data, cfg: SuiteConfig) -> RunSection:
-    """The run section, checked by building its RunConfig in the suite cfg."""
-    label = f"run-{_object('run', data).get('task')}-{data.get('arm', RunSection.arm)}"
-    return _build(
-        "run", RunSection, {"label": label, **data},
-        validate=lambda run: run_config(replace(cfg, run=run), seed=0),
-        task=strict_str, label=strict_str, lr=_optional(strict_float),
-        clip_g=_optional(strict_float),
-    )
-
-
-def run_config(cfg: SuiteConfig, seed: int) -> RunConfig:
-    """The RunConfig of cfg's run section at seed."""
-    run = cfg.run
-    if run.task not in cfg.tasks:
-        raise ConfigError(f"run.task references unknown task {run.task!r}")
-    return RunConfig(
-        task=cfg.tasks[run.task],
-        **_suite_fields(cfg, cfg.optimizer.lr if run.lr is None else run.lr),
-        guard=cfg.guard if run.arm == "guard" else None,
-        clip=None if run.clip_g is None else ClipConfig(g=run.clip_g),
-        steps=run.steps,
-        batch_size=run.batch_size,
-        eval_every=run.eval_every,
-        seed=seed,
-        label=run.label,
-    )
-
-
 def parse_config(source: Union[str, Path, dict]) -> SuiteConfig:
     """Parse and validate a suite configuration from a path or a dict."""
     if isinstance(source, (str, Path)):
@@ -263,8 +199,7 @@ def parse_config(source: Union[str, Path, dict]) -> SuiteConfig:
         name: _parse_task(name, spec)
         for name, spec in _object("tasks", doc.get("tasks", {})).items()
     }
-    run = doc.pop("run", None)
-    cfg = _build(
+    return _build(
         "root", SuiteConfig, doc,
         seeds=_parse_seeds,
         optimizer=lambda d: _build("optimizer", OptimizerConfig, d),
@@ -277,7 +212,6 @@ def parse_config(source: Union[str, Path, dict]) -> SuiteConfig:
             key=lambda scen: scen.name,
         ),
     )
-    return cfg if run is None else replace(cfg, run=_parse_run(run, cfg))
 
 
 def emit_config(cfg: SuiteConfig) -> dict:
@@ -287,8 +221,6 @@ def emit_config(cfg: SuiteConfig) -> dict:
     for scen in doc["scenarios"]:
         if scen["injection"] is None:
             del scen["injection"]
-    if cfg.run is None:
-        del doc["run"]
     return doc
 
 
@@ -313,7 +245,8 @@ def _pairs(cfg: SuiteConfig, scen: ScenarioSpec,
     baseline arm, against the guard arm."""
     pairs = []
     for seed in cfg.seeds:
-        base = RunConfig(seed=seed, label=f"{scen.name}-baseline", **_suite_fields(cfg, lr),
+        base = RunConfig(seed=seed, label=f"{scen.name}-baseline",
+                         opt=replace(cfg.optimizer, lr=lr), schedule=cfg.schedule,
                          **_scenario_fields(scen, cfg.tasks))
         guard = replace(base, guard=cfg.guard, label=f"{scen.name}-guard")
         if scen.clip_g:

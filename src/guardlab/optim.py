@@ -79,6 +79,8 @@ class Schedule:
     min_lr: float = 0.0
 
     def __post_init__(self):
+        # A plain "constant" would fail schedule_lr's identity test and run cosine.
+        object.__setattr__(self, "kind", ScheduleKind(self.kind))
         if not 0.0 <= self.min_lr < math.inf:
             raise ValueError("min_lr must be >= 0 and finite")
 

@@ -9,7 +9,7 @@ import pytest
 
 from guardlab import config as config_module
 from guardlab import harness
-from guardlab.cli import main
+from guardlab.cli import _COMMANDS, main
 from guardlab.config import expand_scenarios, parse_config
 from guardlab.harness import (LADDER_LRS, InjectionSpec, TaskSpec, calibrate_divergence_lr,
                               probe_config)
@@ -21,8 +21,6 @@ def write_config(tmp_path: Path, extra: dict = None) -> Path:
         "out_dir": str(tmp_path / "out"),
         "seeds": [7],
         "tasks": {"toy": {"kind": "quadratic", "dims": {"dim": 4, "noise": 0.01}}},
-        "run": {"task": "toy", "arm": "guard", "lr": 0.01, "steps": 30,
-                "batch_size": 8, "eval_every": 10, "label": "demo"},
         "scenarios": [
             {"name": "stress", "kind": "lr_stress", "task": "toy", "steps": 30,
              "lr": 0.05, "batch_size": 8, "eval_every": 10},
@@ -35,26 +33,34 @@ def write_config(tmp_path: Path, extra: dict = None) -> Path:
     return path
 
 
+# The scenario write_config defines, run through `guardlab run`.
+RUN_STRESS = ["run", "--scenario", "stress"]
+
+
 def test_run_writes_csv_and_echo(tmp_path, capsys):
     cfg = write_config(tmp_path)
     out = tmp_path / "runout"
-    assert main(["--config", str(cfg), "--out", str(out), "run"]) == 0
+    assert main(["--config", str(cfg), "--out", str(out), *RUN_STRESS]) == 0
     assert (out / "config_echo.json").exists()
-    csv_path = out / "demo_seed7.csv"
+    csv_path = out / "stress-guard_seed7.csv"
     with open(csv_path) as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 1
-    assert rows[0]["arm"] == "guard"
-    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    assert payload["label"] == "demo"
+    assert (rows[0]["scenario"], rows[0]["arm"]) == ("stress", "guard")
+    lines = capsys.readouterr().out.strip().splitlines()
+    payload = json.loads(lines[-1])
+    assert payload["label"] == "stress-guard"
+    # The rate, then the eval trace: one line per eval step.
+    assert "stress-guard at lr 0.05, seed 7" in lines
+    assert [line.split()[0] for line in lines[-4:-1]] == ["10", "20", "30"]
 
 
 def test_run_prints_the_perplexity_of_its_final_loss_as_its_csv_row_does(tmp_path, capsys):
     cfg = write_config(tmp_path)
     out = tmp_path / "runout"
-    assert main(["--config", str(cfg), "--out", str(out), "run"]) == 0
+    assert main(["--config", str(cfg), "--out", str(out), *RUN_STRESS]) == 0
     payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    (row,) = read_suite_csv(out / "demo_seed7.csv")
+    (row,) = read_suite_csv(out / "stress-guard_seed7.csv")
     assert payload["final_loss"] == row["final_loss"]
     assert payload["final_perplexity"] == perplexity(payload["final_loss"]) == row["final_ppl"]
 
@@ -64,8 +70,8 @@ def test_run_deterministic_modulo_wall_time(tmp_path):
     rows = []
     for sub in ("a", "b"):
         out = tmp_path / sub
-        assert main(["--config", str(cfg), "--out", str(out), "--quiet", "run"]) == 0
-        with open(out / "demo_seed7.csv") as fh:
+        assert main(["--config", str(cfg), "--out", str(out), "--quiet", *RUN_STRESS]) == 0
+        with open(out / "stress-guard_seed7.csv") as fh:
             rows.append(list(csv.DictReader(fh))[0])
     a, b = rows
     for col in a:
@@ -76,8 +82,29 @@ def test_run_deterministic_modulo_wall_time(tmp_path):
 def test_seed_override(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "seeded"
-    assert main(["--config", str(cfg), "--out", str(out), "--seed", "99", "--quiet", "run"]) == 0
-    assert (out / "demo_seed99.csv").exists()
+    # Any seed, not only the config's: the flag goes before or after `run`.
+    assert main(["--config", str(cfg), "--out", str(out), "--seed", "99", "--quiet",
+                 *RUN_STRESS]) == 0
+    assert main(["--config", str(cfg), "--out", str(out), "--quiet",
+                 *RUN_STRESS, "--arm", "baseline", "--seed", "98"]) == 0
+    assert sorted(path.name for path in out.glob("*.csv")) == [
+        "stress-baseline_seed98.csv", "stress-guard_seed99.csv"]
+
+
+@pytest.mark.parametrize("flags, message", [
+    ([], "run needs --scenario, one of ['stress']; got None"),
+    (["--scenario", "calm"], "one of ['stress']; got 'calm'"),
+    (["--scenario", "stress", "--arm", "clip1.0"],
+     "scenario 'stress' has no arm 'clip1.0'; its arms are ['baseline', 'guard']"),
+])
+def test_run_names_the_valid_scenarios_and_arms(tmp_path, capsys, flags, message):
+    out = tmp_path / "out"
+    assert main(["--config", str(write_config(tmp_path)), "--out", str(out), "run", *flags]) == 1
+    captured = capsys.readouterr()
+    err = json.loads(captured.err.strip())
+    assert err["error"] == "CliError" and message in err["message"]
+    assert captured.out == ""
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["suite", "calibrate", "report"])
@@ -94,16 +121,21 @@ def test_seed_outside_run_is_an_error(tmp_path, capsys, command):
 
 
 # The global flags each subcommand takes; the pairs outside this table.
-TAKES = {"run": ("--config", "--out", "--seed"), "suite": ("--config", "--out"),
-         "calibrate": ("--config",), "report": ("--out",)}
+TAKES = {"run": ("--config", "--out", "--scenario", "--arm", "--seed"),
+         "suite": ("--config", "--out"), "calibrate": ("--config",), "report": ("--out",)}
 NOT_TAKEN = [(flag, command) for command, takes in TAKES.items()
-             for flag in ("--config", "--out", "--seed") if flag not in takes]
+             for flag in TAKES["run"] if flag not in takes]
+
+
+def test_takes_is_the_command_table_of_the_cli():
+    assert {name: tuple(f"--{flag}" for flag in takes)
+            for name, (_, _, takes) in _COMMANDS.items()} == TAKES
 
 
 @pytest.mark.parametrize("flag, command", NOT_TAKEN, ids=lambda v: v)
 def test_a_flag_a_subcommand_does_not_take_is_an_error(tmp_path, capsys, flag, command):
     values = {"--config": str(write_config(tmp_path)), "--out": str(tmp_path / "out"),
-              "--seed": "99"}
+              "--scenario": "stress", "--arm": "guard", "--seed": "99"}
     argv = [arg for f in (*TAKES[command], flag) for arg in (f, values[f])]
     before = sorted(tmp_path.rglob("*"))
     assert main([*argv, command]) == 1
@@ -155,24 +187,27 @@ def test_report_rejects_an_incomplete_or_extra_pair(tmp_path, capsys, arms):
 
 
 def test_unknown_run_key_errors(tmp_path, capsys):
-    cfg = write_config(tmp_path, extra={"run": {"task": "toy", "warmup": 5}})
-    assert main(["--config", str(cfg), "--quiet", "run"]) == 1
-    err = json.loads(capsys.readouterr().err.strip())
-    assert "warmup" in err["message"]
-
-
-@pytest.mark.parametrize("key, value", [("clip_g", [1]), ("steps", "x")])
-def test_run_with_a_malformed_value_prints_a_config_error(tmp_path, capsys, key, value):
-    cfg = write_config(tmp_path, extra={"run": {"task": "toy", key: value}})
-    assert main(["--config", str(cfg), "--quiet", "run"]) == 1
+    # A run is a scenario's arm: a config with the old run section fails to parse.
+    cfg = write_config(tmp_path, extra={"run": {"task": "toy", "steps": 30}})
+    assert main(["--config", str(cfg), "--quiet", *RUN_STRESS]) == 1
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "ConfigError"
-    assert f"invalid {key!r} in section 'run'" in err["message"]
+    assert "unknown key 'run' in section 'root'" in err["message"]
+
+
+@pytest.mark.parametrize("key, value", [("clip_g", [[1]]), ("steps", "x")])
+def test_run_with_a_malformed_value_prints_a_config_error(tmp_path, capsys, key, value):
+    scen = {"name": "stress", "kind": "lr_stress", "task": "toy", "lr": 0.05, key: value}
+    cfg = write_config(tmp_path, extra={"scenarios": [scen]})
+    assert main(["--config", str(cfg), "--quiet", *RUN_STRESS]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ConfigError"
+    assert f"invalid {key!r} in section 'scenarios[0]'" in err["message"]
 
 
 def test_suite_with_a_preset_below_min_lr_exits_nonzero(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(config_module, "degrading_lr", lambda *a, **k: 0.4)
-    # "safe" resolves to 0.4 / 512, below min_lr; the run section's lr 0.01 is not.
+    # "safe" resolves to 0.4 / 512, below min_lr.
     cfg = write_config(tmp_path, extra={
         "schedule": {"min_lr": 0.005},
         "scenarios": [{"name": "gentle", "kind": "lr_stress", "task": "toy", "steps": 30,
@@ -185,11 +220,15 @@ def test_suite_with_a_preset_below_min_lr_exits_nonzero(tmp_path, capsys, monkey
     assert not (out / "suite.csv").exists()
 
 
+# Each command that parses a config and runs, as its argv tail.
+RUNNING = {"suite": ["suite"], "run": RUN_STRESS}
+
+
 @pytest.mark.parametrize("command", ["suite", "run"])
 def test_a_negative_min_lr_exits_before_anything_runs(tmp_path, capsys, command):
     cfg = write_config(tmp_path, extra={"schedule": {"min_lr": -0.1}})
     out = tmp_path / "never"
-    assert main(["--config", str(cfg), "--out", str(out), "--quiet", command]) == 1
+    assert main(["--config", str(cfg), "--out", str(out), "--quiet", *RUNNING[command]]) == 1
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "ConfigError" and "section 'schedule'" in err["message"]
     # Rejected as it is parsed: not even the config echo is written.
@@ -306,7 +345,7 @@ def test_suite_with_an_unknown_task_kind_or_dim_exits_nonzero(tmp_path, capsys, 
 def test_an_empty_seed_list_prints_a_config_error(tmp_path, capsys, command):
     cfg = write_config(tmp_path, extra={"seeds": []})
     out = tmp_path / "out"
-    assert main(["--config", str(cfg), "--out", str(out), "--quiet", command]) == 1
+    assert main(["--config", str(cfg), "--out", str(out), "--quiet", *RUNNING[command]]) == 1
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "ConfigError" and "'seeds'" in err["message"]
     assert not out.exists()

@@ -72,8 +72,9 @@ def test_unknown_guard_key_named_in_error():
 
 
 def test_unknown_run_key_named_in_error():
-    with pytest.raises(ConfigError, match="'warmup'"):
-        parse_config({"tasks": {}, "run": {"warmup": 5}})
+    # `guardlab run` runs a scenario's arm, so the old run section is no key.
+    with pytest.raises(ConfigError, match="unknown key 'run' in section 'root'"):
+        parse_config({"tasks": {}, "run": {"task": "toy"}})
 
 
 def test_preset_below_min_lr_is_a_config_error(monkeypatch):
@@ -127,29 +128,6 @@ def test_scenario_run_limits_are_checked_at_parse_time():
     scen = {k: v for k, v in MINIMAL["scenarios"][0].items() if k != "eval_every"}
     with pytest.raises(ConfigError, match=r"'scenarios\[0\]'.*eval_every must lie in \[1, steps\]"):
         parse_config({**MINIMAL, "scenarios": [scen]})
-
-
-def test_run_section_limits_are_checked_at_parse_time():
-    with pytest.raises(ConfigError, match=r"'run'.*eval_every must lie in \[1, steps\]"):
-        parse_config({**MINIMAL, "run": {"task": "toy", "steps": 20}})
-    with pytest.raises(ConfigError, match=r"'run'.*lr must be > 0"):
-        parse_config({**MINIMAL, "run": {"task": "toy", "lr": -1.0}})
-    # No schedule decays to a run lr below schedule.min_lr.
-    with pytest.raises(ConfigError, match=r"'run'.*min_lr 0\.05 exceeds lr 0\.01"):
-        parse_config({**MINIMAL, "schedule": {"min_lr": 0.05}, "run": {"task": "toy", "lr": 0.01}})
-    with pytest.raises(ConfigError, match="run.task references unknown task 'missing'"):
-        parse_config({**MINIMAL, "run": {"task": "missing"}})
-
-
-def test_run_section_defaults_are_materialized():
-    cfg = parse_config({**MINIMAL, "run": {"task": "toy", "arm": "baseline", "clip_g": None}})
-    assert emit_config(cfg)["run"] == {
-        "task": "toy", "label": "run-toy-baseline", "arm": "baseline", "lr": None,
-        "steps": 1000, "batch_size": 32, "eval_every": 100, "clip_g": None,
-    }
-    run = config_module.run_config(cfg, seed=5)
-    assert run.clip is None and run.guard is None
-    assert run.opt == cfg.optimizer and run.seed == 5
 
 
 def test_unstressable_task_under_a_preset_is_a_config_error(monkeypatch, workers):
@@ -432,7 +410,6 @@ INTEGERS = {
         {"name": "demo", "kind": "injection", "task": "toy", "steps": 20, "lr": 0.01,
          "batch_size": 8, "eval_every": 10, "injection": {"period": 5}},
     ],
-    "run": {"task": "toy", "steps": 20, "batch_size": 8, "eval_every": 10},
 }
 
 
@@ -444,9 +421,6 @@ INTEGERS = {
     (("scenarios", 0, "batch_size"), "scenarios[0]"),
     (("scenarios", 0, "eval_every"), "scenarios[0]"),
     (("scenarios", 0, "injection", "period"), "scenarios[0].injection"),
-    (("run", "steps"), "run"),
-    (("run", "batch_size"), "run"),
-    (("run", "eval_every"), "run"),
 ], ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else None)
 def test_integer_fields_take_integral_numbers_only(path, section):
     def at(doc):
@@ -492,8 +466,6 @@ NAN, INF = float("nan"), float("inf")
     (("scenarios", 0, "clip_g", 0), NAN, "scenarios[0]"),
     (("scenarios", 0, "clip_g", 0), True, "scenarios[0]"),
     (("scenarios", 0, "injection", "magnitude"), NAN, "scenarios[0].injection"),
-    (("run", "lr"), True, "run"),
-    (("run", "clip_g"), NAN, "run"),
     (("tasks", "q", "dims", "condition"), INF, "tasks.q"),
 ], ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else None)
 def test_float_fields_take_finite_numbers_only(path, value, section):
@@ -530,8 +502,6 @@ def _with(section: str, key: str, value) -> dict:
     doc = json.loads(json.dumps(MINIMAL))
     if section == "root":
         doc[key] = value
-    elif section == "run":
-        doc["run"] = {"task": "toy", "steps": 20, "eval_every": 10, key: value}
     elif section.startswith("scenarios[0]"):
         scen = doc["scenarios"][0]
         if section.endswith(".injection"):
@@ -547,8 +517,7 @@ def _with(section: str, key: str, value) -> dict:
 
 STRING_FIELDS = [("root", "out_dir"), ("scenarios[0]", "name"), ("scenarios[0]", "kind"),
                  ("scenarios[0]", "task"), ("scenarios[0].injection", "mode"),
-                 ("tasks.toy", "kind"), ("schedule", "kind"), ("run", "task"),
-                 ("run", "label"), ("run", "arm")]
+                 ("tasks.toy", "kind"), ("schedule", "kind")]
 
 
 @pytest.mark.parametrize("value", [None, 3, True, ["r"], {"r": 1}], ids=repr)
@@ -560,10 +529,11 @@ def test_string_fields_take_strings_only(section, key, value):
 
 
 def test_string_fields_parse_and_round_trip():
-    doc = _with("run", "label", "mine")
+    doc = _with("scenarios[0]", "name", "mine")
     doc.update(out_dir="out", schedule={"kind": "constant"})
     cfg = parse_config(doc)
-    assert (cfg.out_dir, cfg.run.label, cfg.schedule.kind) == ("out", "mine", ScheduleKind.CONSTANT)
+    assert (cfg.out_dir, cfg.scenarios[0].name, cfg.schedule.kind) == (
+        "out", "mine", ScheduleKind.CONSTANT)
     assert parse_config(json.loads(json.dumps(emit_config(cfg)))) == cfg
 
 
@@ -598,12 +568,6 @@ def test_a_scenario_name_with_a_path_separator_is_rejected(name):
     scen = {**MINIMAL["scenarios"][0], "name": name}
     with pytest.raises(ConfigError, match=r"'scenarios\[0\]'.*name must not contain"):
         parse_config({**MINIMAL, "scenarios": [scen]})
-
-
-@pytest.mark.parametrize("label", ["../escape", "a\\b"])
-def test_a_run_label_with_a_path_separator_is_rejected(label):
-    with pytest.raises(ConfigError, match=r"'run'.*label must not contain"):
-        parse_config({**MINIMAL, "run": {"task": "toy", "label": label}})
 
 
 @pytest.mark.parametrize("clip_g", [[1.0, 1.0], [1, 0.5, 1.0]])
@@ -769,7 +733,7 @@ def test_a_code_built_arm_on_default_dims_finds_its_rung_in_the_parsed_ladders(o
 
 
 # Every field of GuardConfig, OptimizerConfig, InjectionSpec and ScenarioSpec,
-# the schedule and the run section, each away from its default.
+# and the schedule, each away from its default.
 FULL = {
     "out_dir": "elsewhere",
     "seeds": [3, 5],
@@ -783,9 +747,7 @@ FULL = {
         {"name": "inj", "kind": "injection", "task": "q", "steps": 40, "lr": "safe",
          "batch_size": 4, "eval_every": 8, "clip_g": [2.0],
          "injection": {"magnitude": 10.0, "period": 7, "mode": "gradient_burst"}},
-    ],
-    "run": {"task": "q", "arm": "baseline", "lr": 0.1, "steps": 20, "batch_size": 4,
-            "eval_every": 5, "clip_g": 1.0, "label": "solo"},
+    ]
 }
 
 
@@ -794,7 +756,7 @@ def test_every_field_set_away_from_its_default_round_trips():
 
     cfg = parse_config(FULL)
     scen = cfg.scenarios[0]
-    for obj in (cfg.guard, cfg.optimizer, scen, scen.injection, cfg.run):
+    for obj in (cfg.guard, cfg.optimizer, scen, scen.injection):
         for f in dataclasses.fields(obj):
             # InjectionSpec.mode takes one value, so it cannot be set away from
             # its default; FULL still spells it for the round trip below.

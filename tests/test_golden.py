@@ -18,6 +18,9 @@ on every usable CPU. It was recorded with numpy 2.4.6, before suite runs came
 back from their workers as summary rows and before every calibration rung
 kept its per-step data.
 
+`guardlab run` runs one arm of one scenario as the suite builds it, so on
+the tiny suite its JSONL and summary are the suite's files for that arm.
+
 Both digests were re-recorded when the recovery regime was deleted. The only
 change was the JSONL regime labels, each "recovery" now "stable", and with
 them the regime_switches of each summary and suite.csv row; every other
@@ -38,7 +41,6 @@ ROOT = Path(__file__).resolve().parents[1]
 SHIPPED = ROOT / "configs" / "default_suite.json"
 README = ROOT / "README.md"
 SHIPPED_SUITE_SHA256 = "c95574bb0a8e06a3dfc171307dfaf7ea05f15b84e0947d51e3db3deafa3def6e"
-SHIPPED_RUN_SHA256 = "776236a349d32326cc90d90556ee5d99591ee04fc21a4788c868dfd876f86616"
 
 TINY_SUITE = {
     "seeds": [7],
@@ -129,13 +131,23 @@ def test_shipped_suite_outputs_match_the_golden_digest(tmp_path, monkeypatch):
     assert rates == json.loads("".join(line[1:] for line in block.splitlines()))
 
 
-def test_shipped_run_section_outputs_match_the_golden_digest(tmp_path):
-    # README's first command: the shipped run section at the first seed. The
-    # digest covers its JSONL, its summary and its CSV row without wall_s.
-    out = tmp_path / "out"
-    assert main(["--config", str(SHIPPED), "--out", str(out), "--quiet", "run"]) == 0
-    h = hashlib.sha256()
-    for name in ("demo_seed7.jsonl", "demo_seed7_summary.json"):
-        h.update((out / name).read_bytes())
-    hash_csv_rows(h, out / "demo_seed7.csv")
-    assert h.hexdigest() == SHIPPED_RUN_SHA256
+# One arm of each kind: a baseline the suite replays from a rung, a guard arm
+# at a moderate preset, a clip arm under bursts and a guard arm at a numeric lr.
+RUN_ARMS = [("lr-stress", "baseline"), ("lr-moderate", "guard"), ("bursts", "clip1.0"),
+            ("benign", "guard")]
+
+
+def test_run_writes_the_bytes_of_the_suite_arm_it_names(tmp_path, workers):
+    # `guardlab run --scenario S --arm A` is the suite's run S-A: its JSONL and
+    # summary are the files the suite writes under runs/ for that arm.
+    cfg = tmp_path / "suite.json"
+    cfg.write_text(json.dumps(TINY_SUITE))
+    suite = tmp_path / "suite"
+    assert main(["--config", str(cfg), "--out", str(suite), "--quiet", "suite"]) == 0
+    for scenario, arm in RUN_ARMS:
+        out = tmp_path / f"{scenario}-{arm}"
+        assert main(["--config", str(cfg), "--out", str(out), "--quiet", "run",
+                     "--scenario", scenario, "--arm", arm, "--seed", "7"]) == 0
+        for suffix in (".jsonl", "_summary.json"):
+            name = f"{scenario}-{arm}_seed7{suffix}"
+            assert (out / name).read_bytes() == (suite / "runs" / name).read_bytes(), name

@@ -1,11 +1,11 @@
-"""No module under src/guardlab/ or scripts/ imports a name it never uses,
+"""No module under src/guardlab/ imports a name it never uses,
 and none defines a name that nothing reads.
 
 No linter ships with the lab, so this reads each module's syntax tree with
 the standard library's ast: every name an import binds (``__future__``
 imports aside) must be read somewhere in the module, and every top-level
 function, class and module constant (dunder names aside) must be read
-somewhere in src/, scripts/, tests/ or perfbench/.
+somewhere in src/, tests/ or perfbench/.
 """
 
 import ast
@@ -14,8 +14,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = sorted([*(ROOT / "src" / "guardlab").glob("*.py"), *(ROOT / "scripts").glob("*.py")])
-READERS = sorted(path for top in ("src", "scripts", "tests", "perfbench")
+MODULES = sorted((ROOT / "src" / "guardlab").glob("*.py"))
+READERS = sorted(path for top in ("src", "tests", "perfbench")
                  for path in (ROOT / top).rglob("*.py"))
 
 

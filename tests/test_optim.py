@@ -357,6 +357,22 @@ def test_schedule_constant():
         assert schedule_lr(step, 100, cfg, 0.5) == 0.5
 
 
+@pytest.mark.parametrize("make, expected", [
+    # A kind given as its string is that kind: "constant" runs the constant rate.
+    pytest.param(lambda: schedule_lr(50, 100, Schedule(kind="constant"), 0.5), 0.5,
+                 id="schedule-constant"),
+    pytest.param(lambda: Schedule(kind="bogus"), ValueError, id="schedule-bogus"),
+    pytest.param(lambda: InjectionSpec(mode="x"), ValueError, id="injection-mode"),
+    pytest.param(lambda: TaskSpec("x"), ValueError, id="task-kind"),
+])
+def test_a_kind_built_in_code_is_one_the_lab_runs(make, expected):
+    if expected is ValueError:
+        with pytest.raises(ValueError):
+            make()
+    else:
+        assert make() == expected
+
+
 def test_schedule_config_rejects_invalid():
     with pytest.raises(ValueError, match="min_lr"):
         Schedule(min_lr=-0.1)

@@ -3,6 +3,7 @@ rule, AdamW's counter, the schedule, the governor and the log, composed over
 a run and checked bit for bit against a scalar restatement of the spec."""
 
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from guardlab.governor import GuardConfig, TelemetryError
 from guardlab.harness import (InjectionSpec, RunConfig, TaskSpec, replay_rung, run_probe_ladder,
-                              run_training)
+                              run_suite, run_training)
 from guardlab.optim import ClipConfig, OptimizerConfig, Schedule, ScheduleKind
 from reference_impl import reference_run
 
@@ -112,3 +113,31 @@ def test_an_enabled_guard_stops_a_run_whose_update_overflows_from_finite_inputs(
         for run in (reference_run, run_training):
             with pytest.raises(TelemetryError, match="actuation on non-finite update"):
                 run(cfg)
+
+
+# One fixed pair per task, each arm a different path through the step: a
+# clipped bigram baseline under bursts against its guard arm, and a noisy
+# quadratic (a drawn batch stream) without and with the guard. Both guard
+# arms act (24 and 29 control-active steps).
+BIGRAM = RunConfig(task=TaskSpec("bigram_lm", {"alphabet": 6, "corpus_len": 48, "eval_len": 16}),
+                   opt=OptimizerConfig(lr=0.8), clip=ClipConfig(1.0), steps=30, batch_size=4,
+                   eval_every=10, seed=11, injection=InjectionSpec(magnitude=50.0, period=7),
+                   label="bigram-clip1.0")
+QUADRATIC = RunConfig(task=TaskSpec("quadratic", {"dim": 4, "noise": 0.1}),
+                      opt=OptimizerConfig(lr=3.0), schedule=Schedule(min_lr=0.01), steps=30,
+                      batch_size=4, eval_every=10, seed=5, label="quadratic-baseline")
+PAIRS = [(base.label.split("-")[0], base,
+          replace(base, clip=None, guard=GuardConfig(), label=base.label.split("-")[0] + "-guard"))
+         for base in (BIGRAM, QUADRATIC)]
+
+
+def test_the_suite_s_forked_runs_write_the_reference_run_s_jsonl(tmp_path, workers):
+    rows = run_suite(PAIRS, out_dir=tmp_path)
+    assert [row.error for row in rows] == [None, None]
+    written = sorted(path.name for path in tmp_path.glob("*.jsonl"))
+    assert written == sorted(f"{cfg.label}_seed{cfg.seed}.jsonl" for _, *arms in PAIRS
+                             for cfg in arms)
+    for _, *arms in PAIRS:
+        for cfg in arms:
+            _, _, jsonl = reference_run(cfg)
+            assert (tmp_path / f"{cfg.label}_seed{cfg.seed}.jsonl").read_text() == jsonl, cfg.label
