@@ -115,9 +115,11 @@ def cmd_suite(args) -> int:
     with open(out / "calibration.json", "w", encoding="utf-8") as fh:
         json.dump(calibration_record(cfg, ladders), fh, indent=2)
         fh.write("\n")
+    # On disk now, the ladders are dropped before run_suite forks its workers.
+    del ladders
     if not args.quiet:
         print(f"running {len(pairs)} comparison pairs")
-    rows = run_suite(pairs, out_dir=out / "runs", ladders=ladders)
+    rows = run_suite(pairs, out_dir=out / "runs")
     csv_path = out / "suite.csv"
     write_suite_csv(rows, csv_path)
     report_path = _write_report(out)

@@ -179,21 +179,16 @@ def probe_rms(grads: np.ndarray) -> Optional[float]:
     """What sense takes of a probe step's gradient: the root mean square of
     a nonempty gradient, or None when an entry is non-finite or the mean
     square overflows."""
-    return probe_rms_rows(np.asarray(grads, dtype=float).reshape(1, -1))[0]
-
-
-def probe_rms_rows(rows: np.ndarray) -> List[Optional[float]]:
-    """probe_rms of each row of an (L, n) stack of gradients, as a float or None."""
-    rows = np.asarray(rows, dtype=float)
-    n = rows.shape[1]
+    g = np.asarray(grads, dtype=float)
+    n = g.size
     if n == 0:
         raise ValueError("probe_rms requires a nonempty gradient")
-    # np.mean's sum and division, without its wrapper: a reduce over the
-    # contiguous axis is each row's own pairwise sum. It is also the
-    # finiteness check: a non-finite entry or an overflow makes it non-finite.
+    # np.mean's pairwise sum and division, without its wrapper (np.vdot
+    # rounds differently). The sum is also the finiteness check: a
+    # non-finite entry or an overflow makes it non-finite.
     with np.errstate(over="ignore"):
-        sumsq = np.add.reduce(rows * rows, axis=1)
-    return [math.sqrt(s / n) if math.isfinite(s) else None for s in sumsq.tolist()]
+        s = np.add.reduce(g * g)
+    return math.sqrt(s / n) if math.isfinite(s) else None
 
 
 def sense(

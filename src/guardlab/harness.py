@@ -18,8 +18,7 @@ import time
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
-from typing import (Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, TypeVar,
-                    Union)
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, TypeVar, Union
 
 import numpy as np
 
@@ -27,9 +26,7 @@ from .governor import (
     Governor,
     GuardConfig,
     StepLog,
-    TelemetrySample,
     TelemetrySummary,
-    probe_rms_rows,
     summarize_records,
 )
 from .optim import (
@@ -158,22 +155,13 @@ class RunResult(RunRow):
 @dataclass
 class ProbeResult:
     """One rung of a probe ladder: the fields the degradation verdict reads,
-    and the rest of what run_training would return for the rung's run.
-
-    losses holds the training loss of every step, and grad_rms the gradient
-    RMS that sense takes on every stats_freq step of the probe's disabled
-    guard (None where it is non-finite or overflows). wall_seconds is the
-    rung's share of the ladder's step loop.
-    """
+    and the rung's final params, which the tests hold to run_training's."""
 
     lr: float
     initial_loss: float
     final_loss: float
     eval_trace: List[Tuple[int, float]]
     params: Optional[np.ndarray]
-    losses: Optional[np.ndarray] = None
-    grad_rms: List[Optional[float]] = field(default_factory=list)
-    wall_seconds: float = 0.0
 
 
 @dataclass
@@ -232,16 +220,10 @@ def run_training(cfg: RunConfig, out_dir: Optional[Path] = None) -> RunResult:
             eval_trace.append((step + 1, evaluate(task, params)))
     wall = time.perf_counter() - t0
 
-    return _run_result(cfg, gov, out_dir, initial_loss=initial_loss,
+    result = RunResult(label=cfg.label, seed=cfg.seed, initial_loss=initial_loss,
                        final_loss=evaluate(task, params), wall_seconds=wall,
-                       eval_trace=eval_trace, params=params)
-
-
-def _run_result(cfg: RunConfig, gov: Governor, out_dir: Optional[Path], **fields) -> RunResult:
-    """The RunResult of cfg's run from its fields, with its label, seed, and
-    log and summary from gov; its artifacts are written when out_dir is given."""
-    result = RunResult(label=cfg.label, seed=cfg.seed, log=gov.log,
-                       summary=summarize_records(gov.log.records), **fields)
+                       summary=summarize_records(gov.log.records), eval_trace=eval_trace,
+                       log=gov.log, params=params)
     if out_dir is not None:
         write_run_artifacts(result, Path(out_dir))
     return result
@@ -279,19 +261,15 @@ def run_probe_ladder(cfg: RunConfig, lrs: Sequence[float]) -> List[ProbeResult]:
     """Baseline runs of cfg at each of lrs, as one program over an lr axis.
 
     Rung l is bitwise equal to run_training(cfg with opt.lr = lrs[l]) in its
-    params, eval trace and losses: the task is built and each batch drawn
-    once for every rung (neither depends on lr), each step's rates are one
-    schedule_lr call on the (L, 1) column of lrs, params and AdamW moments
-    are stacked as (L, n) rows through the elementwise adamw_step, and all
-    rungs are evaluated in one eval_loss_rows call. The governor is left
-    out: with the guard off and no clip it is the identity on the update.
-    What its log reads is kept instead, each step's loss and, on the
-    disabled guard's stats steps, what sense takes of each rung's gradient
-    after the burst, so replay_rung can write the rung's telemetry. An
-    empty lrs is an empty ladder.
+    params, eval trace and initial and final loss: the task is built and each
+    batch drawn once for every rung (neither depends on lr), each step's
+    rates are one schedule_lr call on the (L, 1) column of lrs, params and
+    AdamW moments are stacked as (L, n) rows through the elementwise
+    adamw_step, and all rungs are evaluated in one eval_loss_rows call. The
+    governor is left out: with the guard off and no clip it is the identity
+    on the update. An empty lrs is an empty ladder.
     """
-    guard = cfg.guard_or_disabled()
-    if guard.auto_enabled or cfg.clip is not None:
+    if cfg.guard_or_disabled().auto_enabled or cfg.clip is not None:
         raise ValueError("a probe ladder runs baseline arms: guard disabled, no clip")
     if not lrs:
         return []
@@ -302,57 +280,22 @@ def run_probe_ladder(cfg: RunConfig, lrs: Sequence[float]) -> List[ProbeResult]:
     params = np.tile(task.init_params(), (len(lrs), 1))
     opt_state = OptimizerState(m=np.zeros_like(params), v=np.zeros_like(params))
     traces: List[List[Tuple[int, float]]] = [[] for _ in lrs]
-    loss_rows = np.empty((len(lrs), cfg.steps))
-    rms_steps: List[List[Optional[float]]] = []
-    t0 = time.perf_counter()
     for step, (batch, burst) in enumerate(_batches(task, cfg)):
         lr_t = schedule_lr(step, cfg.steps, cfg.schedule, rates)
-        loss_rows[:, step], grads = task.loss_and_grad_rows(params, batch)
+        _, grads = task.loss_and_grad_rows(params, batch)
         if burst != 1.0:
             grads = grads * burst
-        if step % guard.stats_freq == 0:
-            rms_steps.append(probe_rms_rows(grads))
         delta, opt_state = adamw_step(opt_state, params, grads, lr_t, cfg.opt)
         params += delta
         if (step + 1) % cfg.eval_every == 0:
             for trace, loss in zip(traces, task.eval_loss_rows(params).tolist()):
                 trace.append((step + 1, loss))
-    share = (time.perf_counter() - t0) / len(lrs)
     return [
-        ProbeResult(
-            lr=float(lr),
-            initial_loss=initial_loss,
-            final_loss=final_loss,
-            eval_trace=trace,
-            params=row,
-            losses=losses,
-            grad_rms=list(rms),
-            wall_seconds=share,
-        )
-        for lr, trace, row, final_loss, losses, rms in zip(
-            lrs, traces, params, task.eval_loss_rows(params).tolist(), loss_rows, zip(*rms_steps)
-        )
+        ProbeResult(lr=float(lr), initial_loss=initial_loss, final_loss=final_loss,
+                    eval_trace=trace, params=row)
+        for lr, trace, row, final_loss in zip(
+            lrs, traces, params, task.eval_loss_rows(params).tolist())
     ]
-
-
-def replay_rung(cfg: RunConfig, rung: ProbeResult, out_dir: Optional[Path] = None) -> RunResult:
-    """run_training(cfg, out_dir)'s result, from the ladder rung that already
-    ran cfg (see ladder_rung): the rung's losses, gradient RMS and scheduled
-    lr go through cfg's disabled governor, which logs them as the run's own
-    would. The run's wall_seconds is the rung's share of its ladder's loop.
-    """
-    gov = Governor(cfg.guard_or_disabled())
-    if gov.cfg.auto_enabled:
-        raise ValueError("a rung replays a baseline arm: guard disabled")
-    stats_freq = gov.cfg.stats_freq
-    for step, loss in enumerate(rung.losses.tolist()):
-        grad_rms = rung.grad_rms[step // stats_freq] if step % stats_freq == 0 else None
-        # inputs_finite does not reach the log: a disabled guard never skips.
-        lr_t = schedule_lr(step, cfg.steps, cfg.schedule, cfg.opt.lr)
-        gov.govern(TelemetrySample(step, loss, grad_rms, lr_t), True)
-    return _run_result(cfg, gov, out_dir, initial_loss=rung.initial_loss,
-                       final_loss=rung.final_loss, wall_seconds=rung.wall_seconds,
-                       eval_trace=rung.eval_trace, params=rung.params)
 
 
 def probe_config(arm: RunConfig) -> RunConfig:
@@ -446,45 +389,25 @@ def parallel_map(fn: Callable[[Item], Out], items: Sequence[Item],
     return [fn(item) for item in items]
 
 
-def ladder_rung(cfg: RunConfig,
-                ladders: Mapping[RunConfig, List[ProbeResult]]) -> Optional[ProbeResult]:
-    """The rung of cfg's probe in ladders (probe -> rungs) that already ran
-    cfg, if any: cfg is its probe but for its optimizer and label (a baseline
-    arm, with no guard and no clip, that evaluates every tenth of its run),
-    and the probe's ladder has a rung at cfg's rate."""
-    probe = probe_config(cfg)
-    if probe not in ladders or replace(probe, opt=cfg.opt, label=cfg.label) != cfg:
-        return None
-    return next((rung for rung in ladders[probe] if rung.lr == cfg.opt.lr), None)
-
-
-def _run_or_error(
-    item: Tuple[RunConfig, Optional[ProbeResult]], out_dir: Path
-) -> Union[RunRow, str]:
-    """The RunRow of run_training(cfg, out_dir) for an item (cfg, None), else
-    of replay_rung of its rung, whose log stays in the worker as the JSONL it
-    wrote; or the error text its suite row carries."""
-    cfg, rung = item
+def _run_or_error(cfg: RunConfig, out_dir: Path) -> Union[RunRow, str]:
+    """The RunRow of run_training(cfg, out_dir), whose log stays in the
+    worker as the JSONL it wrote; or the error text its suite row carries."""
     try:
-        result = run_training(cfg, out_dir) if rung is None else replay_rung(cfg, rung, out_dir)
+        result = run_training(cfg, out_dir)
     except Exception as exc:  # noqa: BLE001 - per-row error capture
         return f"{type(exc).__name__}: {exc}"
     return RunRow(*(getattr(result, f.name) for f in dataclasses.fields(RunRow)))
 
 
 def run_suite(
-    pairs: Sequence[Tuple[str, RunConfig, RunConfig]],
-    out_dir: Path,
-    ladders: Optional[Mapping[RunConfig, List[ProbeResult]]] = None,
+    pairs: Sequence[Tuple[str, RunConfig, RunConfig]], out_dir: Path
 ) -> List[ComparisonRow]:
     """Run (scenario, baseline_cfg, guarded_cfg) pairs and aggregate rows.
 
     Pairing integrity is asserted up front; per-run errors are recorded on
-    the row and the suite continues. Each distinct config runs once, all
-    through one parallel_map: a baseline arm that a rung of ladders
-    (probe -> rungs) already ran is replayed from it, and every other
-    config runs; each writes its JSONL and summary under out_dir. Rows hold
-    RunRows and come back sorted by scenario id.
+    the row and the suite continues. Each distinct config runs once through
+    run_training, all in one parallel_map, and writes its JSONL and summary
+    under out_dir. Rows hold RunRows and come back sorted by scenario id.
     """
     if not pairs:
         raise ValueError("run_suite requires at least one pair")
@@ -496,11 +419,8 @@ def run_suite(
     # A config shared by several pairs (a scenario's guard arm is paired with
     # each clip threshold) runs once.
     configs = list(dict.fromkeys(cfg for _, *arms in pairs for cfg in arms))
-    items = [(cfg, ladder_rung(cfg, ladders or {})) for cfg in configs]
-    # A replay runs no task: it is short work that fills the pool's tail.
-    results = dict(zip(configs, parallel_map(
-        partial(_run_or_error, out_dir=out_dir), items,
-        steps=lambda item: 0 if item[1] is not None else item[0].steps)))
+    results = dict(zip(configs, parallel_map(partial(_run_or_error, out_dir=out_dir), configs,
+                                             steps=lambda cfg: cfg.steps)))
 
     rows: List[ComparisonRow] = []
     for scenario, base_cfg, guard_cfg in pairs:

@@ -308,7 +308,7 @@ def test_suite_writes_the_ladders_it_calibrated_to_calibration_json(tmp_path):
     rates = {s: base.opt.lr for s, base, _ in pairs}
     for row in rows:
         if row["scenario"] in ("hot", "mild"):
-            # The baseline was replayed from its rung: the same losses, bit for bit.
+            # The baseline is its rung's run: the same losses, bit for bit.
             (entry,) = [e for e in entries if e["seed"] == int(row["seed"])
                         and row["scenario"] in e["scenarios"]]
             (rung,) = [r for r in entry["rungs"] if r["lr"] == rates[row["scenario"]]]

@@ -6,17 +6,17 @@ runs/ (each run's JSONL and summary), in name order. It was recorded before
 the one-softmax-per-row eval, the scratch-buffer AdamW and the bisect corpus
 walk landed, so it holds them to the outputs of the code they replaced. The
 suite's 3 distinct probes and 13 distinct runs give the same bytes in one
-process and on a pool of forked workers. Three of those runs, the baselines
-of lr-stress, lr-moderate and long, are replayed from the rungs of their
-calibration ladders, and the other 10 run through run_training, so the
-digest also holds the replays to the runs they stand for. No eval enters
-the digest, so the three scenarios' eval_every was set to the probes' own
-(a tenth of the run), which a replay needs, without changing it.
+process and on a pool of forked workers, and all 13 run through
+run_training. No eval enters the digest. The baselines of lr-stress,
+lr-moderate and long evaluate every tenth of their run, as their probes do.
+For a time those three were replayed from their calibration rungs instead
+of run, and the digest held.
 
 The shipped configuration's digest pins the full default suite the same way,
 on every usable CPU. It was recorded with numpy 2.4.6, before suite runs came
-back from their workers as summary rows and before every calibration rung
-kept its per-step data.
+back from their workers as summary rows. It held through rung replay and its
+deletion, and when long-budget's "aggressive" preset became the number it
+resolved to, 13.1072, lr-stress's rate, which the test checks.
 
 `guardlab run` runs one arm of one scenario as the suite builds it, so on
 the tiny suite its JSONL and summary are the suite's files for that arm.
@@ -100,8 +100,9 @@ def test_tiny_suite_outputs_match_the_golden_digest(tmp_path, workers, monkeypat
     assert suite_digest(out) == GOLDEN_SUITE_SHA256
     if workers == 1:
         # A forked worker's calls never reach this process's list.
-        assert len(ran) == 10
-        assert not {"lr-stress-baseline", "lr-moderate-baseline", "long-baseline"} & set(ran)
+        assert sorted(ran) == sorted(path.name[:-len("_seed7.jsonl")]
+                                     for path in (out / "runs").glob("*.jsonl"))
+        assert len(ran) == 13
 
 
 def test_shipped_suite_outputs_match_the_golden_digest(tmp_path, monkeypatch):
@@ -119,6 +120,11 @@ def test_shipped_suite_outputs_match_the_golden_digest(tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert main(["--config", str(SHIPPED), "--out", str(out), "--quiet", "suite"]) == 0
     assert suite_digest(out) == SHIPPED_SUITE_SHA256
+    # long-budget's hand-written rate is the aggressive rate lr-stress
+    # calibrates, so it runs no ladder of its own.
+    assert rates["long-budget"] == rates["lr-stress"]
+    entries = json.loads((out / "calibration.json").read_text(encoding="utf-8"))
+    assert entries and not any("long-budget" in entry["scenarios"] for entry in entries)
     # README: the bigram's clips at 1.0 and 0.5 never fire, so the two arms
     # run the same plain AdamW steps and write the same bytes.
     for seed in json.loads(SHIPPED.read_text(encoding="utf-8"))["seeds"]:
@@ -131,8 +137,8 @@ def test_shipped_suite_outputs_match_the_golden_digest(tmp_path, monkeypatch):
     assert rates == json.loads("".join(line[1:] for line in block.splitlines()))
 
 
-# One arm of each kind: a baseline the suite replays from a rung, a guard arm
-# at a moderate preset, a clip arm under bursts and a guard arm at a numeric lr.
+# One arm of each kind: a baseline at the rate of a rung of its own ladder, a
+# guard arm at a moderate preset, a clip arm under bursts and a guard arm at a numeric lr.
 RUN_ARMS = [("lr-stress", "baseline"), ("lr-moderate", "guard"), ("bursts", "clip1.0"),
             ("benign", "guard")]
 

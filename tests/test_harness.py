@@ -358,6 +358,12 @@ def _same(a: float, b: float) -> bool:
     return a == b or (math.isnan(a) and math.isnan(b))
 
 
+def _trace_same(a, b) -> bool:
+    return len(a) == len(b) and all(
+        s == t and _same(loss, ref_loss) for (s, loss), (t, ref_loss) in zip(a, b)
+    )
+
+
 # The schedule each ladder case runs; the cosine schedule decaying to 0 is
 # the suite's default and adds no suffix to the id.
 SCHEDULES = {
@@ -383,15 +389,12 @@ def test_probe_ladder_rows_bitwise_equal_scalar_runs(task, injection, schedule):
         batch_size=16, eval_every=8, seed=3, injection=INJECTIONS[injection], label="probe",
     )
     lrs = [lr for lr in LADDER_LRS if lr >= cfg.schedule.min_lr]
-    stats_freq = cfg.guard_or_disabled().stats_freq
     with np.errstate(all="ignore"):
         rungs = run_probe_ladder(cfg, lrs)
         for rung, lr in zip(rungs, lrs):
             ref = run_training(replace(cfg, opt=replace(cfg.opt, lr=lr)))
             assert rung.lr == lr
             assert rung.params.tobytes() == ref.params.tobytes()
-            assert rung.losses.tobytes() == np.array([r.loss for r in ref.log.records]).tobytes()
-            assert rung.grad_rms == [r.grad_rms for r in ref.log.records[::stats_freq]]
             assert _same(rung.initial_loss, ref.initial_loss)
             assert _same(rung.final_loss, ref.final_loss)
             assert _trace_same(rung.eval_trace, ref.eval_trace)
@@ -463,88 +466,8 @@ def test_calibrate_not_stressable_matches_scalar():
 
 
 # --------------------------------------------------------------------------
-# Baseline arms taken from the calibration ladder
+# Logged records
 # --------------------------------------------------------------------------
-
-TAKEN_BIGRAM = {"kind": "bigram_lm", "dims": {"alphabet": 8, "corpus_len": 256, "eval_len": 64}}
-BURSTS = {"magnitude": 50.0, "period": 10, "mode": "gradient_burst"}
-# The baseline arms these scenarios replay from a rung, and those that run.
-# Only an arm with no guard and no clip replays: each clip arm runs, one whose
-# clip never fires (1.0; the bigram gradient's norm stays below it) as well as
-# one whose clip fires (1e-3).
-TAKEN_SCENARIOS = [
-    {"name": "hot", "kind": "lr_stress", "lr": "aggressive"},
-    {"name": "hot-bursts", "kind": "lr_stress", "lr": "aggressive", "injection": BURSTS},
-    {"name": "long", "kind": "long_budget", "lr": "aggressive", "steps": 80, "eval_every": 8},
-    {"name": "mild", "kind": "lr_stress", "lr": "moderate"},
-]
-RUN_SCENARIOS = [
-    {"name": "clipped", "kind": "clip_baseline", "lr": "aggressive", "clip_g": [1.0, 1e-3]},
-    {"name": "sparse-evals", "kind": "lr_stress", "lr": "aggressive", "eval_every": 5},
-    {"name": "off-ladder", "kind": "lr_stress", "lr": 0.003},
-]
-
-
-def _trace_same(a, b) -> bool:
-    return len(a) == len(b) and all(
-        s == t and _same(loss, ref_loss) for (s, loss), (t, ref_loss) in zip(a, b)
-    )
-
-
-def test_suite_replays_baseline_arms_from_their_ladder_rungs(tmp_path, monkeypatch, workers):
-    import guardlab.harness as harness
-    from guardlab.config import expand_scenarios, parse_config
-
-    ran = []
-    real = harness.run_training
-
-    def counting(cfg, out_dir=None):
-        ran.append(cfg.label)
-        return real(cfg, out_dir)
-
-    cfg = parse_config({
-        "seeds": [3],
-        "tasks": {"toy": TAKEN_BIGRAM},
-        "scenarios": [{"task": "toy", "steps": 40, "batch_size": 16, "eval_every": 4, **scen}
-                      for scen in TAKEN_SCENARIOS + RUN_SCENARIOS],
-    })
-    ladders = {}
-    with np.errstate(all="ignore"):
-        pairs = expand_scenarios(cfg, ladders)
-        monkeypatch.setattr(harness, "run_training", counting)
-        rows = run_suite(pairs, out_dir=tmp_path / "runs", ladders=ladders)
-        monkeypatch.setattr(harness, "run_training", real)
-        assert all(row.error is None for row in rows)
-        taken = {f"{scen['name']}-baseline" for scen in TAKEN_SCENARIOS}
-        if workers == 1:
-            # A forked worker's calls never reach this process's list; with
-            # two, the replays run on the workers and the bytes below check them.
-            assert sorted(ran) == sorted(
-                [f"{scen['name']}-guard" for scen in TAKEN_SCENARIOS + RUN_SCENARIOS]
-                + ["clipped-clip1.0", "clipped-clip0.001", "sparse-evals-baseline",
-                   "off-ladder-baseline"]
-            )
-        arms = {arm.label: arm for _, *pair in pairs for arm in pair}
-        assert arms["mild-baseline"].opt.lr == arms["hot-baseline"].opt.lr / 32
-        results = {res.label: res for row in rows for res in (row.baseline, row.guarded)}
-        assert results.keys() == arms.keys()
-        for label, res in results.items():
-            ref = run_training(arms[label], tmp_path / "ref")
-            stem = f"{label}_seed3"
-            for suffix in (".jsonl", "_summary.json"):
-                assert ((tmp_path / "runs" / f"{stem}{suffix}").read_bytes()
-                        == (tmp_path / "ref" / f"{stem}{suffix}").read_bytes()), stem
-            assert res.summary == ref.summary, label
-            for name in ("initial_loss", "final_loss"):
-                assert _same(getattr(res, name), getattr(ref, name)), (label, name)
-            if label in taken:
-                rung = harness.ladder_rung(arms[label], ladders)
-                assert res.wall_seconds == rung.wall_seconds
-                replayed = harness.replay_rung(arms[label], rung)
-                assert replayed.params.tobytes() == ref.params.tobytes(), label
-                assert _trace_same(replayed.eval_trace, ref.eval_trace), label
-    # The stress rate degrades the replayed baseline: its log is not a quiet run's.
-    assert results["hot-baseline"].summary.regime_switches > 0
 
 
 @pytest.mark.parametrize("lr, injection, why", [
@@ -552,32 +475,20 @@ def test_suite_replays_baseline_arms_from_their_ladder_rungs(tmp_path, monkeypat
     (1e-3, InjectionSpec(magnitude=1e300, period=10, mode="gradient_burst"),
      "the burst leaves the gradient finite but its mean square overflows"),
 ])
-def test_a_rung_logs_a_null_grad_rms_where_sense_does(lr, injection, why):
-    from guardlab.harness import replay_rung
-
+def test_a_baseline_run_logs_a_null_grad_rms_where_its_gradient_is_unusable(lr, injection, why):
+    # sense reads the gradient after the burst, on the disabled guard's
+    # stats steps (0, 10 and 20 of 30).
     cfg = RunConfig(task=NOISELESS_QUAD, opt=OptimizerConfig(lr=lr),
                     steps=30, batch_size=8, eval_every=3, seed=3, injection=injection,
-                    label="probe")
-    with np.errstate(all="ignore"):
-        (rung,) = run_probe_ladder(cfg, [lr])
-        ref = run_training(cfg)
-    assert rung.grad_rms[1:] == [None, None], why
-    assert rung.grad_rms[0] == ref.log.records[0].grad_rms is not None
-    text, ref_text = io.StringIO(), io.StringIO()
-    replay_rung(cfg, rung).log.write_jsonl(text)
-    ref.log.write_jsonl(ref_text)
-    assert text.getvalue() == ref_text.getvalue()
-    assert '"grad_rms": null' in text.getvalue()
-
-
-def _replayed_baseline():
-    from guardlab.harness import replay_rung
-
-    cfg = RunConfig(task=SMALL_BIGRAM, opt=OptimizerConfig(lr=0.4), steps=100, eval_every=10,
-                    seed=7, injection=InjectionSpec(magnitude=50.0, period=25),
                     label="baseline")
-    (rung,) = run_probe_ladder(cfg, [cfg.opt.lr])
-    return replay_rung(cfg, rung)
+    with np.errstate(all="ignore"):
+        log = run_training(cfg).log
+    stats = log.records[::cfg.guard_or_disabled().stats_freq]
+    assert [rec.step for rec in stats] == [0, 10, 20]
+    assert stats[0].grad_rms is not None and stats[1].grad_rms is stats[2].grad_rms is None, why
+    text = io.StringIO()
+    log.write_jsonl(text)
+    assert '"grad_rms": null' in text.getvalue()
 
 
 BURSTS = InjectionSpec(magnitude=50.0, period=25)
@@ -590,7 +501,6 @@ LOGGED_RUNS = {
         eval_every=100, seed=7, injection=BURSTS)),
     "quadratic-guard": lambda: run_training(replace(
         tiny_run(guard=GuardConfig()), task=QUAD, steps=100, eval_every=100)),
-    "replayed-baseline": _replayed_baseline,
 }
 
 
@@ -610,41 +520,6 @@ def test_every_logged_record_has_its_fields_exact_types(name):
         assert type(rec.active) is type(rec.skipped) is bool, rec
         assert rec.grad_rms is None or type(rec.grad_rms) is float, rec
     assert any(rec.grad_rms is not None for rec in records)
-
-
-# Each case is a largest gradient sum of squares that a ladder once recorded
-# for a rung, against a clip at g = 0.5, and whether ladder_rung then replayed
-# the clip arm from that rung: only below g² by a rounding margin, so it ran
-# the arm at and near the threshold and on a non-finite figure. The ladder
-# records no such figure now. A clip arm replays no rung, so none its clip
-# fired on; it runs, and its clip lets each of these gradients through as it
-# is, also those where the old rule ran the arm.
-@pytest.mark.parametrize("sumsq, replays", [
-    (0.0, True),
-    (0.24999999999900002, True),
-    (0.2499999999995, False),
-    (0.25, False),
-    (math.inf, False),
-    (math.nan, False),
-])
-def test_a_clip_arm_replays_only_a_rung_its_clip_never_fired_on(sumsq, replays):
-    from guardlab.harness import ladder_rung, probe_config
-    from guardlab.optim import clip_global_norm
-
-    arm = RunConfig(task=QUAD, opt=OptimizerConfig(lr=0.0128), clip=ClipConfig(g=0.5),
-                    steps=40, batch_size=8, eval_every=4, seed=3, label="x-clip0.5")
-    rung = ProbeResult(lr=0.0128, initial_loss=1.0, final_loss=1.0, eval_trace=[], params=None)
-    ladders = {probe_config(arm): [rung]}
-    # A clip arm runs, however large its threshold; its baseline twin replays.
-    for g in (0.5, 1e300):
-        assert ladder_rung(replace(arm, clip=ClipConfig(g=g)), ladders) is None, replays
-    assert ladder_rung(replace(arm, clip=None), ladders) is rung
-    assert ladder_rung(replace(arm, guard=GuardConfig(auto_enabled=False)), ladders) is None
-    assert ladder_rung(replace(arm, eval_every=5), ladders) is None
-    grads = np.array([math.sqrt(sumsq)])
-    clipped, norm = clip_global_norm(grads, arm.clip.g)
-    assert clipped is grads
-    assert math.isnan(norm) if math.isnan(sumsq) else norm * norm == sumsq
 
 
 # --------------------------------------------------------------------------

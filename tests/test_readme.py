@@ -41,11 +41,11 @@ def unresolved(refs) -> list:
 def test_the_check_sees_a_stale_name():
     assert sorted(path.stem for path in (ROOT / "src" / "guardlab").glob("*.py")
                   if path.stem != "__init__") == list(MODULES)
-    text = ("`governor.select_posture` and `x = harness.ladder_rung(cfg)`; "
+    text = ("`governor.select_posture` and `x = harness.probe_config(cfg)`; "
             "`governor.py`, `report.md`, `perfbench/tracing.py`, plain governor.GONE,\n"
             "`optim.GONE`, `guardlab.tasks.strict_int` and `guardlab.optim.GONE_TOO`\n")
     refs = module_references(text)
-    assert refs == [("governor", "select_posture"), ("harness", "ladder_rung"),
+    assert refs == [("governor", "select_posture"), ("harness", "probe_config"),
                     ("optim", "GONE"), ("optim", "GONE_TOO"), ("tasks", "strict_int")]
     assert unresolved(refs) == ["optim.GONE", "optim.GONE_TOO"]
 
