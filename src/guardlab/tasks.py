@@ -261,11 +261,37 @@ class BigramLmTask(Task):
         return np.zeros(self.n_params)
 
     def loss_and_grad(self, params, batch):
-        losses, grads = self.loss_and_grad_rows(params[None], batch)
-        return float(losses[0]), grads[0]
+        """Mean cross-entropy and its gradient for one row of A*A logits.
+
+        loss_and_grad_rows's arithmetic for L = 1, in the same order, without
+        the stack's reshapes, 2-D row mean and unwrapping: a run step holds
+        one row. Pair j's target is its flat index j*A + nxt[j] in the (n, A)
+        gather, and its gradient bins are the logit row prev[j]'s flat indices.
+        """
+        prev, nxt = batch.inputs, batch.targets
+        a = self.alphabet
+        n = len(prev)
+        offsets, grid = _bigram_grids(1, n, a)
+        probs = params.reshape(a, a).take(prev, axis=0)
+        # The max from the transposed copy, as in loss_and_grad_rows: the order
+        # of a max's operands decides the sign of a zero max.
+        probs -= np.maximum.reduce(np.ascontiguousarray(probs.T), axis=0)[:, None]
+        flat = probs.ravel()
+        targets = offsets[0] + nxt
+        picked = flat[targets]
+        np.exp(probs, out=probs)
+        total = np.add.reduce(probs, axis=1, keepdims=True)
+        picked -= np.log(total.ravel())
+        loss = -(np.add.reduce(picked) / n)
+        probs /= total
+        flat[targets] -= 1.0
+        probs /= n
+        grad = np.bincount(grid[0].take(prev, axis=0).ravel(), weights=flat, minlength=a * a)
+        return float(loss), grad
 
     def loss_and_grad_rows(self, param_rows, batch):
-        """Mean cross-entropy and its gradient for each row of (L, A*A) logits.
+        """Mean cross-entropy and its gradient for each row of (L, A*A) logits;
+        row l is bitwise equal to loss_and_grad(param_rows[l], batch).
 
         Pair i of parameter row l reads logit row prev[i] of the l-th A x A
         matrix. One take along axis 1 gathers those rows as a C-ordered
@@ -330,10 +356,10 @@ class BigramLmTask(Task):
 
 @functools.lru_cache(maxsize=16)
 def _bigram_grids(n_rows: int, n: int, a: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The read-only index arrays of loss_and_grad_rows for n_rows parameter
+    """The read-only index arrays of the bigram kernels for n_rows parameter
     rows, n pairs and alphabet a: the flat offset j*a of each pair's logit
     row in the (n_rows*n, a) gather, as (n_rows, n), and the flat index of
-    every logit, as (n_rows, a, a)."""
+    every logit, as (n_rows, a, a). loss_and_grad reads the n_rows = 1 pair."""
     offsets = np.arange(0, n_rows * n * a, a).reshape(n_rows, n)
     grid = np.arange(n_rows * a * a).reshape(n_rows, a, a)
     offsets.flags.writeable = False

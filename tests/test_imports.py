@@ -1,5 +1,6 @@
 """No module under src/guardlab/ imports a name it never uses,
-and none defines a name that nothing reads.
+and none defines a name that nothing reads; importing the CLI starts no
+process machinery.
 
 No linter ships with the lab, so this reads each module's syntax tree with
 the standard library's ast: every name an import binds (``__future__``
@@ -9,6 +10,9 @@ somewhere in src/, tests/ or perfbench/.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -94,3 +98,14 @@ def everything_read() -> set:
 @pytest.mark.parametrize("path", MODULES, ids=[str(p.relative_to(ROOT)) for p in MODULES])
 def test_no_unreferenced_definitions(path, everything_read):
     assert unreferenced(path.read_text(encoding="utf-8"), everything_read) == []
+
+
+def test_importing_the_cli_defers_the_process_pool():
+    # parallel_map imports multiprocessing and concurrent.futures only when it
+    # forks: at import they cost ~20 ms of every fresh interpreter's set-up.
+    probe = ("import sys, guardlab.cli; "
+             "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

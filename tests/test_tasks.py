@@ -272,10 +272,13 @@ def _extreme_logit_rows(rng, n_rows, a):
     return rows.reshape(n_rows, a * a)
 
 
+# Batch 300 crosses numpy's 128-entry pairwise-sum block, where the one-row
+# kernel's 1-D loss sum must still match the rows kernel's (1, n) row mean.
 @pytest.mark.parametrize("alphabet", [2, 8, 32])
-@pytest.mark.parametrize("batch_size", [1, 7, 32, 100])
+@pytest.mark.parametrize("batch_size", [1, 7, 32, 100, 300])
 @pytest.mark.parametrize("n_rows", [1, 3, 21])
 def test_bigram_kernel_bitwise_equal_per_pair_reference(alphabet, batch_size, n_rows):
+    # Both kernels: the rows kernel on the stack, the one-row kernel on each row.
     task = make_task("bigram_lm", {"alphabet": alphabet, "corpus_len": 512, "eval_len": 8},
                      seed=alphabet)
     batch, _ = sample_batch(task, StreamState(seed=batch_size, stream=0), batch_size)
@@ -288,6 +291,9 @@ def test_bigram_kernel_bitwise_equal_per_pair_reference(alphabet, batch_size, n_
                 row.reshape(alphabet, alphabet), batch.inputs, batch.targets)
             assert loss.tobytes() == ref_loss.tobytes()
             assert grad.tobytes() == ref_grad.tobytes()
+            one_loss, one_grad = task.loss_and_grad(row.copy(), batch)
+            assert np.float64(one_loss).tobytes() == ref_loss.tobytes()
+            assert one_grad.tobytes() == ref_grad.tobytes()
 
 
 # --------------------------------------------------------------------------
