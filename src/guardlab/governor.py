@@ -82,8 +82,9 @@ class GuardConfig:
 # object.__setattr__ per field, and every step builds a sample and an analyzer
 # state. StepRecord, the logged value, stays a slotted dataclass (its fields
 # are the JSONL schema, and replace/asdict read it) but is not frozen, for the
-# same cost: nothing writes a record after Governor.govern logs it. The per-step values are built positionally, in field order (for
-# StepRecord, the JSONL key order): keyword arguments cost a lookup each.
+# same cost: nothing writes a record after Governor.observe logs it. The
+# per-step values are built positionally, in field order (for StepRecord, the
+# JSONL key order): keyword arguments cost a lookup each.
 class TelemetrySample(NamedTuple):
     """Per-step sensor output. grad_rms is present only on probe steps."""
 
@@ -366,14 +367,11 @@ class Governor:
         lr: float,
         inputs_finite: bool,
     ) -> float:
-        """One governance pass: sense, classify, and select the scale."""
-        return self.govern(sense(step, loss, grads, lr, self.cfg), inputs_finite)
-
-    def govern(self, sample: TelemetrySample, inputs_finite: bool) -> float:
-        """observe's passes after sense: classify the sample, select the
-        scale and log the step, which an enabled guard skips unless
-        inputs_finite (guarded_step's verdict)."""
+        """One governance pass: sense, classify the sample, select the scale
+        and log the step, which an enabled guard skips unless inputs_finite
+        (guarded_step's verdict)."""
         cfg = self.cfg
+        sample = sense(step, loss, grads, lr, cfg)
         step, loss, grad_rms, lr = sample
         regime, state = classify_regime(sample, self.state, cfg)
         self.state = state

@@ -434,13 +434,3 @@ def run_suite(
     rows.sort(key=lambda r: (r.scenario, r.seed))
     return rows
 
-
-def seed_stats(values: Sequence[float]) -> Tuple[float, float]:
-    """Mean and sample standard deviation (ddof=1; 0.0 for a single value)."""
-    arr = np.asarray(values, dtype=float)
-    # Non-finite entries (e.g. overflowed perplexities) legitimately yield
-    # inf/nan statistics; suppress the float warnings they would raise.
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean = float(arr.mean())
-        std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-    return mean, std

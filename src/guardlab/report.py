@@ -13,7 +13,7 @@ from collections import defaultdict
 from pathlib import Path
 from typing import Dict, List, Sequence
 
-from .harness import ComparisonRow, RunRow, seed_stats, severe_degradation
+from .harness import ComparisonRow, RunRow, severe_degradation
 
 # The suite CSV's columns, in file order, each with the type it reads back as.
 CSV_SCHEMA = {
@@ -102,8 +102,9 @@ def _f(x: float) -> str:
 
 
 def render_report_from_csv(csv_rows: Sequence[Dict[str, object]]) -> str:
-    """Markdown report: per-scenario comparison tables plus seed aggregates,
-    from rows typed by CSV_SCHEMA (as read_suite_csv returns them).
+    """Markdown report: one table per scenario, a row per seed with each
+    arm's losses and verdict, from rows typed by CSV_SCHEMA (as
+    read_suite_csv returns them).
 
     Each (scenario, seed) must be exactly one error row or one baseline row
     and one guard row; any other group is a ValueError naming it."""
@@ -118,10 +119,9 @@ def render_report_from_csv(csv_rows: Sequence[Dict[str, object]]) -> str:
         lines.append(f"## {scenario}")
         lines.append("")
         lines.append(
-            "| seed | baseline PPL | guard PPL | PPL reduction | baseline verdict | guard verdict |"
+            "| seed | initial loss | baseline loss | guard loss | baseline verdict | guard verdict |"
         )
         lines.append("|---|---|---|---|---|---|")
-        per_arm: Dict[str, List[float]] = defaultdict(list)
         for seed in sorted(by_scenario[scenario]):
             group = sorted(by_scenario[scenario][seed], key=lambda row: row["arm"])
             arms = [row["arm"] for row in group]
@@ -132,25 +132,11 @@ def render_report_from_csv(csv_rows: Sequence[Dict[str, object]]) -> str:
                 raise ValueError(f"scenario {scenario!r} seed {seed}: expected one error row or "
                                  f"one baseline and one guard row, found arms {arms}")
             base, guard = group
-            b_ppl, g_ppl = base["final_ppl"], guard["final_ppl"]
-            if math.isfinite(b_ppl) and math.isfinite(g_ppl) and b_ppl > 0:
-                reduction = f"{100.0 * (1.0 - g_ppl / b_ppl):.1f}%"
-            else:
-                reduction = "n/a"
             lines.append(
-                f"| {seed} | {_f(b_ppl)} | {_f(g_ppl)} | {reduction} | "
+                f"| {seed} | {_f(base['initial_loss'])} | {_f(base['final_loss'])} | "
+                f"{_f(guard['final_loss'])} | "
                 f"{verdict(base['final_loss'], base['initial_loss'])} | "
                 f"{verdict(guard['final_loss'], guard['initial_loss'])} |"
             )
-            per_arm["baseline"].append(b_ppl)
-            per_arm["guard"].append(g_ppl)
-        lines.append("")
-        for arm in ("baseline", "guard"):
-            if per_arm[arm]:
-                mean, std = seed_stats(per_arm[arm])
-                lines.append(
-                    f"- {arm} final PPL across seeds: {_f(mean)} ± {_f(std)}"
-                    f" (n={len(per_arm[arm])})"
-                )
         lines.append("")
     return "\n".join(lines)

@@ -35,6 +35,7 @@ from pathlib import Path
 
 from guardlab import cli, harness
 from guardlab.cli import main
+from guardlab.report import read_suite_csv
 
 GOLDEN_SUITE_SHA256 = "4d43675ec28906c0987462bcf476fe2f25852fe706078141760689326e48ec32"
 ROOT = Path(__file__).resolve().parents[1]
@@ -120,6 +121,12 @@ def test_shipped_suite_outputs_match_the_golden_digest(tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert main(["--config", str(SHIPPED), "--out", str(out), "--quiet", "suite"]) == 0
     assert suite_digest(out) == SHIPPED_SUITE_SHA256
+    # report.md shows the losses suite.csv holds, and no perplexity.
+    report = (out / "report.md").read_text(encoding="utf-8")
+    assert "PPL" not in report
+    for row in read_suite_csv(out / "suite.csv"):
+        if row["arm"] != "error":
+            assert f"| {row['final_loss']:.4f} |" in report, (row["scenario"], row["arm"])
     # long-budget's hand-written rate is the aggressive rate lr-stress
     # calibrates, so it runs no ladder of its own.
     assert rates["long-budget"] == rates["lr-stress"]

@@ -31,7 +31,6 @@ from guardlab.harness import (
     run_probe_ladder,
     run_suite,
     run_training,
-    seed_stats,
     severe_degradation,
     write_run_artifacts,
 )
@@ -589,11 +588,3 @@ def test_run_suite_rows_hold_summary_rows_recomputable_from_their_jsonl(tmp_path
             records = [record_from_json_dict(json.loads(line)) for line in fh]
         assert len(records) == guard.steps
         assert res.summary == summarize_records(records), res.label
-
-
-def test_seed_stats():
-    mean, std = seed_stats([1.0, 2.0, 3.0])
-    assert mean == 2.0
-    assert std == pytest.approx(1.0, rel=1e-12)
-    mean1, std1 = seed_stats([5.0])
-    assert (mean1, std1) == (5.0, 0.0)

@@ -89,29 +89,28 @@ def test_report_numbers_match_csv_to_4dp(tmp_path, suite_rows):
     write_suite_csv(suite_rows, path)
     csv_rows = read_suite_csv(path)
     report = render_report_from_csv(csv_rows)
-    # Every per-seed perplexity cell in the markdown equals the CSV value
+    # Every per-seed loss cell in the markdown equals the CSV value
     # formatted to 4 decimal places.
     for row in csv_rows:
-        cell = f"{float(row['final_ppl']):.4f}"
-        assert cell in report, cell
+        for col in ("initial_loss", "final_loss"):
+            cell = f"{row[col]:.4f}"
+            assert f"| {cell} |" in report, (row["arm"], col, cell)
 
 
-def _ppl_row(arm: str, ppl: float) -> dict:
-    return {"scenario": "s", "arm": arm, "seed": 7, "initial_loss": 2.0, "final_loss": 1.0,
-            "final_ppl": ppl, "wall_s": 0.0, "active_steps": 0, "regime_switches": 0,
-            "control_energy": 0.0}
+def _loss_row(arm: str, seed: int, final_loss: float) -> dict:
+    return {"scenario": "s", "arm": arm, "seed": seed, "initial_loss": 2.0,
+            "final_loss": final_loss, "final_ppl": math.nan, "wall_s": 0.0,
+            "active_steps": 0, "regime_switches": 0, "control_energy": 0.0}
 
 
-@pytest.mark.parametrize("b_ppl, g_ppl, cell", [
-    (4.0, 2.0, "50.0%"),
-    (4.0, math.inf, "n/a"),
-    (4.0, math.nan, "n/a"),
-    (math.inf, 2.0, "n/a"),
-    (math.nan, 2.0, "n/a"),
-    (0.0, 2.0, "n/a"),
-])
-def test_ppl_reduction_is_a_number_only_between_finite_perplexities(b_ppl, g_ppl, cell):
-    report = render_report_from_csv([_ppl_row("baseline", b_ppl), _ppl_row("guard", g_ppl)])
-    (line,) = [ln for ln in report.splitlines() if ln.startswith("| 7 |")]
-    assert line.split(" | ")[3] == cell
-    assert "inf%" not in report and "nan%" not in report
+def test_report_prints_each_loss_as_its_4dp_text():
+    # 1069.871 is the scale of the shipped quadratic's loss and exp(1e6)
+    # overflows: the report prints a loss, never a perplexity of one.
+    losses = {1: (1069.871, 1e6), 2: (math.inf, math.nan)}
+    report = render_report_from_csv([_loss_row(arm, seed, loss)
+                                     for seed, pair in losses.items()
+                                     for arm, loss in zip(("baseline", "guard"), pair)])
+    for seed, (b_loss, g_loss) in losses.items():
+        (line,) = [ln for ln in report.splitlines() if ln.startswith(f"| {seed} |")]
+        assert line.split(" | ")[1:4] == ["2.0000", f"{b_loss:.4f}", f"{g_loss:.4f}"]
+    assert "PPL" not in report and "%" not in report
